@@ -14,6 +14,12 @@ points; output order is unaffected).
 Config files are flat ``key = value`` text; repeating one of the grid keys
 (theta, d, m, n, sigma, budget_bits) forms a sweep over the cartesian
 product, rows ordered with later keys varying fastest in the order above.
+
+A simulate row is driven by two tables. ``protocols.PROTOCOLS`` says which
+spec types a protocol runs on (other pairs give a row error) and may name
+the lower bound it is compared with. ``FAMILIES`` below says how a family
+id becomes a spec, which centralized rate applies and which lower bound
+applies otherwise; the bound is evaluated at the measured bits.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +41,6 @@ from .errors import ConfigError, InvalidArgumentError
 from .families import (BoundedProductSpec, GaussianLocationSpec, ProbitSpec,
                        RegressionSpec, UniformLocationSpec, design_eigenbounds)
 from .sweeps import SUITE_CSV_HEADER, SUITE_NAMES, run_suite
-
-FAMILY_IDS = ("gaussian", "bounded_two_point", "bounded_uniform", "uniform",
-              "regression", "probit")
 
 GRID_KEYS = ("theta", "d", "m", "n", "sigma", "budget_bits")
 
@@ -114,84 +119,70 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _build_spec(family, theta_vec, sigma, design_kind, m, n, d, seed):
-    if family == "gaussian":
-        return GaussianLocationSpec(theta_vec, sigma if sigma is not None else 1.0)
-    if family == "bounded_two_point":
-        return BoundedProductSpec(theta_vec, "two_point")
-    if family == "bounded_uniform":
-        return BoundedProductSpec(theta_vec, "uniform_interval")
-    if family == "uniform":
-        return UniformLocationSpec(theta_vec)
-    designs = build_designs(design_kind, m, n, d, seed)
-    if family == "regression":
-        return RegressionSpec(designs, theta_vec, sigma if sigma is not None else 1.0)
-    if family == "probit":
-        return ProbitSpec(designs, theta_vec)
-    raise ConfigError(f"unknown family {family!r}; choices: {FAMILY_IDS}")
+# Lower bounds at a row's measured communication, by formula id. Each call
+# goes through `bnd` when it runs, so a patched bounds module is seen.
+LOWER_BOUNDS = {
+    "prop1": lambda q: bnd.prop1_lower(q.need_total(), bnd.unit_interval_entropy_inverse),
+    "prop2": lambda q: bnd.prop2_lower(q),
+    "prop3_lower": lambda q: bnd.prop3_lower(q),
+    "thm2": lambda q: bnd.theorem2_lower(q),
+    "cor1_lower": lambda q: bnd.cor1_rates(q)[0],
+    "cor2_lower": lambda q: bnd.cor2_rates(q)[0],
+}
 
 
-def _centralized_rate(family, d, m, n, sigma):
-    s2 = (sigma if sigma is not None else 1.0) ** 2
-    if family == "gaussian":
-        return bnd.centralized_rate("gaussian", d, m, n, s2)
-    if family in ("bounded_two_point", "bounded_uniform"):
-        return bnd.centralized_rate("bounded", d, m, n)
-    if family == "uniform":
-        return bnd.centralized_rate("uniform", d, m, n)
-    if family == "regression":
-        return bnd.centralized_rate("regression", d, m, n, s2)
-    return bnd.centralized_rate("regression", d, m, n, 1.0)
+@dataclass(frozen=True)
+class Family:
+    """One config family id: its spec and the rates its rows report."""
+
+    spec: Callable              # (theta, sigma, designs or None) -> spec
+    rate: str                   # bounds.centralized_rate family id
+    bound: str                  # LOWER_BOUNDS id, unless the protocol overrides it
+    uses_sigma: bool = False    # the rates take sigma^2; otherwise sigma^2 = 1
+    uses_designs: bool = False  # the spec is built on build_designs(...)
 
 
-def _matching_bound(protocol, spec, d, m, n, sigma, budget_bits, bits_mean):
-    """Family lower bound evaluated at the measured communication."""
-    s2 = (sigma if sigma is not None else 1.0) ** 2
-    if protocol == proto.SINGLE_MEAN:
-        res = bnd.prop1_lower(budget_bits, bnd.unit_interval_entropy_inverse)
-    elif protocol == proto.ONEBIT:
-        q = bnd.RateQuery(d=d, m=m, n=n,
-                          budgets_per_machine=(bits_mean / m,) * m)
-        res = bnd.prop2_lower(q)
-    elif isinstance(spec, GaussianLocationSpec):
-        res = bnd.theorem2_lower(bnd.RateQuery(d=d, m=m, n=n, sigma2=s2,
-                                               budget_total=bits_mean))
-    elif isinstance(spec, UniformLocationSpec):
-        res = bnd.prop3_lower(bnd.RateQuery(d=d, m=m, n=n, budget_total=bits_mean))
-    elif isinstance(spec, RegressionSpec):
-        lmax2, lmin2 = design_eigenbounds(spec.designs)
-        res, _ = bnd.cor1_rates(bnd.RateQuery(d=d, m=m, n=n, sigma2=s2,
-                                              budget_total=bits_mean,
-                                              lambda_max2=lmax2, lambda_min2=lmin2))
-    elif isinstance(spec, ProbitSpec):
-        lmax2, lmin2 = design_eigenbounds(spec.designs)
-        res, _ = bnd.cor2_rates(bnd.RateQuery(d=d, m=m, n=n,
-                                              budget_total=bits_mean,
-                                              lambda_max2=lmax2, lambda_min2=lmin2))
-    else:
-        q = bnd.RateQuery(d=d, m=m, n=n,
-                          budgets_per_machine=(bits_mean / m,) * m)
-        res = bnd.prop2_lower(q)
-    return res.formula_id, res.value
+FAMILIES = {
+    "gaussian": Family(lambda t, s, a: GaussianLocationSpec(t, s), "gaussian", "thm2",
+                       uses_sigma=True),
+    "bounded_two_point": Family(lambda t, s, a: BoundedProductSpec(t, "two_point"),
+                                "bounded", "prop2"),
+    "bounded_uniform": Family(lambda t, s, a: BoundedProductSpec(t, "uniform_interval"),
+                              "bounded", "prop2"),
+    "uniform": Family(lambda t, s, a: UniformLocationSpec(t), "uniform", "prop3_lower"),
+    "regression": Family(lambda t, s, a: RegressionSpec(a, t, s), "regression", "cor1_lower",
+                         uses_sigma=True, uses_designs=True),
+    "probit": Family(lambda t, s, a: ProbitSpec(a, t), "regression", "cor2_lower",
+                     uses_designs=True),
+}
 
 
 def _simulate_point(args) -> str:
     (protocol, family, design_kind, theta, d, m, n, sigma, budget_bits,
      trials, seed) = args
-    base = (f"{protocol},{family},{design_kind if family in ('regression', 'probit') else ''},"
+    fam = FAMILIES[family]
+    base = (f"{protocol},{family},{design_kind if fam.uses_designs else ''},"
             f"{d},{m},{n},{_fmt(sigma)},{';'.join(repr(v) for v in theta)},"
             f"{_fmt(budget_bits)},{trials},{seed}")
     try:
         theta_vec = _theta_vector(theta, d)
-        spec = _build_spec(family, theta_vec, sigma, design_kind, m, n, d, seed)
+        sigma_or_1 = sigma if sigma is not None else 1.0
+        designs = build_designs(design_kind, m, n, d, seed) if fam.uses_designs else None
+        spec = fam.spec(theta_vec, sigma_or_1, designs)
         report = proto.estimate_risk(protocol, spec, trials, seed, m=m, n=n,
                                      budget_bits=budget_bits)
-        central = _centralized_rate(family, d, m, n, sigma)
-        formula, bound_value = _matching_bound(protocol, spec, d, m, n, sigma,
-                                               budget_bits, report.bits_mean)
+        s2 = sigma_or_1 ** 2 if fam.uses_sigma else 1.0
+        central = bnd.centralized_rate(fam.rate, d, m, n, s2)
+        lmax2, lmin2 = design_eigenbounds(designs) if designs else (None, None)
+        bits = report.bits_mean
+        query = bnd.RateQuery(d=d, m=m, n=n, sigma2=s2, budget_total=bits,
+                              budgets_per_machine=(bits / m,) * m,
+                              lambda_max2=lmax2, lambda_min2=lmin2)
+        bound = LOWER_BOUNDS[proto.PROTOCOLS[protocol].bound or fam.bound](query)
         return (f"{base},{report.protocol_kind},{report.mse_mean!r},"
-                f"{report.mse_stderr!r},{report.bits_mean!r},{report.bits_max},"
-                f"{report.flagged_trials},{central!r},{formula},{bound_value!r},")
+                f"{report.mse_stderr!r},{bits!r},{report.bits_max},"
+                f"{report.flagged_trials},{central!r},{bound.formula_id},"
+                f"{bound.value!r},")
     except (InvalidArgumentError, ConfigError, np.linalg.LinAlgError) as err:
         msg = str(err).replace(",", ";").replace("\n", " ")
         return f"{base},,,,,,,,,,{msg}"
@@ -199,11 +190,11 @@ def _simulate_point(args) -> str:
 
 def run_simulate(config: dict, gnuplot_hints: bool = False):
     protocol = _single(config, "protocol")
-    if protocol not in proto.PROTOCOL_KINDS:
+    if protocol not in proto.PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
     family = _single(config, "family")
-    if family not in FAMILY_IDS:
-        raise ConfigError(f"unknown family {family!r}; choices: {FAMILY_IDS}")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; choices: {tuple(FAMILIES)}")
     design_kind = _single(config, "design", default="orthogonal")
     trials = _single(config, "trials", cast=int)
     if trials < 2:
@@ -223,6 +214,13 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
             raise ConfigError(f"unknown config key {key!r}")
     if None in ds or None in ms or None in ns:
         raise ConfigError("d, m and n are required")
+    if min(ds + ms + ns) < 1:
+        raise ConfigError("d, m and n must be >= 1")
+    threads = os.environ.get("DISTEST_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise ConfigError(f"DISTEST_THREADS must be an integer, got {threads!r}") from None
 
     points = [(protocol, family, design_kind, theta, d, m, n, sigma,
                budget_bits, trials, seed)
@@ -231,7 +229,6 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
     if not points:
         raise ConfigError("the sweep grid is empty")
 
-    workers = int(os.environ.get("DISTEST_THREADS", "1"))
     if workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_simulate_point, points))

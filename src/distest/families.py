@@ -50,20 +50,30 @@ def _as_theta(theta, d=None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianLocationSpec:
-    """N(theta, sigma^2 I) with theta in [-1, 1]^d."""
+class MeanSpec:
+    """Base of the location families: samples are (m, d, n) blocks around
+    theta in [-1, 1]^d."""
 
     theta: np.ndarray
-    sigma: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _as_theta(self.theta))
-        if not self.sigma > 0:
-            raise InvalidArgumentError("sigma must be positive")
 
     @property
     def d(self) -> int:
         return self.theta.size
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianLocationSpec(MeanSpec):
+    """N(theta, sigma^2 I) with theta in [-1, 1]^d."""
+
+    sigma: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.sigma > 0:
+            raise InvalidArgumentError("sigma must be positive")
 
 
 TWO_POINT = "two_point"
@@ -71,7 +81,7 @@ UNIFORM_INTERVAL = "uniform_interval"
 
 
 @dataclass(frozen=True, eq=False)
-class BoundedProductSpec:
+class BoundedProductSpec(MeanSpec):
     """Product distribution on [-1, 1]^d with coordinate means theta.
 
     two_point puts mass (1 +/- theta_j)/2 on +/-1; uniform_interval is uniform
@@ -79,65 +89,41 @@ class BoundedProductSpec:
     theta_j and the support stays in [-1, 1].
     """
 
-    theta: np.ndarray
     law: str = TWO_POINT
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _as_theta(self.theta))
+        super().__post_init__()
         if self.law not in (TWO_POINT, UNIFORM_INTERVAL):
             raise InvalidArgumentError(f"unknown bounded law {self.law!r}")
 
-    @property
-    def d(self) -> int:
-        return self.theta.size
-
 
 @dataclass(frozen=True, eq=False)
-class UniformLocationSpec:
+class UniformLocationSpec(MeanSpec):
     """Coordinate j uniform on [theta_j - 1, theta_j + 1]."""
 
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _as_theta(self.theta))
-
-    @property
-    def d(self) -> int:
-        return self.theta.size
-
-
-def _check_designs(designs):
-    designs = tuple(np.asarray(a, dtype=float) for a in designs)
-    if not designs:
-        raise InvalidArgumentError("need at least one design matrix")
-    n, d = designs[0].shape
-    for a in designs:
-        if a.ndim != 2 or a.shape != (n, d):
-            raise InvalidArgumentError("all designs must share one (n, d) shape")
-    if n < d:
-        raise DegenerateDesignError("designs need n >= d for full column rank")
-    return designs, n, d
-
 
 @dataclass(frozen=True, eq=False)
-class RegressionSpec:
-    """Fixed-design linear model y = A theta + noise, noise ~ N(0, sigma^2 I).
-
-    sigma = 0 is allowed and gives the noiseless (deterministic) model.
-    """
+class DesignSpec:
+    """Base of the fixed-design families: machine i holds the n rows of
+    designs[i], and its samples are (m, n) responses."""
 
     designs: tuple
     theta: np.ndarray
-    sigma: float = 1.0
 
     def __post_init__(self):
-        designs, n, d = _check_designs(self.designs)
+        designs = tuple(np.asarray(a, dtype=float) for a in self.designs)
+        if not designs:
+            raise InvalidArgumentError("need at least one design matrix")
+        n, d = designs[0].shape
+        for a in designs:
+            if a.ndim != 2 or a.shape != (n, d):
+                raise InvalidArgumentError("all designs must share one (n, d) shape")
+        if n < d:
+            raise DegenerateDesignError("designs need n >= d for full column rank")
         object.__setattr__(self, "designs", designs)
         object.__setattr__(self, "theta", _as_theta(self.theta, d))
         if self.theta.size != d:
             raise InvalidArgumentError("theta length must match design columns")
-        if self.sigma < 0:
-            raise InvalidArgumentError("sigma must be >= 0")
         design_eigenbounds(designs)  # raises on rank deficiency
 
     @property
@@ -154,31 +140,23 @@ class RegressionSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbitSpec:
-    """Binary responses with P(Z=1 | a, theta) = Phi(a . theta)."""
+class RegressionSpec(DesignSpec):
+    """Fixed-design linear model y = A theta + noise, noise ~ N(0, sigma^2 I).
 
-    designs: tuple
-    theta: np.ndarray
+    sigma = 0 is allowed and gives the noiseless (deterministic) model.
+    """
+
+    sigma: float = 1.0
 
     def __post_init__(self):
-        designs, n, d = _check_designs(self.designs)
-        object.__setattr__(self, "designs", designs)
-        object.__setattr__(self, "theta", _as_theta(self.theta, d))
-        if self.theta.size != d:
-            raise InvalidArgumentError("theta length must match design columns")
-        design_eigenbounds(designs)
+        super().__post_init__()
+        if self.sigma < 0:
+            raise InvalidArgumentError("sigma must be >= 0")
 
-    @property
-    def m(self) -> int:
-        return len(self.designs)
 
-    @property
-    def n(self) -> int:
-        return self.designs[0].shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.designs[0].shape[1]
+@dataclass(frozen=True, eq=False)
+class ProbitSpec(DesignSpec):
+    """Binary responses with P(Z=1 | a, theta) = Phi(a . theta)."""
 
 
 @dataclass(eq=False)
@@ -229,7 +207,7 @@ def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
     all trials at once.
     """
     m = len(gens)
-    if isinstance(spec, (RegressionSpec, ProbitSpec)):
+    if isinstance(spec, DesignSpec):
         out = np.empty((trials, m, spec.n))
         for i, gen in enumerate(gens):
             a = spec.designs[i]
@@ -250,7 +228,7 @@ def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
 
 def sample(spec, m: int = None, n: int = None, seed: int = 0) -> SampleSet:
     """One i.i.d. sample draw; deterministic given (spec, m, n, seed)."""
-    if isinstance(spec, (RegressionSpec, ProbitSpec)):
+    if isinstance(spec, DesignSpec):
         if m is not None and m != spec.m:
             raise InvalidArgumentError("m must match the number of designs")
         if n is not None and n != spec.n:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -445,14 +446,10 @@ def check_information_chaining(model: JointPMF) -> dict:
 # ---------------------------------------------------------------------------
 # one-dimensional Gaussian specialization
 
-_GH_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _gh_nodes(order: int):
-    if order not in _GH_CACHE:
-        from scipy.special import roots_hermite
-        _GH_CACHE[order] = roots_hermite(order)
-    return _GH_CACHE[order]
+    from scipy.special import roots_hermite
+    return roots_hermite(order)
 
 
 def _gh_estimate(delta: float, sigma: float, order: int) -> float:

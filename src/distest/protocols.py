@@ -3,15 +3,19 @@
 Each protocol returns a ProtocolOutput holding the estimate and the exact
 Transcript it would put on the wire; estimate_risk wraps any of them in a
 seeded Monte Carlo loop and reports mean-squared error plus bit statistics.
+PROTOCOLS maps each protocol id to its transcript kind, the spec types it
+runs on and the step that runs one trial.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import codec
 from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
@@ -19,28 +23,21 @@ from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
                     encode_improvement_message, pack_fields, quantize,
                     dequantize, transcript_total_bits)
 from .errors import DegenerateDesignError, InvalidArgumentError
-from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec,
-                       GaussianLocationSpec, ProbitSpec, RegressionSpec,
-                       SampleSet, UniformLocationSpec, draw_trials,
-                       machine_streams)
+from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
+                       GaussianLocationSpec, MeanSpec, ProbitSpec,
+                       RegressionSpec, SampleSet, UniformLocationSpec,
+                       draw_trials, machine_streams)
 
-SINGLE_MEAN = "single_mean"
-GAUSS_QAVG = "gauss_qavg"
-ONEBIT = "onebit"
-UNIFORM_MIN = "uniform_min"
-REGRESS_AVG = "regress_avg"
-PROBIT_AVG = "probit_avg"
-CENTRALIZED = "centralized"
 
-PROTOCOL_KINDS = {
-    SINGLE_MEAN: INDEPENDENT,
-    GAUSS_QAVG: INDEPENDENT,
-    ONEBIT: INDEPENDENT,
-    UNIFORM_MIN: INTERACTIVE,
-    REGRESS_AVG: INDEPENDENT,
-    PROBIT_AVG: INDEPENDENT,
-    CENTRALIZED: "centralized",
-}
+def __getattr__(name):
+    # scipy.special is most of the package's import time and only the probit
+    # solver needs it, so log_ndtr is imported on first use. It stays
+    # reachable as protocols.log_ndtr, where instrumentation can wrap it.
+    if name == "log_ndtr":
+        from scipy.special import log_ndtr
+        globals()[name] = log_ndtr
+        return log_ndtr
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(eq=False)
@@ -239,6 +236,7 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     iterate norm exceeding diverge_norm, in which case the boundary-truncated
     iterate is returned.
     """
+    log_ndtr = sys.modules[__name__].log_ndtr
     a = np.asarray(design, dtype=float)
     z = np.asarray(z, dtype=float)
     d = a.shape[1]
@@ -307,20 +305,18 @@ def centralized_baseline(spec, samples) -> np.ndarray:
 
     Gaussian / bounded: pooled mean; uniform: pooled per-coordinate minimum
     plus one; regression: pooled least squares; probit: pooled MLE.
+    samples is a SampleSet or its blocks array.
     """
+    x = samples.blocks if isinstance(samples, SampleSet) else np.asarray(samples, dtype=float)
     if isinstance(spec, (GaussianLocationSpec, BoundedProductSpec)):
-        return samples.blocks.mean(axis=(0, 2))
+        return x.mean(axis=(0, 2))
     if isinstance(spec, UniformLocationSpec):
-        return samples.blocks.min(axis=(0, 2)) + 1.0
+        return x.min(axis=(0, 2)) + 1.0
     if isinstance(spec, RegressionSpec):
-        y = samples.blocks if isinstance(samples, SampleSet) else np.asarray(samples)
-        a_all = np.vstack(spec.designs)
-        sol, *_ = np.linalg.lstsq(a_all, np.asarray(y, dtype=float).ravel(), rcond=None)
+        sol, *_ = np.linalg.lstsq(np.vstack(spec.designs), x.ravel(), rcond=None)
         return sol
     if isinstance(spec, ProbitSpec):
-        z = samples.blocks if isinstance(samples, SampleSet) else np.asarray(samples)
-        a_all = np.vstack(spec.designs)
-        est, _ = probit_mle(a_all, np.asarray(z, dtype=float).ravel())
+        est, _ = probit_mle(np.vstack(spec.designs), x.ravel())
         return est
     raise InvalidArgumentError(f"no centralized baseline for {type(spec).__name__}")
 
@@ -331,15 +327,68 @@ def centralized_baseline(spec, samples) -> np.ndarray:
 _EMPTY_INDEPENDENT = Transcript((), INDEPENDENT)
 
 
+class _Run:
+    """What a protocol step reads: the spec, the current chunk of trials
+    (and its protocol uniforms, for randomized protocols) and per-run state."""
+
+    def __init__(self, spec, budget_bits):
+        self.spec = spec
+        self.budget_bits = budget_bits
+        self.blocks = self.uniforms = None
+
+    @cached_property
+    def solvers(self):
+        return _local_least_squares(self.spec)
+
+
+def _mean_samples(block) -> SampleSet:
+    m, d, n = block.shape
+    return SampleSet("mean", block, m, n, d)
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol id: what estimate_risk needs to run it."""
+
+    kind: str                 # transcript kind reported in the RiskReport
+    accepts: tuple            # spec types the protocol runs on
+    step: Callable            # (run: _Run, t) -> ProtocolOutput for trial t of the chunk
+    bound: str = None         # lower-bound formula id replacing the family's
+    randomized: bool = False  # draws (m, d) TAG_PROTOCOL uniforms per trial
+
+
+PROTOCOLS = {
+    "single_mean": Protocol(
+        INDEPENDENT, (BoundedProductSpec,),
+        lambda r, t: single_machine_quantized_mean((1.0 + r.blocks[t, 0].ravel()) / 2.0,
+                                                   r.budget_bits),
+        bound="prop1"),
+    "gauss_qavg": Protocol(
+        INDEPENDENT, (GaussianLocationSpec,),
+        lambda r, t: gaussian_quantized_average(_mean_samples(r.blocks[t]), r.spec.sigma)),
+    "onebit": Protocol(
+        INDEPENDENT, (MeanSpec,),
+        lambda r, t: onebit_bounded_mean(_mean_samples(r.blocks[t]), r.uniforms[t]),
+        bound="prop2", randomized=True),
+    "uniform_min": Protocol(
+        INTERACTIVE, (MeanSpec,),
+        lambda r, t: uniform_interactive_min(_mean_samples(r.blocks[t]))),
+    "regress_avg": Protocol(
+        INDEPENDENT, (DesignSpec,),
+        lambda r, t: regression_local_average(r.spec, r.blocks[t], _solvers=r.solvers)),
+    "probit_avg": Protocol(
+        INDEPENDENT, (DesignSpec,),
+        lambda r, t: probit_local_average(r.spec, r.blocks[t])),
+    "centralized": Protocol(
+        "centralized", (MeanSpec, DesignSpec),
+        lambda r, t: ProtocolOutput(centralized_baseline(r.spec, r.blocks[t]),
+                                    _EMPTY_INDEPENDENT)),
+}
+
+
 def _chunk_sizes(trials: int, per_trial_values: int):
     chunk = max(1, int(4_000_000 // max(1, per_trial_values)))
-    out = []
-    left = trials
-    while left > 0:
-        k = min(chunk, left)
-        out.append(k)
-        left -= k
-    return out
+    return [min(chunk, trials - start) for start in range(0, trials, chunk)]
 
 
 def estimate_risk(protocol: str, spec, trials: int, seed: int,
@@ -352,71 +401,43 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     """
     if trials < 2:
         raise InvalidArgumentError("need at least 2 trials for a standard error")
-    if protocol not in PROTOCOL_KINDS:
+    rec = PROTOCOLS.get(protocol)
+    if rec is None:
         raise InvalidArgumentError(f"unknown protocol id {protocol!r}")
-    if isinstance(spec, (RegressionSpec, ProbitSpec)):
+    if isinstance(spec, DesignSpec):
         m, n = spec.m, spec.n
     if m is None or n is None:
         raise InvalidArgumentError("mean families need explicit m and n")
-    if protocol == ONEBIT and n != 1:
+    if protocol == "onebit" and n != 1:
         raise InvalidArgumentError("the one-bit scheme needs n = 1")
-    if protocol == SINGLE_MEAN:
+    if protocol == "single_mean":
         if m != 1:
             raise InvalidArgumentError("single_mean is a single-machine protocol")
         if budget_bits is None:
             raise InvalidArgumentError("single_mean needs budget_bits")
         if not isinstance(spec, BoundedProductSpec):
             raise InvalidArgumentError("single_mean runs on the bounded family")
+    if not isinstance(spec, rec.accepts):
+        raise InvalidArgumentError(
+            f"protocol {protocol!r} does not run on {type(spec).__name__}")
 
     d = spec.d
     # single_mean works on [0, 1]; the bounded family maps to it affinely
-    if protocol == SINGLE_MEAN:
-        theta_true = (1.0 + spec.theta) / 2.0
-    else:
-        theta_true = spec.theta
-
+    theta_true = (1.0 + spec.theta) / 2.0 if protocol == "single_mean" else spec.theta
     data_gens = machine_streams(seed, m, TAG_DATA)
-    proto_gens = machine_streams(seed, m, TAG_PROTOCOL) if protocol == ONEBIT else None
-    solvers = _local_least_squares(spec) if protocol == REGRESS_AVG else None
+    proto_gens = machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized else None
+    run = _Run(spec, budget_bits)
 
     sqerr = np.empty(trials)
     bits = np.zeros(trials, dtype=np.int64)
     flagged = 0
     pos = 0
     for k in _chunk_sizes(trials, m * d * n):
-        blocks = draw_trials(spec, data_gens, n, k)
-        uniforms = (np.stack([g.random((k, d)) for g in proto_gens], axis=1)
-                    if proto_gens is not None else None)
+        run.blocks = draw_trials(spec, data_gens, n, k)
+        if proto_gens is not None:
+            run.uniforms = np.stack([g.random((k, d)) for g in proto_gens], axis=1)
         for t in range(k):
-            if isinstance(spec, (RegressionSpec, ProbitSpec)):
-                responses = blocks[t]
-                if protocol == REGRESS_AVG:
-                    out = regression_local_average(spec, responses, _solvers=solvers)
-                elif protocol == PROBIT_AVG:
-                    out = probit_local_average(spec, responses)
-                elif protocol == CENTRALIZED:
-                    kind = "regression" if isinstance(spec, RegressionSpec) else "probit"
-                    ss = SampleSet(kind, responses, m, n, d)
-                    out = ProtocolOutput(centralized_baseline(spec, ss), _EMPTY_INDEPENDENT)
-                else:
-                    raise InvalidArgumentError(
-                        f"protocol {protocol!r} does not run on {type(spec).__name__}")
-            else:
-                ss = SampleSet("mean", blocks[t], m, d=d, n=n)
-                if protocol == SINGLE_MEAN:
-                    out = single_machine_quantized_mean(
-                        (1.0 + ss.blocks[0].ravel()) / 2.0, budget_bits)
-                elif protocol == GAUSS_QAVG:
-                    out = gaussian_quantized_average(ss, spec.sigma)
-                elif protocol == ONEBIT:
-                    out = onebit_bounded_mean(ss, uniforms[t])
-                elif protocol == UNIFORM_MIN:
-                    out = uniform_interactive_min(ss)
-                elif protocol == CENTRALIZED:
-                    out = ProtocolOutput(centralized_baseline(spec, ss), _EMPTY_INDEPENDENT)
-                else:
-                    raise InvalidArgumentError(
-                        f"protocol {protocol!r} does not run on {type(spec).__name__}")
+            out = rec.step(run, t)
             diff = out.theta_hat - theta_true
             sqerr[pos] = diff @ diff
             bits[pos] = transcript_total_bits(out.transcript)
@@ -426,4 +447,4 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     mse_stderr = float(sqerr.std(ddof=1) / math.sqrt(trials))
     return RiskReport(mse_mean=mse_mean, mse_stderr=mse_stderr, trials=trials,
                       bits_mean=float(bits.mean()), bits_max=int(bits.max()),
-                      protocol_kind=PROTOCOL_KINDS[protocol], flagged_trials=flagged)
+                      protocol_kind=rec.kind, flagged_trials=flagged)

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import distest
 from distest import cli
 from distest.cli import (SIMULATE_HEADER, parse_config, run_bounds,
                          run_simulate, run_verify)
@@ -21,9 +24,15 @@ seed = 3
 """
 
 
-def run_cli(args, cwd=None):
+SRC = str(Path(distest.__file__).resolve().parents[1])
+
+
+def run_cli(args, cwd=None, env=None):
+    """Run ``python -m distest`` on the imported package's sources; env
+    (default: this process's environment) gets PYTHONPATH set to them."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-m", "distest", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestConfigParsing:
@@ -177,10 +186,22 @@ class TestEndToEnd:
     def test_threaded_run_matches_serial(self, tmp_path):
         conf = tmp_path / "sweep.conf"
         conf.write_text(ONEBIT_CONF)
-        serial = run_cli(["simulate", str(conf)])
-        env_run = subprocess.run(
-            [sys.executable, "-m", "distest", "simulate", str(conf)],
-            capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "DISTEST_THREADS": "2"})
-        assert env_run.returncode == 0
-        assert serial.stdout == env_run.stdout
+        serial = run_cli(["simulate", str(conf)], env={"DISTEST_THREADS": "1"})
+        threaded = run_cli(["simulate", str(conf)], env={"DISTEST_THREADS": "2"})
+        assert serial.returncode == 0 and threaded.returncode == 0
+        assert serial.stdout == threaded.stdout
+
+    @pytest.mark.parametrize("key", ["m", "n", "d"])
+    def test_nonpositive_size_exits_two(self, tmp_path, key):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(ONEBIT_CONF + f"{key} = 0\n")
+        res = run_cli(["simulate", str(conf)])
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    def test_bad_thread_count_exits_two(self, tmp_path):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(ONEBIT_CONF)
+        res = run_cli(["simulate", str(conf)], env={"DISTEST_THREADS": "abc"})
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
