@@ -1,10 +1,12 @@
 """Executable estimation protocols with bit-accounted transcripts.
 
-Each protocol returns a ProtocolOutput holding the estimate and the exact
-Transcript it would put on the wire; estimate_risk wraps any of them in a
-seeded Monte Carlo loop and reports mean-squared error plus bit statistics.
-PROTOCOLS maps each protocol id to its transcript kind, the spec types it
-runs on and the step that runs one trial.
+Each protocol has a reference function that runs one trial and returns a
+ProtocolOutput holding the estimate and the exact Transcript it would put on
+the wire; tests and demos call these. estimate_risk measures mean-squared
+error and bit statistics over many seeded trials without building
+transcripts: PROTOCOLS maps each protocol id to its transcript kind, the
+spec types it runs on and a kernel that runs a whole chunk of trials as
+arrays, with the reference's estimates and bit counts trial by trial.
 """
 
 from __future__ import annotations
@@ -12,16 +14,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import codec
+# transcript_total_bits is not called here; it stays importable from this
+# module because instrumentation patches the codec names protocols imports.
 from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
-                    Transcript, bits_for_accuracy,
+                    Transcript, bits_for_accuracy, ceil_log2,
                     encode_improvement_message, pack_fields, quantize,
-                    dequantize, transcript_total_bits)
+                    dequantize, transcript_total_bits)  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
 from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
@@ -74,16 +77,27 @@ class RiskReport:
 # ---------------------------------------------------------------------------
 # bit accounting formulas (shared by the protocols and the budget tests)
 
-def gauss_qavg_message_bits(d: int, sigma: float, m: int, n: int) -> int:
-    """Per-machine bits: d coordinates at cell width sigma^2/(mn) on the
-    truncation interval [-1 - sigma/sqrt(n), 1 + sigma/sqrt(n)]."""
+def _gauss_qavg_grid(sigma: float, m: int, n: int) -> QuantizerSpec:
+    """Cell width sigma^2/(mn) on the truncation interval
+    [-1 - sigma/sqrt(n), 1 + sigma/sqrt(n)], rounding to nearest."""
     half = 1.0 + sigma / math.sqrt(n)
-    return d * bits_for_accuracy(-half, half, sigma**2 / (m * n))
+    return QuantizerSpec(-half, half, bits_for_accuracy(-half, half, sigma**2 / (m * n)))
+
+
+def _local_average_grid(m: int, n: int) -> QuantizerSpec:
+    """Cell width 1/(mn) on [-1, 1], rounding to nearest: the regression
+    and probit averaging schemes."""
+    return QuantizerSpec(-1.0, 1.0, bits_for_accuracy(-1.0, 1.0, 1.0 / (m * n)))
+
+
+def gauss_qavg_message_bits(d: int, sigma: float, m: int, n: int) -> int:
+    """Per-machine bits: d coordinates on the gauss_qavg grid."""
+    return d * _gauss_qavg_grid(sigma, m, n).bits
 
 
 def regress_avg_message_bits(d: int, m: int, n: int) -> int:
     """Per-machine bits: d coordinates at cell width 1/(mn) on [-1, 1]."""
-    return d * bits_for_accuracy(-1.0, 1.0, 1.0 / (m * n))
+    return d * _local_average_grid(m, n).bits
 
 
 def uniform_min_value_bits(m: int, n: int) -> int:
@@ -118,15 +132,13 @@ def gaussian_quantized_average(samples: SampleSet, sigma: float) -> ProtocolOutp
     sigma^2/(mn) (round to nearest); the fusion center averages.
     """
     m, n, d = samples.m, samples.n, samples.d
-    half = 1.0 + sigma / math.sqrt(n)
-    bits = bits_for_accuracy(-half, half, sigma**2 / (m * n))
-    spec = QuantizerSpec(-half, half, bits, codec.ROUND_NEAREST)
+    spec = _gauss_qavg_grid(sigma, m, n)
     means = samples.blocks.mean(axis=2)           # (m, d)
     idx = quantize(means, spec)
-    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], bits)) for i in range(m))
+    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], spec.bits)) for i in range(m))
     theta_hat = dequantize(idx, spec).mean(axis=0)
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
-                          {"bits_per_message": d * bits})
+                          {"bits_per_message": d * spec.bits})
 
 
 def onebit_bounded_mean(samples: SampleSet, rand) -> ProtocolOutput:
@@ -143,6 +155,9 @@ def onebit_bounded_mean(samples: SampleSet, rand) -> ProtocolOutput:
     if np.any(np.abs(x) > 1 + 1e-12):
         raise InvalidArgumentError("one-bit inputs must lie in [-1, 1]")
     if isinstance(rand, np.ndarray):
+        if rand.shape != (m, d):
+            raise InvalidArgumentError(
+                f"protocol uniforms have shape {rand.shape}; expected {(m, d)}")
         u = rand
     elif isinstance(rand, np.random.Generator):
         u = rand.random((m, d))
@@ -204,8 +219,7 @@ def _local_least_squares(spec: RegressionSpec):
     return solvers
 
 
-def regression_local_average(spec: RegressionSpec, responses,
-                             _solvers=None) -> ProtocolOutput:
+def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
     """Average of truncated, quantized local least-squares solutions.
 
     Coordinates are quantized on [-1, 1] to cell width 1/(mn); the honest
@@ -216,14 +230,13 @@ def regression_local_average(spec: RegressionSpec, responses,
     y = np.asarray(responses, dtype=float)
     if y.shape != (m, n):
         raise InvalidArgumentError(f"responses must have shape {(m, n)}")
-    solvers = _solvers if _solvers is not None else _local_least_squares(spec)
-    bits = bits_for_accuracy(-1.0, 1.0, 1.0 / (m * n))
-    qspec = QuantizerSpec(-1.0, 1.0, bits, codec.ROUND_NEAREST)
+    solvers = _local_least_squares(spec)
+    qspec = _local_average_grid(m, n)
     local = np.stack([solvers[i] @ y[i] for i in range(m)])
     idx = quantize(np.clip(local, -1.0, 1.0), qspec)
-    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], bits)) for i in range(m))
+    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
     theta_hat = dequantize(idx, qspec).mean(axis=0)
-    info = {"charged_bits_per_machine": d * bits,
+    info = {"charged_bits_per_machine": d * qspec.bits,
             "nominal_bits_per_machine": math.ceil(d * math.log2(m * n))}
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT), info)
 
@@ -285,8 +298,7 @@ def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
     z = np.asarray(responses, dtype=float)
     if z.shape != (m, n):
         raise InvalidArgumentError(f"responses must have shape {(m, n)}")
-    bits = bits_for_accuracy(-1.0, 1.0, 1.0 / (m * n))
-    qspec = QuantizerSpec(-1.0, 1.0, bits, codec.ROUND_NEAREST)
+    qspec = _local_average_grid(m, n)
     local = np.empty((m, d))
     flagged = 0
     for i in range(m):
@@ -294,10 +306,10 @@ def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
         local[i] = est
         flagged += int(flag)
     idx = quantize(np.clip(local, -1.0, 1.0), qspec)
-    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], bits)) for i in range(m))
+    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
     theta_hat = dequantize(idx, qspec).mean(axis=0)
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
-                          {"flagged": flagged, "charged_bits_per_machine": d * bits})
+                          {"flagged": flagged, "charged_bits_per_machine": d * qspec.bits})
 
 
 def centralized_baseline(spec, samples) -> np.ndarray:
@@ -322,29 +334,96 @@ def centralized_baseline(spec, samples) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# trial-batched kernels
+#
+# A kernel runs one chunk of k trials at once. blocks is the draw_trials
+# array, (k, m, d, n) for the mean families and (k, m, n) for the design
+# families; uniforms is the (k, m, d) TAG_PROTOCOL array of a randomized
+# protocol and None otherwise. It returns theta_hat (k, d), bits (k,) and
+# flagged (k,), equal trial by trial to what the reference function above
+# gives for that trial, and builds no transcript.
+
+def _fixed(k: int, bits: int):
+    """bits and flagged of a chunk whose transcripts all have one length."""
+    return np.full(k, bits, dtype=np.int64), np.zeros(k, dtype=bool)
+
+
+def _single_mean_kernel(spec, blocks, uniforms, budget_bits):
+    if budget_bits < 1:
+        raise InvalidArgumentError("budget must be at least one bit")
+    qspec = QuantizerSpec(0.0, 1.0, budget_bits, codec.ROUND_NEAREST)
+    means = ((1.0 + blocks[:, 0, 0, :]) / 2.0).mean(axis=1)
+    return (dequantize(quantize(means, qspec), qspec)[:, None],
+            *_fixed(len(blocks), budget_bits))
+
+
+def _gauss_qavg_kernel(spec, blocks, uniforms, budget_bits):
+    k, m, d, n = blocks.shape
+    qspec = _gauss_qavg_grid(spec.sigma, m, n)
+    idx = quantize(blocks.mean(axis=3), qspec)
+    return dequantize(idx, qspec).mean(axis=1), *_fixed(k, m * d * qspec.bits)
+
+
+def _onebit_kernel(spec, blocks, uniforms, budget_bits):
+    x = blocks[..., 0]
+    if np.any(np.abs(x) > 1 + 1e-12):
+        raise InvalidArgumentError("one-bit inputs must lie in [-1, 1]")
+    k, m, d = x.shape
+    # the sum of m values of +/-1 is an exact integer, so this equals
+    # mean(2 z - 1) bit for bit
+    ones = (uniforms < (1.0 + x) / 2.0).sum(axis=1)
+    return (2.0 * ones - m) / m, *_fixed(k, m * d)
+
+
+def _uniform_min_kernel(spec, blocks, uniforms, budget_bits):
+    k, m, d, n = blocks.shape
+    vbits = uniform_min_value_bits(m, n)
+    qspec = QuantizerSpec(-2.0, 2.0, vbits, codec.ROUND_DOWN)
+    local_min = blocks.min(axis=3)                         # (k, m, d)
+    # Round-down quantization is monotone, so the fusion state after machine
+    # i is q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
+    # coordinates where local_min_i < state_{i-1}.
+    state = dequantize(quantize(np.minimum.accumulate(local_min, axis=1), qspec), qspec)
+    improvements = np.count_nonzero(local_min[:, 1:] < state[:, :-1], axis=(1, 2))
+    bits = d * vbits + improvements * (ceil_log2(d) + vbits)
+    return state[:, -1] + 1.0, bits, np.zeros(k, dtype=bool)
+
+
+def _regress_avg_kernel(spec, blocks, uniforms, budget_bits):
+    k, m, n = blocks.shape
+    qspec = _local_average_grid(m, n)
+    # a stack of matrix-vector products: one gemv per machine and trial, the
+    # same BLAS call (and rounding) as solvers[i] @ y[i] in the reference
+    local = (np.stack(_local_least_squares(spec)) @ blocks[..., None])[..., 0]
+    idx = quantize(np.clip(local, -1.0, 1.0), qspec)
+    return dequantize(idx, qspec).mean(axis=1), *_fixed(k, m * spec.d * qspec.bits)
+
+
+def _probit_avg_kernel(spec, blocks, uniforms, budget_bits):
+    # the damped Newton iterations differ per problem, so trials run one at a
+    # time through the reference
+    k, m, n = blocks.shape
+    theta_hat = np.empty((k, spec.d))
+    bits, flagged = _fixed(k, m * regress_avg_message_bits(spec.d, m, n))
+    for t in range(k):
+        out = probit_local_average(spec, blocks[t])
+        theta_hat[t] = out.theta_hat
+        flagged[t] = out.info["flagged"] > 0
+    return theta_hat, bits, flagged
+
+
+def _centralized_kernel(spec, blocks, uniforms, budget_bits):
+    if isinstance(spec, UniformLocationSpec):
+        theta_hat = blocks.min(axis=(1, 3)) + 1.0
+    elif isinstance(spec, MeanSpec):
+        theta_hat = blocks.mean(axis=(1, 3))
+    else:
+        theta_hat = np.stack([centralized_baseline(spec, block) for block in blocks])
+    return theta_hat, *_fixed(len(blocks), 0)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo risk measurement
-
-_EMPTY_INDEPENDENT = Transcript((), INDEPENDENT)
-
-
-class _Run:
-    """What a protocol step reads: the spec, the current chunk of trials
-    (and its protocol uniforms, for randomized protocols) and per-run state."""
-
-    def __init__(self, spec, budget_bits):
-        self.spec = spec
-        self.budget_bits = budget_bits
-        self.blocks = self.uniforms = None
-
-    @cached_property
-    def solvers(self):
-        return _local_least_squares(self.spec)
-
-
-def _mean_samples(block) -> SampleSet:
-    m, d, n = block.shape
-    return SampleSet("mean", block, m, n, d)
-
 
 @dataclass(frozen=True)
 class Protocol:
@@ -352,37 +431,21 @@ class Protocol:
 
     kind: str                 # transcript kind reported in the RiskReport
     accepts: tuple            # spec types the protocol runs on
-    step: Callable            # (run: _Run, t) -> ProtocolOutput for trial t of the chunk
+    kernel: Callable          # (spec, blocks, uniforms, budget_bits) -> (theta_hat, bits, flagged)
     bound: str = None         # lower-bound formula id replacing the family's
-    randomized: bool = False  # draws (m, d) TAG_PROTOCOL uniforms per trial
+    randomized: bool = False  # the kernel reads (k, m, d) TAG_PROTOCOL uniforms
 
 
 PROTOCOLS = {
-    "single_mean": Protocol(
-        INDEPENDENT, (BoundedProductSpec,),
-        lambda r, t: single_machine_quantized_mean((1.0 + r.blocks[t, 0].ravel()) / 2.0,
-                                                   r.budget_bits),
-        bound="prop1"),
-    "gauss_qavg": Protocol(
-        INDEPENDENT, (GaussianLocationSpec,),
-        lambda r, t: gaussian_quantized_average(_mean_samples(r.blocks[t]), r.spec.sigma)),
-    "onebit": Protocol(
-        INDEPENDENT, (MeanSpec,),
-        lambda r, t: onebit_bounded_mean(_mean_samples(r.blocks[t]), r.uniforms[t]),
-        bound="prop2", randomized=True),
-    "uniform_min": Protocol(
-        INTERACTIVE, (MeanSpec,),
-        lambda r, t: uniform_interactive_min(_mean_samples(r.blocks[t]))),
-    "regress_avg": Protocol(
-        INDEPENDENT, (DesignSpec,),
-        lambda r, t: regression_local_average(r.spec, r.blocks[t], _solvers=r.solvers)),
-    "probit_avg": Protocol(
-        INDEPENDENT, (DesignSpec,),
-        lambda r, t: probit_local_average(r.spec, r.blocks[t])),
-    "centralized": Protocol(
-        "centralized", (MeanSpec, DesignSpec),
-        lambda r, t: ProtocolOutput(centralized_baseline(r.spec, r.blocks[t]),
-                                    _EMPTY_INDEPENDENT)),
+    "single_mean": Protocol(INDEPENDENT, (BoundedProductSpec,), _single_mean_kernel,
+                            bound="prop1"),
+    "gauss_qavg": Protocol(INDEPENDENT, (GaussianLocationSpec,), _gauss_qavg_kernel),
+    "onebit": Protocol(INDEPENDENT, (MeanSpec,), _onebit_kernel, bound="prop2",
+                       randomized=True),
+    "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), _uniform_min_kernel),
+    "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_avg_kernel),
+    "probit_avg": Protocol(INDEPENDENT, (DesignSpec,), _probit_avg_kernel),
+    "centralized": Protocol("centralized", (MeanSpec, DesignSpec), _centralized_kernel),
 }
 
 
@@ -391,13 +454,27 @@ def _chunk_sizes(trials: int, per_trial_values: int):
     return [min(chunk, trials - start) for start in range(0, trials, chunk)]
 
 
+def _protocol_uniforms(gens, k: int, d: int) -> np.ndarray:
+    """(k, m, d) uniforms, machine i's from the next k*d draws of gens[i].
+
+    Each stream fills its row of one (m, k, d) buffer in place, and the
+    result is a transposed view of it, so no per-machine copy is made.
+    """
+    buf = np.empty((len(gens), k, d))
+    for gen, rows in zip(gens, buf):
+        gen.random(out=rows)
+    return buf.transpose(1, 0, 2)
+
+
 def estimate_risk(protocol: str, spec, trials: int, seed: int,
                   m: int = None, n: int = None, budget_bits: int = None) -> RiskReport:
     """Run `trials` seeded protocol executions and report risk + bit stats.
 
     Deterministic given (protocol, spec, trials, seed): data for machine i
     comes from its TAG_DATA stream, protocol randomness from its TAG_PROTOCOL
-    stream, trials consuming consecutive blocks.
+    stream, trials consuming consecutive blocks. Trials run in chunks through
+    the protocol's kernel; the results equal those of the reference
+    functions, trial by trial.
     """
     if trials < 2:
         raise InvalidArgumentError("need at least 2 trials for a standard error")
@@ -417,6 +494,8 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
             raise InvalidArgumentError("single_mean needs budget_bits")
         if not isinstance(spec, BoundedProductSpec):
             raise InvalidArgumentError("single_mean runs on the bounded family")
+        if spec.d != 1:
+            raise InvalidArgumentError("single_mean needs d = 1")
     if not isinstance(spec, rec.accepts):
         raise InvalidArgumentError(
             f"protocol {protocol!r} does not run on {type(spec).__name__}")
@@ -426,23 +505,23 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     theta_true = (1.0 + spec.theta) / 2.0 if protocol == "single_mean" else spec.theta
     data_gens = machine_streams(seed, m, TAG_DATA)
     proto_gens = machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized else None
-    run = _Run(spec, budget_bits)
 
     sqerr = np.empty(trials)
-    bits = np.zeros(trials, dtype=np.int64)
+    bits = np.empty(trials, dtype=np.int64)
     flagged = 0
     pos = 0
     for k in _chunk_sizes(trials, m * d * n):
-        run.blocks = draw_trials(spec, data_gens, n, k)
-        if proto_gens is not None:
-            run.uniforms = np.stack([g.random((k, d)) for g in proto_gens], axis=1)
-        for t in range(k):
-            out = rec.step(run, t)
-            diff = out.theta_hat - theta_true
-            sqerr[pos] = diff @ diff
-            bits[pos] = transcript_total_bits(out.transcript)
-            flagged += int(out.info.get("flagged", 0) > 0)
-            pos += 1
+        uniforms = _protocol_uniforms(proto_gens, k, d) if rec.randomized else None
+        theta_hat, chunk_bits, chunk_flagged = rec.kernel(
+            spec, draw_trials(spec, data_gens, n, k), uniforms, budget_bits)
+        del uniforms  # this chunk's arrays are freed before the next is drawn
+        diff = theta_hat - theta_true
+        # a stack of (1, d) @ (d, 1) products is one ddot per trial, the same
+        # rounding as diff @ diff on a single trial
+        sqerr[pos:pos + k] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        bits[pos:pos + k] = chunk_bits
+        flagged += int(np.count_nonzero(chunk_flagged))
+        pos += k
     mse_mean = float(sqerr.mean())
     mse_stderr = float(sqerr.std(ddof=1) / math.sqrt(trials))
     return RiskReport(mse_mean=mse_mean, mse_stderr=mse_stderr, trials=trials,

@@ -1,0 +1,214 @@
+"""Trial-batched kernels against the single-trial reference functions.
+
+Every kernel in protocols.PROTOCOLS must give, trial by trial, exactly the
+estimate, transcript length and flag of the reference function that builds
+the transcript. The comparisons are np.array_equal, never a tolerance.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from distest import protocols
+from distest.codec import transcript_total_bits
+from distest.designs import build_designs
+from distest.errors import InvalidArgumentError
+from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
+                              GaussianLocationSpec, ProbitSpec, RegressionSpec,
+                              SampleSet, UniformLocationSpec, draw_trials,
+                              machine_streams)
+from distest.protocols import (PROTOCOLS, centralized_baseline,
+                               gaussian_quantized_average, onebit_bounded_mean,
+                               probit_local_average, regression_local_average,
+                               single_machine_quantized_mean,
+                               uniform_interactive_min)
+
+TRIALS = 60
+
+
+def make_spec(family, m, n, d, seed=3):
+    theta = np.linspace(-0.4, 0.3, d)
+    if family == "gaussian":
+        return GaussianLocationSpec(theta, 0.7)
+    if family == "gaussian_narrow":     # stays inside [-1, 1], so one-bit runs
+        return GaussianLocationSpec(theta, 0.01)
+    if family == "bounded_two_point":
+        return BoundedProductSpec(theta, "two_point")
+    if family == "bounded_uniform":
+        return BoundedProductSpec(theta, "uniform_interval")
+    if family == "uniform":
+        return UniformLocationSpec(theta)
+    if family == "uniform_centered":    # support [-1, 1], so one-bit runs
+        return UniformLocationSpec(np.zeros(d))
+    designs = build_designs("orthogonal", m, n, d, seed)
+    if family == "regression":
+        return RegressionSpec(designs, theta, 0.8)
+    if family == "probit":
+        return ProbitSpec(designs, theta)
+    if family == "probit_separable":    # tiny designs separate often
+        return ProbitSpec((np.full((n, d), 1e-3),) * m, np.full(d, 0.2))
+    raise ValueError(family)
+
+
+def reference(protocol, spec, block, u, budget_bits):
+    """(theta_hat, bits, flagged) of one trial, from the reference function."""
+    if protocol == "centralized":
+        return centralized_baseline(spec, block), 0, False
+    if protocol == "single_mean":
+        out = single_machine_quantized_mean((1.0 + block[0].ravel()) / 2.0, budget_bits)
+    elif protocol in ("regress_avg", "probit_avg"):
+        run = regression_local_average if protocol == "regress_avg" else probit_local_average
+        out = run(spec, block)
+    else:
+        m, d, n = block.shape
+        ss = SampleSet("mean", block, m, n, d)
+        if protocol == "gauss_qavg":
+            out = gaussian_quantized_average(ss, spec.sigma)
+        elif protocol == "onebit":
+            out = onebit_bounded_mean(ss, u)
+        else:
+            out = uniform_interactive_min(ss)
+    return (out.theta_hat, transcript_total_bits(out.transcript),
+            out.info.get("flagged", 0) > 0)
+
+
+def chunk(protocol, spec, m, n, seed=5, trials=TRIALS):
+    blocks = draw_trials(spec, machine_streams(seed, m), n, trials)
+    uniforms = None
+    if PROTOCOLS[protocol].randomized:
+        gens = machine_streams(seed, m, TAG_PROTOCOL)
+        uniforms = np.stack([g.random((trials, spec.d)) for g in gens], axis=1)
+    return blocks, uniforms
+
+
+def assert_kernel_matches_reference(protocol, spec, m, n, budget_bits=None):
+    blocks, uniforms = chunk(protocol, spec, m, n)
+    theta_hat, bits, flagged = PROTOCOLS[protocol].kernel(spec, blocks, uniforms,
+                                                          budget_bits)
+    assert theta_hat.shape == (TRIALS, spec.d)
+    assert bits.shape == flagged.shape == (TRIALS,)
+    for t in range(TRIALS):
+        ref_theta, ref_bits, ref_flagged = reference(
+            protocol, spec, blocks[t], None if uniforms is None else uniforms[t],
+            budget_bits)
+        assert np.array_equal(theta_hat[t], ref_theta), f"trial {t}"
+        assert bits[t] == ref_bits, f"trial {t}"
+        assert flagged[t] == ref_flagged, f"trial {t}"
+    return blocks, flagged
+
+
+# (protocol, family, m, n, d): every protocol on every spec type it accepts,
+# plus the edge shapes d = 1 (zero index bits), m = 1 and n = 1.
+CASES = [
+    ("single_mean", "bounded_two_point", 1, 64, 1),
+    ("single_mean", "bounded_uniform", 1, 1, 1),
+    ("gauss_qavg", "gaussian", 6, 9, 3),
+    ("gauss_qavg", "gaussian", 1, 1, 1),
+    ("gauss_qavg", "gaussian", 40, 3, 1),
+    ("onebit", "bounded_two_point", 12, 1, 5),
+    ("onebit", "bounded_uniform", 1, 1, 1),
+    ("onebit", "gaussian_narrow", 30, 1, 2),
+    ("onebit", "uniform_centered", 7, 1, 3),
+    ("uniform_min", "uniform", 8, 16, 3),
+    ("uniform_min", "uniform", 12, 4, 1),
+    ("uniform_min", "uniform", 1, 5, 2),
+    ("uniform_min", "uniform", 5, 1, 4),
+    ("uniform_min", "gaussian", 6, 3, 2),
+    ("uniform_min", "bounded_two_point", 4, 2, 3),
+    ("uniform_min", "bounded_uniform", 9, 2, 2),
+    ("regress_avg", "regression", 5, 12, 3),
+    ("regress_avg", "regression", 1, 1, 1),
+    ("regress_avg", "probit", 4, 7, 2),
+    ("probit_avg", "probit", 4, 12, 2),
+    ("probit_avg", "probit", 1, 3, 1),
+    ("probit_avg", "regression", 3, 9, 2),
+    ("centralized", "gaussian", 5, 4, 3),
+    ("centralized", "bounded_two_point", 3, 1, 1),
+    ("centralized", "bounded_uniform", 1, 6, 2),
+    ("centralized", "uniform", 7, 5, 2),
+    ("centralized", "regression", 4, 6, 2),
+    ("centralized", "probit", 3, 8, 2),
+]
+
+
+SPEC_TYPES = (GaussianLocationSpec, BoundedProductSpec, UniformLocationSpec,
+              RegressionSpec, ProbitSpec)
+
+
+def test_cases_cover_every_accepted_spec_type():
+    covered = {(p, type(make_spec(f, m, n, d))) for p, f, m, n, d in CASES}
+    for pid, rec in PROTOCOLS.items():
+        for spec_type in SPEC_TYPES:
+            if issubclass(spec_type, rec.accepts):
+                assert (pid, spec_type) in covered
+
+
+@pytest.mark.parametrize("protocol,family,m,n,d", CASES)
+def test_kernel_matches_reference(protocol, family, m, n, d):
+    spec = make_spec(family, m, n, d)
+    assert_kernel_matches_reference(protocol, spec, m, n, budget_bits=7)
+
+
+def test_uniform_kernel_covers_a_machine_that_improves_nothing():
+    m, n, d = 6, 8, 1
+    spec = make_spec("uniform", m, n, d)
+    blocks, _ = assert_kernel_matches_reference("uniform_min", spec, m, n)
+    silent = [t for t in range(TRIALS)
+              if not uniform_interactive_min(
+                  SampleSet("mean", blocks[t], m, n, d)).info["improved"][1:].all()]
+    assert silent
+
+
+def test_probit_kernel_covers_flagged_trials():
+    spec = make_spec("probit_separable", 4, 5, 1)
+    _, flagged = assert_kernel_matches_reference("probit_avg", spec, 4, 5)
+    assert flagged.any() and not flagged.all()
+
+
+def test_onebit_kernel_rejects_out_of_range_inputs():
+    spec = make_spec("gaussian", 4, 1, 2)
+    blocks, uniforms = chunk("onebit", spec, 4, 1)
+    with pytest.raises(InvalidArgumentError, match="one-bit inputs"):
+        PROTOCOLS["onebit"].kernel(spec, blocks, uniforms, None)
+
+
+def test_protocol_uniforms_match_per_machine_draws():
+    m, k, d = 5, 11, 3
+    got = protocols._protocol_uniforms(machine_streams(9, m, TAG_PROTOCOL), k, d)
+    want = np.stack([g.random((k, d)) for g in machine_streams(9, m, TAG_PROTOCOL)],
+                    axis=1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("protocol,family,m,n,d", [
+    ("onebit", "bounded_two_point", 6, 1, 3),
+    ("uniform_min", "uniform", 5, 4, 2),
+    ("probit_avg", "probit_separable", 3, 4, 1),
+    ("single_mean", "bounded_uniform", 1, 16, 1),
+])
+def test_estimate_risk_matches_reference_loop(monkeypatch, protocol, family, m, n, d):
+    """Chunked kernels and the array reduction give the report a per-trial
+    loop over the reference functions gives, for any chunk size."""
+    spec = make_spec(family, m, n, d)
+    trials = 45
+    blocks, uniforms = chunk(protocol, spec, m, n, seed=21, trials=trials)
+    theta_true = (1.0 + spec.theta) / 2.0 if protocol == "single_mean" else spec.theta
+    sqerr = np.empty(trials)
+    bits = np.empty(trials, dtype=np.int64)
+    flagged = 0
+    for t in range(trials):
+        theta_hat, bits[t], flag = reference(
+            protocol, spec, blocks[t], None if uniforms is None else uniforms[t], 5)
+        diff = theta_hat - theta_true
+        sqerr[t] = diff @ diff
+        flagged += int(flag)
+    want = protocols.RiskReport(float(sqerr.mean()),
+                                float(sqerr.std(ddof=1) / np.sqrt(trials)), trials,
+                                float(bits.mean()), int(bits.max()),
+                                PROTOCOLS[protocol].kind, flagged)
+    kw = {} if isinstance(spec, DesignSpec) else {"m": m, "n": n}
+    assert protocols.estimate_risk(protocol, spec, trials, 21, budget_bits=5, **kw) == want
+    monkeypatch.setattr(protocols, "_chunk_sizes",
+                        lambda total, per_trial: [min(7, total - s) for s in range(0, total, 7)])
+    assert protocols.estimate_risk(protocol, spec, trials, 21, budget_bits=5, **kw) == want

@@ -1,0 +1,130 @@
+"""Property tests: codec round trips, quantizer laws, bit accounting.
+
+The examples are derandomized, so every run checks the same inputs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from distest import codec
+from distest.codec import (QuantizerSpec, bits_for_accuracy, ceil_log2,
+                           decode_improvement_message, dequantize,
+                           encode_improvement_message, pack_fields, quantize,
+                           transcript_total_bits, unpack_fields)
+from distest.designs import build_designs
+from distest.families import (BoundedProductSpec, GaussianLocationSpec,
+                              RegressionSpec, SampleSet, UniformLocationSpec,
+                              draw_trials, machine_streams)
+from distest.protocols import (PROTOCOLS, gauss_qavg_message_bits,
+                               gaussian_quantized_average, onebit_bounded_mean,
+                               regress_avg_message_bits,
+                               regression_local_average,
+                               uniform_interactive_min, uniform_min_value_bits)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+MODES = st.sampled_from([codec.ROUND_DOWN, codec.ROUND_NEAREST])
+
+
+@PROPERTY
+@given(width=st.integers(1, 40), data=st.data())
+def test_pack_unpack_round_trip(width, data):
+    values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
+    payload = pack_fields(values, width)
+    assert payload.length == width * len(values)
+    assert unpack_fields(payload, width) == tuple(values)
+
+
+@PROPERTY
+@given(d=st.integers(1, 70), value_bits=st.integers(0, 30), data=st.data())
+def test_improvement_message_round_trip(d, value_bits, data):
+    indices = sorted(data.draw(st.sets(st.integers(0, d - 1), max_size=12)))
+    values = data.draw(st.lists(st.integers(0, (1 << value_bits) - 1),
+                                min_size=len(indices), max_size=len(indices)))
+    payload = encode_improvement_message(indices, values, d, value_bits)
+    assert payload.length == len(indices) * (ceil_log2(d) + value_bits)
+    if ceil_log2(d) + value_bits:   # otherwise every list encodes to no bits
+        assert decode_improvement_message(payload, d, value_bits) == (
+            tuple(indices), tuple(values))
+
+
+@PROPERTY
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6), bits=st.integers(0, 40),
+       mode=MODES, a=st.floats(-1e7, 1e7), b=st.floats(-1e7, 1e7))
+def test_quantizer_clamps_and_is_monotone(lo, width, bits, mode, a, b):
+    spec = QuantizerSpec(lo, lo + width, bits, mode)
+    ia, ib = quantize(a, spec), quantize(b, spec)
+    assert 0 <= ia < spec.cells
+    if a <= spec.lo:
+        assert ia == 0
+    if a >= spec.hi:
+        assert ia == spec.cells - 1
+    if a <= b:
+        assert ia <= ib
+    assert spec.lo <= dequantize(ia, spec) <= spec.hi
+
+
+@PROPERTY
+@given(m=st.integers(1, 1 << 12), n=st.integers(1, 1 << 12), data=st.data())
+def test_interactive_grid_cells_quantize_back_to_themselves(m, n, data):
+    # the batched interactive-minimum kernel relies on this for its state
+    spec = QuantizerSpec(-2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN)
+    j = data.draw(st.integers(0, spec.cells - 1))
+    assert quantize(dequantize(j, spec), spec) == j
+
+
+@PROPERTY
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), eps=st.floats(1e-9, 1e6))
+def test_bits_for_accuracy_delivers_eps(lo, width, eps):
+    hi = lo + width
+    b = bits_for_accuracy(lo, hi, eps)
+    assert QuantizerSpec(lo, hi, b).cell_width <= eps
+
+
+def _mean_sample(blocks, t):
+    _, m, d, n = blocks.shape
+    return SampleSet("mean", blocks[t], m, n, d)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(d=st.integers(1, 6), m=st.integers(1, 12), n=st.integers(1, 12),
+       seed=st.integers(0, 1 << 16))
+def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
+    trials = 4
+
+    spec = GaussianLocationSpec(np.zeros(d), 0.9)
+    blocks = draw_trials(spec, machine_streams(seed, m), n, trials)
+    _, bits, _ = PROTOCOLS["gauss_qavg"].kernel(spec, blocks, None, None)
+    ref = [transcript_total_bits(
+        gaussian_quantized_average(_mean_sample(blocks, t), 0.9).transcript)
+        for t in range(trials)]
+    assert list(bits) == ref == [m * gauss_qavg_message_bits(d, 0.9, m, n)] * trials
+
+    spec = BoundedProductSpec(np.zeros(d), "two_point")
+    blocks = draw_trials(spec, machine_streams(seed, m), 1, trials)
+    uniforms = np.random.default_rng(seed).random((trials, m, d))
+    _, bits, _ = PROTOCOLS["onebit"].kernel(spec, blocks, uniforms, None)
+    ref = [transcript_total_bits(
+        onebit_bounded_mean(_mean_sample(blocks, t), uniforms[t]).transcript)
+        for t in range(trials)]
+    assert list(bits) == ref == [m * d] * trials
+
+    spec = UniformLocationSpec(np.zeros(d))
+    blocks = draw_trials(spec, machine_streams(seed, m), n, trials)
+    _, bits, _ = PROTOCOLS["uniform_min"].kernel(spec, blocks, None, None)
+    vbits = uniform_min_value_bits(m, n)
+    for t in range(trials):
+        out = uniform_interactive_min(_mean_sample(blocks, t))
+        improvements = int(out.info["improved"][1:].sum())
+        assert bits[t] == transcript_total_bits(out.transcript) == (
+            d * vbits + improvements * (ceil_log2(d) + vbits))
+
+    rows = max(n, d)
+    spec = RegressionSpec(build_designs("orthogonal", m, rows, d, seed), np.zeros(d), 1.0)
+    blocks = draw_trials(spec, machine_streams(seed, m), rows, trials)
+    _, bits, _ = PROTOCOLS["regress_avg"].kernel(spec, blocks, None, None)
+    ref = [transcript_total_bits(regression_local_average(spec, blocks[t]).transcript)
+           for t in range(trials)]
+    assert list(bits) == ref == [m * regress_avg_message_bits(d, m, rows)] * trials

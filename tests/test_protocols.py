@@ -112,6 +112,14 @@ class TestOnebit:
         with pytest.raises(InvalidArgumentError):
             onebit_bounded_mean(mean_sample(spec, 2, 3, 0), 0)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 4), (4, 3, 1)])
+    def test_rejects_uniforms_not_shaped_machines_by_coordinates(self, shape):
+        # a (d,) or (1, d) array would broadcast, giving every machine one uniform
+        ss = mean_sample(BoundedProductSpec(np.zeros(3), "two_point"), 4, 1, seed=0)
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            onebit_bounded_mean(ss, np.full(shape, 0.5))
+        assert transcript_total_bits(onebit_bounded_mean(ss, np.full((4, 3), 0.5)).transcript) == 12
+
 
 class TestUniformInteractiveMin:
     def test_single_machine_transcript(self):
@@ -283,6 +291,10 @@ class TestEstimateRisk:
             estimate_risk("warp", spec, trials=10, seed=0, m=4, n=1)
         with pytest.raises(InvalidArgumentError):
             estimate_risk("single_mean", spec, trials=10, seed=0, m=2, n=4,
+                          budget_bits=3)
+        # single_mean sends one scalar, so a d = 4 spec has no estimate to score
+        with pytest.raises(InvalidArgumentError, match="d = 1"):
+            estimate_risk("single_mean", spec, trials=10, seed=0, m=1, n=4,
                           budget_bits=3)
 
 
