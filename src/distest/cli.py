@@ -37,7 +37,7 @@ import numpy as np
 from . import bounds as bnd
 from . import protocols as proto
 from .designs import build_designs
-from .errors import ConfigError, InvalidArgumentError
+from .errors import ConfigError, DegenerateDesignError, InvalidArgumentError
 from .families import (BoundedProductSpec, GaussianLocationSpec, ProbitSpec,
                        RegressionSpec, UniformLocationSpec, design_eigenbounds)
 from .sweeps import SUITE_CSV_HEADER, SUITE_NAMES, run_suite
@@ -183,7 +183,8 @@ def _simulate_point(args) -> str:
                 f"{report.mse_stderr!r},{bits!r},{report.bits_max},"
                 f"{report.flagged_trials},{central!r},{bound.formula_id},"
                 f"{bound.value!r},")
-    except (InvalidArgumentError, ConfigError, np.linalg.LinAlgError) as err:
+    except (InvalidArgumentError, ConfigError, DegenerateDesignError,
+            np.linalg.LinAlgError) as err:
         msg = str(err).replace(",", ";").replace("\n", " ")
         return f"{base},,,,,,,,,,{msg}"
 
@@ -230,7 +231,7 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
         raise ConfigError("the sweep grid is empty")
 
     if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
             rows = list(pool.map(_simulate_point, points))
     else:
         rows = [_simulate_point(p) for p in points]

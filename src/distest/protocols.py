@@ -6,7 +6,9 @@ the wire; tests and demos call these. estimate_risk measures mean-squared
 error and bit statistics over many seeded trials without building
 transcripts: PROTOCOLS maps each protocol id to its transcript kind, the
 spec types it runs on and a kernel that runs a whole chunk of trials as
-arrays, with the reference's estimates and bit counts trial by trial.
+arrays, with the reference's estimates and bit counts trial by trial. The
+probit kernels solve all trials of a chunk at once with probit_mle_batched,
+which repeats probit_mle operation for operation on a stack of problems.
 """
 
 from __future__ import annotations
@@ -291,6 +293,84 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     return theta, False
 
 
+def _row_dots(x, y):
+    """x[p] @ y[p] for each row of two (P, n) stacks: one ddot per row, the
+    BLAS call (and rounding) of the 1-d product."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _rows(x, idx):
+    """x[idx] along the first axis, where a zero-stride broadcast stays a
+    view instead of becoming one copy of its matrix per problem."""
+    if x.strides[0] == 0:
+        return np.broadcast_to(x[0], (len(idx),) + x.shape[1:])
+    return x[idx]
+
+
+def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
+                       diverge_norm: float = 1e3):
+    """probit_mle on P problems at once: design (P, n, d), z (P, n).
+
+    Returns theta (P, d) and flagged (P,), equal problem by problem to what
+    probit_mle gives, bit for bit. design may be a zero-stride
+    np.broadcast_to view of one matrix. Each product is the stacked form of
+    probit_mle's, which numpy sends to the same BLAS call; a problem leaves
+    the active set where probit_mle returns, and the line search halves one
+    step size for all problems still searching.
+    """
+    log_ndtr = sys.modules[__name__].log_ndtr
+    design = np.asarray(design, dtype=float)
+    z = np.asarray(z, dtype=float)
+    p, n, d = design.shape
+    theta = np.zeros((p, d))
+    flagged = np.zeros(p, dtype=bool)
+
+    def loglik(a, zs, th):
+        u = (a @ th[..., None])[..., 0]
+        return _row_dots(zs, log_ndtr(u)) + _row_dots(1.0 - zs, log_ndtr(-u))
+
+    ll = loglik(design, z, theta)
+    live = np.arange(p)       # problems probit_mle has not returned from
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        a, zs = _rows(design, live), z[live]
+        u = (a @ theta[live][..., None])[..., 0]
+        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(u))
+        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(-u))
+        score = zs * lam_p - (1.0 - zs) * lam_m
+        grad = (a.transpose(0, 2, 1) @ score[..., None])[..., 0]
+        going = ~(np.sqrt(_row_dots(grad, grad)) < grad_tol)
+        live, zs, u, lam_p, lam_m, grad = (
+            x[going] for x in (live, zs, u, lam_p, lam_m, grad))
+        a = _rows(a, np.flatnonzero(going))
+        weights = zs * lam_p * (lam_p + u) + (1.0 - zs) * lam_m * (lam_m - u)
+        hess = a.transpose(0, 2, 1) @ (weights[..., None] * a)
+        try:
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError as err:
+            raise DegenerateDesignError(f"singular probit Hessian: {err}") from err
+        accepted = np.zeros(live.size, dtype=bool)
+        searching = np.arange(live.size)
+        t = 1.0
+        while t > 2**-30 and searching.size:
+            rows = live[searching]
+            cand = theta[rows] + t * step[searching]
+            cand_ll = loglik(_rows(a, searching), zs[searching], cand)
+            up = cand_ll > ll[rows]
+            theta[rows[up]], ll[rows[up]] = cand[up], cand_ll[up]
+            accepted[searching[up]] = True
+            searching = searching[~up]
+            t *= 0.5
+        live = live[accepted]     # the others failed every halving and stop
+        th = theta[live]
+        diverged = np.sqrt(_row_dots(th, th)) > diverge_norm
+        flagged[live[diverged]] = True
+        theta[live[diverged]] = np.clip(th[diverged], -1.0, 1.0)
+        live = live[~diverged]
+    return theta, flagged
+
+
 def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
     """Average of truncated, quantized local probit MLEs (same grid as the
     regression scheme). Separation at any machine flags the run in info."""
@@ -400,26 +480,34 @@ def _regress_avg_kernel(spec, blocks, uniforms, budget_bits):
 
 
 def _probit_avg_kernel(spec, blocks, uniforms, budget_bits):
-    # the damped Newton iterations differ per problem, so trials run one at a
-    # time through the reference
     k, m, n = blocks.shape
-    theta_hat = np.empty((k, spec.d))
-    bits, flagged = _fixed(k, m * regress_avg_message_bits(spec.d, m, n))
-    for t in range(k):
-        out = probit_local_average(spec, blocks[t])
-        theta_hat[t] = out.theta_hat
-        flagged[t] = out.info["flagged"] > 0
-    return theta_hat, bits, flagged
+    qspec = _local_average_grid(m, n)
+    local = np.empty((k, m, spec.d))
+    bits, flagged = _fixed(k, m * spec.d * qspec.bits)
+    # one batched Newton per machine over the chunk's trials; the machine's
+    # design is shared by all of them, so a zero-stride view stands in for k
+    # copies
+    for i, design in enumerate(spec.designs):
+        local[:, i], flag = probit_mle_batched(
+            np.broadcast_to(design, (k, n, spec.d)), np.ascontiguousarray(blocks[:, i]))
+        flagged |= flag
+    idx = quantize(np.clip(local, -1.0, 1.0), qspec)
+    return dequantize(idx, qspec).mean(axis=1), bits, flagged
 
 
 def _centralized_kernel(spec, blocks, uniforms, budget_bits):
+    k = len(blocks)
     if isinstance(spec, UniformLocationSpec):
         theta_hat = blocks.min(axis=(1, 3)) + 1.0
     elif isinstance(spec, MeanSpec):
         theta_hat = blocks.mean(axis=(1, 3))
+    elif isinstance(spec, ProbitSpec):
+        pooled = np.vstack(spec.designs)
+        theta_hat, _ = probit_mle_batched(np.broadcast_to(pooled, (k, *pooled.shape)),
+                                          blocks.reshape(k, -1))
     else:
         theta_hat = np.stack([centralized_baseline(spec, block) for block in blocks])
-    return theta_hat, *_fixed(len(blocks), 0)
+    return theta_hat, *_fixed(k, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,18 @@ trials = 50
 seed = 3
 """
 
+# a grid point whose local probit Hessian is singular on some trial
+SINGULAR_PROBIT_CONF = """
+protocol = probit_avg
+family = probit
+d = 2
+m = 3
+n = 4
+theta = 0.9
+trials = 50
+seed = 11
+"""
+
 
 SRC = str(Path(distest.__file__).resolve().parents[1])
 
@@ -85,6 +97,32 @@ class TestSimulate:
         bad = [ln for ln in lines[1:] if not ln.endswith(",")]
         assert len(good) == 2 and len(bad) == 2
         assert "one-bit" in bad[0]
+
+    def test_pool_has_no_more_workers_than_points(self, monkeypatch):
+        """DISTEST_THREADS above the grid size asks for one worker per
+        point; the recording pool maps serially and starts no process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("DISTEST_THREADS", "1")
+        serial = run_simulate(parse_config(ONEBIT_CONF))
+        assert sizes == []
+        monkeypatch.setenv("DISTEST_THREADS", "64")
+        assert run_simulate(parse_config(ONEBIT_CONF)) == serial
+        assert sizes == [2]
 
     def test_gnuplot_hints_are_comments(self):
         lines = run_simulate(parse_config(ONEBIT_CONF), gnuplot_hints=True)
@@ -190,6 +228,24 @@ class TestEndToEnd:
         threaded = run_cli(["simulate", str(conf)], env={"DISTEST_THREADS": "2"})
         assert serial.returncode == 0 and threaded.returncode == 0
         assert serial.stdout == threaded.stdout
+
+    def test_singular_probit_hessian_is_a_row_error(self, tmp_path):
+        conf = tmp_path / "probit.conf"
+        conf.write_text(SINGULAR_PROBIT_CONF)
+        res = run_cli(["simulate", str(conf)])
+        assert res.returncode == 0 and "Traceback" not in res.stderr
+        assert res.stdout.splitlines()[1:] == [
+            "probit_avg,probit,orthogonal,2,3,4,,0.9,,50,11,,,,,,,,,,"
+            "singular probit Hessian: Singular matrix"]
+
+    def test_import_does_not_load_scipy(self):
+        """scipy is imported on the first probit solve, not by the package:
+        it is most of the import time."""
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, distest, distest.cli; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize("key", ["m", "n", "d"])
     def test_nonpositive_size_exits_two(self, tmp_path, key):

@@ -13,14 +13,15 @@ import pytest
 from distest import protocols
 from distest.codec import transcript_total_bits
 from distest.designs import build_designs
-from distest.errors import InvalidArgumentError
+from distest.errors import DegenerateDesignError, InvalidArgumentError
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
                               SampleSet, UniformLocationSpec, draw_trials,
                               machine_streams)
 from distest.protocols import (PROTOCOLS, centralized_baseline,
                                gaussian_quantized_average, onebit_bounded_mean,
-                               probit_local_average, regression_local_average,
+                               probit_local_average, probit_mle,
+                               probit_mle_batched, regression_local_average,
                                single_machine_quantized_mean,
                                uniform_interactive_min)
 
@@ -129,6 +130,8 @@ CASES = [
     ("centralized", "uniform", 7, 5, 2),
     ("centralized", "regression", 4, 6, 2),
     ("centralized", "probit", 3, 8, 2),
+    ("centralized", "probit", 1, 3, 3),
+    ("centralized", "probit", 5, 2, 1),
 ]
 
 
@@ -164,6 +167,119 @@ def test_probit_kernel_covers_flagged_trials():
     spec = make_spec("probit_separable", 4, 5, 1)
     _, flagged = assert_kernel_matches_reference("probit_avg", spec, 4, 5)
     assert flagged.any() and not flagged.all()
+
+
+def test_centralized_probit_kernel_covers_flagged_trials():
+    m, n = 3, 2
+    spec = make_spec("probit_separable", m, n, 1)
+    blocks, _ = assert_kernel_matches_reference("centralized", spec, m, n)
+    pooled = np.vstack(spec.designs)
+    flags = [probit_mle(pooled, block.ravel())[1] for block in blocks]
+    assert any(flags) and not all(flags)
+
+
+def test_singular_probit_hessian_raises_from_kernel_and_reference():
+    # the grid point protocol = probit_avg, family = probit, d = 2, m = 3,
+    # n = 4, theta = 0.9, trials = 50, seed = 11 of distest simulate
+    m, n, d, seed = 3, 4, 2, 11
+    spec = ProbitSpec(build_designs("orthogonal", m, n, d, seed), np.full(d, 0.9))
+    blocks = draw_trials(spec, machine_streams(seed, m), n, 50)
+    with pytest.raises(DegenerateDesignError, match="singular probit Hessian"):
+        PROTOCOLS["probit_avg"].kernel(spec, blocks, None, None)
+    singular = 0
+    for block in blocks:
+        try:
+            probit_local_average(spec, block)
+        except DegenerateDesignError as err:
+            assert str(err) == "singular probit Hessian: Singular matrix"
+            singular += 1
+    assert singular
+
+
+# ---------------------------------------------------------------------------
+# the batched damped Newton against probit_mle, problem by problem
+
+def assert_newton_matches_reference(a, z, **kw):
+    theta, flagged = probit_mle_batched(a, z, **kw)
+    assert theta.shape == (len(z), a.shape[2]) and flagged.shape == (len(z),)
+    for p in range(len(z)):
+        ref_theta, ref_flagged = probit_mle(a[p], z[p], **kw)
+        assert np.array_equal(theta[p], ref_theta), f"problem {p}"
+        assert flagged[p] == ref_flagged, f"problem {p}"
+    return theta, flagged
+
+
+def random_probit_problems(n, d, count, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, n, d))
+    theta = rng.uniform(-1.5, 1.5, (count, d))
+    z = rng.random((count, n)) < 0.5 + 0.45 * np.tanh((a @ theta[..., None])[..., 0])
+    return a, z.astype(float)
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (9, 1), (2, 2), (3, 3), (5, 2),
+                                 (30, 3), (12, 4), (6, 6)])
+def test_batched_newton_matches_probit_mle(n, d):
+    a, z = random_probit_problems(n, d, 80, seed=100 * n + d)
+    assert_newton_matches_reference(a, z)
+
+
+def test_batched_newton_covers_every_way_out():
+    """One batch holds a problem that stops at grad_tol on iteration 0, one
+    that separates (flagged) and random ones, so the active set loses
+    problems for different reasons in the same iterations."""
+    a, z = random_probit_problems(4, 2, 40, seed=7)
+    unit = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    a[3], z[3] = unit, [1.0, 0.0, 1.0, 0.0]             # gradient exactly 0 at 0
+    a[17], z[17] = 1e-3 * unit, np.ones(4)              # separable, tiny design
+    theta, flagged = assert_newton_matches_reference(a, z)
+    assert np.array_equal(theta[3], np.zeros(2)) and not flagged[3]
+    assert flagged[17]
+
+
+def test_batched_newton_covers_exhausted_halvings():
+    """With grad_tol = 0 a problem stops only by separating (flagged), at
+    max_iter, or at a Newton step that fails all 30 halvings. An unflagged
+    problem whose result with max_iter = 50 equals its result with 100
+    stopped before iteration 50, so its last step failed every halving."""
+    a, z = random_probit_problems(30, 3, 40, seed=8)
+    theta, flagged = assert_newton_matches_reference(a, z, grad_tol=0.0)
+    exhausted = [p for p in range(len(z)) if not flagged[p] and np.array_equal(
+        probit_mle(a[p], z[p], max_iter=50, grad_tol=0.0)[0], theta[p])]
+    assert exhausted
+
+
+@pytest.mark.parametrize("grad_tol", [1e-9, 0.0])
+def test_batched_newton_evaluates_what_probit_mle_evaluates(monkeypatch, grad_tol):
+    """On a single problem the batched solver hands log_ndtr the arguments
+    probit_mle does, in the same order: every iteration and every halving,
+    down to the last of the 30 halvings of an exhausted step."""
+    log_ndtr = protocols.log_ndtr
+    a, z = random_probit_problems(30, 3, 6, seed=8)
+    for p in range(len(z)):
+        args = {}
+        for name, solve in (("reference", lambda: probit_mle(a[p], z[p], grad_tol=grad_tol)),
+                            ("batched", lambda: probit_mle_batched(a[p:p + 1], z[p:p + 1],
+                                                                   grad_tol=grad_tol))):
+            seen = args[name] = []
+            monkeypatch.setattr(protocols, "log_ndtr",
+                                lambda u, seen=seen: seen.append(np.ravel(u)) or log_ndtr(u))
+            solve()
+        assert len(args["batched"]) == len(args["reference"]), f"problem {p}"
+        for got, want in zip(args["batched"], args["reference"]):
+            assert np.array_equal(got, want), f"problem {p}"
+
+
+def test_batched_newton_on_a_broadcast_design():
+    """A zero-stride view of one design gives what probit_mle gives on that
+    design and what a contiguous stack of its copies gives."""
+    a, z = random_probit_problems(12, 3, 60, seed=9)
+    view = np.broadcast_to(a[0], a.shape)
+    assert view.strides[0] == 0
+    theta, flagged = assert_newton_matches_reference(view, z)
+    stacked_theta, stacked_flagged = probit_mle_batched(np.ascontiguousarray(view), z)
+    assert np.array_equal(stacked_theta, theta)
+    assert np.array_equal(stacked_flagged, flagged)
 
 
 def test_onebit_kernel_rejects_out_of_range_inputs():
