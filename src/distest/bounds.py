@@ -19,11 +19,6 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError
 
-FORMULA_IDS = ("prop1", "thm1", "prop2", "prop3_lower", "prop3_budget", "thm2",
-               "cor1_lower", "cor1_upper", "cor2_lower", "cor2_upper",
-               "centralized", "pstar")
-
-
 @dataclass(eq=False)
 class RateQuery:
     """Inputs for the rate formulas; supply only what the formula needs."""
@@ -172,29 +167,19 @@ def prop3_budget(d: int, m: int, n: int) -> RateResult:
         "per_coordinate_base": base, "index_bits": float(idx_bits)})
 
 
-def theorem2_lower(q: RateQuery) -> RateResult:
-    """Interactive Gaussian lower bound with one total budget."""
-    budget = q.need_total()
-    d, m, n, s2 = q.d, q.m, q.n, q.sigma2
-    prefactor = q.const("c") * s2 * d / (m * n)
-    branch_raw = m * n / s2
-    if m == 1:
-        branch_budget = 1.0
-    else:
-        branch_budget = max(m / ((budget / d + 1.0) * math.log(m)), 1.0)
-    value = prefactor * min(branch_raw, branch_budget)
-    return RateResult(value, "thm2", {
-        "prefactor": prefactor, "branch_raw": branch_raw,
-        "branch_budget": branch_budget})
+def _interactive_lower(q: RateQuery, sigma2: float, lambda2, formula: str) -> RateResult:
+    """sigma2 d/(lambda2 m n) * min{lambda2 m n/sigma2, max(m/((B/d + 1) log m), 1)}.
 
-
-def _regression_shaped(q: RateQuery, sigma2: float, formula: str) -> RateResult:
+    Theorem 2 is the lambda2 = 1 case; Corollaries 1 and 2 carry the design's
+    lambda_max2, and Corollary 2 is Corollary 1 at sigma2 = 1. Callers pass
+    those units as the int 1, so products with m and n stay exact integers.
+    """
     budget = q.need_total()
-    if q.lambda_max2 is None or not q.lambda_max2 > 0:
+    if lambda2 is None or not lambda2 > 0:
         raise InvalidArgumentError("need lambda_max2 > 0")
     d, m, n = q.d, q.m, q.n
-    prefactor = q.const("c") * sigma2 * d / (q.lambda_max2 * m * n)
-    branch_raw = q.lambda_max2 * m * n / sigma2
+    prefactor = q.const("c") * sigma2 * d / (lambda2 * m * n)
+    branch_raw = lambda2 * m * n / sigma2
     if m == 1:
         branch_budget = 1.0
     else:
@@ -205,31 +190,30 @@ def _regression_shaped(q: RateQuery, sigma2: float, formula: str) -> RateResult:
         "branch_budget": branch_budget})
 
 
-def cor1_rates(q: RateQuery):
-    """(lower, upper) rates for fixed-design linear regression."""
+def theorem2_lower(q: RateQuery) -> RateResult:
+    """Interactive Gaussian lower bound with one total budget."""
+    return _interactive_lower(q, q.sigma2, 1, "thm2")
+
+
+def _regression_rates(q: RateQuery, sigma2, prefix: str):
     if q.lambda_min2 is None or not q.lambda_min2 > 0:
         raise InvalidArgumentError("need lambda_min2 > 0")
-    lower = _regression_shaped(q, q.sigma2, "cor1_lower")
-    upper_value = q.const("c") * q.sigma2 * q.d / (q.lambda_min2 * q.m * q.n)
-    upper = RateResult(upper_value, "cor1_upper", {
+    lower = _interactive_lower(q, sigma2, q.lambda_max2, f"{prefix}_lower")
+    upper_value = q.const("c") * sigma2 * q.d / (q.lambda_min2 * q.m * q.n)
+    upper = RateResult(upper_value, f"{prefix}_upper", {
         "c_over_lambda_min2": q.const("c") / q.lambda_min2,
-        "centralized": q.sigma2 * q.d / (q.m * q.n)})
+        "centralized": sigma2 * q.d / (q.m * q.n)})
     return lower, upper
+
+
+def cor1_rates(q: RateQuery):
+    """(lower, upper) rates for fixed-design linear regression."""
+    return _regression_rates(q, q.sigma2, "cor1")
 
 
 def cor2_rates(q: RateQuery):
     """(lower, upper) rates for probit regression: the sigma2 = 1 shapes."""
-    if q.lambda_min2 is None or not q.lambda_min2 > 0:
-        raise InvalidArgumentError("need lambda_min2 > 0")
-    lower = _regression_shaped(q, 1.0, "cor2_lower")
-    upper_value = q.const("c") * q.d / (q.lambda_min2 * q.m * q.n)
-    upper = RateResult(upper_value, "cor2_upper", {
-        "c_over_lambda_min2": q.const("c") / q.lambda_min2,
-        "centralized": q.d / (q.m * q.n)})
-    return lower, upper
-
-
-CENTRALIZED_FAMILIES = ("gaussian", "bounded", "uniform", "regression")
+    return _regression_rates(q, 1, "cor2")
 
 
 def centralized_rate(family: str, d: int, m: int, n: int, sigma2: float = 1.0) -> float:

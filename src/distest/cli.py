@@ -13,13 +13,21 @@ points; output order is unaffected).
 
 Config files are flat ``key = value`` text; repeating one of the grid keys
 (theta, d, m, n, sigma, budget_bits) forms a sweep over the cartesian
-product, rows ordered with later keys varying fastest in the order above.
+product. Rows come in the order (d, m, n, sigma, budget_bits, theta), with
+later keys varying fastest: d varies slowest and theta fastest.
 
 A simulate row is driven by two tables. ``protocols.PROTOCOLS`` says which
 spec types a protocol runs on (other pairs give a row error) and may name
 the lower bound it is compared with. ``FAMILIES`` below says how a family
 id becomes a spec, which centralized rate applies and which lower bound
 applies otherwise; the bound is evaluated at the measured bits.
+
+``FORMULAS`` maps each ``bounds.RateQuery`` formula id to its rate, and both
+subcommands look ids up there: ``simulate`` for the bound a row is compared
+with, ``bounds`` for every id except the scalar ``centralized`` and
+``pstar``, which read family, a and delta from the query row. Each entry
+calls through the ``bnd`` module alias when it runs, so wrapping the
+functions on that alias (as the benchmark's tracer does) sees every call.
 """
 
 from __future__ import annotations
@@ -119,15 +127,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# Lower bounds at a row's measured communication, by formula id. Each call
-# goes through `bnd` when it runs, so a patched bounds module is seen.
-LOWER_BOUNDS = {
+# RateQuery formula id -> rate; entries look `bnd` up when they run (see above).
+FORMULAS = {
     "prop1": lambda q: bnd.prop1_lower(q.need_total(), bnd.unit_interval_entropy_inverse),
+    "thm1": lambda q: bnd.theorem1_lower(q),
     "prop2": lambda q: bnd.prop2_lower(q),
     "prop3_lower": lambda q: bnd.prop3_lower(q),
+    "prop3_budget": lambda q: bnd.prop3_budget(q.d, q.m, q.n),
     "thm2": lambda q: bnd.theorem2_lower(q),
     "cor1_lower": lambda q: bnd.cor1_rates(q)[0],
+    "cor1_upper": lambda q: bnd.cor1_rates(q)[1],
     "cor2_lower": lambda q: bnd.cor2_rates(q)[0],
+    "cor2_upper": lambda q: bnd.cor2_rates(q)[1],
 }
 
 
@@ -137,7 +148,7 @@ class Family:
 
     spec: Callable              # (theta, sigma, designs or None) -> spec
     rate: str                   # bounds.centralized_rate family id
-    bound: str                  # LOWER_BOUNDS id, unless the protocol overrides it
+    bound: str                  # FORMULAS id, unless the protocol overrides it
     uses_sigma: bool = False    # the rates take sigma^2; otherwise sigma^2 = 1
     uses_designs: bool = False  # the spec is built on build_designs(...)
 
@@ -178,7 +189,7 @@ def _simulate_point(args) -> str:
         query = bnd.RateQuery(d=d, m=m, n=n, sigma2=s2, budget_total=bits,
                               budgets_per_machine=(bits / m,) * m,
                               lambda_max2=lmax2, lambda_min2=lmin2)
-        bound = LOWER_BOUNDS[proto.PROTOCOLS[protocol].bound or fam.bound](query)
+        bound = FORMULAS[proto.PROTOCOLS[protocol].bound or fam.bound](query)
         return (f"{base},{report.protocol_kind},{report.mse_mean!r},"
                 f"{report.mse_stderr!r},{bits!r},{report.bits_max},"
                 f"{report.flagged_trials},{central!r},{bound.formula_id},"
@@ -201,6 +212,8 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
     if trials < 2:
         raise ConfigError("trials must be >= 2")
     seed = _single(config, "seed", default=0, cast=int)
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     thetas = _grid(config, "theta", _parse_theta)
     if thetas == [None]:
         thetas = [(0.0,)]
@@ -272,24 +285,6 @@ def _parse_bounds_row(cells: dict) -> bnd.RateResult:
                           lambda_max2=fnum("lambda_max2"),
                           lambda_min2=fnum("lambda_min2"),
                           constants=constants)
-    if formula == "prop1":
-        return bnd.prop1_lower(query.need_total(), bnd.unit_interval_entropy_inverse)
-    if formula == "thm1":
-        return bnd.theorem1_lower(query)
-    if formula == "prop2":
-        return bnd.prop2_lower(query)
-    if formula == "prop3_lower":
-        return bnd.prop3_lower(query)
-    if formula == "prop3_budget":
-        return bnd.prop3_budget(d, m, n)
-    if formula == "thm2":
-        return bnd.theorem2_lower(query)
-    if formula in ("cor1_lower", "cor1_upper"):
-        lower, upper = bnd.cor1_rates(query)
-        return lower if formula == "cor1_lower" else upper
-    if formula in ("cor2_lower", "cor2_upper"):
-        lower, upper = bnd.cor2_rates(query)
-        return lower if formula == "cor2_lower" else upper
     if formula == "centralized":
         value = bnd.centralized_rate(cells.get("family", ""), d, m, n,
                                      fnum("sigma2", 1.0))
@@ -298,7 +293,9 @@ def _parse_bounds_row(cells: dict) -> bnd.RateResult:
         value = bnd.tail_pstar(fnum("a", 0.0), fnum("delta", 0.0), n,
                                math.sqrt(fnum("sigma2", 1.0)))
         return bnd.RateResult(value, "pstar", {"value": value})
-    raise InvalidArgumentError(f"unknown formula id {formula!r}")
+    if formula not in FORMULAS:
+        raise InvalidArgumentError(f"unknown formula id {formula!r}")
+    return FORMULAS[formula](query)
 
 
 def run_bounds(text: str):

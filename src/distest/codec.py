@@ -169,6 +169,8 @@ class QuantizerSpec:
             raise InvalidArgumentError("quantizer needs lo < hi")
         if self.bits < 0:
             raise InvalidArgumentError("bit count must be >= 0")
+        if self.bits > 62:  # quantize's floor(frac * 2**bits) must fit in int64
+            raise InvalidArgumentError("bit count must be <= 62")
         if self.mode not in (ROUND_DOWN, ROUND_NEAREST):
             raise InvalidArgumentError(f"unknown rounding mode {self.mode!r}")
 

@@ -237,6 +237,17 @@ def _quantizer_matrix(quantizer, k_in: int) -> np.ndarray:
     raise InvalidArgumentError("quantizer must be a map or a stochastic table")
 
 
+def base_k_digits(k: int, width: int) -> np.ndarray:
+    """(k**width, width) int table: row x holds x in base k, most significant first."""
+    n = k ** width
+    digits = np.empty((n, width), dtype=int)
+    idx = np.arange(n)
+    for c in range(width - 1, -1, -1):
+        digits[:, c] = idx % k
+        idx //= k
+    return digits
+
+
 def _product_channel(channel: ChannelSpec, v_dim: int, machines: int = 1):
     """P(x | v) over the product alphabet.
 
@@ -252,11 +263,7 @@ def _product_channel(channel: ChannelSpec, v_dim: int, machines: int = 1):
     n_x = k ** n_coords
     if 2 ** v_dim * n_x > ENUMERATION_CEILING:
         raise EnumerationTooLargeError("product alphabet exceeds the enumeration ceiling")
-    digits = np.empty((n_x, n_coords), dtype=int)
-    idx = np.arange(n_x)
-    for c in range(n_coords - 1, -1, -1):
-        digits[:, c] = idx % k
-        idx //= k
+    digits = base_k_digits(k, n_coords)
     # coordinate c of x belongs to v-coordinate c % v_dim (machine-major order)
     vcoord = np.array([c % v_dim for c in range(n_coords)])
     out = np.empty((2 ** v_dim, n_x))

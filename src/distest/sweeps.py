@@ -18,9 +18,6 @@ import numpy as np
 from . import infotheory as it
 from .errors import InvalidArgumentError
 
-SUITE_NAMES = ("dpi3", "dpi5", "dpi7", "chain", "tensor", "pinsker", "fano")
-
-
 @dataclass(frozen=True)
 class SuiteRow:
     suite: str
@@ -106,18 +103,12 @@ def _sequential_message_kernel(rng, k: int, machines: int):
     sizes = [int(rng.integers(2, 4)) for _ in range(machines)]
     kernels = [_stochastic(rng, (k,) + tuple(sizes[:t]) + (sizes[t],))
                for t in range(machines)]
-    n_x = k ** machines
-    digits = np.empty((n_x, machines), dtype=int)
-    idx = np.arange(n_x)
-    for c in range(machines - 1, -1, -1):
-        digits[:, c] = idx % k
-        idx //= k
-    ny = int(np.prod(sizes))
-    out = np.zeros((n_x, ny))
-    for x in range(n_x):
+    digits = it.base_k_digits(k, machines)
+    out = np.zeros((len(digits), int(np.prod(sizes))))
+    for x, symbols in enumerate(digits):
         probs = np.ones(1)
         for t in range(machines):
-            kern = kernels[t][digits[x, t]]          # (*prev_sizes, sizes[t])
+            kern = kernels[t][symbols[t]]            # (*prev_sizes, sizes[t])
             probs = (probs[:, None] * kern.reshape(len(probs), sizes[t])).ravel()
         out[x] = probs
     return out
@@ -230,6 +221,7 @@ def _run_fano(seed: int) -> SuiteRow:
 _RUNNERS = {"dpi3": _run_dpi3, "dpi5": _run_dpi5, "dpi7": _run_dpi7,
             "chain": _run_chain, "tensor": _run_tensor,
             "pinsker": _run_pinsker, "fano": _run_fano}
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, count: int, seed: int):
@@ -238,6 +230,8 @@ def run_suite(name: str, count: int, seed: int):
         raise InvalidArgumentError(f"unknown suite {name!r}; choices: {SUITE_NAMES}")
     if count < 1:
         raise InvalidArgumentError("instance count must be >= 1")
+    if seed < 0:
+        raise InvalidArgumentError("seed must be >= 0")
     runner = _RUNNERS[name]
     base = int(np.random.SeedSequence(int(seed)).generate_state(1)[0])
     return [runner((base + 977 * i) % 2**63) for i in range(count)]

@@ -124,6 +124,28 @@ class TestSimulate:
         assert run_simulate(parse_config(ONEBIT_CONF)) == serial
         assert sizes == [2]
 
+    def test_row_order_d_slowest_theta_fastest(self):
+        conf = ("protocol = onebit\nfamily = bounded_two_point\nn = 1\n"
+                "d = 1\nd = 2\nm = 10\nm = 20\ntheta = 0.0\ntheta = 0.5\n"
+                "trials = 5\nseed = 3\n")
+        rows = [ln.split(",") for ln in run_simulate(parse_config(conf))[1:]]
+        assert [(r[3], r[4], r[7]) for r in rows] == [
+            (d, m, theta) for d in ("1", "2") for m in ("10", "20")
+            for theta in ("0.0", "0.5")]
+
+    def test_quantizer_over_62_bits_is_a_row_error(self):
+        single = ("protocol = single_mean\nfamily = bounded_uniform\nd = 1\n"
+                  "m = 1\nn = 1\ntheta = 0.3\nbudget_bits = 62\n"
+                  "budget_bits = 64\ntrials = 20\nseed = 3\n")
+        fine, wide = run_simulate(parse_config(single))[1:]
+        assert fine.endswith(",")
+        assert wide.endswith(",bit count must be <= 62")
+        # sigma = 1e-9 asks for a 66-bit grid
+        gauss = ("protocol = gauss_qavg\nfamily = gaussian\nd = 2\nm = 4\n"
+                 "n = 8\nsigma = 1e-9\ntrials = 20\nseed = 3\n")
+        row = run_simulate(parse_config(gauss))[1]
+        assert row.endswith(",bit count must be <= 62")
+
     def test_gnuplot_hints_are_comments(self):
         lines = run_simulate(parse_config(ONEBIT_CONF), gnuplot_hints=True)
         hints = [ln for ln in lines if ln.startswith("#")]
@@ -254,6 +276,15 @@ class TestEndToEnd:
         res = run_cli(["simulate", str(conf)])
         assert res.returncode == 2
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    def test_negative_seed_exits_two(self, tmp_path):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(ONEBIT_CONF.replace("seed = 3", "seed = -1"))
+        for args in (["simulate", str(conf)],
+                     ["verify", "pinsker", "--count", "3", "--seed", "-1"]):
+            res = run_cli(args)
+            assert res.returncode == 2
+            assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
     def test_bad_thread_count_exits_two(self, tmp_path):
         conf = tmp_path / "sweep.conf"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,16 @@ class TestQuantizer:
             QuantizerSpec(0.0, 1.0, -1)
         with pytest.raises(InvalidArgumentError):
             QuantizerSpec(0.0, 1.0, 3, "round_up")
+
+    def test_widest_grid_is_62_bits(self):
+        # floor(frac * 2**bits) is cast to int64, which 2**63 overflows
+        spec = QuantizerSpec(0.0, 1.0, 62)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quantize(1.0, spec) == spec.cells - 1
+            assert list(quantize(np.array([0.0, 1.0]), spec)) == [0, spec.cells - 1]
+        with pytest.raises(InvalidArgumentError, match="<= 62"):
+            QuantizerSpec(0.0, 1.0, 63)
 
 
 class TestBitString:
