@@ -36,15 +36,15 @@ class RateQuery:
     def __post_init__(self):
         if min(self.d, self.m, self.n) < 1:
             raise InvalidArgumentError("d, m, n must be positive integers")
-        if self.sigma2 is not None and not self.sigma2 > 0:
-            raise InvalidArgumentError("sigma2 must be positive")
+        if self.sigma2 is not None and not 0 < self.sigma2 < math.inf:
+            raise InvalidArgumentError("sigma2 must be positive and finite")
         if self.budgets_per_machine is not None:
             budgets = tuple(float(b) for b in self.budgets_per_machine)
-            if len(budgets) != self.m or any(b < 0 for b in budgets):
-                raise InvalidArgumentError("need m nonnegative per-machine budgets")
+            if len(budgets) != self.m or not all(0 <= b < math.inf for b in budgets):
+                raise InvalidArgumentError("need m finite nonnegative per-machine budgets")
             object.__setattr__(self, "budgets_per_machine", budgets)
-        if self.budget_total is not None and self.budget_total < 0:
-            raise InvalidArgumentError("budget_total must be >= 0")
+        if self.budget_total is not None and not 0 <= self.budget_total < math.inf:
+            raise InvalidArgumentError("budget_total must be finite and >= 0")
 
     def const(self, name: str) -> float:
         return float(self.constants.get(name, 1.0))

@@ -104,11 +104,15 @@ def _grid(config, key, cast):
         raise ConfigError(f"key {key!r}: {err}") from err
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_theta(text: str):
-    try:
-        return tuple(float(part) for part in text.split(";"))
-    except ValueError as err:
-        raise ConfigError(f"theta: {err}") from err
+    return tuple(_finite(part) for part in text.split(";"))
 
 
 def _theta_vector(theta, d: int) -> np.ndarray:
@@ -220,7 +224,7 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
     ds = _grid(config, "d", int)
     ms = _grid(config, "m", int)
     ns = _grid(config, "n", int)
-    sigmas = _grid(config, "sigma", float)
+    sigmas = _grid(config, "sigma", _finite)
     budgets = _grid(config, "budget_bits", int)
     known = set(GRID_KEYS) | {"protocol", "family", "design", "trials", "seed"}
     for key in config:

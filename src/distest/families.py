@@ -15,6 +15,7 @@ runs with the same seed are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ def _as_theta(theta, d=None) -> np.ndarray:
         raise InvalidArgumentError("theta must be a scalar or 1-d vector")
     if d is not None and arr.size == 1 and d > 1:
         arr = np.full(d, arr[0])
-    if np.any(np.abs(arr) > 1 + 1e-12):
+    if not np.all(np.abs(arr) <= 1 + 1e-12):     # NaN fails this too
         raise InvalidArgumentError("every |theta_j| must be <= 1")
     return arr
 
@@ -72,8 +73,8 @@ class GaussianLocationSpec(MeanSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.sigma > 0:
-            raise InvalidArgumentError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidArgumentError("sigma must be positive and finite")
 
 
 TWO_POINT = "two_point"
@@ -150,8 +151,8 @@ class RegressionSpec(DesignSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.sigma < 0:
-            raise InvalidArgumentError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidArgumentError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,11 @@ All joint distributions here are explicit tables, so every reported quantity
 is exact up to float rounding; checks therefore use a 1e-10 slack. Requests
 whose joint state space would exceed 2**20 cells raise instead of
 approximating.
+
+A table is checked to be a pmf once, by `_check_pmf`, where it enters:
+`FinitePMF`, `JointPMF`, `ChannelSpec` and the quantizer argument of the
+`check_*` functions. Every table built from those inside this module is a
+plain array and is not checked again.
 """
 
 from __future__ import annotations
@@ -28,6 +33,22 @@ def _as_prob_array(p) -> np.ndarray:
     return arr
 
 
+def _check_pmf(table, what: str, axis=None) -> np.ndarray:
+    """`table` as a float array, after checking that it is nonempty and that
+    its entries are nonnegative and sum to 1 over `axis` (over the whole
+    table when None)."""
+    arr = np.asarray(table, dtype=float)
+    if arr.size == 0:
+        raise InvalidArgumentError(f"{what} is empty")
+    # array methods, not np.any / np.all: this runs on every table that enters
+    if (arr < 0).any():
+        raise InvalidArgumentError(f"{what} entries must be nonnegative")
+    total = arr.sum(axis=axis)
+    if not (abs(total - 1.0) <= _NORM_TOL).all():
+        raise InvalidArgumentError(f"{what} sums to {total!r}, not 1")
+    return arr
+
+
 @dataclass(eq=False)
 class FinitePMF:
     """A probability vector over a finite alphabet."""
@@ -36,13 +57,9 @@ class FinitePMF:
 
     def __post_init__(self):
         arr = np.asarray(self.p, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
+        if arr.ndim != 1:
             raise InvalidArgumentError("a pmf is a nonempty 1-d vector")
-        if np.any(arr < 0):
-            raise InvalidArgumentError("pmf entries must be nonnegative")
-        if abs(arr.sum() - 1.0) > _NORM_TOL:
-            raise InvalidArgumentError(f"pmf sums to {arr.sum()!r}, not 1")
-        self.p = arr
+        self.p = _check_pmf(arr, "pmf")
 
     @property
     def k(self) -> int:
@@ -64,11 +81,7 @@ class JointPMF:
         if arr.size > ENUMERATION_CEILING:
             raise EnumerationTooLargeError(
                 f"{arr.size} joint states exceed the {ENUMERATION_CEILING} ceiling")
-        if np.any(arr < 0):
-            raise InvalidArgumentError("joint probabilities must be nonnegative")
-        if abs(arr.sum() - 1.0) > _NORM_TOL:
-            raise InvalidArgumentError(f"joint sums to {arr.sum()!r}, not 1")
-        self.table = arr
+        self.table = _check_pmf(arr, "joint")
 
     def axis(self, name: str) -> int:
         try:
@@ -77,16 +90,19 @@ class JointPMF:
             raise InvalidArgumentError(f"no axis named {name!r}") from None
 
     def marginal(self, name: str) -> FinitePMF:
-        others = tuple(i for i in range(self.table.ndim) if i != self.axis(name))
-        return FinitePMF(self.table.sum(axis=others))
+        return FinitePMF(self._marginal_table((name,)))
 
     def marginalize(self, keep) -> "JointPMF":
         keep = tuple(keep)
-        drop = tuple(i for i, name in enumerate(self.axes) if name not in keep)
-        reduced = self.table.sum(axis=drop)
-        order = [name for name in self.axes if name in keep]
-        perm = [order.index(name) for name in keep]
-        return JointPMF(keep, np.transpose(reduced, perm))
+        return JointPMF(keep, self._marginal_table(keep))
+
+    def _marginal_table(self, keep) -> np.ndarray:
+        """The marginal over the axes `keep`, in that order, as an array."""
+        kept = [self.axis(name) for name in keep]
+        reduced = self.table.sum(
+            axis=tuple(i for i in range(self.table.ndim) if i not in kept))
+        order = sorted(kept)
+        return np.transpose(reduced, [order.index(i) for i in kept])
 
 
 @dataclass(eq=False)
@@ -99,9 +115,7 @@ class ChannelSpec:
         arr = np.asarray(self.rows, dtype=float)
         if arr.ndim != 2:
             raise InvalidArgumentError("channel rows form a 2-d table")
-        for row in arr:
-            FinitePMF(row)
-        self.rows = arr
+        self.rows = _check_pmf(arr, "channel row", axis=1)
 
     @property
     def k_in(self) -> int:
@@ -148,8 +162,7 @@ def _mi_from_table(joint: np.ndarray) -> float:
 
 def mutual_information(j: JointPMF, axis_a: str, axis_b: str) -> float:
     """I(A; B) in nats after marginalizing every other axis."""
-    pair = j.marginalize((axis_a, axis_b))
-    return _mi_from_table(pair.table)
+    return _mi_from_table(j._marginal_table((axis_a, axis_b)))
 
 
 def hamming_neighborhood_size(d: int, t: float) -> int:
@@ -190,7 +203,10 @@ def check_likelihood_ratio(channel: ChannelSpec, columns=None) -> float:
     ratio signal) rather than an exception. `columns` restricts the outputs
     considered, for truncated-set variants.
     """
-    rows = channel.rows if columns is None else channel.rows[:, columns]
+    return _max_log_ratio(channel.rows if columns is None else channel.rows[:, columns])
+
+
+def _max_log_ratio(rows: np.ndarray) -> float:
     lo = rows.min(axis=0)
     hi = rows.max(axis=0)
     if np.any((lo == 0) & (hi > 0)):
@@ -203,15 +219,15 @@ def check_likelihood_ratio(channel: ChannelSpec, columns=None) -> float:
 
 def check_pinsker_consequence(j: JointPMF) -> dict:
     """tv(P_{Y|V=0}, P_{Y|V=1})^2 <= 2 I(V; Y) for uniform binary V."""
-    pair = j.marginalize(("V", "Y"))
-    pv = pair.table.sum(axis=1)
+    pair = j._marginal_table(("V", "Y"))
+    pv = pair.sum(axis=1)
     if pv.size != 2:
         raise InvalidArgumentError("V must be binary")
     if np.abs(pv - 0.5).max() > 1e-9:
         raise InvalidArgumentError("the Pinsker consequence is stated for uniform V")
-    cond = pair.table / pv[:, None]
+    cond = pair / pv[:, None]
     lhs = tv(cond[0], cond[1]) ** 2
-    rhs = 2.0 * _mi_from_table(pair.table)
+    rhs = 2.0 * _mi_from_table(pair)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + SLACK}
 
 
@@ -224,16 +240,16 @@ def _quantizer_matrix(quantizer, k_in: int) -> np.ndarray:
     if arr.ndim == 1:
         if arr.size != k_in:
             raise InvalidArgumentError("deterministic quantizer needs one output per input")
-        n_out = int(arr.max()) + 1
-        q = np.zeros((k_in, n_out))
-        q[np.arange(k_in), arr.astype(int)] = 1.0
+        out = arr.astype(int)
+        if np.any(out < 0) or np.any(out != arr):
+            raise InvalidArgumentError("deterministic quantizer outputs are indices >= 0")
+        q = np.zeros((k_in, int(out.max()) + 1))
+        q[np.arange(k_in), out] = 1.0
         return q
     if arr.ndim == 2:
         if arr.shape[0] != k_in:
             raise InvalidArgumentError("stochastic quantizer needs one row per input")
-        for row in arr:
-            FinitePMF(row)
-        return arr.astype(float)
+        return _check_pmf(arr, "quantizer row", axis=1)
     raise InvalidArgumentError("quantizer must be a map or a stochastic table")
 
 
@@ -264,22 +280,23 @@ def _product_channel(channel: ChannelSpec, v_dim: int, machines: int = 1):
     if 2 ** v_dim * n_x > ENUMERATION_CEILING:
         raise EnumerationTooLargeError("product alphabet exceeds the enumeration ceiling")
     digits = base_k_digits(k, n_coords)
-    # coordinate c of x belongs to v-coordinate c % v_dim (machine-major order)
-    vcoord = np.array([c % v_dim for c in range(n_coords)])
-    out = np.empty((2 ** v_dim, n_x))
-    for v in range(2 ** v_dim):
-        vbits = [(v >> (v_dim - 1 - j)) & 1 for j in range(v_dim)]
-        p = np.ones(n_x)
-        for c in range(n_coords):
-            p *= channel.rows[vbits[vcoord[c]], digits[:, c]]
-        out[v] = p
+    vbits = base_k_digits(2, v_dim)
+    out = np.ones((2 ** v_dim, n_x))
+    for c in range(n_coords):
+        # coordinate c of x belongs to v-coordinate c % v_dim (machine-major order)
+        out *= channel.rows[vbits[:, c % v_dim, None], digits[None, :, c]]
     return out, digits
 
 
-def _vxy_joint(p_x_given_v: np.ndarray, q: np.ndarray) -> JointPMF:
-    nv = p_x_given_v.shape[0]
-    joint = (p_x_given_v[:, :, None] * q[None, :, :]) / nv
-    return JointPMF(("V", "X", "Y"), joint)
+def _vxy_joint(v_dim: int, channel: ChannelSpec, quantizer, machines: int = 1):
+    """The (V, X, Y) joint table of V -> X -> Y = quantizer(X), and the digits
+    of the X alphabet."""
+    p_xv, digits = _product_channel(channel, v_dim, machines)
+    q = _quantizer_matrix(quantizer, p_xv.shape[1])
+    if p_xv.size * q.shape[1] > ENUMERATION_CEILING:
+        raise EnumerationTooLargeError(
+            f"{p_xv.size * q.shape[1]} joint states exceed the {ENUMERATION_CEILING} ceiling")
+    return (p_xv[:, :, None] * q[None, :, :]) / p_xv.shape[0], digits
 
 
 def check_dpi_independent(v_dim: int, channel: ChannelSpec, quantizer) -> dict:
@@ -288,13 +305,11 @@ def check_dpi_independent(v_dim: int, channel: ChannelSpec, quantizer) -> dict:
     V is uniform on {-1, 1}^v_dim, coordinate j of X depends on V_j through
     `channel`, and Y = quantizer(X).
     """
-    p_xv, _ = _product_channel(channel, v_dim)
-    q = _quantizer_matrix(quantizer, p_xv.shape[1])
-    joint = _vxy_joint(p_xv, q)
+    joint, _ = _vxy_joint(v_dim, channel, quantizer)
     alpha = check_likelihood_ratio(channel)
-    i_vy = mutual_information(joint, "V", "Y")
-    i_xy = mutual_information(joint, "X", "Y")
-    i_vx = mutual_information(joint, "V", "X")
+    i_vy = _mi_from_table(joint.sum(axis=1))
+    i_xy = _mi_from_table(joint.sum(axis=0))
+    i_vx = _mi_from_table(joint.sum(axis=2))
     bound = 2.0 * (math.exp(2.0 * alpha) - 1.0) ** 2 * i_xy
     return {"I_VY": i_vy, "I_XY": i_xy, "I_VX": i_vx, "alpha": alpha,
             "bound": bound, "holds": i_vy <= bound + SLACK}
@@ -317,20 +332,15 @@ def check_dpi_truncated(v_dim: int, channel: ChannelSpec, quantizer,
         raise InvalidArgumentError("need one truncation mask per V coordinate")
     if not masks.any(axis=1).all():
         raise InvalidArgumentError("truncation sets must be nonempty")
-    p_xv, digits = _product_channel(channel, v_dim, machines)
-    q = _quantizer_matrix(quantizer, p_xv.shape[1])
-    joint = _vxy_joint(p_xv, q)
+    joint, digits = _vxy_joint(v_dim, channel, quantizer, machines)
     alpha = max(check_likelihood_ratio(channel, columns=np.nonzero(masks[j])[0])
                 for j in range(v_dim))
-    n_coords = machines * v_dim
-    in_set = np.ones(p_xv.shape[1], dtype=bool)
-    for c in range(n_coords):
-        in_set &= masks[c % v_dim][digits[:, c]]
-    p_x = joint.marginal("X").p
-    p_e1 = float(p_x[in_set].sum())
+    # coordinate c of x lies in the retained set of v-coordinate c % v_dim
+    in_set = masks[np.arange(digits.shape[1]) % v_dim, digits].all(axis=1)
+    p_e1 = float(joint.sum(axis=(0, 2))[in_set].sum())
     h_e = entropy(np.array([p_e1, 1.0 - p_e1]))
-    i_vy = mutual_information(joint, "V", "Y")
-    i_xy = mutual_information(joint, "X", "Y")
+    i_vy = _mi_from_table(joint.sum(axis=1))
+    i_xy = _mi_from_table(joint.sum(axis=0))
     bound = 2.0 * (math.exp(4.0 * alpha) - 1.0) ** 2 * i_xy + h_e + (1.0 - p_e1)
     return {"I_VY": i_vy, "I_XY": i_xy, "alpha": alpha, "H_E": h_e,
             "P_E0": 1.0 - p_e1, "bound": bound, "holds": i_vy <= bound + SLACK}
@@ -376,7 +386,7 @@ def check_information_chaining(model: JointPMF) -> dict:
     if tuple(model.axes) != ("A", "B", "C", "D"):
         raise InvalidArgumentError("model axes must be (A, B, C, D)")
     t = model.table
-    ka, kb, kc, kd = t.shape
+    ka = t.shape[0]
 
     p_abc = t.sum(axis=3)
     p_ab = p_abc.sum(axis=2)
@@ -384,70 +394,52 @@ def check_information_chaining(model: JointPMF) -> dict:
     if np.any(p_a <= 0):
         raise InvalidArgumentError("every A value needs positive probability")
 
-    # Markov condition: D independent of A given (B, C)
-    p_bc = p_abc.sum(axis=0)
+    # Markov condition: D independent of A given (B, C), on every (a, b, c)
+    # with positive probability (so that P(b, c) > 0 too)
     p_bcd = t.sum(axis=0)
-    for b in range(kb):
-        for c in range(kc):
-            if p_bc[b, c] <= 0:
-                continue
-            ref = p_bcd[b, c] / p_bc[b, c]
-            for a in range(ka):
-                if p_abc[a, b, c] <= 0:
-                    continue
-                cond = t[a, b, c] / p_abc[a, b, c]
-                if np.abs(cond - ref).max() > 1e-8:
-                    raise InvalidArgumentError("model violates D _|_ A | (B, C)")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = t / p_abc[..., None]
+        ref = p_bcd / p_abc.sum(axis=0)[..., None]
+    if np.any(np.abs(cond - ref).max(axis=3)[p_abc > 0] > 1e-8):
+        raise InvalidArgumentError("model violates D _|_ A | (B, C)")
 
-    # factorization: each C slice of P(C | A, B) is rank one
+    # factorization: each C slice of P(C | A, B) is rank one, so every 2 x 2
+    # minor s[a1, b1] s[a2, b2] - s[a1, b2] s[a2, b1] vanishes
     with np.errstate(invalid="ignore", divide="ignore"):
         p_c_given_ab = np.where(p_ab[:, :, None] > 0, p_abc / p_ab[:, :, None], 0.0)
-    for c in range(kc):
-        slab = p_c_given_ab[:, :, c]
-        for a1 in range(ka):
-            for a2 in range(a1 + 1, ka):
-                for b1 in range(kb):
-                    for b2 in range(b1 + 1, kb):
-                        minor = slab[a1, b1] * slab[a2, b2] - slab[a1, b2] * slab[a2, b1]
-                        if abs(minor) > 1e-8:
-                            raise InvalidArgumentError(
-                                "P(C | A, B) does not factor as phi1(A, C) phi2(B, C)")
+    outer = p_c_given_ab[:, None, :, None] * p_c_given_ab[None, :, None, :]
+    if np.any(np.abs(outer - outer.swapaxes(2, 3)) > 1e-8):
+        raise InvalidArgumentError(
+            "P(C | A, B) does not factor as phi1(A, C) phi2(B, C)")
 
-    p_b_given_a = p_ab / p_a[:, None]
-    alpha = check_likelihood_ratio(ChannelSpec(p_b_given_a))
+    alpha = _max_log_ratio(p_ab / p_a[:, None])
 
+    # every (c, d, a) at once, C-ordered so that sums over B run along a
+    # contiguous last axis and argmax picks the first worst slice
     p_cd = t.sum(axis=(0, 1))
     p_c = p_cd.sum(axis=1)
     p_acd = t.sum(axis=1)
-    p_ac = p_acd.sum(axis=2)
-    p_bcd_full = t.sum(axis=0)
-    p_bc_full = p_bcd_full.sum(axis=2)
-
+    live = p_cd > 0                  # P(c) > 0 wherever P(c, d) > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pb_c = np.ascontiguousarray(p_bcd.sum(axis=2).T) / p_c[:, None]    # (c, b)
+        pa_c = np.ascontiguousarray(p_acd.sum(axis=2).T) / p_c[:, None]    # (c, a)
+        pb_cd = np.ascontiguousarray(p_bcd.transpose(1, 2, 0)) / p_cd[..., None]
+        pa_cd = np.ascontiguousarray(p_acd.transpose(1, 2, 0)) / p_cd[..., None]
+    tv_b = 0.5 * np.abs(pb_cd - pb_c[:, None, :]).sum(axis=2)              # (c, d)
     factor = 2.0 * (math.exp(2.0 * alpha) - 1.0)
-    max_violation = -math.inf
+    lhs = np.abs(pa_cd - pa_c[:, None, :])
+    rhs = factor * np.minimum(pa_c[:, None, :], pa_cd) * tv_b[..., None]
+    gap = lhs - rhs                  # NaN (an infinite alpha times 0) never counts
+    gap = np.where(live[..., None] & (gap > -math.inf), gap, -math.inf)
+    at = np.unravel_index(np.argmax(gap), gap.shape)
+    max_violation = float(gap[at])
     worst = None
-    skipped = 0
-    for c in range(kc):
-        if p_c[c] <= 0:
-            skipped += kd * ka
-            continue
-        pb_c = p_bc_full[:, c] / p_c[c]
-        pa_c = p_ac[:, c] / p_c[c]
-        for dv in range(kd):
-            if p_cd[c, dv] <= 0:
-                skipped += ka
-                continue
-            pb_cd = p_bcd_full[:, c, dv] / p_cd[c, dv]
-            pa_cd = p_acd[:, c, dv] / p_cd[c, dv]
-            tv_b = 0.5 * np.abs(pb_cd - pb_c).sum()
-            for a in range(ka):
-                lhs = abs(pa_cd[a] - pa_c[a])
-                rhs = factor * min(pa_c[a], pa_cd[a]) * tv_b
-                if lhs - rhs > max_violation:
-                    max_violation = lhs - rhs
-                    worst = {"lhs": lhs, "rhs": rhs, "a": a, "c": c, "d": dv}
+    if max_violation > -math.inf:
+        c, dv, a = (int(i) for i in at)
+        worst = {"lhs": float(lhs[at]), "rhs": float(rhs[at]), "a": a, "c": c, "d": dv}
     return {"max_violation": max_violation, "worst": worst, "alpha": alpha,
-            "skipped": skipped, "holds": max_violation <= SLACK}
+            "skipped": ka * int(np.count_nonzero(~live)),
+            "holds": max_violation <= SLACK}
 
 
 # ---------------------------------------------------------------------------

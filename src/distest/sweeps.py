@@ -104,14 +104,11 @@ def _sequential_message_kernel(rng, k: int, machines: int):
     kernels = [_stochastic(rng, (k,) + tuple(sizes[:t]) + (sizes[t],))
                for t in range(machines)]
     digits = it.base_k_digits(k, machines)
-    out = np.zeros((len(digits), int(np.prod(sizes))))
-    for x, symbols in enumerate(digits):
-        probs = np.ones(1)
-        for t in range(machines):
-            kern = kernels[t][symbols[t]]            # (*prev_sizes, sizes[t])
-            probs = (probs[:, None] * kern.reshape(len(probs), sizes[t])).ravel()
-        out[x] = probs
-    return out
+    probs = np.ones((len(digits), 1))        # (x, previous messages)
+    for t in range(machines):
+        kern = kernels[t][digits[:, t]].reshape(probs.shape + (sizes[t],))
+        probs = (probs[:, :, None] * kern).reshape(len(digits), -1)
+    return probs
 
 
 def _pack_report(suite, seed, lhs, rhs, holds) -> SuiteRow:
@@ -191,17 +188,16 @@ def exact_min_hamming_test_error(p_vx: np.ndarray, d: int, t: float) -> float:
     p_vx is the exact joint over (2**d sign patterns, X alphabet); the optimal
     rule picks the center whose radius-t ball has maximal posterior mass.
     """
-    nv = 2 ** d
-    radius = int(math.floor(t))
-    ball = np.zeros((nv, nv), dtype=bool)
-    for v in range(nv):
-        for w in range(nv):
-            ball[v, w] = bin(v ^ w).count("1") <= radius
-    covered = 0.0
-    for x in range(p_vx.shape[1]):
-        col = p_vx[:, x]
-        covered += max(float(col[ball[c]].sum()) for c in range(nv))
-    return 1.0 - covered
+    v = np.arange(2 ** d)
+    if p_vx.shape[0] != v.size:
+        raise InvalidArgumentError("p_vx needs one row per sign pattern")
+    weight = it.base_k_digits(2, d).sum(axis=1)        # Hamming weight of v
+    # members[c] lists, in increasing order, the N_t patterns of c's ball
+    members = np.nonzero(weight[v[:, None] ^ v] <= math.floor(t))[1].reshape(v.size, -1)
+    mass = np.ascontiguousarray(p_vx.T[:, members]).sum(axis=2)   # (x, center)
+    # summed over x one term at a time, left to right, not pairwise
+    covered = np.cumsum(np.append(0.0, mass.max(axis=1)))[-1]
+    return 1.0 - float(covered)
 
 
 def _run_fano(seed: int) -> SuiteRow:

@@ -6,13 +6,16 @@ time.perf_counter() around the measured section.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import norm
 
+import distest
 from distest import bounds, families, protocols, sweeps
 from distest.codec import transcript_total_bits
 from distest.designs import build_designs
@@ -269,9 +272,10 @@ prop3_budget,2,4,8,,,
 
 
 def _run(args):
-    proc = subprocess.run([sys.executable, "-m", "distest", *args],
-                          capture_output=True)
-    return proc
+    """Run ``python -m distest`` on the imported package's sources."""
+    src = str(Path(distest.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "distest", *args],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):

@@ -190,6 +190,19 @@ class TestBoundsCommand:
         with pytest.raises(ConfigError):
             run_bounds("formula,unknown_col\nthm2,1\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_is_a_row_error(self, value):
+        text = ("formula,d,m,n,sigma2,budget_total,budgets_per_machine\n"
+                f"thm2,4,16,64,2.0,{value},\n"
+                f"thm2,4,16,64,{value},16,\n"
+                f"prop3_lower,4,16,64,,{value},\n"
+                f"thm1,4,2,64,2.0,,{value};1\n")
+        lines = run_bounds(text)
+        value_col = len(cli.BOUNDS_INPUT_COLUMNS)
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[value_col] == "" and "finite" in cells[-1]
+
 
 class TestVerifyCommand:
     def test_all_hold_and_exit_zero(self):
@@ -285,6 +298,18 @@ class TestEndToEnd:
             res = run_cli(args)
             assert res.returncode == 2
             assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["theta", "sigma"])
+    def test_non_finite_grid_value_exits_two(self, tmp_path, capsys, key, value):
+        conf = tmp_path / "sweep.conf"
+        text = ONEBIT_CONF.replace("theta = 0.0", "theta = 0.1;0.0")
+        conf.write_text(text.replace("theta = 0.1;", f"theta = {value};")
+                        if key == "theta" else text + f"sigma = {value}\n")
+        assert cli.main(["simulate", str(conf), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a finite number" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_thread_count_exits_two(self, tmp_path):
         conf = tmp_path / "sweep.conf"

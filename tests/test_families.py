@@ -98,6 +98,19 @@ class TestSampling:
         assert len(lines) == 1 + 2 * 2
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_and_sigma_rejected(value):
+    designs = [np.eye(2)]
+    for build in (lambda: BoundedProductSpec(np.array([0.1, value])),
+                  lambda: UniformLocationSpec(value),
+                  lambda: GaussianLocationSpec(np.array([0.1]), sigma=value),
+                  lambda: RegressionSpec(designs, np.array([value, 0.1])),
+                  lambda: RegressionSpec(designs, np.array([0.1, 0.1]), sigma=value),
+                  lambda: ProbitSpec(designs, value)):
+        with pytest.raises(InvalidArgumentError):
+            build()
+
+
 class TestDesignEigenbounds:
     def test_identity_design(self):
         n = 4

@@ -2,24 +2,30 @@
 
 The files under tests/golden/ pin what the code produces. A change that
 moves any of them must say why in CHANGES.md. To regenerate them, run
-``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout.
+``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout;
+it also prints the digest that ``WIDE_VERIFY_SHA256`` holds.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from distest import cli, protocols
+from distest import cli, protocols, sweeps
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO_CONFIGS = ROOT / "demos" / "configs"
 DEMO_TRIALS = 300
 SUITES = "dpi3,dpi5,dpi7,chain,tensor,pinsker,fano"
+# sha256 of `verify` on every suite at count 300, seed 7 (159116 bytes): far
+# more instances, and so more shape classes per suite, than verify.csv holds.
+WIDE_VERIFY_ARGS = ["verify", SUITES, "--count", "300", "--seed", "7"]
+WIDE_VERIFY_SHA256 = "f4e719d31326fb359a1d670584f381547754031897e124268d8f19b0f9b56ae0"
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")
@@ -117,6 +123,15 @@ def test_golden_bytes(name, tmp_path):
     assert got.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
+def test_wide_verify_digest(tmp_path):
+    got = _cli(WIDE_VERIFY_ARGS, tmp_path).encode("utf-8")
+    assert hashlib.sha256(got).hexdigest() == WIDE_VERIFY_SHA256
+
+
+def test_golden_suites_are_every_suite():
+    assert SUITES == ",".join(sweeps.SUITE_NAMES)
+
+
 def test_matrix_covers_every_protocol_and_family():
     rows = (GOLDEN / "matrix.csv").read_text(encoding="utf-8").splitlines()[1:]
     pairs = {tuple(row.split(",")[:2]) for row in rows}
@@ -128,3 +143,5 @@ if __name__ == "__main__":
         for name, produce in PRODUCERS.items():
             (GOLDEN / name).write_text(produce(Path(tmp)), encoding="utf-8")
             print(f"wrote {GOLDEN / name}")
+        wide = _cli(WIDE_VERIFY_ARGS, Path(tmp)).encode("utf-8")
+        print(f"WIDE_VERIFY_SHA256 = {hashlib.sha256(wide).hexdigest()!r}")

@@ -70,6 +70,94 @@ class TestBasicQuantities:
             JointPMF(("A",), np.zeros(it.ENUMERATION_CEILING + 1))
 
 
+class TestRejections:
+    """Tables are validated where they enter; each bad table raises."""
+
+    def test_channel_with_a_negative_row(self):
+        with pytest.raises(InvalidArgumentError):
+            ChannelSpec(np.array([[0.5, 0.5], [1.2, -0.2]]))
+
+    def test_channel_row_that_does_not_sum_to_one(self):
+        with pytest.raises(InvalidArgumentError):
+            ChannelSpec(np.array([[0.5, 0.5], [0.3, 0.6]]))
+
+    def test_channel_needs_a_2d_table(self):
+        for bad in (np.array([0.5, 0.5]), np.ones((2, 0))):
+            with pytest.raises(InvalidArgumentError):
+                ChannelSpec(bad)
+
+    @pytest.mark.parametrize("quantizer", [
+        np.array([[0.5, 0.5], [0.7, 0.7]]),      # a row sums to 1.4
+        np.array([[0.5, 0.5], [1.5, -0.5]]),     # a negative entry
+        np.array([[0.5, 0.5]]),                  # one row for two inputs
+        np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]),
+        np.ones((2, 0)),                         # empty rows
+    ])
+    @pytest.mark.parametrize("check", ["independent", "truncated"])
+    def test_bad_stochastic_quantizer(self, check, quantizer):
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(InvalidArgumentError):
+            if check == "independent":
+                check_dpi_independent(1, ch, quantizer)
+            else:
+                check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
+
+    @pytest.mark.parametrize("quantizer", [np.arange(3), np.zeros(1, dtype=int),
+                                           np.array([-1, 1]), np.array([0.0, 0.5])])
+    def test_deterministic_quantizer_of_wrong_length_or_symbols(self, quantizer):
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(InvalidArgumentError):
+            check_dpi_independent(1, ch, quantizer)
+        with pytest.raises(InvalidArgumentError):
+            check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
+
+    def test_joint_over_the_ceiling(self):
+        # 2 x 2 states of (V, X) fit; the 2**20 + 1 outputs of Y do not
+        quantizer = np.array([0, it.ENUMERATION_CEILING])
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(EnumerationTooLargeError):
+            check_dpi_independent(1, ch, quantizer)
+        with pytest.raises(EnumerationTooLargeError):
+            check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
+
+    def test_bad_quantizer_in_tensorization(self):
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(InvalidArgumentError):
+            check_tensorization(1, [ch, ch], [np.arange(2), np.array([[0.5, 0.6], [1.0, 0.0]])])
+
+    def test_joint_that_does_not_sum_to_one(self):
+        with pytest.raises(InvalidArgumentError):
+            JointPMF(("V", "Y"), np.full((2, 2), 0.3))
+        with pytest.raises(InvalidArgumentError):
+            JointPMF(("V", "Y"), np.array([[0.6, 0.1], [0.4, -0.1]]))
+        with pytest.raises(InvalidArgumentError):
+            JointPMF(("V",), np.array([[0.5, 0.5]]))
+
+    def test_finite_pmf(self):
+        for bad in ([0.5, 0.6], [1.5, -0.5], [], [[0.5, 0.5]], [math.nan, 1.0]):
+            with pytest.raises(InvalidArgumentError):
+                FinitePMF(np.array(bad))
+        with pytest.raises(InvalidArgumentError):
+            ChannelSpec(np.array([[0.5, 0.5], [math.nan, 1.0]]))
+
+    def test_chaining_rejects_d_depending_on_a(self):
+        # A, B, C independent and uniform, D = A: D is not independent of A
+        # given (B, C), while P(C | A, B) still factors.
+        table = np.zeros((2, 2, 2, 2))
+        for a in range(2):
+            table[a, :, :, a] = 1 / 8
+        with pytest.raises(InvalidArgumentError, match=r"violates D _\|_ A"):
+            check_information_chaining(JointPMF(("A", "B", "C", "D"), table))
+
+    def test_chaining_rejects_unlikely_a_and_wrong_axes(self):
+        table = np.zeros((2, 2, 2, 2))
+        table[0] = 1 / 8
+        with pytest.raises(InvalidArgumentError):
+            check_information_chaining(JointPMF(("A", "B", "C", "D"), table))
+        with pytest.raises(InvalidArgumentError):
+            check_information_chaining(JointPMF(("A", "B", "D", "C"), np.full((2,) * 4, 1 / 16)))
+
+
 class TestNeighborhoodsAndFano:
     def test_small_examples(self):
         assert hamming_neighborhood_size(6, 1) == 7
@@ -280,6 +368,10 @@ class TestFanoSuite:
     def test_bound_below_exact_optimum(self):
         rows = sweeps.run_suite("fano", 400, seed=41)
         assert all(row.holds for row in rows)
+
+    def test_exact_optimal_test_needs_one_row_per_pattern(self):
+        with pytest.raises(InvalidArgumentError):
+            sweeps.exact_min_hamming_test_error(np.full((4, 2), 1 / 8), 3, 1)
 
     def test_exact_optimal_test_is_a_probability(self):
         rng = np.random.default_rng(2)
