@@ -45,6 +45,14 @@ class RateQuery:
             object.__setattr__(self, "budgets_per_machine", budgets)
         if self.budget_total is not None and not 0 <= self.budget_total < math.inf:
             raise InvalidArgumentError("budget_total must be finite and >= 0")
+        # the formulas check lambda > 0 where they read it
+        for name in ("lambda_max2", "lambda_min2"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be finite")
+        for name in ("c", "c1", "c2"):
+            if name in self.constants and not 0 < self.constants[name] < math.inf:
+                raise InvalidArgumentError(f"constant {name} must be positive and finite")
 
     def const(self, name: str) -> float:
         return float(self.constants.get(name, 1.0))
@@ -67,8 +75,8 @@ class RateResult:
     terms: dict
 
     def __post_init__(self):
-        if not self.value >= 0:
-            raise InvalidArgumentError("rate values are nonnegative")
+        if not 0 <= self.value < math.inf:     # an overflow gives inf
+            raise InvalidArgumentError("rate values are finite and nonnegative")
 
 
 def packing_entropy_hypercube_lower(d: int, delta: float) -> RateResult:
@@ -236,6 +244,9 @@ def tail_pstar(a: float, delta: float, n: int, sigma: float) -> float:
     """Gaussian truncation tail min{2 exp(-(a - sqrt(n) delta)^2 / (2 sigma^2)), 1/2}."""
     if sigma <= 0:
         raise InvalidArgumentError("sigma must be positive")
+    for name, value in (("a", a), ("delta", delta)):
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{name} must be finite")
     if delta < 0 or a < math.sqrt(n) * delta:
         raise InvalidArgumentError("need a >= sqrt(n) * delta >= 0")
     gap = a - math.sqrt(n) * delta

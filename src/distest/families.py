@@ -1,6 +1,11 @@
 """Distribution families, deterministic seeded sampling, and the two
 mean-to-regression / regression-to-probit reductions.
 
+A sample is a plain array, the machines' local blocks: (m, d, n) for a mean
+family and (m, n) responses for a design family. sample() returns one, and
+draw_trials stacks one per trial, so blocks[t] of a draw is what the
+protocols' reference functions take.
+
 Seeding contract
 ----------------
 All randomness flows from one master seed. The stream for machine ``i`` under
@@ -160,27 +165,6 @@ class ProbitSpec(DesignSpec):
     """Binary responses with P(Z=1 | a, theta) = Phi(a . theta)."""
 
 
-@dataclass(eq=False)
-class SampleSet:
-    """Per-machine data blocks plus the (m, n, d) bookkeeping.
-
-    kind "mean": blocks has shape (m, d, n). kind "regression"/"probit":
-    blocks has shape (m, n) of responses / bits.
-    """
-
-    kind: str
-    blocks: np.ndarray
-    m: int
-    n: int
-    d: int
-
-    def __post_init__(self):
-        expected = (self.m, self.d, self.n) if self.kind == "mean" else (self.m, self.n)
-        if self.blocks.shape != expected:
-            raise InvalidArgumentError(
-                f"blocks shape {self.blocks.shape} != expected {expected}")
-
-
 def _draw_mean_blocks(spec, gen, n: int, trials: int) -> np.ndarray:
     """(trials, d, n) block for one machine, consumed from gen in trial order."""
     d = spec.d
@@ -227,25 +211,27 @@ def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
     return blocks
 
 
-def sample(spec, m: int = None, n: int = None, seed: int = 0) -> SampleSet:
-    """One i.i.d. sample draw; deterministic given (spec, m, n, seed)."""
+def run_shape(spec, m: int = None, n: int = None):
+    """(m, n) of a run on spec. A design family fixes its own, and a given m
+    or n must match it; a mean family needs both, each at least 1."""
     if isinstance(spec, DesignSpec):
         if m is not None and m != spec.m:
             raise InvalidArgumentError("m must match the number of designs")
         if n is not None and n != spec.n:
             raise InvalidArgumentError("n must match the design row count")
-        m, n = spec.m, spec.n
-        gens = machine_streams(seed, m, TAG_DATA)
-        blocks = draw_trials(spec, gens, n, 1)[0]
-        kind = "regression" if isinstance(spec, RegressionSpec) else "probit"
-        return SampleSet(kind, blocks, m, n, spec.d)
+        return spec.m, spec.n
     if m is None or n is None:
         raise InvalidArgumentError("mean families need explicit m and n")
     if m < 1 or n < 1:
         raise InvalidArgumentError("need m >= 1 and n >= 1")
-    gens = machine_streams(seed, m, TAG_DATA)
-    blocks = draw_trials(spec, gens, n, 1)[0]
-    return SampleSet("mean", blocks, m, n, spec.d)
+    return m, n
+
+
+def sample(spec, m: int = None, n: int = None, seed: int = 0) -> np.ndarray:
+    """One i.i.d. sample, draw_trials(...)[0]; deterministic given
+    (spec, m, n, seed)."""
+    m, n = run_shape(spec, m, n)
+    return draw_trials(spec, machine_streams(seed, m, TAG_DATA), n, 1)[0]
 
 
 def design_eigenbounds(designs):
@@ -296,16 +282,16 @@ def reduce_regression_to_probit(y) -> np.ndarray:
     return (np.asarray(y, dtype=float) >= 0).astype(np.int64)
 
 
-def sample_set_csv(ss: SampleSet) -> str:
-    """Audit CSV block with columns machine,obs_index,coordinate,value."""
+def sample_set_csv(blocks) -> str:
+    """Audit CSV block with columns machine,obs_index,coordinate,value; the
+    (m, n) responses of a design family are coordinate 0."""
+    arr = np.asarray(blocks)
+    if arr.ndim == 2:
+        arr = arr[:, None, :]
+    m, d, n = arr.shape
     lines = ["machine,obs_index,coordinate,value"]
-    if ss.kind == "mean":
-        for i in range(ss.m):
-            for k in range(ss.n):
-                for j in range(ss.d):
-                    lines.append(f"{i + 1},{k},{j},{ss.blocks[i, j, k]!r}")
-    else:
-        for i in range(ss.m):
-            for k in range(ss.n):
-                lines.append(f"{i + 1},{k},0,{ss.blocks[i, k]!r}")
+    for i in range(m):
+        for k in range(n):
+            for j in range(d):
+                lines.append(f"{i + 1},{k},{j},{float(arr[i, j, k])!r}")
     return "\n".join(lines) + "\n"

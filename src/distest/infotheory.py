@@ -92,10 +92,6 @@ class JointPMF:
     def marginal(self, name: str) -> FinitePMF:
         return FinitePMF(self._marginal_table((name,)))
 
-    def marginalize(self, keep) -> "JointPMF":
-        keep = tuple(keep)
-        return JointPMF(keep, self._marginal_table(keep))
-
     def _marginal_table(self, keep) -> np.ndarray:
         """The marginal over the axes `keep`, in that order, as an array."""
         kept = [self.axis(name) for name in keep]
@@ -274,6 +270,8 @@ def _product_channel(channel: ChannelSpec, v_dim: int, machines: int = 1):
     """
     if channel.k_in != 2:
         raise InvalidArgumentError("per-coordinate channels take the binary input {-1, +1}")
+    if v_dim < 1 or machines < 1:
+        raise InvalidArgumentError("need v_dim >= 1 and machines >= 1")
     k = channel.k_out
     n_coords = machines * v_dim
     n_x = k ** n_coords
@@ -324,6 +322,7 @@ def check_dpi_truncated(v_dim: int, channel: ChannelSpec, quantizer,
     measured on the retained symbols only, and E indicates that every
     coordinate of every machine landed inside its retained set.
     """
+    joint, digits = _vxy_joint(v_dim, channel, quantizer, machines)
     k = channel.k_out
     masks = np.asarray(truncation, dtype=bool)
     if masks.ndim == 1:
@@ -332,7 +331,6 @@ def check_dpi_truncated(v_dim: int, channel: ChannelSpec, quantizer,
         raise InvalidArgumentError("need one truncation mask per V coordinate")
     if not masks.any(axis=1).all():
         raise InvalidArgumentError("truncation sets must be nonempty")
-    joint, digits = _vxy_joint(v_dim, channel, quantizer, machines)
     alpha = max(check_likelihood_ratio(channel, columns=np.nonzero(masks[j])[0])
                 for j in range(v_dim))
     # coordinate c of x lies in the retained set of v-coordinate c % v_dim
@@ -349,8 +347,8 @@ def check_dpi_truncated(v_dim: int, channel: ChannelSpec, quantizer,
 def check_tensorization(v_dim: int, channels, quantizers) -> dict:
     """I(V; Y_{1:m}) <= sum_i I(V; Y_i) when Y_i depends only on machine i."""
     m = len(channels)
-    if len(quantizers) != m:
-        raise InvalidArgumentError("need one quantizer per machine")
+    if m < 1 or len(quantizers) != m:
+        raise InvalidArgumentError("need at least one machine and one quantizer per machine")
     kernels = []
     for channel, quantizer in zip(channels, quantizers):
         p_xv, _ = _product_channel(channel, v_dim)

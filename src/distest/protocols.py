@@ -2,13 +2,16 @@
 
 Each protocol has a reference function that runs one trial and returns a
 ProtocolOutput holding the estimate and the exact Transcript it would put on
-the wire; tests and demos call these. estimate_risk measures mean-squared
-error and bit statistics over many seeded trials without building
-transcripts: PROTOCOLS maps each protocol id to its transcript kind, the
-spec types it runs on and a kernel that runs a whole chunk of trials as
-arrays, with the reference's estimates and bit counts trial by trial. The
-probit kernels solve all trials of a chunk at once with probit_mle_batched,
-which repeats probit_mle operation for operation on a stack of problems.
+the wire; tests call these. A reference takes the sample as the array
+families.sample returns, which is the kernels' per-trial block blocks[t]:
+(m, d, n) for the mean families, (m, n) responses for the design families.
+estimate_risk measures mean-squared error and bit statistics over many
+seeded trials without building transcripts: PROTOCOLS maps each protocol id
+to its transcript kind, the spec types it runs on and a kernel that runs a
+whole chunk of trials as arrays, with the reference's estimates and bit
+counts trial by trial. The probit kernels solve all trials of a chunk at
+once with probit_mle_batched, which repeats probit_mle operation for
+operation on a stack of problems.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
 from .errors import DegenerateDesignError, InvalidArgumentError
 from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
-                       RegressionSpec, SampleSet, UniformLocationSpec,
-                       draw_trials, machine_streams)
+                       RegressionSpec, UniformLocationSpec, draw_trials,
+                       machine_streams, run_shape)
 
 
 def __getattr__(name):
@@ -54,11 +57,7 @@ class ProtocolOutput:
 
 @dataclass
 class RiskReport:
-    """Monte Carlo risk estimate plus communication statistics.
-
-    CSV row order: protocol_kind, trials, mse_mean, mse_stderr, bits_mean,
-    bits_max, flagged_trials.
-    """
+    """Monte Carlo risk estimate plus communication statistics."""
 
     mse_mean: float
     mse_stderr: float
@@ -67,13 +66,6 @@ class RiskReport:
     bits_max: int
     protocol_kind: str
     flagged_trials: int = 0
-
-    CSV_HEADER = "protocol_kind,trials,mse_mean,mse_stderr,bits_mean,bits_max,flagged_trials"
-
-    def csv_row(self) -> str:
-        return (f"{self.protocol_kind},{self.trials},{self.mse_mean!r},"
-                f"{self.mse_stderr!r},{self.bits_mean!r},{self.bits_max},"
-                f"{self.flagged_trials}")
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +118,24 @@ def single_machine_quantized_mean(x, budget_bits: int) -> ProtocolOutput:
     return ProtocolOutput(np.array([dequantize(idx, spec)]), transcript)
 
 
-def gaussian_quantized_average(samples: SampleSet, sigma: float) -> ProtocolOutput:
+def _mean_blocks(samples):
+    """The (m, d, n) blocks of one mean-family sample, and m, d, n."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 3:
+        raise InvalidArgumentError(f"need (m, d, n) blocks; got shape {arr.shape}")
+    return (arr, *arr.shape)
+
+
+def gaussian_quantized_average(samples, sigma: float) -> ProtocolOutput:
     """Truncate-quantize-average for the normal location family.
 
     Each machine sends its local mean, truncated coordinatewise to
     [-1 - sigma/sqrt(n), 1 + sigma/sqrt(n)] and quantized to cell width
     sigma^2/(mn) (round to nearest); the fusion center averages.
     """
-    m, n, d = samples.m, samples.n, samples.d
+    x, m, d, n = _mean_blocks(samples)
     spec = _gauss_qavg_grid(sigma, m, n)
-    means = samples.blocks.mean(axis=2)           # (m, d)
+    means = x.mean(axis=2)                        # (m, d)
     idx = quantize(means, spec)
     messages = tuple(Message(i + 1, 1, pack_fields(idx[i], spec.bits)) for i in range(m))
     theta_hat = dequantize(idx, spec).mean(axis=0)
@@ -143,17 +143,17 @@ def gaussian_quantized_average(samples: SampleSet, sigma: float) -> ProtocolOutp
                           {"bits_per_message": d * spec.bits})
 
 
-def onebit_bounded_mean(samples: SampleSet, rand) -> ProtocolOutput:
+def onebit_bounded_mean(samples, rand) -> ProtocolOutput:
     """One bit per coordinate: machine i sends Z_ij ~ Bernoulli((1 + X_ij)/2).
 
-    rand may be an integer master seed (per-machine protocol streams are
-    derived from it), a Generator, or a precomputed (m, d) uniform array.
-    The fusion estimate mean(2 Z - 1) is unbiased for theta.
+    rand is an integer master seed (per-machine protocol streams are derived
+    from it) or a precomputed (m, d) uniform array. The fusion estimate
+    mean(2 Z - 1) is unbiased for theta.
     """
-    if samples.n != 1:
+    blocks, m, d, n = _mean_blocks(samples)
+    if n != 1:
         raise InvalidArgumentError("the one-bit scheme needs n = 1 per machine")
-    m, d = samples.m, samples.d
-    x = samples.blocks[:, :, 0]
+    x = blocks[:, :, 0]
     if np.any(np.abs(x) > 1 + 1e-12):
         raise InvalidArgumentError("one-bit inputs must lie in [-1, 1]")
     if isinstance(rand, np.ndarray):
@@ -161,8 +161,6 @@ def onebit_bounded_mean(samples: SampleSet, rand) -> ProtocolOutput:
             raise InvalidArgumentError(
                 f"protocol uniforms have shape {rand.shape}; expected {(m, d)}")
         u = rand
-    elif isinstance(rand, np.random.Generator):
-        u = rand.random((m, d))
     else:
         gens = machine_streams(rand, m, TAG_PROTOCOL)
         u = np.stack([g.random(d) for g in gens])
@@ -174,7 +172,7 @@ def onebit_bounded_mean(samples: SampleSet, rand) -> ProtocolOutput:
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT))
 
 
-def uniform_interactive_min(samples: SampleSet, quantize_state: bool = True) -> ProtocolOutput:
+def uniform_interactive_min(samples, quantize_state: bool = True) -> ProtocolOutput:
     """Interactive minimum protocol for the uniform location family.
 
     Machine 1 broadcasts all d local minima quantized on [-2, 2] to cell
@@ -185,10 +183,10 @@ def uniform_interactive_min(samples: SampleSet, quantize_state: bool = True) -> 
     quantize_state=False is a test hook: the transcript is accounted
     identically but the fusion state keeps exact local minima.
     """
-    m, n, d = samples.m, samples.n, samples.d
+    x, m, d, n = _mean_blocks(samples)
     vbits = uniform_min_value_bits(m, n)
     spec = QuantizerSpec(-2.0, 2.0, vbits, codec.ROUND_DOWN)
-    local_min = samples.blocks.min(axis=2)        # (m, d)
+    local_min = x.min(axis=2)                     # (m, d)
 
     idx0 = quantize(np.clip(local_min[0], -2.0, 2.0), spec)
     state = dequantize(idx0, spec) if quantize_state else local_min[0].copy()
@@ -397,9 +395,8 @@ def centralized_baseline(spec, samples) -> np.ndarray:
 
     Gaussian / bounded: pooled mean; uniform: pooled per-coordinate minimum
     plus one; regression: pooled least squares; probit: pooled MLE.
-    samples is a SampleSet or its blocks array.
     """
-    x = samples.blocks if isinstance(samples, SampleSet) else np.asarray(samples, dtype=float)
+    x = np.asarray(samples, dtype=float)
     if isinstance(spec, (GaussianLocationSpec, BoundedProductSpec)):
         return x.mean(axis=(0, 2))
     if isinstance(spec, UniformLocationSpec):
@@ -569,10 +566,7 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     rec = PROTOCOLS.get(protocol)
     if rec is None:
         raise InvalidArgumentError(f"unknown protocol id {protocol!r}")
-    if isinstance(spec, DesignSpec):
-        m, n = spec.m, spec.n
-    if m is None or n is None:
-        raise InvalidArgumentError("mean families need explicit m and n")
+    m, n = run_shape(spec, m, n)
     if protocol == "onebit" and n != 1:
         raise InvalidArgumentError("the one-bit scheme needs n = 1")
     if protocol == "single_mean":

@@ -20,9 +20,8 @@ from distest import bounds, families, protocols, sweeps
 from distest.codec import transcript_total_bits
 from distest.designs import build_designs
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
-                              RegressionSpec, SampleSet,
-                              UniformLocationSpec, design_eigenbounds,
-                              draw_trials, machine_streams,
+                              RegressionSpec, UniformLocationSpec,
+                              design_eigenbounds, draw_trials, machine_streams,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit)
 from distest.protocols import (estimate_risk, gauss_qavg_message_bits,
@@ -87,8 +86,7 @@ def test_criterion_3_onebit_scheme():
     uniforms = np.stack([g.random((grid_trials, d)) for g in proto], axis=1)
     hats = np.empty((grid_trials, d))
     for t in range(grid_trials):
-        ss = SampleSet("mean", blocks[t], m, n=1, d=d)
-        hats[t] = onebit_bounded_mean(ss, uniforms[t]).theta_hat
+        hats[t] = onebit_bounded_mean(blocks[t], uniforms[t]).theta_hat
     stderr = hats.std(axis=0, ddof=1) / math.sqrt(grid_trials)
     assert np.all(np.abs(hats.mean(axis=0) - theta) <= 4 * stderr)
     elapsed = time.perf_counter() - start
@@ -110,8 +108,7 @@ def test_criterion_4_uniform_interactive_protocol():
         k = min(1000, left)
         blocks = draw_trials(spec, gens, n, k)
         for t in range(k):
-            ss = SampleSet("mean", blocks[t], m, n=n, d=d)
-            out = uniform_interactive_min(ss)
+            out = uniform_interactive_min(blocks[t])
             per_coord_sq += (out.theta_hat - spec.theta) ** 2
             improved += out.info["improved"]
             total_bits += transcript_total_bits(out.transcript)

@@ -164,6 +164,23 @@ class TestCorollaries:
                                  lambda_max2=1.0, lambda_min2=-1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_lambda_constant_and_pstar_input_rejected(value):
+    base = dict(d=3, m=10, n=30, budget_total=90.0, lambda_max2=1.5, lambda_min2=0.5)
+    if not math.isfinite(value):    # a finite negative lambda is left to the formulas
+        for name in ("lambda_max2", "lambda_min2"):
+            with pytest.raises(InvalidArgumentError, match=name):
+                RateQuery(**{**base, name: value})
+    for name in ("c", "c1", "c2"):
+        with pytest.raises(InvalidArgumentError, match=f"constant {name}"):
+            RateQuery(**base, constants={name: value})
+    if not math.isfinite(value):
+        with pytest.raises(InvalidArgumentError, match="a must"):
+            tail_pstar(value, 0.1, 4, 1.0)
+        with pytest.raises(InvalidArgumentError, match="delta must"):
+            tail_pstar(4.0, value, 4, 1.0)
+
+
 class TestCentralizedRate:
     def test_gaussian(self):
         assert centralized_rate("gaussian", 4, 16, 64, 1.0) == pytest.approx(1 / 256)

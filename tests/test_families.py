@@ -8,12 +8,13 @@ from scipy.stats import norm
 from distest.errors import (DegenerateDesignError, InvalidArgumentError,
                             ReductionInfeasibleError)
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
-                              ProbitSpec, RegressionSpec, SampleSet,
-                              UniformLocationSpec, design_eigenbounds,
-                              draw_trials, machine_streams,
+                              ProbitSpec, RegressionSpec, UniformLocationSpec,
+                              design_eigenbounds, draw_trials, machine_streams,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit, sample,
                               sample_set_csv)
+from distest.protocols import (_mean_blocks, gaussian_quantized_average,
+                               onebit_bounded_mean, uniform_interactive_min)
 
 
 class TestSampling:
@@ -21,15 +22,15 @@ class TestSampling:
         spec = GaussianLocationSpec(np.array([0.1, -0.4]), 0.7)
         a = sample(spec, m=3, n=5, seed=99)
         b = sample(spec, m=3, n=5, seed=99)
-        assert np.array_equal(a.blocks, b.blocks)
+        assert np.array_equal(a, b)
         c = sample(spec, m=3, n=5, seed=100)
-        assert not np.array_equal(a.blocks, c.blocks)
+        assert not np.array_equal(a, c)
 
     def test_machine_data_invariant_to_m(self):
         spec = UniformLocationSpec(np.array([0.2]))
         small = sample(spec, m=2, n=6, seed=5)
         big = sample(spec, m=7, n=6, seed=5)
-        assert np.array_equal(small.blocks, big.blocks[:2])
+        assert np.array_equal(small, big[:2])
 
     def test_chunked_draws_match_one_shot(self):
         spec = GaussianLocationSpec(np.array([0.0]), 1.0)
@@ -41,24 +42,23 @@ class TestSampling:
 
     def test_gaussian_lln_smoke(self):
         spec = GaussianLocationSpec(np.array([0.0]), 1.0)
-        ss = sample(spec, m=2, n=3, seed=1)
-        assert ss.blocks.shape == (2, 1, 3)
+        assert sample(spec, m=2, n=3, seed=1).shape == (2, 1, 3)
         big = draw_trials(spec, machine_streams(1, 4), 5000, 1)[0]
         assert abs(big.mean()) < 0.05
 
     def test_two_point_degenerate(self):
         spec = BoundedProductSpec(np.array([1.0, -1.0]), "two_point")
-        ss = sample(spec, m=3, n=9, seed=2)
-        assert np.all(ss.blocks[:, 0, :] == 1.0)
-        assert np.all(ss.blocks[:, 1, :] == -1.0)
+        x = sample(spec, m=3, n=9, seed=2)
+        assert np.all(x[:, 0, :] == 1.0)
+        assert np.all(x[:, 1, :] == -1.0)
 
     def test_two_point_hoeffding(self):
         # |empirical mean - theta| <= 4/sqrt(N), Hoeffding at prob >= 0.99
         n_total = 10000
         for seed, theta in enumerate([-0.7, -0.2, 0.0, 0.5, 0.9]):
             spec = BoundedProductSpec(np.array([theta]), "two_point")
-            ss = sample(spec, m=1, n=n_total, seed=seed)
-            assert abs(ss.blocks.mean() - theta) <= 4 / math.sqrt(n_total)
+            x = sample(spec, m=1, n=n_total, seed=seed)
+            assert abs(x.mean() - theta) <= 4 / math.sqrt(n_total)
 
     def test_uniform_interval_mean_and_support(self):
         theta = np.array([0.6, -0.3])
@@ -71,8 +71,7 @@ class TestSampling:
     def test_uniform_location_extremes(self):
         # order-statistics oracle: E[min + 1] = 2/(N + 1) for N uniforms
         spec = UniformLocationSpec(np.array([0.0]))
-        ss = sample(spec, m=10, n=10000, seed=4)
-        data = ss.blocks.ravel()
+        data = sample(spec, m=10, n=10000, seed=4).ravel()
         assert data.min() + 1.0 < 1e-3
         assert 1.0 - data.max() < 1e-3
 
@@ -87,8 +86,14 @@ class TestSampling:
             sample(GaussianLocationSpec(np.array([0.0]), 1.0), m=0, n=3, seed=0)
 
     def test_sample_set_shape_guard(self):
-        with pytest.raises(InvalidArgumentError):
-            SampleSet("mean", np.zeros((2, 3)), m=2, n=3, d=1)
+        # the mean-family references take (m, d, n) blocks, never (m, n)
+        with pytest.raises(InvalidArgumentError, match="blocks"):
+            _mean_blocks(np.zeros((2, 3)))
+        assert _mean_blocks(np.zeros((2, 1, 3)))[1:] == (2, 1, 3)
+        for run in (lambda x: gaussian_quantized_average(x, 1.0),
+                    lambda x: onebit_bounded_mean(x, 0), uniform_interactive_min):
+            with pytest.raises(InvalidArgumentError, match="blocks"):
+                run(np.zeros((2, 3)))
 
     def test_csv_export(self):
         spec = UniformLocationSpec(np.array([0.0]))
@@ -96,6 +101,10 @@ class TestSampling:
         lines = text.strip().splitlines()
         assert lines[0] == "machine,obs_index,coordinate,value"
         assert len(lines) == 1 + 2 * 2
+        spec = RegressionSpec((np.eye(2),) * 3, np.array([0.1, 0.2]), 0.0)
+        lines = sample_set_csv(sample(spec, seed=0)).strip().splitlines()
+        assert len(lines) == 1 + 3 * 2
+        assert lines[3] == "2,0,0,0.1"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -217,5 +226,4 @@ class TestProbitSampling:
     def test_regression_noiseless(self):
         design = np.vstack([np.eye(2), np.eye(2)])
         spec = RegressionSpec((design,), np.array([0.3, -0.2]), 0.0)
-        ss = sample(spec, seed=0)
-        assert np.allclose(ss.blocks[0], design @ spec.theta)
+        assert np.allclose(sample(spec, seed=0)[0], design @ spec.theta)

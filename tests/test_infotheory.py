@@ -125,6 +125,26 @@ class TestRejections:
         with pytest.raises(InvalidArgumentError):
             check_tensorization(1, [ch, ch], [np.arange(2), np.array([[0.5, 0.6], [1.0, 0.0]])])
 
+    @pytest.mark.parametrize("v_dim", [0, -1])
+    def test_v_dim_below_one(self, v_dim):
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(InvalidArgumentError, match="v_dim >= 1"):
+            check_dpi_independent(v_dim, ch, np.arange(2))
+        with pytest.raises(InvalidArgumentError, match="v_dim >= 1"):
+            check_dpi_truncated(v_dim, ch, np.arange(2), np.array([True, True]))
+        with pytest.raises(InvalidArgumentError, match="v_dim >= 1"):
+            check_tensorization(v_dim, [ch], [np.arange(2)])
+
+    @pytest.mark.parametrize("machines", [0, -1])
+    def test_machines_below_one(self, machines):
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(InvalidArgumentError, match="machines >= 1"):
+            check_dpi_truncated(1, ch, np.arange(2), np.array([True, True]), machines)
+
+    def test_tensorization_needs_a_machine(self):
+        with pytest.raises(InvalidArgumentError, match="at least one machine"):
+            check_tensorization(1, [], [])
+
     def test_joint_that_does_not_sum_to_one(self):
         with pytest.raises(InvalidArgumentError):
             JointPMF(("V", "Y"), np.full((2, 2), 0.3))

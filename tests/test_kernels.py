@@ -16,8 +16,7 @@ from distest.designs import build_designs
 from distest.errors import DegenerateDesignError, InvalidArgumentError
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
-                              SampleSet, UniformLocationSpec, draw_trials,
-                              machine_streams)
+                              UniformLocationSpec, draw_trials, machine_streams)
 from distest.protocols import (PROTOCOLS, centralized_baseline,
                                gaussian_quantized_average, onebit_bounded_mean,
                                probit_local_average, probit_mle,
@@ -61,15 +60,12 @@ def reference(protocol, spec, block, u, budget_bits):
     elif protocol in ("regress_avg", "probit_avg"):
         run = regression_local_average if protocol == "regress_avg" else probit_local_average
         out = run(spec, block)
+    elif protocol == "gauss_qavg":
+        out = gaussian_quantized_average(block, spec.sigma)
+    elif protocol == "onebit":
+        out = onebit_bounded_mean(block, u)
     else:
-        m, d, n = block.shape
-        ss = SampleSet("mean", block, m, n, d)
-        if protocol == "gauss_qavg":
-            out = gaussian_quantized_average(ss, spec.sigma)
-        elif protocol == "onebit":
-            out = onebit_bounded_mean(ss, u)
-        else:
-            out = uniform_interactive_min(ss)
+        out = uniform_interactive_min(block)
     return (out.theta_hat, transcript_total_bits(out.transcript),
             out.info.get("flagged", 0) > 0)
 
@@ -158,8 +154,7 @@ def test_uniform_kernel_covers_a_machine_that_improves_nothing():
     spec = make_spec("uniform", m, n, d)
     blocks, _ = assert_kernel_matches_reference("uniform_min", spec, m, n)
     silent = [t for t in range(TRIALS)
-              if not uniform_interactive_min(
-                  SampleSet("mean", blocks[t], m, n, d)).info["improved"][1:].all()]
+              if not uniform_interactive_min(blocks[t]).info["improved"][1:].all()]
     assert silent
 
 

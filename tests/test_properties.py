@@ -5,18 +5,20 @@ The examples are derandomized, so every run checks the same inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distest import codec
+from distest import cli, codec
 from distest.codec import (QuantizerSpec, bits_for_accuracy, ceil_log2,
                            decode_improvement_message, dequantize,
                            encode_improvement_message, pack_fields, quantize,
                            transcript_total_bits, unpack_fields)
 from distest.designs import build_designs
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
-                              RegressionSpec, SampleSet, UniformLocationSpec,
+                              RegressionSpec, UniformLocationSpec,
                               draw_trials, machine_streams)
 from distest.protocols import (PROTOCOLS, gauss_qavg_message_bits,
                                gaussian_quantized_average, onebit_bounded_mean,
@@ -83,11 +85,6 @@ def test_bits_for_accuracy_delivers_eps(lo, width, eps):
     assert QuantizerSpec(lo, hi, b).cell_width <= eps
 
 
-def _mean_sample(blocks, t):
-    _, m, d, n = blocks.shape
-    return SampleSet("mean", blocks[t], m, n, d)
-
-
 @settings(PROPERTY, max_examples=40)
 @given(d=st.integers(1, 6), m=st.integers(1, 12), n=st.integers(1, 12),
        seed=st.integers(0, 1 << 16))
@@ -98,7 +95,7 @@ def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
     blocks = draw_trials(spec, machine_streams(seed, m), n, trials)
     _, bits, _ = PROTOCOLS["gauss_qavg"].kernel(spec, blocks, None, None)
     ref = [transcript_total_bits(
-        gaussian_quantized_average(_mean_sample(blocks, t), 0.9).transcript)
+        gaussian_quantized_average(blocks[t], 0.9).transcript)
         for t in range(trials)]
     assert list(bits) == ref == [m * gauss_qavg_message_bits(d, 0.9, m, n)] * trials
 
@@ -107,7 +104,7 @@ def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
     uniforms = np.random.default_rng(seed).random((trials, m, d))
     _, bits, _ = PROTOCOLS["onebit"].kernel(spec, blocks, uniforms, None)
     ref = [transcript_total_bits(
-        onebit_bounded_mean(_mean_sample(blocks, t), uniforms[t]).transcript)
+        onebit_bounded_mean(blocks[t], uniforms[t]).transcript)
         for t in range(trials)]
     assert list(bits) == ref == [m * d] * trials
 
@@ -116,7 +113,7 @@ def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
     _, bits, _ = PROTOCOLS["uniform_min"].kernel(spec, blocks, None, None)
     vbits = uniform_min_value_bits(m, n)
     for t in range(trials):
-        out = uniform_interactive_min(_mean_sample(blocks, t))
+        out = uniform_interactive_min(blocks[t])
         improvements = int(out.info["improved"][1:].sum())
         assert bits[t] == transcript_total_bits(out.transcript) == (
             d * vbits + improvements * (ceil_log2(d) + vbits))
@@ -128,3 +125,42 @@ def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
     ref = [transcript_total_bits(regression_local_average(spec, blocks[t]).transcript)
            for t in range(trials)]
     assert list(bits) == ref == [m * regress_avg_message_bits(d, m, rows)] * trials
+
+
+# Extreme cells for the bounds guard: empty, non-finite, negative, 0, huge.
+EXTREME = ["", "nan", "inf", "-inf", "-1", "0", "1e308"]
+
+
+@st.composite
+def bounds_query(draw):
+    """One bounds query row: a valid query with up to three numeric cells
+    replaced by extreme ones."""
+    m = draw(st.integers(1, 4))
+    row = {"formula": draw(st.sampled_from([*cli.FORMULAS, "centralized", "pstar"])),
+           "family": draw(st.sampled_from(["gaussian", "bounded", "uniform", "regression"])),
+           "d": str(draw(st.integers(1, 8))), "m": str(m),
+           "n": str(draw(st.integers(1, 4))), "sigma2": "1.5",
+           "budget_total": "16", "budgets_per_machine": ";".join(["4"] * m),
+           "lambda_max2": "1.5", "lambda_min2": "0.5", "c": "", "c1": "", "c2": "",
+           "a": "40", "delta": "0.1"}
+    for col in draw(st.lists(st.sampled_from(cli.BOUNDS_INPUT_COLUMNS[2:]), max_size=3)):
+        cell = draw(st.sampled_from(EXTREME))
+        row[col] = f"{cell};4" if cell and col == "budgets_per_machine" else cell
+    return row
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rows=st.lists(bounds_query(), min_size=1, max_size=12))
+def test_bounds_rows_are_finite_and_nonnegative_or_errors(rows):
+    cols = cli.BOUNDS_INPUT_COLUMNS
+    text = "\n".join([",".join(cols)] + [",".join(r[c] for c in cols) for r in rows])
+    out = cli.run_bounds(text)
+    assert len(out) == 1 + len(rows)
+    for row, line in zip(rows, out[1:]):
+        cells = line.split(",")
+        if cells[-1]:
+            continue
+        # a and delta are read by pstar alone
+        read = [c for c in cols[2:] if row["formula"] == "pstar" or c not in ("a", "delta")]
+        assert all(math.isfinite(float(x)) for c in read for x in row[c].split(";") if x), line
+        assert 0 <= float(cells[len(cols)]) < math.inf, line

@@ -8,10 +8,9 @@ from distest.codec import transcript_total_bits
 from distest.designs import build_designs
 from distest.errors import InvalidArgumentError
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
-                              ProbitSpec, RegressionSpec, SampleSet,
-                              UniformLocationSpec, draw_trials,
-                              machine_streams, sample)
-from distest.protocols import (RiskReport, centralized_baseline, estimate_risk,
+                              ProbitSpec, RegressionSpec, UniformLocationSpec,
+                              draw_trials, machine_streams, sample)
+from distest.protocols import (centralized_baseline, estimate_risk,
                                gauss_qavg_message_bits,
                                gaussian_quantized_average, onebit_bounded_mean,
                                probit_local_average, probit_mle,
@@ -52,11 +51,11 @@ class TestSingleMachineQuantizedMean:
 class TestGaussianQuantizedAverage:
     def test_small_sigma_tracks_sample(self):
         spec = GaussianLocationSpec(np.full(3, 0.7), 1e-3)
-        ss = mean_sample(spec, 1, 1, seed=0)
-        out = gaussian_quantized_average(ss, 1e-3)
+        x = mean_sample(spec, 1, 1, seed=0)
+        out = gaussian_quantized_average(x, 1e-3)
         cell = (2 + 2e-3) / 2 ** codec.bits_for_accuracy(
             -1 - 1e-3, 1 + 1e-3, 1e-6)
-        assert np.all(np.abs(out.theta_hat - ss.blocks[0, :, 0]) <= cell)
+        assert np.all(np.abs(out.theta_hat - x[0, :, 0]) <= cell)
 
     def test_transcript_accounting(self):
         d, sigma, m, n = 4, 1.0, 16, 64
@@ -78,8 +77,7 @@ class TestGaussianQuantizedAverage:
 class TestOnebit:
     def test_degenerate_all_ones(self):
         spec = BoundedProductSpec(np.ones(3), "two_point")
-        ss = mean_sample(spec, 5, 1, seed=0)
-        out = onebit_bounded_mean(ss, 12)
+        out = onebit_bounded_mean(mean_sample(spec, 5, 1, seed=0), 12)
         assert np.array_equal(out.theta_hat, np.ones(3))
         assert transcript_total_bits(out.transcript) == 5 * 3
 
@@ -99,15 +97,13 @@ class TestOnebit:
         uniforms = np.stack([g.random((trials, 4)) for g in proto], axis=1)
         hats = np.empty((trials, 4))
         for t in range(trials):
-            ss = SampleSet("mean", blocks[t], m, n=1, d=4)
-            hats[t] = onebit_bounded_mean(ss, uniforms[t]).theta_hat
+            hats[t] = onebit_bounded_mean(blocks[t], uniforms[t]).theta_hat
         stderr = hats.std(axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(hats.mean(axis=0) - theta) <= 4 * stderr)
 
     def test_requires_unit_range_and_single_observation(self):
-        ss = SampleSet("mean", np.full((2, 1, 1), 3.0), 2, n=1, d=1)
         with pytest.raises(InvalidArgumentError):
-            onebit_bounded_mean(ss, 0)
+            onebit_bounded_mean(np.full((2, 1, 1), 3.0), 0)
         spec = BoundedProductSpec(np.zeros(2), "two_point")
         with pytest.raises(InvalidArgumentError):
             onebit_bounded_mean(mean_sample(spec, 2, 3, 0), 0)
@@ -115,10 +111,10 @@ class TestOnebit:
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 4), (4, 3, 1)])
     def test_rejects_uniforms_not_shaped_machines_by_coordinates(self, shape):
         # a (d,) or (1, d) array would broadcast, giving every machine one uniform
-        ss = mean_sample(BoundedProductSpec(np.zeros(3), "two_point"), 4, 1, seed=0)
+        x = mean_sample(BoundedProductSpec(np.zeros(3), "two_point"), 4, 1, seed=0)
         with pytest.raises(InvalidArgumentError, match="shape"):
-            onebit_bounded_mean(ss, np.full(shape, 0.5))
-        assert transcript_total_bits(onebit_bounded_mean(ss, np.full((4, 3), 0.5)).transcript) == 12
+            onebit_bounded_mean(x, np.full(shape, 0.5))
+        assert transcript_total_bits(onebit_bounded_mean(x, np.full((4, 3), 0.5)).transcript) == 12
 
 
 class TestUniformInteractiveMin:
@@ -134,12 +130,12 @@ class TestUniformInteractiveMin:
         m, n = 8, 16
         cell = 4.0 / 2 ** uniform_min_value_bits(m, n)
         for seed in range(30):
-            ss = mean_sample(spec, m, n, seed)
-            gmin = ss.blocks.min(axis=(0, 2))
-            s = uniform_interactive_min(ss).theta_hat - 1.0
+            x = mean_sample(spec, m, n, seed)
+            gmin = x.min(axis=(0, 2))
+            s = uniform_interactive_min(x).theta_hat - 1.0
             assert np.all(s <= gmin + 1e-15)
             assert np.all(s >= gmin - cell - 1e-15)
-            exact = uniform_interactive_min(ss, quantize_state=False).theta_hat - 1.0
+            exact = uniform_interactive_min(x, quantize_state=False).theta_hat - 1.0
             assert np.array_equal(exact, gmin)
 
     def test_bit_accounting_matches_improvement_lists(self):
@@ -160,8 +156,7 @@ class TestUniformInteractiveMin:
         blocks = draw_trials(spec, gens, n, trials)
         freq = np.zeros((m, 3))
         for t in range(trials):
-            ss = SampleSet("mean", blocks[t], m, n=n, d=3)
-            freq += uniform_interactive_min(ss).info["improved"]
+            freq += uniform_interactive_min(blocks[t]).info["improved"]
         freq /= trials
         for i in range(1, m):
             p = 1.0 / (i + 1)
@@ -173,8 +168,7 @@ class TestRegressionLocalAverage:
     def test_noiseless_recovery(self):
         designs = build_designs("orthogonal", 4, 20, 3, seed=1)
         spec = RegressionSpec(designs, np.array([0.5, -0.5, 0.25]), 0.0)
-        ss = sample(spec, seed=0)
-        out = regression_local_average(spec, ss.blocks)
+        out = regression_local_average(spec, sample(spec, seed=0))
         cell = 2.0 / 2 ** codec.bits_for_accuracy(-1, 1, 1 / 80)
         assert float((out.theta_hat - spec.theta) @ (out.theta_hat - spec.theta)) <= 3 * cell**2
 
@@ -182,7 +176,7 @@ class TestRegressionLocalAverage:
         assert regress_avg_message_bits(3, 10, 30) == 30
         designs = build_designs("identity", 10, 30, 3, seed=0)
         spec = RegressionSpec(designs, np.zeros(3), 1.0)
-        out = regression_local_average(spec, sample(spec, seed=1).blocks)
+        out = regression_local_average(spec, sample(spec, seed=1))
         assert all(msg.payload.length == 30 for msg in out.transcript.messages)
         assert out.info["nominal_bits_per_machine"] == math.ceil(3 * math.log2(300))
 
@@ -256,8 +250,7 @@ class TestCentralizedBaselines:
     def test_regression_noiseless_exact(self):
         designs = build_designs("orthogonal", 3, 10, 2, seed=5)
         spec = RegressionSpec(designs, np.array([0.3, -0.7]), 0.0)
-        ss = sample(spec, seed=0)
-        est = centralized_baseline(spec, ss)
+        est = centralized_baseline(spec, sample(spec, seed=0))
         assert np.allclose(est, spec.theta, atol=1e-10)
 
 
@@ -276,11 +269,6 @@ class TestEstimateRisk:
         c = estimate_risk("onebit", spec, trials=200, seed=6, m=10, n=1)
         assert a != c
 
-    def test_csv_row_shape(self):
-        rep = RiskReport(0.5, 0.1, 10, 32.0, 32, "independent", 0)
-        assert RiskReport.CSV_HEADER.count(",") == rep.csv_row().count(",")
-        assert rep.csv_row().split(",")[0] == "independent"
-
     def test_validation(self):
         spec = BoundedProductSpec(np.zeros(4), "two_point")
         with pytest.raises(InvalidArgumentError):
@@ -298,31 +286,53 @@ class TestEstimateRisk:
                           budget_bits=3)
 
 
+@pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
+def test_mean_family_needs_m_and_n_at_least_one(m, n):
+    spec = GaussianLocationSpec(np.zeros(2), 1.0)
+    for protocol in ("gauss_qavg", "uniform_min", "centralized"):
+        with pytest.raises(InvalidArgumentError, match="m >= 1 and n >= 1"):
+            estimate_risk(protocol, spec, trials=4, seed=0, m=m, n=n)
+    with pytest.raises(InvalidArgumentError, match="m >= 1 and n >= 1"):
+        estimate_risk("onebit", BoundedProductSpec(np.zeros(2)), trials=4,
+                      seed=0, m=m, n=n)
+
+
+@pytest.mark.parametrize("m,n", [(4, None), (None, 9), (2, 10)])
+def test_design_family_rejects_a_mismatched_m_or_n(m, n):
+    # the spec holds 3 designs of 10 rows
+    spec = RegressionSpec(build_designs("identity", 3, 10, 2, seed=0), np.zeros(2))
+    with pytest.raises(InvalidArgumentError, match="must match"):
+        estimate_risk("regress_avg", spec, trials=4, seed=0, m=m, n=n)
+    with pytest.raises(InvalidArgumentError, match="must match"):
+        sample(spec, m=m, n=n)
+    assert estimate_risk("regress_avg", spec, trials=4, seed=0, m=3, n=10).trials == 4
+
+
 class TestIndependenceStructure:
-    def permuted(self, ss, keep):
-        others = [i for i in range(ss.m) if i != keep]
-        blocks = ss.blocks.copy()
+    def permuted(self, x, keep):
+        others = [i for i in range(len(x)) if i != keep]
+        blocks = x.copy()
         blocks[others] = blocks[others[::-1]]
-        return SampleSet(ss.kind, blocks, ss.m, n=ss.n, d=ss.d)
+        return blocks
 
     def test_gauss_message_depends_only_on_own_data(self):
         spec = GaussianLocationSpec(np.full(3, 0.1), 1.0)
-        ss = mean_sample(spec, 6, 8, seed=3)
-        out_a = gaussian_quantized_average(ss, 1.0)
-        out_b = gaussian_quantized_average(self.permuted(ss, 2), 1.0)
+        x = mean_sample(spec, 6, 8, seed=3)
+        out_a = gaussian_quantized_average(x, 1.0)
+        out_b = gaussian_quantized_average(self.permuted(x, 2), 1.0)
         assert out_a.transcript.messages[2] == out_b.transcript.messages[2]
 
     def test_onebit_message_depends_only_on_own_data_and_stream(self):
         spec = BoundedProductSpec(np.zeros(4), "two_point")
-        ss = mean_sample(spec, 6, 1, seed=4)
-        out_a = onebit_bounded_mean(ss, 99)
-        out_b = onebit_bounded_mean(self.permuted(ss, 3), 99)
+        x = mean_sample(spec, 6, 1, seed=4)
+        out_a = onebit_bounded_mean(x, 99)
+        out_b = onebit_bounded_mean(self.permuted(x, 3), 99)
         assert out_a.transcript.messages[3] == out_b.transcript.messages[3]
 
     def test_regression_message_depends_only_on_own_responses(self):
         designs = build_designs("orthogonal", 5, 12, 2, seed=6)
         spec = RegressionSpec(designs, np.array([0.2, -0.1]), 1.0)
-        y = sample(spec, seed=2).blocks
+        y = sample(spec, seed=2)
         out_a = regression_local_average(spec, y)
         y_perm = y.copy()
         y_perm[[0, 1, 3, 4]] = y_perm[[4, 3, 1, 0]]
