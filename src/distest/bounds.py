@@ -231,6 +231,8 @@ def centralized_rate(family: str, d: int, m: int, n: int, sigma2: float = 1.0) -
     """
     if min(d, m, n) < 1:
         raise InvalidArgumentError("d, m, n must be positive")
+    if not 0 < sigma2 < math.inf:
+        raise InvalidArgumentError("sigma2 must be positive and finite")
     if family in ("gaussian", "regression"):
         return sigma2 * d / (m * n)
     if family == "bounded":
@@ -242,8 +244,10 @@ def centralized_rate(family: str, d: int, m: int, n: int, sigma2: float = 1.0) -
 
 def tail_pstar(a: float, delta: float, n: int, sigma: float) -> float:
     """Gaussian truncation tail min{2 exp(-(a - sqrt(n) delta)^2 / (2 sigma^2)), 1/2}."""
-    if sigma <= 0:
-        raise InvalidArgumentError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise InvalidArgumentError("sigma must be positive and finite")
+    if not n >= 1:
+        raise InvalidArgumentError("n must be >= 1")
     for name, value in (("a", a), ("delta", delta)):
         if not math.isfinite(value):
             raise InvalidArgumentError(f"{name} must be finite")

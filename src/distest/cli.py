@@ -184,8 +184,9 @@ def _simulate_point(args) -> str:
         sigma_or_1 = sigma if sigma is not None else 1.0
         designs = build_designs(design_kind, m, n, d, seed) if fam.uses_designs else None
         spec = fam.spec(theta_vec, sigma_or_1, designs)
-        report = proto.estimate_risk(protocol, spec, trials, seed, m=m, n=n,
-                                     budget_bits=budget_bits)
+        with np.errstate(all="raise", under="ignore"):  # an overflow raises, not warns
+            report = proto.estimate_risk(protocol, spec, trials, seed, m=m, n=n,
+                                         budget_bits=budget_bits)
         s2 = sigma_or_1 ** 2 if fam.uses_sigma else 1.0
         central = bnd.centralized_rate(fam.rate, d, m, n, s2)
         lmax2, lmin2 = design_eigenbounds(designs) if designs else (None, None)
@@ -194,12 +195,14 @@ def _simulate_point(args) -> str:
                               budgets_per_machine=(bits / m,) * m,
                               lambda_max2=lmax2, lambda_min2=lmin2)
         bound = FORMULAS[proto.PROTOCOLS[protocol].bound or fam.bound](query)
+        if not all(map(math.isfinite, (report.mse_mean, report.mse_stderr, central))):
+            raise InvalidArgumentError("the risk or the centralized rate is not finite")
         return (f"{base},{report.protocol_kind},{report.mse_mean!r},"
                 f"{report.mse_stderr!r},{bits!r},{report.bits_max},"
                 f"{report.flagged_trials},{central!r},{bound.formula_id},"
                 f"{bound.value!r},")
     except (InvalidArgumentError, ConfigError, DegenerateDesignError,
-            np.linalg.LinAlgError) as err:
+            np.linalg.LinAlgError, OverflowError, FloatingPointError) as err:
         msg = str(err).replace(",", ";").replace("\n", " ")
         return f"{base},,,,,,,,,,{msg}"
 
@@ -392,10 +395,7 @@ def main(argv=None) -> int:
         rows, violations = run_verify(suites, args.count, args.seed)
         _emit(rows, args.out)
         return 1 if violations else 0
-    except (ConfigError, InvalidArgumentError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConfigError, InvalidArgumentError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

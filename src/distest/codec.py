@@ -49,36 +49,9 @@ class BitString:
     def __len__(self) -> int:
         return self.length
 
-    def bits(self) -> tuple:
-        """Bits as a tuple of 0/1 ints, most significant first."""
-        return tuple((self.value >> (self.length - 1 - i)) & 1 for i in range(self.length))
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitString":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise InvalidArgumentError(f"bit symbol must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-            n += 1
-        return cls(value, n)
-
     def __add__(self, other: "BitString") -> "BitString":
         return BitString((self.value << other.length) | other.value,
                          self.length + other.length)
-
-    def to_hex(self) -> str:
-        """Hex text, MSB first, zero-padded to cover the full bit length."""
-        if self.length == 0:
-            return ""
-        ndigits = (self.length + 3) // 4
-        return format(self.value, f"0{ndigits}x")
-
-    @classmethod
-    def from_hex(cls, text: str, length: int) -> "BitString":
-        value = int(text, 16) if text else 0
-        return cls(value, length)
 
 
 def pack_fields(values, width: int) -> BitString:
@@ -143,9 +116,6 @@ class Transcript:
                     raise InvalidArgumentError(
                         f"machine {msg.machine} sends more than one independent message")
                 seen.add(msg.machine)
-
-    def total_bits(self) -> int:
-        return transcript_total_bits(self)
 
 
 def transcript_total_bits(transcript: Transcript) -> int:

@@ -18,11 +18,10 @@ def scaled_identity_design(n: int, d: int) -> np.ndarray:
     return np.sqrt(n) * np.eye(n, d)
 
 
-def orthogonal_columns_design(n: int, d: int, rng) -> np.ndarray:
+def orthogonal_columns_design(n: int, d: int, gen: np.random.Generator) -> np.ndarray:
     """Random design with exactly orthogonal columns of squared norm n."""
     if n < d:
         raise InvalidArgumentError("need n >= d")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     q, _ = np.linalg.qr(gen.standard_normal((n, d)))
     return np.sqrt(n) * q
 

@@ -34,14 +34,10 @@ TAG_PROTOCOL = 1
 _PSD_TOL = 1e-9
 
 
-def machine_stream(seed: int, machine: int, tag: int = TAG_DATA) -> np.random.Generator:
-    """Derived generator for one machine; see the module seeding contract."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(tag), int(machine)))
-    return np.random.default_rng(ss)
-
-
 def machine_streams(seed: int, m: int, tag: int = TAG_DATA):
-    return [machine_stream(seed, i, tag) for i in range(m)]
+    """Derived generators of machines 0..m-1; see the module seeding contract."""
+    return [np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(tag), i)))
+            for i in range(m)]
 
 
 def _as_theta(theta, d=None) -> np.ndarray:
@@ -239,6 +235,8 @@ def design_eigenbounds(designs):
     designs = tuple(np.asarray(a, dtype=float) for a in designs)
     if not designs:
         raise InvalidArgumentError("need at least one design matrix")
+    if not all(np.isfinite(a).all() for a in designs):
+        raise InvalidArgumentError("design entries must be finite")
     lmax2 = -np.inf
     lmin2 = np.inf
     for a in designs:
@@ -281,17 +279,3 @@ def reduce_regression_to_probit(y) -> np.ndarray:
     """Bits Z_k = 1{y_k >= 0}; the boundary y = 0 lands in the 1-branch."""
     return (np.asarray(y, dtype=float) >= 0).astype(np.int64)
 
-
-def sample_set_csv(blocks) -> str:
-    """Audit CSV block with columns machine,obs_index,coordinate,value; the
-    (m, n) responses of a design family are coordinate 0."""
-    arr = np.asarray(blocks)
-    if arr.ndim == 2:
-        arr = arr[:, None, :]
-    m, d, n = arr.shape
-    lines = ["machine,obs_index,coordinate,value"]
-    for i in range(m):
-        for k in range(n):
-            for j in range(d):
-                lines.append(f"{i + 1},{k},{j},{float(arr[i, j, k])!r}")
-    return "\n".join(lines) + "\n"

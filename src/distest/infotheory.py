@@ -61,10 +61,6 @@ class FinitePMF:
             raise InvalidArgumentError("a pmf is a nonempty 1-d vector")
         self.p = _check_pmf(arr, "pmf")
 
-    @property
-    def k(self) -> int:
-        return self.p.size
-
 
 @dataclass(eq=False)
 class JointPMF:
@@ -163,16 +159,16 @@ def mutual_information(j: JointPMF, axis_a: str, axis_b: str) -> float:
 
 def hamming_neighborhood_size(d: int, t: float) -> int:
     """Vertices of {-1, 1}^d within Hamming distance t of any fixed vertex."""
-    if d < 1 or t < 0:
-        raise InvalidArgumentError("need d >= 1 and t >= 0")
+    if not (d >= 1 and 0 <= t < math.inf):
+        raise InvalidArgumentError("need d >= 1 and a finite t >= 0")
     radius = min(int(math.floor(t)), d)
     return sum(math.comb(d, k) for k in range(radius + 1))
 
 
 def fano_variant_lower(d: int, t: float, info_nats: float) -> float:
     """Neighborhood Fano bound max{0, 1 - (I + ln 2) / ln(2^d / N_t)}."""
-    if info_nats < 0:
-        raise InvalidArgumentError("mutual information is nonnegative")
+    if not 0 <= info_nats < math.inf:
+        raise InvalidArgumentError("info_nats must be finite and >= 0")
     size = hamming_neighborhood_size(d, t)
     total = 2 ** d
     if total <= size:
@@ -182,8 +178,11 @@ def fano_variant_lower(d: int, t: float, info_nats: float) -> float:
 
 def estimation_to_testing_lower(delta: float, t: float, test_error_prob: float) -> float:
     """Risk lower bound delta^2 (floor(t) + 1) P(test error)."""
-    if delta < 0 or t < 0 or not 0 <= test_error_prob <= 1:
-        raise InvalidArgumentError("need delta, t >= 0 and a probability")
+    for name, value in (("delta", delta), ("t", t)):
+        if not 0 <= value < math.inf:
+            raise InvalidArgumentError(f"{name} must be finite and >= 0")
+    if not 0 <= test_error_prob <= 1:
+        raise InvalidArgumentError("test_error_prob must be a probability")
     return delta ** 2 * (math.floor(t) + 1) * test_error_prob
 
 
@@ -317,24 +316,19 @@ def check_dpi_truncated(v_dim: int, channel: ChannelSpec, quantizer,
                         truncation, machines: int = 1) -> dict:
     """Truncated-set variant: I(V; Y) <= 2 (e^{4a} - 1)^2 I(X; Y) + H(E) + P(E=0).
 
-    `truncation` is a boolean mask over the per-coordinate X alphabet (or a
-    list of masks, one per V coordinate); the likelihood-ratio bound alpha is
-    measured on the retained symbols only, and E indicates that every
-    coordinate of every machine landed inside its retained set.
+    `truncation` is one boolean mask over the per-coordinate X alphabet, the
+    retained set of every coordinate of every machine; the likelihood-ratio
+    bound alpha is measured on the retained symbols only, and E indicates
+    that every coordinate of every machine landed inside the retained set.
     """
     joint, digits = _vxy_joint(v_dim, channel, quantizer, machines)
-    k = channel.k_out
-    masks = np.asarray(truncation, dtype=bool)
-    if masks.ndim == 1:
-        masks = np.tile(masks, (v_dim, 1))
-    if masks.shape != (v_dim, k):
-        raise InvalidArgumentError("need one truncation mask per V coordinate")
-    if not masks.any(axis=1).all():
-        raise InvalidArgumentError("truncation sets must be nonempty")
-    alpha = max(check_likelihood_ratio(channel, columns=np.nonzero(masks[j])[0])
-                for j in range(v_dim))
-    # coordinate c of x lies in the retained set of v-coordinate c % v_dim
-    in_set = masks[np.arange(digits.shape[1]) % v_dim, digits].all(axis=1)
+    keep = np.asarray(truncation, dtype=bool)
+    if keep.shape != (channel.k_out,):
+        raise InvalidArgumentError("need one truncation flag per X symbol")
+    if not keep.any():
+        raise InvalidArgumentError("the truncation set must be nonempty")
+    alpha = check_likelihood_ratio(channel, columns=np.nonzero(keep)[0])
+    in_set = keep[digits].all(axis=1)
     p_e1 = float(joint.sum(axis=(0, 2))[in_set].sum())
     h_e = entropy(np.array([p_e1, 1.0 - p_e1]))
     i_vy = _mi_from_table(joint.sum(axis=1))
@@ -464,8 +458,10 @@ def binary_gaussian_mi(delta: float, sigma: float, tol: float = 1e-9) -> float:
     consecutive estimates agree within tol. The value is guaranteed at most
     delta^2 / sigma^2.
     """
-    if delta < 0 or sigma <= 0:
-        raise InvalidArgumentError("need delta >= 0 and sigma > 0")
+    if not 0 <= delta < math.inf:
+        raise InvalidArgumentError("delta must be finite and >= 0")
+    if not 0 < sigma < math.inf:
+        raise InvalidArgumentError("sigma must be positive and finite")
     prev = _gh_estimate(delta, sigma, 32)
     order = 64
     while order <= 8192:

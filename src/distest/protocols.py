@@ -133,14 +133,13 @@ def gaussian_quantized_average(samples, sigma: float) -> ProtocolOutput:
     [-1 - sigma/sqrt(n), 1 + sigma/sqrt(n)] and quantized to cell width
     sigma^2/(mn) (round to nearest); the fusion center averages.
     """
-    x, m, d, n = _mean_blocks(samples)
+    x, m, _, n = _mean_blocks(samples)
     spec = _gauss_qavg_grid(sigma, m, n)
     means = x.mean(axis=2)                        # (m, d)
     idx = quantize(means, spec)
     messages = tuple(Message(i + 1, 1, pack_fields(idx[i], spec.bits)) for i in range(m))
     theta_hat = dequantize(idx, spec).mean(axis=0)
-    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
-                          {"bits_per_message": d * spec.bits})
+    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT))
 
 
 def onebit_bounded_mean(samples, rand) -> ProtocolOutput:
@@ -172,16 +171,14 @@ def onebit_bounded_mean(samples, rand) -> ProtocolOutput:
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT))
 
 
-def uniform_interactive_min(samples, quantize_state: bool = True) -> ProtocolOutput:
+def uniform_interactive_min(samples) -> ProtocolOutput:
     """Interactive minimum protocol for the uniform location family.
 
     Machine 1 broadcasts all d local minima quantized on [-2, 2] to cell
     width (mn)^-2 rounding down; machines 2..m in index order broadcast only
     the coordinates that strictly improve the running state s, as an index
-    list plus quantized values; the output is s + 1.
-
-    quantize_state=False is a test hook: the transcript is accounted
-    identically but the fusion state keeps exact local minima.
+    list plus quantized values; the output is s + 1. info["improved"] is
+    the (m, d) mask of the coordinates each machine sent.
     """
     x, m, d, n = _mean_blocks(samples)
     vbits = uniform_min_value_bits(m, n)
@@ -189,7 +186,7 @@ def uniform_interactive_min(samples, quantize_state: bool = True) -> ProtocolOut
     local_min = x.min(axis=2)                     # (m, d)
 
     idx0 = quantize(np.clip(local_min[0], -2.0, 2.0), spec)
-    state = dequantize(idx0, spec) if quantize_state else local_min[0].copy()
+    state = dequantize(idx0, spec)
     messages = [Message(1, 1, pack_fields(idx0, vbits))]
     improved = np.zeros((m, d), dtype=bool)
     improved[0] = True
@@ -197,14 +194,14 @@ def uniform_interactive_min(samples, quantize_state: bool = True) -> ProtocolOut
         better = np.nonzero(local_min[i] < state)[0]
         if better.size:
             idx = quantize(local_min[i, better], spec)
-            state[better] = dequantize(idx, spec) if quantize_state else local_min[i, better]
+            state[better] = dequantize(idx, spec)
             payload = encode_improvement_message(better, np.atleast_1d(idx), d, vbits)
             improved[i, better] = True
         else:
             payload = BitString()
         messages.append(Message(i + 1, i + 1, payload))
     return ProtocolOutput(np.asarray(state) + 1.0, Transcript(tuple(messages), INTERACTIVE),
-                          {"improved": improved, "value_bits": vbits})
+                          {"improved": improved})
 
 
 def _local_least_squares(spec: RegressionSpec):
@@ -236,9 +233,8 @@ def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
     idx = quantize(np.clip(local, -1.0, 1.0), qspec)
     messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
     theta_hat = dequantize(idx, qspec).mean(axis=0)
-    info = {"charged_bits_per_machine": d * qspec.bits,
-            "nominal_bits_per_machine": math.ceil(d * math.log2(m * n))}
-    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT), info)
+    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
+                          {"nominal_bits_per_machine": math.ceil(d * math.log2(m * n))})
 
 
 def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
@@ -387,7 +383,7 @@ def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
     messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
     theta_hat = dequantize(idx, qspec).mean(axis=0)
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
-                          {"flagged": flagged, "charged_bits_per_machine": d * qspec.bits})
+                          {"flagged": flagged})
 
 
 def centralized_baseline(spec, samples) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Randomized instance constructors and named verification suites.
 
 Each suite draws seeded random finite instances, runs the matching
-enumeration check from infotheory, and yields one row per instance:
+enumeration check from infotheory, and gives one row per instance:
 (suite, instance_seed, lhs, rhs, slack, holds) with slack = rhs - lhs.
+A suite's runner draws one instance from the generator it is handed and
+returns (lhs, rhs, holds); run_suite seeds the generators and builds the rows.
 Constructors build strictly positive tables, so preconditions (normalization,
 measured likelihood-ratio bounds, factorizations) hold exactly rather than by
 rejection.
@@ -111,12 +113,7 @@ def _sequential_message_kernel(rng, k: int, machines: int):
     return probs
 
 
-def _pack_report(suite, seed, lhs, rhs, holds) -> SuiteRow:
-    return SuiteRow(suite, seed, float(lhs), float(rhs), bool(holds))
-
-
-def _run_dpi3(seed: int) -> SuiteRow:
-    rng = _rng(seed)
+def _run_dpi3(rng):
     v_dim = int(rng.integers(1, 3))
     delta = float(rng.choice([0.1, 0.2]))
     channel = random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
@@ -124,12 +121,10 @@ def _run_dpi3(seed: int) -> SuiteRow:
     quantizer = random_quantizer(rng, channel.k_out ** v_dim, n_out,
                                  stochastic=bool(rng.integers(0, 2)))
     rep = it.check_dpi_independent(v_dim, channel, quantizer)
-    holds = rep["holds"] and rep["I_VY"] <= rep["I_VX"] + it.SLACK
-    return _pack_report("dpi3", seed, rep["I_VY"], rep["bound"], holds)
+    return rep["I_VY"], rep["bound"], rep["holds"] and rep["I_VY"] <= rep["I_VX"] + it.SLACK
 
 
-def _run_dpi5(seed: int) -> SuiteRow:
-    rng = _rng(seed)
+def _run_dpi5(rng):
     k = 3
     delta = float(rng.choice([0.1, 0.2]))
     channel = random_bounded_channel(rng, k, delta)
@@ -139,11 +134,10 @@ def _run_dpi5(seed: int) -> SuiteRow:
     quantizer = random_quantizer(rng, k, int(rng.integers(1, 5)),
                                  stochastic=bool(rng.integers(0, 2)))
     rep = it.check_dpi_truncated(1, channel, quantizer, keep)
-    return _pack_report("dpi5", seed, rep["I_VY"], rep["bound"], rep["holds"])
+    return rep["I_VY"], rep["bound"], rep["holds"]
 
 
-def _run_dpi7(seed: int) -> SuiteRow:
-    rng = _rng(seed)
+def _run_dpi7(rng):
     machines = int(rng.integers(2, 4))
     k = int(rng.integers(2, 4))
     delta = float(rng.choice([0.1, 0.2]))
@@ -153,18 +147,16 @@ def _run_dpi7(seed: int) -> SuiteRow:
         keep[rng.integers(0, k)] = False
     quantizer = _sequential_message_kernel(rng, k, machines)
     rep = it.check_dpi_truncated(1, channel, quantizer, keep, machines=machines)
-    return _pack_report("dpi7", seed, rep["I_VY"], rep["bound"], rep["holds"])
+    return rep["I_VY"], rep["bound"], rep["holds"]
 
 
-def _run_chain(seed: int) -> SuiteRow:
-    rng = _rng(seed)
+def _run_chain(rng):
     rep = it.check_information_chaining(random_chain_model(rng))
     worst = rep["worst"] or {"lhs": 0.0, "rhs": 0.0}
-    return _pack_report("chain", seed, worst["lhs"], worst["rhs"], rep["holds"])
+    return worst["lhs"], worst["rhs"], rep["holds"]
 
 
-def _run_tensor(seed: int) -> SuiteRow:
-    rng = _rng(seed)
+def _run_tensor(rng):
     v_dim = int(rng.integers(1, 3))
     m = int(rng.integers(2, 4))
     channels = [random_bounded_channel(rng, 2, float(rng.choice([0.1, 0.2])))
@@ -173,13 +165,12 @@ def _run_tensor(seed: int) -> SuiteRow:
                                    stochastic=bool(rng.integers(0, 2)))
                   for _ in range(m)]
     rep = it.check_tensorization(v_dim, channels, quantizers)
-    return _pack_report("tensor", seed, rep["I_joint"], rep["sum_I"], rep["holds"])
+    return rep["I_joint"], rep["sum_I"], rep["holds"]
 
 
-def _run_pinsker(seed: int) -> SuiteRow:
-    rng = _rng(seed)
+def _run_pinsker(rng):
     rep = it.check_pinsker_consequence(random_pinsker_joint(rng))
-    return _pack_report("pinsker", seed, rep["lhs"], rep["rhs"], rep["holds"])
+    return rep["lhs"], rep["rhs"], rep["holds"]
 
 
 def exact_min_hamming_test_error(p_vx: np.ndarray, d: int, t: float) -> float:
@@ -200,8 +191,7 @@ def exact_min_hamming_test_error(p_vx: np.ndarray, d: int, t: float) -> float:
     return 1.0 - float(covered)
 
 
-def _run_fano(seed: int) -> SuiteRow:
-    rng = _rng(seed)
+def _run_fano(rng):
     d = int(rng.integers(2, 4))
     t = int(rng.integers(0, 2))
     delta = float(rng.uniform(0.05, 0.6))
@@ -211,7 +201,7 @@ def _run_fano(seed: int) -> SuiteRow:
     info = it._mi_from_table(joint)
     bound = it.fano_variant_lower(d, t, info)
     err = exact_min_hamming_test_error(joint, d, t)
-    return _pack_report("fano", seed, bound, err, bound <= err + it.SLACK)
+    return bound, err, bound <= err + it.SLACK
 
 
 _RUNNERS = {"dpi3": _run_dpi3, "dpi5": _run_dpi5, "dpi7": _run_dpi7,
@@ -221,7 +211,8 @@ SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, count: int, seed: int):
-    """Run `count` seeded instances of a named suite; yields SuiteRow."""
+    """Run `count` seeded instances of a named suite; returns their SuiteRows
+    in instance order."""
     if name not in _RUNNERS:
         raise InvalidArgumentError(f"unknown suite {name!r}; choices: {SUITE_NAMES}")
     if count < 1:
@@ -230,4 +221,9 @@ def run_suite(name: str, count: int, seed: int):
         raise InvalidArgumentError("seed must be >= 0")
     runner = _RUNNERS[name]
     base = int(np.random.SeedSequence(int(seed)).generate_state(1)[0])
-    return [runner((base + 977 * i) % 2**63) for i in range(count)]
+    rows = []
+    for i in range(count):
+        instance_seed = (base + 977 * i) % 2**63
+        lhs, rhs, holds = runner(_rng(instance_seed))
+        rows.append(SuiteRow(name, instance_seed, float(lhs), float(rhs), bool(holds)))
+    return rows

@@ -37,6 +37,7 @@ seed = 11
 
 
 SRC = str(Path(distest.__file__).resolve().parents[1])
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def run_cli(args, cwd=None, env=None):
@@ -311,9 +312,29 @@ class TestEndToEnd:
         assert err.startswith("error:") and "not a finite number" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("protocol, family", [("gauss_qavg", "gaussian"),
+                                                  ("centralized", "gaussian"),
+                                                  ("regress_avg", "regression")])
+    def test_overflowing_sigma_is_a_row_error(self, tmp_path, protocol, family):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(f"protocol = {protocol}\nfamily = {family}\nd = 2\nm = 3\n"
+                        "n = 4\ntrials = 5\nseed = 1\nsigma = 1e200\n")
+        res = run_cli(["simulate", str(conf)])
+        assert res.returncode == 0 and res.stderr == ""
+        row = res.stdout.splitlines()[1].split(",")
+        assert row[11:20] == [""] * 9 and row[20]
+
     def test_bad_thread_count_exits_two(self, tmp_path):
         conf = tmp_path / "sweep.conf"
         conf.write_text(ONEBIT_CONF)
         res = run_cli(["simulate", str(conf)], env={"DISTEST_THREADS": "abc"})
         assert res.returncode == 2
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_without_warnings(demo):
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert res.returncode == 0 and res.stderr == "" and res.stdout

@@ -11,8 +11,7 @@ from distest.families import (BoundedProductSpec, GaussianLocationSpec,
                               ProbitSpec, RegressionSpec, UniformLocationSpec,
                               design_eigenbounds, draw_trials, machine_streams,
                               reduce_mean_to_regression,
-                              reduce_regression_to_probit, sample,
-                              sample_set_csv)
+                              reduce_regression_to_probit, sample)
 from distest.protocols import (_mean_blocks, gaussian_quantized_average,
                                onebit_bounded_mean, uniform_interactive_min)
 
@@ -95,27 +94,19 @@ class TestSampling:
             with pytest.raises(InvalidArgumentError, match="blocks"):
                 run(np.zeros((2, 3)))
 
-    def test_csv_export(self):
-        spec = UniformLocationSpec(np.array([0.0]))
-        text = sample_set_csv(sample(spec, m=2, n=2, seed=0))
-        lines = text.strip().splitlines()
-        assert lines[0] == "machine,obs_index,coordinate,value"
-        assert len(lines) == 1 + 2 * 2
-        spec = RegressionSpec((np.eye(2),) * 3, np.array([0.1, 0.2]), 0.0)
-        lines = sample_set_csv(sample(spec, seed=0)).strip().splitlines()
-        assert len(lines) == 1 + 3 * 2
-        assert lines[3] == "2,0,0,0.1"
-
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_theta_and_sigma_rejected(value):
     designs = [np.eye(2)]
+    bad_design = np.array([[1.0, 0.0], [0.0, value], [1.0, 1.0]])
     for build in (lambda: BoundedProductSpec(np.array([0.1, value])),
                   lambda: UniformLocationSpec(value),
                   lambda: GaussianLocationSpec(np.array([0.1]), sigma=value),
                   lambda: RegressionSpec(designs, np.array([value, 0.1])),
                   lambda: RegressionSpec(designs, np.array([0.1, 0.1]), sigma=value),
-                  lambda: ProbitSpec(designs, value)):
+                  lambda: ProbitSpec(designs, value),
+                  lambda: RegressionSpec([bad_design], np.zeros(2)),
+                  lambda: ProbitSpec([bad_design], np.zeros(2))):
         with pytest.raises(InvalidArgumentError):
             build()
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from distest import bounds
 from distest import infotheory as it
 from distest import sweeps
 from distest.errors import EnumerationTooLargeError, InvalidArgumentError
@@ -216,6 +217,24 @@ class TestNeighborhoodsAndFano:
         assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("fn, args, name", [
+    (bounds.tail_pstar, (4.0, 0.1, 4, math.nan), "sigma"),
+    (bounds.tail_pstar, (4.0, 0.1, 0, 1.0), "n must"),
+    (bounds.centralized_rate, ("gaussian", 1, 1, 1, math.nan), "sigma2"),
+    (bounds.centralized_rate, ("gaussian", 1, 1, 1, -1.0), "sigma2"),
+    (fano_variant_lower, (3, 1, math.nan), "info_nats"),
+    (estimation_to_testing_lower, (math.nan, 1, 0.5), "delta"),
+    (estimation_to_testing_lower, (0.1, math.inf, 0.5), "t must"),
+    (estimation_to_testing_lower, (0.1, 1, math.nan), "test_error_prob"),
+    (hamming_neighborhood_size, (3, math.nan), "finite t"),
+    (binary_gaussian_mi, (math.nan, 1.0), "delta"),
+    (binary_gaussian_mi, (1.0, math.inf), "sigma"),
+], ids=lambda x: x.__name__ if callable(x) else str(x).replace(" ", ""))
+def test_scalar_helpers_reject_nan_and_out_of_range_arguments(fn, args, name):
+    with pytest.raises(InvalidArgumentError, match=name):
+        fn(*args)
+
+
 class TestLeCam:
     def test_equal_distributions(self):
         p = FinitePMF(np.array([0.3, 0.7]))
@@ -327,6 +346,36 @@ class TestDpiTruncated:
         assert rep["H_E"] > 0
         assert rep["alpha"] == pytest.approx(math.log(5 / 3), abs=1e-12)
         assert rep["holds"]
+
+    @pytest.mark.parametrize("keep", [np.array([True, True]), np.ones(4, dtype=bool),
+                                      np.ones((2, 3), dtype=bool), np.zeros(3, dtype=bool)])
+    def test_mask_of_wrong_shape_or_empty(self, keep):
+        ch = ChannelSpec(np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]]))
+        with pytest.raises(InvalidArgumentError, match="truncation"):
+            check_dpi_truncated(1, ch, np.arange(3), keep)
+
+    @pytest.mark.parametrize("v_dim, machines, expected", [
+        (2, 1, {"I_VY": 0.014630366891838763, "I_XY": 1.4444190426347407,
+                "H_E": 0.6534181947937018, "P_E0": 0.36, "bound": 131.3153824688845}),
+        (1, 2, {"I_VY": 0.03048737973230708, "I_XY": 1.0943543266655558,
+                "H_E": 0.6534181947937018, "P_E0": 0.3600000000000001,
+                "bound": 99.7358208822188}),
+    ])
+    def test_pinned_reports_beyond_one_coordinate_and_machine(self, v_dim, machines,
+                                                               expected):
+        # no suite draws these shapes, so these exact values pin them; Y adds
+        # the two X symbols (v_dim = 2), or is machine 1's symbol when machine
+        # 2's is 0 and 3 otherwise (machines = 2)
+        ch = ChannelSpec(np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]]))
+        digits = it.base_k_digits(3, 2)
+        quantizer = (digits.sum(axis=1) if v_dim == 2
+                     else np.where(digits[:, 1] == 0, digits[:, 0], 3))
+        rep = check_dpi_truncated(v_dim, ch, quantizer, np.array([True, True, False]),
+                                  machines=machines)
+        assert rep["alpha"] == math.log(0.5 / 0.3)
+        assert rep["holds"]
+        for key, value in expected.items():
+            assert rep[key] == value, key
 
     def test_random_sweeps(self):
         for name in ("dpi5", "dpi7"):

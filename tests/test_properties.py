@@ -1,4 +1,5 @@
-"""Property tests: codec round trips, quantizer laws, bit accounting.
+"""Property tests: codec round trips, quantizer laws, bit accounting, and
+the guards on extreme CLI inputs.
 
 The examples are derandomized, so every run checks the same inputs.
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from distest.codec import (QuantizerSpec, bits_for_accuracy, ceil_log2,
                            encode_improvement_message, pack_fields, quantize,
                            transcript_total_bits, unpack_fields)
 from distest.designs import build_designs
+from distest.errors import ConfigError
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
                               RegressionSpec, UniformLocationSpec,
                               draw_trials, machine_streams)
@@ -164,3 +167,46 @@ def test_bounds_rows_are_finite_and_nonnegative_or_errors(rows):
         read = [c for c in cols[2:] if row["formula"] == "pstar" or c not in ("a", "delta")]
         assert all(math.isfinite(float(x)) for c in read for x in row[c].split(";") if x), line
         assert 0 <= float(cells[len(cols)]) < math.inf, line
+
+
+# Extreme cells for the simulate guard. The finite ones can reach a row;
+# a non-finite or non-integer cell, or a size below 1, is a config error.
+SIMULATE_EXTREME = ["nan", "inf", "-inf", "-1", "0", "1e200", "1e308"]
+
+
+def assert_finite_or_error(config):
+    """run_simulate raises ConfigError or gives rows whose numeric cells are
+    finite unless the row's error column is set."""
+    try:
+        lines = cli.run_simulate(config)
+    except ConfigError:
+        return
+    header = cli.SIMULATE_HEADER.split(",")
+    text = {"protocol", "family", "design", "protocol_kind", "bound_formula", "error"}
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(header), line
+        if cells[-1]:
+            continue
+        for col, cell in zip(header, cells):
+            if col not in text:
+                assert all(math.isfinite(float(x)) for x in cell.split(";") if x), line
+
+
+@pytest.mark.parametrize("family", cli.FAMILIES)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(PROPERTY, max_examples=5)
+@given(data=st.data())
+def test_simulate_rows_are_finite_or_errors(protocol, family, data):
+    def grid(*values):
+        return data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=2,
+                                  unique=True))
+    config = {"protocol": [protocol], "family": [family], "trials": ["2"],
+              "seed": [str(data.draw(st.integers(0, 3)))],
+              **{key: [str(data.draw(st.integers(1, 3)))] for key in ("d", "m", "n")},
+              "sigma": grid("1.5", "-1", "0", "1e200", "1e308"),
+              "theta": grid("0.2", "-1", "0", "1e200", "1e308"),
+              "budget_bits": grid("3", "-1", "0")}
+    assert_finite_or_error(config)
+    key = data.draw(st.sampled_from(["sigma", "theta", "budget_bits", "d", "m", "n"]))
+    assert_finite_or_error({**config, key: [data.draw(st.sampled_from(SIMULATE_EXTREME))]})

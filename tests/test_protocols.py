@@ -135,8 +135,6 @@ class TestUniformInteractiveMin:
             s = uniform_interactive_min(x).theta_hat - 1.0
             assert np.all(s <= gmin + 1e-15)
             assert np.all(s >= gmin - cell - 1e-15)
-            exact = uniform_interactive_min(x, quantize_state=False).theta_hat - 1.0
-            assert np.array_equal(exact, gmin)
 
     def test_bit_accounting_matches_improvement_lists(self):
         spec = UniformLocationSpec(np.array([0.2, -0.3, 0.0]))
