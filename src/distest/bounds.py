@@ -234,6 +234,8 @@ def centralized_rate(family: str, d: int, m: int, n: int, sigma2: float = 1.0) -
     if not 0 < sigma2 < math.inf:
         raise InvalidArgumentError("sigma2 must be positive and finite")
     if family in ("gaussian", "regression"):
+        if sigma2 * d == math.inf:
+            raise InvalidArgumentError("sigma2 * d overflows")
         return sigma2 * d / (m * n)
     if family == "bounded":
         return d / m

@@ -203,7 +203,9 @@ def _simulate_point(args) -> str:
                 f"{bound.value!r},")
     except (InvalidArgumentError, ConfigError, DegenerateDesignError,
             np.linalg.LinAlgError, OverflowError, FloatingPointError) as err:
-        msg = str(err).replace(",", ";").replace("\n", " ")
+        # Python's float OverflowError reads "(34, 'Numerical result out of range')"
+        text = f"overflow: {err}" if isinstance(err, OverflowError) else str(err)
+        msg = text.replace(",", ";").replace("\n", " ")
         return f"{base},,,,,,,,,,{msg}"
 
 

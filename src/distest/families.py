@@ -4,7 +4,9 @@ mean-to-regression / regression-to-probit reductions.
 A sample is a plain array, the machines' local blocks: (m, d, n) for a mean
 family and (m, n) responses for a design family. sample() returns one, and
 draw_trials stacks one per trial, so blocks[t] of a draw is what the
-protocols' reference functions take.
+protocols' reference functions take. draw_trials returns a transposed view of
+a machine-major buffer, not a C-contiguous array: a float reduction over
+machines must copy it to C order first, or its rounding depends on the layout.
 
 Seeding contract
 ----------------
@@ -161,22 +163,13 @@ class ProbitSpec(DesignSpec):
     """Binary responses with P(Z=1 | a, theta) = Phi(a . theta)."""
 
 
-def _draw_mean_blocks(spec, gen, n: int, trials: int) -> np.ndarray:
-    """(trials, d, n) block for one machine, consumed from gen in trial order."""
-    d = spec.d
-    theta = spec.theta[:, None]
-    if isinstance(spec, GaussianLocationSpec):
-        return theta + spec.sigma * gen.standard_normal((trials, d, n))
-    if isinstance(spec, BoundedProductSpec):
-        u = gen.random((trials, d, n))
-        if spec.law == TWO_POINT:
-            return np.where(u < (1.0 + theta) / 2.0, 1.0, -1.0)
-        w = (1.0 - np.abs(spec.theta))[:, None]
-        return theta + w * (2.0 * u - 1.0)
-    if isinstance(spec, UniformLocationSpec):
-        u = gen.random((trials, d, n))
-        return theta + (2.0 * u - 1.0)
-    raise InvalidArgumentError(f"not a mean-family spec: {type(spec).__name__}")
+def machine_rows(gens, shape, draw) -> np.ndarray:
+    """(shape[0], m, *shape[1:]) view of one (m, *shape) buffer whose
+    contiguous row i holds draw(i, gens[i], shape)."""
+    buf = np.empty((len(gens), *shape))
+    for i, (gen, row) in enumerate(zip(gens, buf)):
+        row[...] = draw(i, gen, shape)
+    return buf.swapaxes(0, 1)
 
 
 def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
@@ -187,24 +180,27 @@ def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
     and drawing in chunks from the same generators is equivalent to drawing
     all trials at once.
     """
-    m = len(gens)
-    if isinstance(spec, DesignSpec):
-        out = np.empty((trials, m, spec.n))
-        for i, gen in enumerate(gens):
-            a = spec.designs[i]
-            mean = a @ spec.theta
-            if isinstance(spec, RegressionSpec):
-                noise = spec.sigma * gen.standard_normal((trials, spec.n)) \
-                    if spec.sigma > 0 else 0.0
-                out[:, i, :] = mean + noise
-            else:
-                latent = mean + gen.standard_normal((trials, spec.n))
-                out[:, i, :] = (latent >= 0).astype(float)
-        return out
-    blocks = np.empty((trials, m, spec.d, n))
-    for i, gen in enumerate(gens):
-        blocks[:, i] = _draw_mean_blocks(spec, gen, n, trials)
-    return blocks
+    theta = spec.theta[:, None]
+
+    def draw(i, gen, shape):
+        if isinstance(spec, GaussianLocationSpec):
+            return theta + spec.sigma * gen.standard_normal(shape)
+        if isinstance(spec, BoundedProductSpec):
+            u = gen.random(shape)
+            if spec.law == TWO_POINT:
+                return np.where(u < (1.0 + theta) / 2.0, 1.0, -1.0)
+            return theta + (1.0 - np.abs(theta)) * (2.0 * u - 1.0)
+        if isinstance(spec, UniformLocationSpec):
+            return theta + (2.0 * gen.random(shape) - 1.0)
+        if not isinstance(spec, DesignSpec):
+            raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
+        mean = spec.designs[i] @ spec.theta
+        if isinstance(spec, RegressionSpec):
+            return mean + (spec.sigma * gen.standard_normal(shape) if spec.sigma > 0 else 0.0)
+        return mean + gen.standard_normal(shape) >= 0
+
+    shape = (trials, spec.n) if isinstance(spec, DesignSpec) else (trials, spec.d, n)
+    return machine_rows(gens, shape, draw)
 
 
 def run_shape(spec, m: int = None, n: int = None):
@@ -240,8 +236,11 @@ def design_eigenbounds(designs):
     lmax2 = -np.inf
     lmin2 = np.inf
     for a in designs:
-        n = a.shape[0]
-        eig = np.linalg.eigvalsh(a.T @ a / n)
+        with np.errstate(over="ignore"):
+            gram = a.T @ a / a.shape[0]
+        if not np.isfinite(gram).all():
+            raise InvalidArgumentError("design Gram A^T A / n overflows")
+        eig = np.linalg.eigvalsh(gram)
         lmax2 = max(lmax2, float(eig[-1]))
         lmin2 = min(lmin2, float(eig[0]))
     if lmin2 <= 1e-12 * max(1.0, lmax2):

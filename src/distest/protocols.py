@@ -34,7 +34,7 @@ from .errors import DegenerateDesignError, InvalidArgumentError
 from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
                        RegressionSpec, UniformLocationSpec, draw_trials,
-                       machine_streams, run_shape)
+                       machine_rows, machine_streams, run_shape)
 
 
 def __getattr__(name):
@@ -162,7 +162,7 @@ def onebit_bounded_mean(samples, rand) -> ProtocolOutput:
         u = rand
     else:
         gens = machine_streams(rand, m, TAG_PROTOCOL)
-        u = np.stack([g.random(d) for g in gens])
+        u = machine_rows(gens, (1, d), lambda i, gen, shape: gen.random(shape))[0]
     z = (u < (1.0 + x) / 2.0)
     powers = np.array([1 << k for k in range(d - 1, -1, -1)], dtype=object)
     vals = (z * powers).sum(axis=1)
@@ -433,7 +433,7 @@ def _single_mean_kernel(spec, blocks, uniforms, budget_bits):
 def _gauss_qavg_kernel(spec, blocks, uniforms, budget_bits):
     k, m, d, n = blocks.shape
     qspec = _gauss_qavg_grid(spec.sigma, m, n)
-    idx = quantize(blocks.mean(axis=3), qspec)
+    idx = quantize(np.ascontiguousarray(blocks.mean(axis=3)), qspec)
     return dequantize(idx, qspec).mean(axis=1), *_fixed(k, m * d * qspec.bits)
 
 
@@ -493,7 +493,7 @@ def _centralized_kernel(spec, blocks, uniforms, budget_bits):
     if isinstance(spec, UniformLocationSpec):
         theta_hat = blocks.min(axis=(1, 3)) + 1.0
     elif isinstance(spec, MeanSpec):
-        theta_hat = blocks.mean(axis=(1, 3))
+        theta_hat = np.ascontiguousarray(blocks).mean(axis=(1, 3))
     elif isinstance(spec, ProbitSpec):
         pooled = np.vstack(spec.designs)
         theta_hat, _ = probit_mle_batched(np.broadcast_to(pooled, (k, *pooled.shape)),
@@ -533,18 +533,6 @@ PROTOCOLS = {
 def _chunk_sizes(trials: int, per_trial_values: int):
     chunk = max(1, int(4_000_000 // max(1, per_trial_values)))
     return [min(chunk, trials - start) for start in range(0, trials, chunk)]
-
-
-def _protocol_uniforms(gens, k: int, d: int) -> np.ndarray:
-    """(k, m, d) uniforms, machine i's from the next k*d draws of gens[i].
-
-    Each stream fills its row of one (m, k, d) buffer in place, and the
-    result is a transposed view of it, so no per-machine copy is made.
-    """
-    buf = np.empty((len(gens), k, d))
-    for gen, rows in zip(gens, buf):
-        gen.random(out=rows)
-    return buf.transpose(1, 0, 2)
 
 
 def estimate_risk(protocol: str, spec, trials: int, seed: int,
@@ -589,7 +577,8 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     flagged = 0
     pos = 0
     for k in _chunk_sizes(trials, m * d * n):
-        uniforms = _protocol_uniforms(proto_gens, k, d) if rec.randomized else None
+        uniforms = (machine_rows(proto_gens, (k, d), lambda i, gen, shape: gen.random(shape))
+                    if rec.randomized else None)
         theta_hat, chunk_bits, chunk_flagged = rec.kernel(
             spec, draw_trials(spec, data_gens, n, k), uniforms, budget_bits)
         del uniforms  # this chunk's arrays are freed before the next is drawn

@@ -195,6 +195,12 @@ class TestCentralizedRate:
         with pytest.raises(InvalidArgumentError):
             centralized_rate("cauchy", 1, 1, 1)
 
+    @pytest.mark.parametrize("family", ["gaussian", "regression"])
+    def test_overflowing_rate_is_rejected(self, family):
+        # sigma2 is finite, but sigma2 * d is not
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            centralized_rate(family, 2, 1, 1, 1.7e308)
+
 
 class TestPstar:
     def test_zero_gap(self):

@@ -322,7 +322,7 @@ class TestEndToEnd:
         res = run_cli(["simulate", str(conf)])
         assert res.returncode == 0 and res.stderr == ""
         row = res.stdout.splitlines()[1].split(",")
-        assert row[11:20] == [""] * 9 and row[20]
+        assert row[11:20] == [""] * 9 and "overflow" in row[20]
 
     def test_bad_thread_count_exits_two(self, tmp_path):
         conf = tmp_path / "sweep.conf"

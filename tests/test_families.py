@@ -16,6 +16,19 @@ from distest.protocols import (_mean_blocks, gaussian_quantized_average,
                                onebit_bounded_mean, uniform_interactive_min)
 
 
+# every family, on two machines (the design families' n is their own, 4)
+CHUNK_DESIGNS = (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),) * 2
+CHUNK_SPECS = {
+    "gaussian": GaussianLocationSpec(np.array([0.0]), 1.0),
+    "two_point": BoundedProductSpec(np.array([0.3, -0.5]), "two_point"),
+    "uniform_interval": BoundedProductSpec(np.array([0.3, -0.5]), "uniform_interval"),
+    "uniform": UniformLocationSpec(np.array([0.2, -0.1])),
+    "regression": RegressionSpec(CHUNK_DESIGNS, np.array([0.3, -0.2]), 0.8),
+    "regression_noiseless": RegressionSpec(CHUNK_DESIGNS, np.array([0.3, -0.2]), 0.0),
+    "probit": ProbitSpec(CHUNK_DESIGNS, np.array([0.3, -0.2])),
+}
+
+
 class TestSampling:
     def test_determinism_bit_identical(self):
         spec = GaussianLocationSpec(np.array([0.1, -0.4]), 0.7)
@@ -31,8 +44,8 @@ class TestSampling:
         big = sample(spec, m=7, n=6, seed=5)
         assert np.array_equal(small, big[:2])
 
-    def test_chunked_draws_match_one_shot(self):
-        spec = GaussianLocationSpec(np.array([0.0]), 1.0)
+    @pytest.mark.parametrize("spec", CHUNK_SPECS.values(), ids=CHUNK_SPECS.keys())
+    def test_chunked_draws_match_one_shot(self, spec):
         whole = draw_trials(spec, machine_streams(3, 2), 4, 10)
         gens = machine_streams(3, 2)
         parts = np.concatenate([draw_trials(spec, gens, 4, 6),
@@ -137,6 +150,16 @@ class TestDesignEigenbounds:
         assert lmin2 == pytest.approx(oracle_min, abs=1e-8)
         assert lmin2 <= lmax2
 
+    def test_overflowing_gram_is_rejected(self):
+        # finite entries whose Gram overflows; a warning would fail the test
+        huge = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            design_eigenbounds([huge])
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            RegressionSpec((huge,), np.zeros(2), 1.0)
+        with pytest.raises(InvalidArgumentError, match="overflows"):
+            ProbitSpec((huge,), np.zeros(2))
+
     def test_rank_deficient(self):
         a = np.ones((5, 2))
         with pytest.raises(DegenerateDesignError):
@@ -218,3 +241,6 @@ class TestProbitSampling:
         design = np.vstack([np.eye(2), np.eye(2)])
         spec = RegressionSpec((design,), np.array([0.3, -0.2]), 0.0)
         assert np.allclose(sample(spec, seed=0)[0], design @ spec.theta)
+        gens = machine_streams(0, 1)
+        draw_trials(spec, gens, 4, 3)       # draws no noise from the stream
+        assert gens[0].random() == machine_streams(0, 1)[0].random()

@@ -3,7 +3,8 @@
 The files under tests/golden/ pin what the code produces. A change that
 moves any of them must say why in CHANGES.md. To regenerate them, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout;
-it also prints the digest that ``WIDE_VERIFY_SHA256`` holds.
+it also prints the digests that ``WIDE_VERIFY_SHA256`` and
+``WIDE_SIMULATE_SHA256`` hold.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ SUITES = "dpi3,dpi5,dpi7,chain,tensor,pinsker,fano"
 # more instances, and so more shape classes per suite, than verify.csv holds.
 WIDE_VERIFY_ARGS = ["verify", SUITES, "--count", "300", "--seed", "7"]
 WIDE_VERIFY_SHA256 = "f4e719d31326fb359a1d670584f381547754031897e124268d8f19b0f9b56ae0"
+# sha256 of `simulate` for every protocol on every family at d, m, n in
+# {1, 3} x {3, 40} x {1, 16} (336 rows): more machines and wider blocks than
+# matrix.csv, so a reduction over machines whose rounding depends on the
+# layout of the draws moves it.
+WIDE_SIMULATE_GRID = ("d = 1\nd = 3\nm = 3\nm = 40\nn = 1\nn = 16\ntheta = 0.3\n"
+                      "budget_bits = 6\ntrials = 30\nseed = 5\n")
+WIDE_SIMULATE_SHA256 = "b036901ef959f599cc0c62c5e3c52244920c38352899db838f2dcbf457b839ac"
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")
@@ -95,13 +103,17 @@ def _bounds(text: str, tmp: Path) -> str:
     return _cli(["bounds", str(queries)], tmp)
 
 
-def _matrix(tmp: Path) -> str:
+def _every_pair(grid: str) -> str:
     lines = [cli.SIMULATE_HEADER]
     for protocol in MATRIX_PROTOCOLS:
         for family in MATRIX_FAMILIES:
-            text = f"protocol = {protocol}\nfamily = {family}\n{MATRIX_GRID}"
+            text = f"protocol = {protocol}\nfamily = {family}\n{grid}"
             lines += cli.run_simulate(cli.parse_config(text))[1:]
     return "\n".join(lines) + "\n"
+
+
+def _wide_simulate_digest() -> str:
+    return hashlib.sha256(_every_pair(WIDE_SIMULATE_GRID).encode("utf-8")).hexdigest()
 
 
 PRODUCERS = {
@@ -113,7 +125,7 @@ PRODUCERS = {
     "bounds_all.csv": lambda tmp: _bounds(BOUNDS_QUERIES, tmp),
     "verify.csv": lambda tmp: _cli(
         ["verify", SUITES, "--count", "20", "--seed", "0"], tmp),
-    "matrix.csv": _matrix,
+    "matrix.csv": lambda tmp: _every_pair(MATRIX_GRID),
 }
 
 
@@ -126,6 +138,10 @@ def test_golden_bytes(name, tmp_path):
 def test_wide_verify_digest(tmp_path):
     got = _cli(WIDE_VERIFY_ARGS, tmp_path).encode("utf-8")
     assert hashlib.sha256(got).hexdigest() == WIDE_VERIFY_SHA256
+
+
+def test_wide_simulate_digest():
+    assert _wide_simulate_digest() == WIDE_SIMULATE_SHA256
 
 
 def test_golden_suites_are_every_suite():
@@ -145,3 +161,4 @@ if __name__ == "__main__":
             print(f"wrote {GOLDEN / name}")
         wide = _cli(WIDE_VERIFY_ARGS, Path(tmp)).encode("utf-8")
         print(f"WIDE_VERIFY_SHA256 = {hashlib.sha256(wide).hexdigest()!r}")
+        print(f"WIDE_SIMULATE_SHA256 = {_wide_simulate_digest()!r}")

@@ -16,7 +16,8 @@ from distest.designs import build_designs
 from distest.errors import DegenerateDesignError, InvalidArgumentError
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
-                              UniformLocationSpec, draw_trials, machine_streams)
+                              UniformLocationSpec, draw_trials, machine_rows,
+                              machine_streams)
 from distest.protocols import (PROTOCOLS, centralized_baseline,
                                gaussian_quantized_average, onebit_bounded_mean,
                                probit_local_average, probit_mle,
@@ -286,7 +287,8 @@ def test_onebit_kernel_rejects_out_of_range_inputs():
 
 def test_protocol_uniforms_match_per_machine_draws():
     m, k, d = 5, 11, 3
-    got = protocols._protocol_uniforms(machine_streams(9, m, TAG_PROTOCOL), k, d)
+    got = machine_rows(machine_streams(9, m, TAG_PROTOCOL), (k, d),
+                       lambda i, gen, shape: gen.random(shape))
     want = np.stack([g.random((k, d)) for g in machine_streams(9, m, TAG_PROTOCOL)],
                     axis=1)
     assert np.array_equal(got, want)
