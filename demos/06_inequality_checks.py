@@ -2,7 +2,9 @@
 
 Everything here is computed by enumerating small joint distributions, so each
 inequality is checked to float precision on thousands of random instances.
-One worked instance of each check is shown, then the randomized suites run.
+Every table a check takes is a plain array (a channel is its rows P(x | v)),
+checked to be a pmf where it enters. One worked instance of each check is
+shown, then the randomized suites run.
 """
 
 import numpy as np
@@ -19,8 +21,7 @@ print(f"  I(V;Y) = {rep['I_VY']:.6f} nats, alpha = {rep['alpha']:.6f}, "
 
 # truncating one symbol of a three-letter alphabet costs H(E) + P(E=0)
 rows = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
-trep = it.check_dpi_truncated(1, it.ChannelSpec(rows), np.arange(3),
-                              np.array([True, True, False]))
+trep = it.check_dpi_truncated(1, rows, np.arange(3), np.array([True, True, False]))
 print("\ntruncated DPI, S drops the third symbol:")
 print(f"  I(V;Y) = {trep['I_VY']:.6f}, H(E) = {trep['H_E']:.6f}, "
       f"P(E=0) = {trep['P_E0']:.3f}, bound = {trep['bound']:.6f} "

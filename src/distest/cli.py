@@ -44,7 +44,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import protocols as proto
-from .designs import build_designs
+from .designs import DESIGN_KINDS, build_designs
 from .errors import ConfigError, DegenerateDesignError, InvalidArgumentError
 from .families import (BoundedProductSpec, GaussianLocationSpec, ProbitSpec,
                        RegressionSpec, UniformLocationSpec, design_eigenbounds)
@@ -172,6 +172,13 @@ FAMILIES = {
 }
 
 
+def _error_cell(err: Exception) -> str:
+    """A row error as one CSV cell: no comma, no newline."""
+    # Python's float OverflowError reads "(34, 'Numerical result out of range')"
+    text = f"overflow: {err}" if isinstance(err, OverflowError) else str(err)
+    return text.replace(",", ";").replace("\n", " ")
+
+
 def _simulate_point(args) -> str:
     (protocol, family, design_kind, theta, d, m, n, sigma, budget_bits,
      trials, seed) = args
@@ -203,10 +210,7 @@ def _simulate_point(args) -> str:
                 f"{bound.value!r},")
     except (InvalidArgumentError, ConfigError, DegenerateDesignError,
             np.linalg.LinAlgError, OverflowError, FloatingPointError) as err:
-        # Python's float OverflowError reads "(34, 'Numerical result out of range')"
-        text = f"overflow: {err}" if isinstance(err, OverflowError) else str(err)
-        msg = text.replace(",", ";").replace("\n", " ")
-        return f"{base},,,,,,,,,,{msg}"
+        return f"{base},,,,,,,,,,{_error_cell(err)}"
 
 
 def run_simulate(config: dict, gnuplot_hints: bool = False):
@@ -217,6 +221,8 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; choices: {tuple(FAMILIES)}")
     design_kind = _single(config, "design", default="orthogonal")
+    if design_kind not in DESIGN_KINDS:
+        raise ConfigError(f"unknown design {design_kind!r}; choices: {DESIGN_KINDS}")
     trials = _single(config, "trials", cast=int)
     if trials < 2:
         raise ConfigError("trials must be >= 2")
@@ -328,9 +334,8 @@ def run_bounds(text: str):
             result = _parse_bounds_row(cells)
             terms = ";".join(f"{k}={result.terms[k]!r}" for k in sorted(result.terms))
             out.append(f"{echo},{result.value!r},{terms},")
-        except (ValueError, InvalidArgumentError) as err:
-            msg = str(err).replace(",", ";").replace("\n", " ")
-            out.append(f"{echo},,,{msg}")
+        except (ValueError, InvalidArgumentError, OverflowError) as err:
+            out.append(f"{echo},,,{_error_cell(err)}")
     return out
 
 

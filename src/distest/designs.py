@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+DESIGN_KINDS = ("identity", "orthogonal")
+
 
 def scaled_identity_design(n: int, d: int) -> np.ndarray:
     """sqrt(n) times the first d columns of I_n, so A^T A = n I exactly."""
@@ -27,10 +29,10 @@ def orthogonal_columns_design(n: int, d: int, gen: np.random.Generator) -> np.nd
 
 
 def build_designs(kind: str, m: int, n: int, d: int, seed: int):
-    """m design matrices of a named kind ("identity" or "orthogonal")."""
+    """m design matrices of a named kind, one of DESIGN_KINDS."""
     if kind == "identity":
         return tuple(scaled_identity_design(n, d) for _ in range(m))
     if kind == "orthogonal":
         gen = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(17,)))
         return tuple(orthogonal_columns_design(n, d, gen) for _ in range(m))
-    raise InvalidArgumentError(f"unknown design kind {kind!r}")
+    raise InvalidArgumentError(f"unknown design kind {kind!r}; choices: {DESIGN_KINDS}")

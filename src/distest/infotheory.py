@@ -6,10 +6,12 @@ is exact up to float rounding; checks therefore use a 1e-10 slack. Requests
 whose joint state space would exceed 2**20 cells raise instead of
 approximating.
 
-A table is checked to be a pmf once, by `_check_pmf`, where it enters:
-`FinitePMF`, `JointPMF`, `ChannelSpec` and the quantizer argument of the
-`check_*` functions. Every table built from those inside this module is a
-plain array and is not checked again.
+Every table argument of a `check_*` function is a plain array: a channel is
+its table of rows P(x | v), and the Pinsker and chaining joints are (V, Y)
+and (A, B, C, D) tables in that axis order. `_check_pmf` checks each table
+once, where it enters a check, as it does for `FinitePMF` and `JointPMF`.
+Every table built from those inside this module is a plain array and is not
+checked again.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ def _as_prob_array(p) -> np.ndarray:
     return arr
 
 
-def _check_pmf(table, what: str, axis=None) -> np.ndarray:
-    """`table` as a float array, after checking that it is nonempty and that
-    its entries are nonnegative and sum to 1 over `axis` (over the whole
-    table when None)."""
+def _check_pmf(table, what: str, axis=None, ndim=None) -> np.ndarray:
+    """`table` as a float array, after checking that it has `ndim` axes (any
+    number when None), that it is nonempty and that its entries are
+    nonnegative and sum to 1 over `axis` (over the whole table when None)."""
     arr = np.asarray(table, dtype=float)
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidArgumentError(f"{what} needs a {ndim}-d table")
     if arr.size == 0:
         raise InvalidArgumentError(f"{what} is empty")
     # array methods, not np.any / np.all: this runs on every table that enters
@@ -97,25 +101,9 @@ class JointPMF:
         return np.transpose(reduced, [order.index(i) for i in kept])
 
 
-@dataclass(eq=False)
-class ChannelSpec:
-    """Row-stochastic conditional table P(output | input)."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=float)
-        if arr.ndim != 2:
-            raise InvalidArgumentError("channel rows form a 2-d table")
-        self.rows = _check_pmf(arr, "channel row", axis=1)
-
-    @property
-    def k_in(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def k_out(self) -> int:
-        return self.rows.shape[1]
+def _channel_rows(channel) -> np.ndarray:
+    """The channel's row-stochastic table P(output | input), checked."""
+    return _check_pmf(channel, "channel row", axis=1, ndim=2)
 
 
 def entropy(p) -> float:
@@ -191,14 +179,13 @@ def lecam_testing_error(p1, p2) -> float:
     return 0.5 - 0.5 * tv(p1, p2)
 
 
-def check_likelihood_ratio(channel: ChannelSpec, columns=None) -> float:
+def check_likelihood_ratio(channel) -> float:
     """Log of the worst output-wise max/min row ratio.
 
     A zero entry in an otherwise reachable output yields +inf (an infinite
-    ratio signal) rather than an exception. `columns` restricts the outputs
-    considered, for truncated-set variants.
+    ratio signal) rather than an exception.
     """
-    return _max_log_ratio(channel.rows if columns is None else channel.rows[:, columns])
+    return _max_log_ratio(_channel_rows(channel))
 
 
 def _max_log_ratio(rows: np.ndarray) -> float:
@@ -212,9 +199,10 @@ def _max_log_ratio(rows: np.ndarray) -> float:
     return float(np.log((hi[live] / lo[live]).max()))
 
 
-def check_pinsker_consequence(j: JointPMF) -> dict:
-    """tv(P_{Y|V=0}, P_{Y|V=1})^2 <= 2 I(V; Y) for uniform binary V."""
-    pair = j._marginal_table(("V", "Y"))
+def check_pinsker_consequence(pair) -> dict:
+    """tv(P_{Y|V=0}, P_{Y|V=1})^2 <= 2 I(V; Y) for uniform binary V, on the
+    (V, Y) joint table `pair`."""
+    pair = _check_pmf(pair, "(V, Y) joint", ndim=2)
     pv = pair.sum(axis=1)
     if pv.size != 2:
         raise InvalidArgumentError("V must be binary")
@@ -259,19 +247,19 @@ def base_k_digits(k: int, width: int) -> np.ndarray:
     return digits
 
 
-def _product_channel(channel: ChannelSpec, v_dim: int, machines: int = 1):
-    """P(x | v) over the product alphabet.
+def _product_channel(rows: np.ndarray, v_dim: int, machines: int = 1):
+    """P(x | v) over the product alphabet, from the checked channel `rows`.
 
     v ranges over 2**v_dim sign patterns (bit b of the index = coordinate b,
     bit 0 most significant, 0 -> row 0, 1 -> row 1); x ranges over
     k**(machines * v_dim) tuples, machine-major. Machine i's coordinate j
     depends on v_j only, conditionally independent across (i, j).
     """
-    if channel.k_in != 2:
+    if rows.shape[0] != 2:
         raise InvalidArgumentError("per-coordinate channels take the binary input {-1, +1}")
     if v_dim < 1 or machines < 1:
         raise InvalidArgumentError("need v_dim >= 1 and machines >= 1")
-    k = channel.k_out
+    k = rows.shape[1]
     n_coords = machines * v_dim
     n_x = k ** n_coords
     if 2 ** v_dim * n_x > ENUMERATION_CEILING:
@@ -281,14 +269,14 @@ def _product_channel(channel: ChannelSpec, v_dim: int, machines: int = 1):
     out = np.ones((2 ** v_dim, n_x))
     for c in range(n_coords):
         # coordinate c of x belongs to v-coordinate c % v_dim (machine-major order)
-        out *= channel.rows[vbits[:, c % v_dim, None], digits[None, :, c]]
+        out *= rows[vbits[:, c % v_dim, None], digits[None, :, c]]
     return out, digits
 
 
-def _vxy_joint(v_dim: int, channel: ChannelSpec, quantizer, machines: int = 1):
+def _vxy_joint(v_dim: int, rows: np.ndarray, quantizer, machines: int = 1):
     """The (V, X, Y) joint table of V -> X -> Y = quantizer(X), and the digits
     of the X alphabet."""
-    p_xv, digits = _product_channel(channel, v_dim, machines)
+    p_xv, digits = _product_channel(rows, v_dim, machines)
     q = _quantizer_matrix(quantizer, p_xv.shape[1])
     if p_xv.size * q.shape[1] > ENUMERATION_CEILING:
         raise EnumerationTooLargeError(
@@ -296,14 +284,15 @@ def _vxy_joint(v_dim: int, channel: ChannelSpec, quantizer, machines: int = 1):
     return (p_xv[:, :, None] * q[None, :, :]) / p_xv.shape[0], digits
 
 
-def check_dpi_independent(v_dim: int, channel: ChannelSpec, quantizer) -> dict:
+def check_dpi_independent(v_dim: int, channel, quantizer) -> dict:
     """Verify I(V; Y) <= 2 (e^{2 alpha} - 1)^2 I(X; Y) by exact enumeration.
 
     V is uniform on {-1, 1}^v_dim, coordinate j of X depends on V_j through
     `channel`, and Y = quantizer(X).
     """
-    joint, _ = _vxy_joint(v_dim, channel, quantizer)
-    alpha = check_likelihood_ratio(channel)
+    rows = _channel_rows(channel)
+    joint, _ = _vxy_joint(v_dim, rows, quantizer)
+    alpha = _max_log_ratio(rows)
     i_vy = _mi_from_table(joint.sum(axis=1))
     i_xy = _mi_from_table(joint.sum(axis=0))
     i_vx = _mi_from_table(joint.sum(axis=2))
@@ -312,8 +301,8 @@ def check_dpi_independent(v_dim: int, channel: ChannelSpec, quantizer) -> dict:
             "bound": bound, "holds": i_vy <= bound + SLACK}
 
 
-def check_dpi_truncated(v_dim: int, channel: ChannelSpec, quantizer,
-                        truncation, machines: int = 1) -> dict:
+def check_dpi_truncated(v_dim: int, channel, quantizer, truncation,
+                        machines: int = 1) -> dict:
     """Truncated-set variant: I(V; Y) <= 2 (e^{4a} - 1)^2 I(X; Y) + H(E) + P(E=0).
 
     `truncation` is one boolean mask over the per-coordinate X alphabet, the
@@ -321,13 +310,14 @@ def check_dpi_truncated(v_dim: int, channel: ChannelSpec, quantizer,
     bound alpha is measured on the retained symbols only, and E indicates
     that every coordinate of every machine landed inside the retained set.
     """
-    joint, digits = _vxy_joint(v_dim, channel, quantizer, machines)
+    rows = _channel_rows(channel)
+    joint, digits = _vxy_joint(v_dim, rows, quantizer, machines)
     keep = np.asarray(truncation, dtype=bool)
-    if keep.shape != (channel.k_out,):
+    if keep.shape != (rows.shape[1],):
         raise InvalidArgumentError("need one truncation flag per X symbol")
     if not keep.any():
         raise InvalidArgumentError("the truncation set must be nonempty")
-    alpha = check_likelihood_ratio(channel, columns=np.nonzero(keep)[0])
+    alpha = _max_log_ratio(rows[:, keep])
     in_set = keep[digits].all(axis=1)
     p_e1 = float(joint.sum(axis=(0, 2))[in_set].sum())
     h_e = entropy(np.array([p_e1, 1.0 - p_e1]))
@@ -345,7 +335,7 @@ def check_tensorization(v_dim: int, channels, quantizers) -> dict:
         raise InvalidArgumentError("need at least one machine and one quantizer per machine")
     kernels = []
     for channel, quantizer in zip(channels, quantizers):
-        p_xv, _ = _product_channel(channel, v_dim)
+        p_xv, _ = _product_channel(_channel_rows(channel), v_dim)
         q = _quantizer_matrix(quantizer, p_xv.shape[1])
         kernels.append(p_xv @ q)          # (2**v_dim, ny_i)
     nv = 2 ** v_dim
@@ -362,8 +352,9 @@ def check_tensorization(v_dim: int, channels, quantizers) -> dict:
             "holds": i_joint <= sum_i + SLACK}
 
 
-def check_information_chaining(model: JointPMF) -> dict:
-    """Lemma-style conditional-probability contraction on a (A, B, C, D) chain.
+def check_information_chaining(model) -> dict:
+    """Lemma-style conditional-probability contraction on the (A, B, C, D)
+    joint table `model`.
 
     Verifies the preconditions numerically (D independent of A given (B, C);
     each C slice of P(C | A, B) rank-1; alpha measured from P(B | A)), then
@@ -375,9 +366,7 @@ def check_information_chaining(model: JointPMF) -> dict:
 
     Zero-probability conditioning slices are skipped and counted.
     """
-    if tuple(model.axes) != ("A", "B", "C", "D"):
-        raise InvalidArgumentError("model axes must be (A, B, C, D)")
-    t = model.table
+    t = _check_pmf(model, "(A, B, C, D) joint", ndim=4)
     ka = t.shape[0]
 
     p_abc = t.sum(axis=3)

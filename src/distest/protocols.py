@@ -142,12 +142,12 @@ def gaussian_quantized_average(samples, sigma: float) -> ProtocolOutput:
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT))
 
 
-def onebit_bounded_mean(samples, rand) -> ProtocolOutput:
+def onebit_bounded_mean(samples, uniforms) -> ProtocolOutput:
     """One bit per coordinate: machine i sends Z_ij ~ Bernoulli((1 + X_ij)/2).
 
-    rand is an integer master seed (per-machine protocol streams are derived
-    from it) or a precomputed (m, d) uniform array. The fusion estimate
-    mean(2 Z - 1) is unbiased for theta.
+    uniforms is the (m, d) array U with machine i's TAG_PROTOCOL uniforms in
+    row i, as estimate_risk draws them, and Z_ij = [U_ij < (1 + X_ij)/2]. The
+    fusion estimate mean(2 Z - 1) is unbiased for theta.
     """
     blocks, m, d, n = _mean_blocks(samples)
     if n != 1:
@@ -155,15 +155,10 @@ def onebit_bounded_mean(samples, rand) -> ProtocolOutput:
     x = blocks[:, :, 0]
     if np.any(np.abs(x) > 1 + 1e-12):
         raise InvalidArgumentError("one-bit inputs must lie in [-1, 1]")
-    if isinstance(rand, np.ndarray):
-        if rand.shape != (m, d):
-            raise InvalidArgumentError(
-                f"protocol uniforms have shape {rand.shape}; expected {(m, d)}")
-        u = rand
-    else:
-        gens = machine_streams(rand, m, TAG_PROTOCOL)
-        u = machine_rows(gens, (1, d), lambda i, gen, shape: gen.random(shape))[0]
-    z = (u < (1.0 + x) / 2.0)
+    if np.shape(uniforms) != (m, d):
+        raise InvalidArgumentError(
+            f"protocol uniforms have shape {np.shape(uniforms)}; expected {(m, d)}")
+    z = (uniforms < (1.0 + x) / 2.0)
     powers = np.array([1 << k for k in range(d - 1, -1, -1)], dtype=object)
     vals = (z * powers).sum(axis=1)
     messages = tuple(Message(i + 1, 1, BitString(int(vals[i]), d)) for i in range(m))

@@ -5,9 +5,9 @@ enumeration check from infotheory, and gives one row per instance:
 (suite, instance_seed, lhs, rhs, slack, holds) with slack = rhs - lhs.
 A suite's runner draws one instance from the generator it is handed and
 returns (lhs, rhs, holds); run_suite seeds the generators and builds the rows.
-Constructors build strictly positive tables, so preconditions (normalization,
-measured likelihood-ratio bounds, factorizations) hold exactly rather than by
-rejection.
+Constructors return plain arrays, the tables the checks take, and build them
+strictly positive, so preconditions (normalization, measured likelihood-ratio
+bounds, factorizations) hold exactly rather than by rejection.
 """
 
 from __future__ import annotations
@@ -40,29 +40,25 @@ class SuiteRow:
 SUITE_CSV_HEADER = "suite,seed,lhs,rhs,slack,holds"
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
 def _stochastic(rng, shape) -> np.ndarray:
     """Strictly positive row-stochastic table over the last axis."""
     raw = rng.uniform(0.1, 1.0, size=shape)
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def two_point_channel(delta: float) -> it.ChannelSpec:
+def two_point_channel(delta: float) -> np.ndarray:
     """The -1/+1 symmetric channel with P(X = V) = (1 + delta) / 2."""
-    return it.ChannelSpec(np.array([[(1 + delta) / 2, (1 - delta) / 2],
-                                    [(1 - delta) / 2, (1 + delta) / 2]]))
+    return np.array([[(1 + delta) / 2, (1 - delta) / 2],
+                     [(1 - delta) / 2, (1 + delta) / 2]])
 
 
-def random_bounded_channel(rng, k_out: int, delta: float) -> it.ChannelSpec:
+def random_bounded_channel(rng, k_out: int, delta: float) -> np.ndarray:
     """Binary-input channel built as bounded multiplicative tilts of a base
     row, so the max likelihood ratio stays below (1 + delta) / (1 - delta)."""
     base = _stochastic(rng, k_out)
     tilt = rng.uniform(-1.0, 1.0, size=(2, k_out))
     rows = base * (1.0 + delta * tilt)
-    return it.ChannelSpec(rows / rows.sum(axis=1, keepdims=True))
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def random_quantizer(rng, k_in: int, n_out: int, stochastic: bool):
@@ -73,14 +69,13 @@ def random_quantizer(rng, k_in: int, n_out: int, stochastic: bool):
     return det
 
 
-def random_pinsker_joint(rng) -> it.JointPMF:
-    ky = int(rng.integers(2, 5))
-    cond = _stochastic(rng, (2, ky))
-    return it.JointPMF(("V", "Y"), 0.5 * cond)
+def random_pinsker_joint(rng) -> np.ndarray:
+    """(V, Y) joint table with V uniform on two values."""
+    return 0.5 * _stochastic(rng, (2, int(rng.integers(2, 5))))
 
 
-def random_chain_model(rng) -> it.JointPMF:
-    """(A, B, C, D) model satisfying the chain preconditions by construction.
+def random_chain_model(rng) -> np.ndarray:
+    """(A, B, C, D) joint table satisfying the chain preconditions by construction.
 
     C = (C1, C2) is produced sequentially: C1 from B, C2 from (A, C1); this
     yields the exact factorization P(C | A, B) = phi1(A, C) phi2(B, C). D then
@@ -89,14 +84,13 @@ def random_chain_model(rng) -> it.JointPMF:
     ka, kb, kc1, kc2, kd = 2, 2, 2, 2, 2
     pa = _stochastic(rng, ka)
     delta = float(rng.uniform(0.05, 0.5))
-    p_b_a = random_bounded_channel(rng, kb, delta).rows
+    p_b_a = random_bounded_channel(rng, kb, delta)
     p_c1_b = _stochastic(rng, (kb, kc1))
     p_c2_ac1 = _stochastic(rng, (ka, kc1, kc2))
     p_d_bc = _stochastic(rng, (kb, kc1, kc2, kd))
     table = np.einsum("a,ab,bx,axy,bxyd->abxyd", pa, p_b_a, p_c1_b,
                       p_c2_ac1, p_d_bc)
-    return it.JointPMF(("A", "B", "C", "D"),
-                       table.reshape(ka, kb, kc1 * kc2, kd))
+    return table.reshape(ka, kb, kc1 * kc2, kd)
 
 
 def _sequential_message_kernel(rng, k: int, machines: int):
@@ -115,10 +109,10 @@ def _sequential_message_kernel(rng, k: int, machines: int):
 
 def _run_dpi3(rng):
     v_dim = int(rng.integers(1, 3))
-    delta = float(rng.choice([0.1, 0.2]))
+    delta = (0.1, 0.2)[rng.integers(0, 2)]
     channel = random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
     n_out = int(rng.integers(1, 5))
-    quantizer = random_quantizer(rng, channel.k_out ** v_dim, n_out,
+    quantizer = random_quantizer(rng, channel.shape[1] ** v_dim, n_out,
                                  stochastic=bool(rng.integers(0, 2)))
     rep = it.check_dpi_independent(v_dim, channel, quantizer)
     return rep["I_VY"], rep["bound"], rep["holds"] and rep["I_VY"] <= rep["I_VX"] + it.SLACK
@@ -126,7 +120,7 @@ def _run_dpi3(rng):
 
 def _run_dpi5(rng):
     k = 3
-    delta = float(rng.choice([0.1, 0.2]))
+    delta = (0.1, 0.2)[rng.integers(0, 2)]
     channel = random_bounded_channel(rng, k, delta)
     keep = np.ones(k, dtype=bool)
     if rng.integers(0, 2):
@@ -140,7 +134,7 @@ def _run_dpi5(rng):
 def _run_dpi7(rng):
     machines = int(rng.integers(2, 4))
     k = int(rng.integers(2, 4))
-    delta = float(rng.choice([0.1, 0.2]))
+    delta = (0.1, 0.2)[rng.integers(0, 2)]
     channel = random_bounded_channel(rng, k, delta)
     keep = np.ones(k, dtype=bool)
     if k > 2 and rng.integers(0, 2):
@@ -159,7 +153,7 @@ def _run_chain(rng):
 def _run_tensor(rng):
     v_dim = int(rng.integers(1, 3))
     m = int(rng.integers(2, 4))
-    channels = [random_bounded_channel(rng, 2, float(rng.choice([0.1, 0.2])))
+    channels = [random_bounded_channel(rng, 2, (0.1, 0.2)[rng.integers(0, 2)])
                 for _ in range(m)]
     quantizers = [random_quantizer(rng, 2 ** v_dim, int(rng.integers(1, 3)),
                                    stochastic=bool(rng.integers(0, 2)))
@@ -224,6 +218,6 @@ def run_suite(name: str, count: int, seed: int):
     rows = []
     for i in range(count):
         instance_seed = (base + 977 * i) % 2**63
-        lhs, rhs, holds = runner(_rng(instance_seed))
+        lhs, rhs, holds = runner(np.random.default_rng(instance_seed))
         rows.append(SuiteRow(name, instance_seed, float(lhs), float(rhs), bool(holds)))
     return rows

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -187,6 +188,19 @@ class TestBoundsCommand:
         assert lines[1].split(",")[-1] != ""
         assert lines[2].endswith(",")
 
+    def test_huge_integer_size_is_a_row_error(self, tmp_path, capsys):
+        huge = str(10 ** 400)
+        queries = tmp_path / "queries.csv"
+        queries.write_text("formula,family,d,m,n,budget_total\n"
+                           f"centralized,bounded,{huge},1,1,\n"
+                           f"thm2,,{huge},1,1,10\n")
+        assert cli.main(["bounds", str(queries)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert [line.split(",")[-1] for line in out.out.splitlines()[1:]] == [
+            "overflow: integer division result too large for a float",
+            "overflow: int too large to convert to float"]
+
     def test_bad_header(self):
         with pytest.raises(ConfigError):
             run_bounds("formula,unknown_col\nthm2,1\n")
@@ -251,6 +265,16 @@ class TestEndToEnd:
         out = tmp_path / "never.csv"
         res = run_cli(["simulate", str(conf), "--out", str(out)])
         assert res.returncode == 2
+        assert not out.exists()
+
+    def test_unknown_design_exits_two_no_output(self, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("protocol = regress_avg\nfamily = regression\ndesign = foo\n"
+                        "d = 2\nm = 3\nn = 4\ntrials = 5\n")
+        out = tmp_path / "never.csv"
+        assert cli.main(["simulate", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown design 'foo'") and "orthogonal" in err
         assert not out.exists()
 
     def test_missing_file_exit_two(self):
@@ -338,3 +362,20 @@ def test_demo_runs_without_warnings(demo):
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=SRC))
     assert res.returncode == 0 and res.stderr == "" and res.stdout
+
+
+def test_bench_tracer_patches_and_restores_every_hook():
+    # entering looks up every name bench/spans.py wraps, so a renamed hook
+    # raises here; leaving must put every original back
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    from distest import bounds, codec, infotheory, protocols, sweeps
+    modules = (bounds, cli, codec, infotheory, protocols, sweeps)
+    before = [dict(vars(module)) for module in modules]
+    with spans.installed(spans.SpanRecorder()):
+        assert infotheory.check_dpi_independent is not before[3]["check_dpi_independent"]
+        assert cli.run_suite is not before[1]["run_suite"]
+    for module, names in zip(modules, before):
+        assert all(getattr(module, name) is value for name, value in names.items())

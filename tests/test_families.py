@@ -7,9 +7,10 @@ from scipy.stats import norm
 
 from distest.errors import (DegenerateDesignError, InvalidArgumentError,
                             ReductionInfeasibleError)
-from distest.families import (BoundedProductSpec, GaussianLocationSpec,
-                              ProbitSpec, RegressionSpec, UniformLocationSpec,
-                              design_eigenbounds, draw_trials, machine_streams,
+from distest.families import (TAG_PROTOCOL, BoundedProductSpec,
+                              GaussianLocationSpec, ProbitSpec, RegressionSpec,
+                              UniformLocationSpec, design_eigenbounds,
+                              draw_trials, machine_rows, machine_streams,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit, sample)
 from distest.protocols import (_mean_blocks, gaussian_quantized_average,
@@ -103,7 +104,10 @@ class TestSampling:
             _mean_blocks(np.zeros((2, 3)))
         assert _mean_blocks(np.zeros((2, 1, 3)))[1:] == (2, 1, 3)
         for run in (lambda x: gaussian_quantized_average(x, 1.0),
-                    lambda x: onebit_bounded_mean(x, 0), uniform_interactive_min):
+                    lambda x: onebit_bounded_mean(x, machine_rows(
+                        machine_streams(0, 2, TAG_PROTOCOL), (1, 3),
+                        lambda i, gen, shape: gen.random(shape))[0]),
+                    uniform_interactive_min):
             with pytest.raises(InvalidArgumentError, match="blocks"):
                 run(np.zeros((2, 3)))
 

@@ -10,7 +10,7 @@ from distest import bounds
 from distest import infotheory as it
 from distest import sweeps
 from distest.errors import EnumerationTooLargeError, InvalidArgumentError
-from distest.infotheory import (ChannelSpec, FinitePMF, JointPMF,
+from distest.infotheory import (FinitePMF, JointPMF,
                                 binary_gaussian_mi, check_dpi_independent,
                                 check_dpi_truncated, check_information_chaining,
                                 check_likelihood_ratio,
@@ -29,6 +29,47 @@ def binary_entropy_nats(p: float) -> float:
 def bsc_joint(crossover: float) -> JointPMF:
     rows = np.array([[1 - crossover, crossover], [crossover, 1 - crossover]])
     return JointPMF(("V", "Y"), 0.5 * rows)
+
+
+# Every check with valid tables in its table arguments, by argument name.
+TWO_POINT = sweeps.two_point_channel(0.2)
+CHECKS = {
+    "likelihood_ratio": (check_likelihood_ratio, {"channel": TWO_POINT}),
+    "dpi_independent": (lambda channel, quantizer: check_dpi_independent(1, channel, quantizer),
+                        {"channel": TWO_POINT, "quantizer": np.array([[0.3, 0.7], [0.6, 0.4]])}),
+    "dpi_truncated": (lambda channel, quantizer: check_dpi_truncated(
+                          1, channel, quantizer, np.array([True, True])),
+                      {"channel": TWO_POINT, "quantizer": np.array([[0.3, 0.7], [0.6, 0.4]])}),
+    "tensorization": (lambda channel1, channel2, quantizer1, quantizer2: check_tensorization(
+                          1, [channel1, channel2], [quantizer1, quantizer2]),
+                      {"channel1": TWO_POINT, "channel2": sweeps.two_point_channel(0.1),
+                       "quantizer1": np.array([[0.3, 0.7], [0.6, 0.4]]),
+                       "quantizer2": np.array([[0.5, 0.5], [0.2, 0.8]])}),
+    "pinsker": (check_pinsker_consequence,
+                {"pair": sweeps.random_pinsker_joint(np.random.default_rng(1))}),
+    "chaining": (check_information_chaining,
+                 {"model": sweeps.random_chain_model(np.random.default_rng(3))}),
+}
+TABLE_ARGS = [(check, arg) for check, (_, tables) in CHECKS.items() for arg in tables]
+
+
+# each way `spoiled` breaks a table, and the entry error it must raise
+ENTRY_ERRORS = {"negative": "nonnegative", "off_one": "sums to", "nan": "sums to",
+                "wrong_rank": "-d table|stochastic table", "empty": "empty"}
+
+
+def spoiled(kind: str, table: np.ndarray) -> np.ndarray:
+    """A copy of a valid table broken in one way."""
+    bad = np.array(table, dtype=float)
+    if kind == "wrong_rank":
+        return bad[None]
+    if kind == "empty":
+        return bad[..., :0]
+    # flat[0] and flat[1] share a row, so "negative" keeps every sum at 1
+    bad.flat[0] += {"negative": 1.0, "off_one": 0.1, "nan": math.nan}[kind]
+    if kind == "negative":
+        bad.flat[1] -= 1.0
+    return bad
 
 
 class TestBasicQuantities:
@@ -74,18 +115,26 @@ class TestBasicQuantities:
 class TestRejections:
     """Tables are validated where they enter; each bad table raises."""
 
-    def test_channel_with_a_negative_row(self):
-        with pytest.raises(InvalidArgumentError):
-            ChannelSpec(np.array([[0.5, 0.5], [1.2, -0.2]]))
+    @pytest.mark.parametrize("kind", ENTRY_ERRORS)
+    @pytest.mark.parametrize("check, arg", TABLE_ARGS, ids=[f"{c}-{a}" for c, a in TABLE_ARGS])
+    def test_bad_table_argument(self, check, arg, kind):
+        run, tables = CHECKS[check]
+        with pytest.raises(InvalidArgumentError, match=ENTRY_ERRORS[kind]):
+            run(**dict(tables, **{arg: spoiled(kind, tables[arg])}))
 
-    def test_channel_row_that_does_not_sum_to_one(self):
-        with pytest.raises(InvalidArgumentError):
-            ChannelSpec(np.array([[0.5, 0.5], [0.3, 0.6]]))
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_each_table_is_validated_once_per_call(self, check, monkeypatch):
+        seen = []
+        check_pmf = it._check_pmf
 
-    def test_channel_needs_a_2d_table(self):
-        for bad in (np.array([0.5, 0.5]), np.ones((2, 0))):
-            with pytest.raises(InvalidArgumentError):
-                ChannelSpec(bad)
+        def counting(table, *args, **kwargs):
+            seen.append(id(table))
+            return check_pmf(table, *args, **kwargs)
+
+        monkeypatch.setattr(it, "_check_pmf", counting)
+        run, tables = CHECKS[check]
+        run(**tables)
+        assert sorted(seen) == sorted(id(table) for table in tables.values())
 
     @pytest.mark.parametrize("quantizer", [
         np.array([[0.5, 0.5], [0.7, 0.7]]),      # a row sums to 1.4
@@ -158,8 +207,6 @@ class TestRejections:
         for bad in ([0.5, 0.6], [1.5, -0.5], [], [[0.5, 0.5]], [math.nan, 1.0]):
             with pytest.raises(InvalidArgumentError):
                 FinitePMF(np.array(bad))
-        with pytest.raises(InvalidArgumentError):
-            ChannelSpec(np.array([[0.5, 0.5], [math.nan, 1.0]]))
 
     def test_chaining_rejects_d_depending_on_a(self):
         # A, B, C independent and uniform, D = A: D is not independent of A
@@ -168,15 +215,16 @@ class TestRejections:
         for a in range(2):
             table[a, :, :, a] = 1 / 8
         with pytest.raises(InvalidArgumentError, match=r"violates D _\|_ A"):
-            check_information_chaining(JointPMF(("A", "B", "C", "D"), table))
+            check_information_chaining(table)
 
     def test_chaining_rejects_unlikely_a_and_wrong_axes(self):
         table = np.zeros((2, 2, 2, 2))
         table[0] = 1 / 8
         with pytest.raises(InvalidArgumentError):
-            check_information_chaining(JointPMF(("A", "B", "C", "D"), table))
-        with pytest.raises(InvalidArgumentError):
-            check_information_chaining(JointPMF(("A", "B", "D", "C"), np.full((2,) * 4, 1 / 16)))
+            check_information_chaining(table)
+        # an (A, B, C) table: the D axis is missing
+        with pytest.raises(InvalidArgumentError, match="4-d"):
+            check_information_chaining(np.full((2,) * 3, 1 / 8))
 
 
 class TestNeighborhoodsAndFano:
@@ -260,33 +308,28 @@ class TestLikelihoodRatio:
             pytest.approx(math.log(3.0), abs=1e-12))
 
     def test_equal_rows(self):
-        ch = ChannelSpec(np.array([[0.3, 0.7], [0.3, 0.7]]))
-        assert check_likelihood_ratio(ch) == 0.0
+        assert check_likelihood_ratio(np.array([[0.3, 0.7], [0.3, 0.7]])) == 0.0
 
     def test_zero_entry_infinite_signal(self):
-        ch = ChannelSpec(np.array([[1.0, 0.0], [0.5, 0.5]]))
-        assert check_likelihood_ratio(ch) == math.inf
+        assert check_likelihood_ratio(np.array([[1.0, 0.0], [0.5, 0.5]])) == math.inf
 
 
 class TestPinskerConsequence:
     def test_independent(self):
-        j = JointPMF(("V", "Y"), np.full((2, 3), 1 / 6))
-        rep = check_pinsker_consequence(j)
+        rep = check_pinsker_consequence(np.full((2, 3), 1 / 6))
         assert rep["lhs"] == pytest.approx(0.0, abs=1e-12)
         assert rep["rhs"] == pytest.approx(0.0, abs=1e-12)
         assert rep["holds"]
 
     def test_deterministic_channel(self):
-        j = JointPMF(("V", "Y"), np.array([[0.5, 0.0], [0.0, 0.5]]))
-        rep = check_pinsker_consequence(j)
+        rep = check_pinsker_consequence(np.array([[0.5, 0.0], [0.0, 0.5]]))
         assert rep["lhs"] == pytest.approx(1.0)
         assert rep["rhs"] == pytest.approx(2 * math.log(2))
         assert rep["holds"]
 
     def test_requires_uniform_binary_v(self):
         with pytest.raises(InvalidArgumentError):
-            check_pinsker_consequence(
-                JointPMF(("V", "Y"), np.array([[0.8, 0.1], [0.05, 0.05]])))
+            check_pinsker_consequence(np.array([[0.8, 0.1], [0.05, 0.05]]))
 
     def test_random_sweep(self):
         rows = sweeps.run_suite("pinsker", 2000, seed=101)
@@ -318,7 +361,7 @@ class TestDpiIndependent:
             v_dim = int(rng.integers(1, 3))
             delta = float(rng.choice([0.1, 0.2]))
             ch = sweeps.random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
-            q = sweeps.random_quantizer(rng, ch.k_out ** v_dim,
+            q = sweeps.random_quantizer(rng, ch.shape[1] ** v_dim,
                                         int(rng.integers(1, 5)),
                                         stochastic=bool(rng.integers(0, 2)))
             rep = check_dpi_independent(v_dim, ch, q)
@@ -338,8 +381,7 @@ class TestDpiTruncated:
         assert rep["holds"]
 
     def test_three_symbol_truncation(self):
-        rows = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
-        ch = ChannelSpec(rows)
+        ch = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
         keep = np.array([True, True, False])
         rep = check_dpi_truncated(1, ch, np.arange(3), keep)
         assert rep["P_E0"] == pytest.approx(0.2)
@@ -350,7 +392,7 @@ class TestDpiTruncated:
     @pytest.mark.parametrize("keep", [np.array([True, True]), np.ones(4, dtype=bool),
                                       np.ones((2, 3), dtype=bool), np.zeros(3, dtype=bool)])
     def test_mask_of_wrong_shape_or_empty(self, keep):
-        ch = ChannelSpec(np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]]))
+        ch = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
         with pytest.raises(InvalidArgumentError, match="truncation"):
             check_dpi_truncated(1, ch, np.arange(3), keep)
 
@@ -366,7 +408,7 @@ class TestDpiTruncated:
         # no suite draws these shapes, so these exact values pin them; Y adds
         # the two X symbols (v_dim = 2), or is machine 1's symbol when machine
         # 2's is 0 and 3 otherwise (machines = 2)
-        ch = ChannelSpec(np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]]))
+        ch = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
         digits = it.base_k_digits(3, 2)
         quantizer = (digits.sum(axis=1) if v_dim == 2
                      else np.where(digits[:, 1] == 0, digits[:, 0], 3))
@@ -407,17 +449,16 @@ class TestInformationChaining:
         pa = np.array([0.4, 0.6])
         rest = np.full((2, 2, 2), 1 / 8)
         table = np.einsum("a,bcd->abcd", pa, rest)
-        rep = check_information_chaining(JointPMF(("A", "B", "C", "D"), table))
+        rep = check_information_chaining(table)
         assert rep["holds"]
         assert rep["max_violation"] <= 1e-12
 
     def test_constant_d(self):
         rng = np.random.default_rng(3)
-        model = sweeps.random_chain_model(rng)
-        table = model.table.copy()
+        table = sweeps.random_chain_model(rng)
         collapsed = table.sum(axis=3, keepdims=True)
         table = np.concatenate([collapsed, np.zeros_like(collapsed)], axis=3)
-        rep = check_information_chaining(JointPMF(("A", "B", "C", "D"), table))
+        rep = check_information_chaining(table)
         assert rep["holds"]
         assert rep["max_violation"] <= 1e-12  # conditioning on constant D is free
 
@@ -426,7 +467,7 @@ class TestInformationChaining:
         table = rng.uniform(0.5, 1.0, size=(2, 2, 4, 2))
         table /= table.sum()
         with pytest.raises(InvalidArgumentError):
-            check_information_chaining(JointPMF(("A", "B", "C", "D"), table))
+            check_information_chaining(table)
 
     def test_random_sweep(self):
         rows = sweeps.run_suite("chain", 500, seed=31)

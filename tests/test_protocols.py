@@ -24,6 +24,12 @@ def mean_sample(spec, m, n, seed):
     return sample(spec, m=m, n=n, seed=seed)
 
 
+def onebit_uniforms(seed, m, d):
+    """The (m, d) uniforms estimate_risk hands the one-bit scheme's first trial."""
+    gens = machine_streams(seed, m, families.TAG_PROTOCOL)
+    return families.machine_rows(gens, (1, d), lambda i, gen, shape: gen.random(shape))[0]
+
+
 class TestSingleMachineQuantizedMean:
     def test_constant_samples(self):
         out = single_machine_quantized_mean(np.full(64, 0.5), 10)
@@ -77,7 +83,7 @@ class TestGaussianQuantizedAverage:
 class TestOnebit:
     def test_degenerate_all_ones(self):
         spec = BoundedProductSpec(np.ones(3), "two_point")
-        out = onebit_bounded_mean(mean_sample(spec, 5, 1, seed=0), 12)
+        out = onebit_bounded_mean(mean_sample(spec, 5, 1, seed=0), onebit_uniforms(12, 5, 3))
         assert np.array_equal(out.theta_hat, np.ones(3))
         assert transcript_total_bits(out.transcript) == 5 * 3
 
@@ -103,10 +109,10 @@ class TestOnebit:
 
     def test_requires_unit_range_and_single_observation(self):
         with pytest.raises(InvalidArgumentError):
-            onebit_bounded_mean(np.full((2, 1, 1), 3.0), 0)
+            onebit_bounded_mean(np.full((2, 1, 1), 3.0), onebit_uniforms(0, 2, 1))
         spec = BoundedProductSpec(np.zeros(2), "two_point")
         with pytest.raises(InvalidArgumentError):
-            onebit_bounded_mean(mean_sample(spec, 2, 3, 0), 0)
+            onebit_bounded_mean(mean_sample(spec, 2, 3, 0), onebit_uniforms(0, 2, 2))
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 4), (4, 3, 1)])
     def test_rejects_uniforms_not_shaped_machines_by_coordinates(self, shape):
@@ -323,8 +329,9 @@ class TestIndependenceStructure:
     def test_onebit_message_depends_only_on_own_data_and_stream(self):
         spec = BoundedProductSpec(np.zeros(4), "two_point")
         x = mean_sample(spec, 6, 1, seed=4)
-        out_a = onebit_bounded_mean(x, 99)
-        out_b = onebit_bounded_mean(self.permuted(x, 3), 99)
+        u = onebit_uniforms(99, 6, 4)
+        out_a = onebit_bounded_mean(x, u)
+        out_b = onebit_bounded_mean(self.permuted(x, 3), u)
         assert out_a.transcript.messages[3] == out_b.transcript.messages[3]
 
     def test_regression_message_depends_only_on_own_responses(self):
