@@ -36,7 +36,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +50,11 @@ from .families import (BoundedProductSpec, GaussianLocationSpec, ProbitSpec,
 from .sweeps import SUITE_CSV_HEADER, SUITE_NAMES, run_suite
 
 GRID_KEYS = ("theta", "d", "m", "n", "sigma", "budget_bits")
+
+# Size ceilings of a simulate config, checked before any generator or array
+# is built: each machine gets its own generator (about 0.1 ms and 1 KB), and
+# one trial's m * d * n values must fit one chunk of protocols.CHUNK_VALUES.
+MAX_MACHINES = 10_000
 
 SIMULATE_HEADER = ("protocol,family,design,d,m,n,sigma,theta,budget_bits,"
                    "trials,seed,protocol_kind,mse_mean,mse_stderr,bits_mean,"
@@ -213,6 +217,14 @@ def _simulate_point(args) -> str:
         return f"{base},,,,,,,,,,{_error_cell(err)}"
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: its
+    modules cost about 20 ms of import time and 1.3 MB of memory, which a
+    serial run never needs."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
+
 def run_simulate(config: dict, gnuplot_hints: bool = False):
     protocol = _single(config, "protocol")
     if protocol not in proto.PROTOCOLS:
@@ -245,6 +257,11 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
         raise ConfigError("d, m and n are required")
     if min(ds + ms + ns) < 1:
         raise ConfigError("d, m and n must be >= 1")
+    if max(ms) > MAX_MACHINES:
+        raise ConfigError(f"m = {max(ms)} is above the ceiling of {MAX_MACHINES} machines")
+    if max(ms) * max(ds) * max(ns) > proto.CHUNK_VALUES:
+        raise ConfigError(f"m * d * n = {max(ms) * max(ds) * max(ns)} values per trial "
+                          f"is above the ceiling of {proto.CHUNK_VALUES}")
     threads = os.environ.get("DISTEST_THREADS", "1")
     try:
         workers = int(threads)

@@ -12,6 +12,15 @@ and (A, B, C, D) tables in that axis order. `_check_pmf` checks each table
 once, where it enters a check, as it does for `FinitePMF` and `JointPMF`.
 Every table built from those inside this module is a plain array and is not
 checked again.
+
+Each check has one body, written for a stack of instances along a leading
+axis: a `check_*` runs it on a stack of one, and `sweeps` on every drawn
+instance of one shape at once. A stacked table is checked once, by the
+rules `_check_pmf` applies to each instance. An instance gets the same
+floats in a stack as alone: elementwise operations and reductions over a
+table's own axes do not depend on the instances beside it, a masked sum
+compacts each instance's cells (see `_masked_sums`), and each instance's
+closing formula runs on Python floats.
 """
 
 from __future__ import annotations
@@ -101,16 +110,46 @@ class JointPMF:
         return np.transpose(reduced, [order.index(i) for i in kept])
 
 
-def _channel_rows(channel) -> np.ndarray:
-    """The channel's row-stochastic table P(output | input), checked."""
-    return _check_pmf(channel, "channel row", axis=1, ndim=2)
+def _channel_rows(channel, stacked: bool = False) -> np.ndarray:
+    """A stack of checked row-stochastic tables P(output | input): the one
+    `channel`, or each table of the stack `channel` when `stacked`."""
+    rows = _check_pmf(channel, "channel row", axis=-1, ndim=3 if stacked else 2)
+    return rows if stacked else rows[None]
+
+
+def _masked_sums(mask: np.ndarray, term, *tables) -> np.ndarray:
+    """For each index r of the leading axis, term(*cells).sum(), where cells
+    are the entries of each table's row r at which mask[r] holds: bit for bit
+    the 1-d sum that row r alone gives.
+
+    Rows are grouped by their count of cells, and each group sums one
+    C-ordered (rows, count) block along its last axis. Padding the rows to a
+    common length with zeros instead would shift numpy's pairwise grouping.
+    """
+    n = len(mask)
+    flat = mask.reshape(n, -1)
+    tables = [t.reshape(n, -1) for t in tables]
+    if flat.all():
+        return term(*tables).sum(axis=1)
+    counts = flat.sum(axis=1)
+    out = np.empty(n)
+    for c in set(counts.tolist()):
+        sel = counts == c
+        rows = flat[sel]
+        cells = [t[sel][rows].reshape(len(rows), c) for t in tables]
+        out[sel] = term(*cells).sum(axis=1)
+    return out
+
+
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each row of `p`, with 0 log 0 = 0."""
+    return -_masked_sums(p > 0, lambda q: q * np.log(q), p)
 
 
 def entropy(p) -> float:
     """Shannon entropy in nats with the 0 log 0 = 0 convention."""
     arr = _as_prob_array(p)
-    pos = arr[arr > 0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(_entropy_rows(arr.reshape(1, -1))[0])
 
 
 def kl(p, q) -> float:
@@ -132,17 +171,21 @@ def tv(p, q) -> float:
     return float(0.5 * np.abs(pa - qa).sum())
 
 
-def _mi_from_table(joint: np.ndarray) -> float:
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    prod = np.outer(pa, pb)
-    mask = joint > 0
-    return float((joint[mask] * np.log(joint[mask] / prod[mask])).sum())
+def _mi_from_table(joint: np.ndarray) -> np.ndarray:
+    """I(A; B) of each (A, B) table on the last two axes of `joint`, in the
+    shape of the leading axes."""
+    pa = joint.sum(axis=-1)
+    pb = joint.sum(axis=-2)
+    prod = pa[..., :, None] * pb[..., None, :]
+    lead = joint.shape[:-2]
+    stack = joint.reshape((-1,) + joint.shape[-2:])
+    mi = _masked_sums(stack > 0, lambda j, p: j * np.log(j / p), stack, prod)
+    return mi.reshape(lead)
 
 
 def mutual_information(j: JointPMF, axis_a: str, axis_b: str) -> float:
     """I(A; B) in nats after marginalizing every other axis."""
-    return _mi_from_table(j._marginal_table((axis_a, axis_b)))
+    return float(_mi_from_table(j._marginal_table((axis_a, axis_b))))
 
 
 def hamming_neighborhood_size(d: int, t: float) -> int:
@@ -185,103 +228,128 @@ def check_likelihood_ratio(channel) -> float:
     A zero entry in an otherwise reachable output yields +inf (an infinite
     ratio signal) rather than an exception.
     """
-    return _max_log_ratio(_channel_rows(channel))
+    return float(_max_log_ratio(_channel_rows(channel))[0])
 
 
-def _max_log_ratio(rows: np.ndarray) -> float:
-    lo = rows.min(axis=0)
-    hi = rows.max(axis=0)
-    if np.any((lo == 0) & (hi > 0)):
-        return math.inf
-    live = hi > 0
-    if not np.any(live):
-        return 0.0
-    return float(np.log((hi[live] / lo[live]).max()))
+def _max_log_ratio(rows: np.ndarray, keep=None) -> np.ndarray:
+    """Per table of the stack `rows`, the log of the worst max/min ratio over
+    the row axis (-2), taken over the output columns where `keep` holds
+    (every column when None); 0 when none of those columns is reachable."""
+    lo = rows.min(axis=-2)
+    hi = rows.max(axis=-2)
+    live = hi > 0 if keep is None else (hi > 0) & keep
+    ratio = np.divide(hi, lo, out=np.ones_like(hi), where=live & (lo > 0))
+    ratio[live & (lo == 0)] = math.inf
+    return np.log(ratio.max(axis=-1))
 
 
 def check_pinsker_consequence(pair) -> dict:
     """tv(P_{Y|V=0}, P_{Y|V=1})^2 <= 2 I(V; Y) for uniform binary V, on the
     (V, Y) joint table `pair`."""
-    pair = _check_pmf(pair, "(V, Y) joint", ndim=2)
-    pv = pair.sum(axis=1)
-    if pv.size != 2:
+    return _pinsker_consequence(pair)[0]
+
+
+def _pinsker_consequence(pair, stacked: bool = False) -> list:
+    """The Pinsker report of `pair`, or of each table of the stack `pair`
+    when `stacked`."""
+    pair = _check_pmf(pair, "(V, Y) joint", axis=(-2, -1), ndim=3 if stacked else 2)
+    if not stacked:
+        pair = pair[None]
+    pv = pair.sum(axis=2)
+    if pv.shape[1] != 2:
         raise InvalidArgumentError("V must be binary")
     if np.abs(pv - 0.5).max() > 1e-9:
         raise InvalidArgumentError("the Pinsker consequence is stated for uniform V")
-    cond = pair / pv[:, None]
-    lhs = tv(cond[0], cond[1]) ** 2
-    rhs = 2.0 * _mi_from_table(pair)
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + SLACK}
+    cond = pair / pv[..., None]
+    tvs = 0.5 * np.abs(cond[:, 0] - cond[:, 1]).sum(axis=1)
+    reports = []
+    for dist, info in zip(tvs.tolist(), _mi_from_table(pair).tolist()):
+        lhs, rhs = dist ** 2, 2.0 * info
+        reports.append({"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + SLACK})
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # enumerated Markov chains V -> X -> Y
 
-def _quantizer_matrix(quantizer, k_in: int) -> np.ndarray:
-    """Accept a deterministic map (length-k_in ints) or a stochastic table."""
+def _quantizer_matrix(quantizer, k_in: int, stacked: bool = False) -> np.ndarray:
+    """The stack of (k_in, n_out) stochastic tables of one quantizer, or of
+    each quantizer of the stack `quantizer` when `stacked`. A quantizer is a
+    deterministic map (k_in ints) or a stochastic table."""
     arr = np.asarray(quantizer)
-    if arr.ndim == 1:
-        if arr.size != k_in:
+    lead = 1 if stacked else 0
+    if arr.ndim == lead + 1:
+        if arr.shape[-1] != k_in:
             raise InvalidArgumentError("deterministic quantizer needs one output per input")
         out = arr.astype(int)
         if np.any(out < 0) or np.any(out != arr):
             raise InvalidArgumentError("deterministic quantizer outputs are indices >= 0")
-        q = np.zeros((k_in, int(out.max()) + 1))
-        q[np.arange(k_in), out] = 1.0
+        maps = out.reshape(-1, k_in)
+        q = np.zeros(maps.shape + (int(out.max()) + 1,))
+        q[np.arange(len(maps))[:, None], np.arange(k_in), maps] = 1.0
         return q
-    if arr.ndim == 2:
-        if arr.shape[0] != k_in:
+    if arr.ndim == lead + 2:
+        if arr.shape[-2] != k_in:
             raise InvalidArgumentError("stochastic quantizer needs one row per input")
-        return _check_pmf(arr, "quantizer row", axis=1)
+        q = _check_pmf(arr, "quantizer row", axis=-1)
+        return q if stacked else q[None]
     raise InvalidArgumentError("quantizer must be a map or a stochastic table")
 
 
+@lru_cache(maxsize=None)
 def base_k_digits(k: int, width: int) -> np.ndarray:
-    """(k**width, width) int table: row x holds x in base k, most significant first."""
+    """(k**width, width) int table: row x holds x in base k, most significant
+    first. Built once per (k, width) and shared, so it is read-only."""
     n = k ** width
     digits = np.empty((n, width), dtype=int)
     idx = np.arange(n)
     for c in range(width - 1, -1, -1):
         digits[:, c] = idx % k
         idx //= k
+    digits.setflags(write=False)
     return digits
 
 
 def _product_channel(rows: np.ndarray, v_dim: int, machines: int = 1):
-    """P(x | v) over the product alphabet, from the checked channel `rows`.
+    """P(x | v) over the product alphabet, from the checked channel `rows`,
+    a (2, k) table or a stack of them along leading axes.
 
     v ranges over 2**v_dim sign patterns (bit b of the index = coordinate b,
     bit 0 most significant, 0 -> row 0, 1 -> row 1); x ranges over
     k**(machines * v_dim) tuples, machine-major. Machine i's coordinate j
     depends on v_j only, conditionally independent across (i, j).
     """
-    if rows.shape[0] != 2:
+    if rows.shape[-2] != 2:
         raise InvalidArgumentError("per-coordinate channels take the binary input {-1, +1}")
     if v_dim < 1 or machines < 1:
         raise InvalidArgumentError("need v_dim >= 1 and machines >= 1")
-    k = rows.shape[1]
+    k = rows.shape[-1]
     n_coords = machines * v_dim
     n_x = k ** n_coords
     if 2 ** v_dim * n_x > ENUMERATION_CEILING:
         raise EnumerationTooLargeError("product alphabet exceeds the enumeration ceiling")
     digits = base_k_digits(k, n_coords)
     vbits = base_k_digits(2, v_dim)
-    out = np.ones((2 ** v_dim, n_x))
+    out = np.ones(rows.shape[:-2] + (2 ** v_dim, n_x))
     for c in range(n_coords):
         # coordinate c of x belongs to v-coordinate c % v_dim (machine-major order)
-        out *= rows[vbits[:, c % v_dim, None], digits[None, :, c]]
+        out *= rows[..., vbits[:, c % v_dim, None], digits[None, :, c]]
     return out, digits
 
 
-def _vxy_joint(v_dim: int, rows: np.ndarray, quantizer, machines: int = 1):
-    """The (V, X, Y) joint table of V -> X -> Y = quantizer(X), and the digits
-    of the X alphabet."""
+def _vxy_joint(v_dim: int, rows: np.ndarray, quantizer, machines: int = 1,
+               stacked: bool = False):
+    """The (V, X, Y) joint table of V -> X -> Y = quantizer(X) for each
+    channel of the stack `rows`, and the digits of the X alphabet."""
     p_xv, digits = _product_channel(rows, v_dim, machines)
-    q = _quantizer_matrix(quantizer, p_xv.shape[1])
-    if p_xv.size * q.shape[1] > ENUMERATION_CEILING:
+    q = _quantizer_matrix(quantizer, p_xv.shape[-1], stacked)
+    cells = p_xv[0].size * q.shape[-1]
+    if cells > ENUMERATION_CEILING:
         raise EnumerationTooLargeError(
-            f"{p_xv.size * q.shape[1]} joint states exceed the {ENUMERATION_CEILING} ceiling")
-    return (p_xv[:, :, None] * q[None, :, :]) / p_xv.shape[0], digits
+            f"{cells} joint states exceed the {ENUMERATION_CEILING} ceiling")
+    joint = p_xv[:, :, :, None] * q[:, None, :, :]
+    joint /= p_xv.shape[1]
+    return joint, digits
 
 
 def check_dpi_independent(v_dim: int, channel, quantizer) -> dict:
@@ -290,15 +358,24 @@ def check_dpi_independent(v_dim: int, channel, quantizer) -> dict:
     V is uniform on {-1, 1}^v_dim, coordinate j of X depends on V_j through
     `channel`, and Y = quantizer(X).
     """
-    rows = _channel_rows(channel)
-    joint, _ = _vxy_joint(v_dim, rows, quantizer)
-    alpha = _max_log_ratio(rows)
-    i_vy = _mi_from_table(joint.sum(axis=1))
-    i_xy = _mi_from_table(joint.sum(axis=0))
-    i_vx = _mi_from_table(joint.sum(axis=2))
-    bound = 2.0 * (math.exp(2.0 * alpha) - 1.0) ** 2 * i_xy
-    return {"I_VY": i_vy, "I_XY": i_xy, "I_VX": i_vx, "alpha": alpha,
-            "bound": bound, "holds": i_vy <= bound + SLACK}
+    return _dpi_independent(v_dim, channel, quantizer)[0]
+
+
+def _dpi_independent(v_dim: int, channel, quantizer, stacked: bool = False) -> list:
+    """The report of check_dpi_independent, or one per instance of the
+    stacks `channel` and `quantizer` when `stacked`."""
+    rows = _channel_rows(channel, stacked)
+    joint, _ = _vxy_joint(v_dim, rows, quantizer, 1, stacked)
+    stats = zip(_max_log_ratio(rows).tolist(),
+                _mi_from_table(joint.sum(axis=2)).tolist(),
+                _mi_from_table(joint.sum(axis=1)).tolist(),
+                _mi_from_table(joint.sum(axis=3)).tolist())
+    reports = []
+    for alpha, i_vy, i_xy, i_vx in stats:
+        bound = 2.0 * (math.exp(2.0 * alpha) - 1.0) ** 2 * i_xy
+        reports.append({"I_VY": i_vy, "I_XY": i_xy, "I_VX": i_vx, "alpha": alpha,
+                        "bound": bound, "holds": i_vy <= bound + SLACK})
+    return reports
 
 
 def check_dpi_truncated(v_dim: int, channel, quantizer, truncation,
@@ -310,46 +387,64 @@ def check_dpi_truncated(v_dim: int, channel, quantizer, truncation,
     bound alpha is measured on the retained symbols only, and E indicates
     that every coordinate of every machine landed inside the retained set.
     """
-    rows = _channel_rows(channel)
-    joint, digits = _vxy_joint(v_dim, rows, quantizer, machines)
+    return _dpi_truncated(v_dim, channel, quantizer, truncation, machines)[0]
+
+
+def _dpi_truncated(v_dim: int, channel, quantizer, truncation, machines: int = 1,
+                   stacked: bool = False) -> list:
+    """The report of check_dpi_truncated, or one per instance of the stacks
+    `channel`, `quantizer` and `truncation` when `stacked`."""
+    rows = _channel_rows(channel, stacked)
+    joint, digits = _vxy_joint(v_dim, rows, quantizer, machines, stacked)
     keep = np.asarray(truncation, dtype=bool)
-    if keep.shape != (rows.shape[1],):
+    if not stacked:
+        keep = keep[None]
+    if keep.shape != (len(rows), rows.shape[2]):
         raise InvalidArgumentError("need one truncation flag per X symbol")
-    if not keep.any():
+    if not keep.any(axis=1).all():
         raise InvalidArgumentError("the truncation set must be nonempty")
-    alpha = _max_log_ratio(rows[:, keep])
-    in_set = keep[digits].all(axis=1)
-    p_e1 = float(joint.sum(axis=(0, 2))[in_set].sum())
-    h_e = entropy(np.array([p_e1, 1.0 - p_e1]))
-    i_vy = _mi_from_table(joint.sum(axis=1))
-    i_xy = _mi_from_table(joint.sum(axis=0))
-    bound = 2.0 * (math.exp(4.0 * alpha) - 1.0) ** 2 * i_xy + h_e + (1.0 - p_e1)
-    return {"I_VY": i_vy, "I_XY": i_xy, "alpha": alpha, "H_E": h_e,
-            "P_E0": 1.0 - p_e1, "bound": bound, "holds": i_vy <= bound + SLACK}
+    in_set = keep[:, digits].all(axis=2)
+    p_e1 = _masked_sums(in_set, lambda p: p, joint.sum(axis=(1, 3)))
+    stats = zip(_max_log_ratio(rows, keep).tolist(),
+                _mi_from_table(joint.sum(axis=2)).tolist(),
+                _mi_from_table(joint.sum(axis=1)).tolist(), p_e1.tolist(),
+                _entropy_rows(np.stack([p_e1, 1.0 - p_e1], axis=1)).tolist())
+    reports = []
+    for alpha, i_vy, i_xy, p_in, h_e in stats:
+        bound = 2.0 * (math.exp(4.0 * alpha) - 1.0) ** 2 * i_xy + h_e + (1.0 - p_in)
+        reports.append({"I_VY": i_vy, "I_XY": i_xy, "alpha": alpha, "H_E": h_e,
+                        "P_E0": 1.0 - p_in, "bound": bound,
+                        "holds": i_vy <= bound + SLACK})
+    return reports
 
 
 def check_tensorization(v_dim: int, channels, quantizers) -> dict:
     """I(V; Y_{1:m}) <= sum_i I(V; Y_i) when Y_i depends only on machine i."""
+    return _tensorization(v_dim, channels, quantizers)[0]
+
+
+def _tensorization(v_dim: int, channels, quantizers, stacked: bool = False) -> list:
+    """The report of check_tensorization, or one per instance when each
+    machine's channel and quantizer are stacks (`stacked`)."""
     m = len(channels)
     if m < 1 or len(quantizers) != m:
         raise InvalidArgumentError("need at least one machine and one quantizer per machine")
     kernels = []
     for channel, quantizer in zip(channels, quantizers):
-        p_xv, _ = _product_channel(_channel_rows(channel), v_dim)
-        q = _quantizer_matrix(quantizer, p_xv.shape[1])
-        kernels.append(p_xv @ q)          # (2**v_dim, ny_i)
-    nv = 2 ** v_dim
-    sizes = [k.shape[1] for k in kernels]
+        p_xv, _ = _product_channel(_channel_rows(channel, stacked), v_dim)
+        q = _quantizer_matrix(quantizer, p_xv.shape[-1], stacked)
+        kernels.append(p_xv @ q)          # (instances, 2**v_dim, ny_i)
+    n, nv = kernels[0].shape[:2]
+    sizes = [k.shape[2] for k in kernels]
     if nv * int(np.prod(sizes)) > ENUMERATION_CEILING:
         raise EnumerationTooLargeError("joint message alphabet exceeds the ceiling")
-    joint_given_v = np.ones((nv, 1))
+    joint_given_v = np.ones((n, nv, 1))
     for k in kernels:
-        joint_given_v = (joint_given_v[:, :, None] * k[:, None, :]).reshape(nv, -1)
-    table = joint_given_v / nv
-    i_joint = _mi_from_table(table)
+        joint_given_v = (joint_given_v[..., None] * k[:, :, None, :]).reshape(n, nv, -1)
+    i_joint = _mi_from_table(joint_given_v / nv)
     sum_i = sum(_mi_from_table(k / nv) for k in kernels)
-    return {"I_joint": i_joint, "sum_I": sum_i,
-            "holds": i_joint <= sum_i + SLACK}
+    return [{"I_joint": ij, "sum_I": si, "holds": ij <= si + SLACK}
+            for ij, si in zip(i_joint.tolist(), sum_i.tolist())]
 
 
 def check_information_chaining(model) -> dict:
@@ -366,61 +461,75 @@ def check_information_chaining(model) -> dict:
 
     Zero-probability conditioning slices are skipped and counted.
     """
-    t = _check_pmf(model, "(A, B, C, D) joint", ndim=4)
-    ka = t.shape[0]
+    return _information_chaining(model)[0]
 
-    p_abc = t.sum(axis=3)
-    p_ab = p_abc.sum(axis=2)
-    p_a = p_ab.sum(axis=1)
-    if np.any(p_a <= 0):
-        raise InvalidArgumentError("every A value needs positive probability")
 
-    # Markov condition: D independent of A given (B, C), on every (a, b, c)
-    # with positive probability (so that P(b, c) > 0 too)
-    p_bcd = t.sum(axis=0)
+def _information_chaining(model, stacked: bool = False) -> list:
+    """The report of check_information_chaining, or one per table of the
+    stack `model` when `stacked`. Axis 0 of every array below indexes the
+    stack."""
+    t = _check_pmf(model, "(A, B, C, D) joint", axis=(-4, -3, -2, -1),
+                   ndim=5 if stacked else 4)
+    if not stacked:
+        t = t[None]
+    n, ka = t.shape[:2]
+    # one errstate for the stack: empty conditioning slices divide by zero,
+    # and an infinite alpha times a zero tv is NaN
     with np.errstate(invalid="ignore", divide="ignore"):
+        p_abc = t.sum(axis=4)
+        p_ab = p_abc.sum(axis=3)
+        p_a = p_ab.sum(axis=2)
+        if np.any(p_a <= 0):
+            raise InvalidArgumentError("every A value needs positive probability")
+
+        # Markov condition: D independent of A given (B, C), on every (a, b, c)
+        # with positive probability (so that P(b, c) > 0 too)
+        p_bcd = t.sum(axis=1)
         cond = t / p_abc[..., None]
-        ref = p_bcd / p_abc.sum(axis=0)[..., None]
-    if np.any(np.abs(cond - ref).max(axis=3)[p_abc > 0] > 1e-8):
-        raise InvalidArgumentError("model violates D _|_ A | (B, C)")
+        ref = p_bcd / p_abc.sum(axis=1)[..., None]
+        if np.any(np.abs(cond - ref[:, None]).max(axis=4)[p_abc > 0] > 1e-8):
+            raise InvalidArgumentError("model violates D _|_ A | (B, C)")
 
-    # factorization: each C slice of P(C | A, B) is rank one, so every 2 x 2
-    # minor s[a1, b1] s[a2, b2] - s[a1, b2] s[a2, b1] vanishes
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p_c_given_ab = np.where(p_ab[:, :, None] > 0, p_abc / p_ab[:, :, None], 0.0)
-    outer = p_c_given_ab[:, None, :, None] * p_c_given_ab[None, :, None, :]
-    if np.any(np.abs(outer - outer.swapaxes(2, 3)) > 1e-8):
-        raise InvalidArgumentError(
-            "P(C | A, B) does not factor as phi1(A, C) phi2(B, C)")
+        # factorization: each C slice of P(C | A, B) is rank one, so every 2 x 2
+        # minor s[a1, b1] s[a2, b2] - s[a1, b2] s[a2, b1] vanishes
+        p_c_given_ab = np.where(p_ab[..., None] > 0, p_abc / p_ab[..., None], 0.0)
+        outer = p_c_given_ab[:, :, None, :, None] * p_c_given_ab[:, None, :, None, :]
+        if np.any(np.abs(outer - outer.swapaxes(3, 4)) > 1e-8):
+            raise InvalidArgumentError(
+                "P(C | A, B) does not factor as phi1(A, C) phi2(B, C)")
 
-    alpha = _max_log_ratio(p_ab / p_a[:, None])
+        alphas = _max_log_ratio(p_ab / p_a[..., None]).tolist()
 
-    # every (c, d, a) at once, C-ordered so that sums over B run along a
-    # contiguous last axis and argmax picks the first worst slice
-    p_cd = t.sum(axis=(0, 1))
-    p_c = p_cd.sum(axis=1)
-    p_acd = t.sum(axis=1)
-    live = p_cd > 0                  # P(c) > 0 wherever P(c, d) > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pb_c = np.ascontiguousarray(p_bcd.sum(axis=2).T) / p_c[:, None]    # (c, b)
-        pa_c = np.ascontiguousarray(p_acd.sum(axis=2).T) / p_c[:, None]    # (c, a)
-        pb_cd = np.ascontiguousarray(p_bcd.transpose(1, 2, 0)) / p_cd[..., None]
-        pa_cd = np.ascontiguousarray(p_acd.transpose(1, 2, 0)) / p_cd[..., None]
-    tv_b = 0.5 * np.abs(pb_cd - pb_c[:, None, :]).sum(axis=2)              # (c, d)
-    factor = 2.0 * (math.exp(2.0 * alpha) - 1.0)
-    lhs = np.abs(pa_cd - pa_c[:, None, :])
-    rhs = factor * np.minimum(pa_c[:, None, :], pa_cd) * tv_b[..., None]
-    gap = lhs - rhs                  # NaN (an infinite alpha times 0) never counts
-    gap = np.where(live[..., None] & (gap > -math.inf), gap, -math.inf)
-    at = np.unravel_index(np.argmax(gap), gap.shape)
-    max_violation = float(gap[at])
-    worst = None
-    if max_violation > -math.inf:
-        c, dv, a = (int(i) for i in at)
-        worst = {"lhs": float(lhs[at]), "rhs": float(rhs[at]), "a": a, "c": c, "d": dv}
-    return {"max_violation": max_violation, "worst": worst, "alpha": alpha,
-            "skipped": ka * int(np.count_nonzero(~live)),
-            "holds": max_violation <= SLACK}
+        # every (c, d, a) at once, C-ordered so that sums over B run along a
+        # contiguous last axis and argmax picks the first worst slice
+        p_cd = t.sum(axis=(1, 2))
+        p_c = p_cd.sum(axis=2)
+        p_acd = t.sum(axis=2)
+        live = p_cd > 0              # P(c) > 0 wherever P(c, d) > 0
+        pb_c = np.ascontiguousarray(p_bcd.sum(axis=3).swapaxes(1, 2)) / p_c[..., None]
+        pa_c = np.ascontiguousarray(p_acd.sum(axis=3).swapaxes(1, 2)) / p_c[..., None]
+        pb_cd = np.ascontiguousarray(p_bcd.transpose(0, 2, 3, 1)) / p_cd[..., None]
+        pa_cd = np.ascontiguousarray(p_acd.transpose(0, 2, 3, 1)) / p_cd[..., None]
+        tv_b = 0.5 * np.abs(pb_cd - pb_c[:, :, None, :]).sum(axis=3)       # (c, d)
+        factor = np.array([2.0 * (math.exp(2.0 * a) - 1.0) for a in alphas])
+        lhs = np.abs(pa_cd - pa_c[:, :, None, :])
+        rhs = (factor[:, None, None, None] * np.minimum(pa_c[:, :, None, :], pa_cd)
+               * tv_b[..., None])
+        gap = lhs - rhs              # NaN (an infinite alpha times 0) never counts
+    gap = np.where(live[..., None] & (gap > -math.inf), gap, -math.inf).reshape(n, -1)
+    at = gap.argmax(axis=1)
+    first = np.arange(n)
+    worst = zip(gap[first, at].tolist(), lhs.reshape(n, -1)[first, at].tolist(),
+                rhs.reshape(n, -1)[first, at].tolist(),
+                *(i.tolist() for i in np.unravel_index(at, lhs.shape[1:])))
+    skipped = (ka * np.count_nonzero(~live, axis=(1, 2))).tolist()
+    reports = []
+    for (max_violation, w_lhs, w_rhs, c, dv, a), alpha, skip in zip(worst, alphas, skipped):
+        reports.append({"max_violation": max_violation, "alpha": alpha, "skipped": skip,
+                        "worst": ({"lhs": w_lhs, "rhs": w_rhs, "a": a, "c": c, "d": dv}
+                                  if max_violation > -math.inf else None),
+                        "holds": max_violation <= SLACK})
+    return reports
 
 
 # ---------------------------------------------------------------------------

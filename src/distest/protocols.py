@@ -525,8 +525,12 @@ PROTOCOLS = {
 }
 
 
+# Values drawn per chunk of trials (32 MB of float64).
+CHUNK_VALUES = 4_000_000
+
+
 def _chunk_sizes(trials: int, per_trial_values: int):
-    chunk = max(1, int(4_000_000 // max(1, per_trial_values)))
+    chunk = max(1, int(CHUNK_VALUES // max(1, per_trial_values)))
     return [min(chunk, trials - start) for start in range(0, trials, chunk)]
 
 

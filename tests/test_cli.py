@@ -315,6 +315,19 @@ class TestEndToEnd:
         assert res.returncode == 2
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("d, m", [(10 ** 51, 2), (1, 10 ** 12)],
+                             ids=["huge_d", "huge_m"])
+    def test_huge_size_exits_two(self, tmp_path, d, m):
+        # rejected at config time, before np.full(d) or one generator per
+        # machine is built
+        conf = tmp_path / "huge.conf"
+        conf.write_text("protocol = onebit\nfamily = bounded_two_point\n"
+                        f"d = {d}\nm = {m}\nn = 1\ntrials = 2\n")
+        res = run_cli(["simulate", str(conf)])
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr and "ceiling" in res.stderr
+
     def test_negative_seed_exits_two(self, tmp_path):
         conf = tmp_path / "sweep.conf"
         conf.write_text(ONEBIT_CONF.replace("seed = 3", "seed = -1"))

@@ -3,8 +3,8 @@
 The files under tests/golden/ pin what the code produces. A change that
 moves any of them must say why in CHANGES.md. To regenerate them, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout;
-it also prints the digests that ``WIDE_VERIFY_SHA256`` and
-``WIDE_SIMULATE_SHA256`` hold.
+it also prints the digests that ``WIDE_VERIFY_SHA256``,
+``BENCH_VERIFY_SHA256`` and ``WIDE_SIMULATE_SHA256`` hold.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ SUITES = "dpi3,dpi5,dpi7,chain,tensor,pinsker,fano"
 # more instances, and so more shape classes per suite, than verify.csv holds.
 WIDE_VERIFY_ARGS = ["verify", SUITES, "--count", "300", "--seed", "7"]
 WIDE_VERIFY_SHA256 = "f4e719d31326fb359a1d670584f381547754031897e124268d8f19b0f9b56ae0"
+# sha256 of `verify` on every suite at count 3000, seed 0 (1579829 bytes): the
+# benchmark's verify_suites size, more than one block of instances per suite.
+BENCH_VERIFY_ARGS = ["verify", SUITES, "--count", "3000", "--seed", "0"]
+BENCH_VERIFY_SHA256 = "713973b48ec72bf57e3ceb64e974cf8e2415e915ff621106f3fc7c466c905edc"
 # sha256 of `simulate` for every protocol on every family at d, m, n in
 # {1, 3} x {3, 40} x {1, 16} (336 rows): more machines and wider blocks than
 # matrix.csv, so a reduction over machines whose rounding depends on the
@@ -140,6 +144,11 @@ def test_wide_verify_digest(tmp_path):
     assert hashlib.sha256(got).hexdigest() == WIDE_VERIFY_SHA256
 
 
+def test_bench_verify_digest(tmp_path):
+    got = _cli(BENCH_VERIFY_ARGS, tmp_path).encode("utf-8")
+    assert hashlib.sha256(got).hexdigest() == BENCH_VERIFY_SHA256
+
+
 def test_wide_simulate_digest():
     assert _wide_simulate_digest() == WIDE_SIMULATE_SHA256
 
@@ -159,6 +168,7 @@ if __name__ == "__main__":
         for name, produce in PRODUCERS.items():
             (GOLDEN / name).write_text(produce(Path(tmp)), encoding="utf-8")
             print(f"wrote {GOLDEN / name}")
-        wide = _cli(WIDE_VERIFY_ARGS, Path(tmp)).encode("utf-8")
-        print(f"WIDE_VERIFY_SHA256 = {hashlib.sha256(wide).hexdigest()!r}")
+        for name, args in (("WIDE", WIDE_VERIFY_ARGS), ("BENCH", BENCH_VERIFY_ARGS)):
+            text = _cli(args, Path(tmp)).encode("utf-8")
+            print(f"{name}_VERIFY_SHA256 = {hashlib.sha256(text).hexdigest()!r}")
         print(f"WIDE_SIMULATE_SHA256 = {_wide_simulate_digest()!r}")

@@ -524,3 +524,100 @@ class TestBinaryGaussianMi:
             binary_gaussian_mi(-0.1, 1.0)
         with pytest.raises(InvalidArgumentError):
             binary_gaussian_mi(0.1, 0.0)
+
+
+# One drawn instance's (lhs, rhs, holds) from the scalar checks, by suite:
+# the reference that the suites' stacked checks must equal bit for bit.
+def _dpi3_reference(key, channel, quantizer):
+    rep = check_dpi_independent(key[0], channel, quantizer)
+    return rep["I_VY"], rep["bound"], rep["holds"] and rep["I_VY"] <= rep["I_VX"] + it.SLACK
+
+
+def _truncated_reference(key, channel, quantizer, keep):
+    rep = check_dpi_truncated(1, channel, quantizer, keep, machines=key[0])
+    return rep["I_VY"], rep["bound"], rep["holds"]
+
+
+def _chain_reference(key, model):
+    rep = check_information_chaining(model)
+    worst = rep["worst"] or {"lhs": 0.0, "rhs": 0.0}
+    return worst["lhs"], worst["rhs"], rep["holds"]
+
+
+def _tensor_reference(key, *tables):
+    m = len(key[1])
+    rep = check_tensorization(key[0], tables[:m], tables[m:])
+    return rep["I_joint"], rep["sum_I"], rep["holds"]
+
+
+def _pinsker_reference(key, pair):
+    rep = check_pinsker_consequence(pair)
+    return rep["lhs"], rep["rhs"], rep["holds"]
+
+
+def _fano_reference(key, channel):
+    d, t, _ = key
+    joint = it._product_channel(channel, d)[0] / 2 ** d
+    bound = fano_variant_lower(d, t, float(it._mi_from_table(joint)))
+    err = sweeps.exact_min_hamming_test_error(joint, d, t)
+    return bound, err, bound <= err + it.SLACK
+
+
+REFERENCES = {"dpi3": _dpi3_reference, "dpi5": _truncated_reference,
+              "dpi7": _truncated_reference, "chain": _chain_reference,
+              "tensor": _tensor_reference, "pinsker": _pinsker_reference,
+              "fano": _fano_reference}
+
+# Every shape key each suite draws: (v_dim, k, n_out, stochastic) for dpi3,
+# (machines, n_out, stochastic) for dpi5, (machines, k**machines, n_y) for
+# dpi7, (v_dim, each machine's n_y) for tensor, the (V, Y) shape for pinsker
+# and (d, t, k) for fano.
+SHAPE_KEYS = {
+    "dpi3": set(itertools.product((1, 2), (2, 3), (1, 2, 3, 4), (False, True))),
+    "dpi5": set(itertools.product((1,), (1, 2, 3, 4), (False, True))),
+    "dpi7": {(m, k ** m, math.prod(sizes)) for m in (2, 3) for k in (2, 3)
+             for sizes in itertools.product((2, 3), repeat=m)},
+    "chain": {()},
+    "tensor": {(v_dim, widths) for v_dim in (1, 2) for m in (2, 3)
+               for widths in itertools.product((1, 2), repeat=m)},
+    "pinsker": {(2, 2), (2, 3), (2, 4)},
+    "fano": set(itertools.product((2, 3), (0, 1), (2, 3))),
+}
+
+
+class TestStackedSuites:
+    """run_suite checks each block's instances one stack per shape key; each
+    row must be what the scalar checks give on the same drawn tables."""
+
+    @pytest.mark.parametrize("name", sweeps.SUITE_NAMES)
+    def test_stacked_rows_equal_the_scalar_checks(self, name):
+        draw, _ = sweeps._SUITES[name]
+        rows = sweeps.run_suite(name, max(300, 2 * sweeps.BLOCK) + 77, seed=13)
+        keys, ref = set(), []
+        for row in rows:
+            key, tables = draw(np.random.default_rng(row.seed))
+            keys.add(key)
+            ref.append(REFERENCES[name](key, *tables))
+        assert keys == SHAPE_KEYS[name]
+        lhs, rhs, holds = zip(*ref)
+        assert np.array_equal([row.lhs for row in rows], lhs)
+        assert np.array_equal([row.rhs for row in rows], rhs)
+        assert np.array_equal([row.holds for row in rows], holds)
+
+    @pytest.mark.parametrize("name", sweeps.SUITE_NAMES)
+    def test_rows_do_not_depend_on_count_or_block(self, name):
+        # more instances than one block, and not a whole number of blocks:
+        # the first 300 rows share their stacks with other instances here
+        count = max(300, 2 * sweeps.BLOCK) + 77
+        short = sweeps.run_suite(name, 300, seed=3)
+        long = sweeps.run_suite(name, count, seed=3)
+        assert len(long) == count
+        assert [row.csv_row() for row in short] == [row.csv_row() for row in long[:300]]
+
+    def test_cached_tables_are_read_only(self):
+        digits = it.base_k_digits(3, 2)
+        assert digits is it.base_k_digits(3, 2)
+        with pytest.raises(ValueError):
+            digits[0, 0] = 1
+        with pytest.raises(ValueError):
+            sweeps._hamming_ball(3, 1)[0, 0] = 1
