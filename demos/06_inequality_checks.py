@@ -32,7 +32,7 @@ rng = np.random.default_rng(1)
 channel = sweeps.random_bounded_channel(rng, 3, 0.4)
 p_xv, _ = it._product_channel(channel, 3)
 joint = p_xv / 8
-info = float(it._mi_from_table(joint))
+info = it.mutual_information(joint, 0, 1)
 bound = it.fano_variant_lower(3, 1, info)
 exact = sweeps.exact_min_hamming_test_error(joint, 3, 1)
 print(f"\nFano with Hamming-1 neighborhoods, d = 3: bound {bound:.4f} <= "

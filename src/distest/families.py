@@ -254,7 +254,7 @@ def reduce_mean_to_regression(x_mean, design, sigma: float, lambda_max2: float, 
 
     When x_mean ~ N(theta, sigma^2/(lambda_max2 * n) I) the output is
     marginally N(A theta, sigma^2 I). x_mean may be a (d,) vector or a
-    (k, d) batch; the return shape follows.
+    (k, d) batch; the return shape follows. z is drawn from the Generator `rng`.
     """
     a = np.asarray(design, dtype=float)
     n = a.shape[0]
@@ -268,10 +268,9 @@ def reduce_mean_to_regression(x_mean, design, sigma: float, lambda_max2: float, 
             f"noise covariance not PSD: min eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     factor = (u * np.sqrt(w)) @ u.T  # symmetric square root
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if x.ndim == 1:
-        return a @ x + factor @ gen.standard_normal(n)
-    return x @ a.T + gen.standard_normal((x.shape[0], n)) @ factor
+        return a @ x + factor @ rng.standard_normal(n)
+    return x @ a.T + rng.standard_normal((x.shape[0], n)) @ factor
 
 
 def reduce_regression_to_probit(y) -> np.ndarray:

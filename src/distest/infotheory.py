@@ -6,12 +6,12 @@ is exact up to float rounding; checks therefore use a 1e-10 slack. Requests
 whose joint state space would exceed 2**20 cells raise instead of
 approximating.
 
-Every table argument of a `check_*` function is a plain array: a channel is
-its table of rows P(x | v), and the Pinsker and chaining joints are (V, Y)
-and (A, B, C, D) tables in that axis order. `_check_pmf` checks each table
-once, where it enters a check, as it does for `FinitePMF` and `JointPMF`.
-Every table built from those inside this module is a plain array and is not
-checked again.
+Every pmf is a plain array: `entropy`, `kl`, `tv` and `lecam_testing_error`
+take 1-d pmfs, `mutual_information` a joint table and two of its axis
+indices, and a channel is its table of rows P(x | v); the Pinsker and
+chaining joints are (V, Y) and (A, B, C, D) tables in that axis order.
+`_check_pmf` checks each array once, where it enters. Every table built from
+those inside this module is a plain array and is not checked again.
 
 Each check has one body, written for a stack of instances along a leading
 axis: a `check_*` runs it on a stack of one, and `sweeps` on every drawn
@@ -26,7 +26,6 @@ closing formula runs on Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,11 +36,6 @@ from .errors import (EnumerationTooLargeError, InvalidArgumentError,
 ENUMERATION_CEILING = 1 << 20
 SLACK = 1e-10
 _NORM_TOL = 1e-12
-
-
-def _as_prob_array(p) -> np.ndarray:
-    arr = np.asarray(p.p if isinstance(p, FinitePMF) else p, dtype=float)
-    return arr
 
 
 def _check_pmf(table, what: str, axis=None, ndim=None) -> np.ndarray:
@@ -60,54 +54,6 @@ def _check_pmf(table, what: str, axis=None, ndim=None) -> np.ndarray:
     if not (abs(total - 1.0) <= _NORM_TOL).all():
         raise InvalidArgumentError(f"{what} sums to {total!r}, not 1")
     return arr
-
-
-@dataclass(eq=False)
-class FinitePMF:
-    """A probability vector over a finite alphabet."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
-        if arr.ndim != 1:
-            raise InvalidArgumentError("a pmf is a nonempty 1-d vector")
-        self.p = _check_pmf(arr, "pmf")
-
-
-@dataclass(eq=False)
-class JointPMF:
-    """Exact joint distribution over a small product alphabet."""
-
-    axes: tuple
-    table: np.ndarray
-
-    def __post_init__(self):
-        self.axes = tuple(self.axes)
-        arr = np.asarray(self.table, dtype=float)
-        if arr.ndim != len(self.axes):
-            raise InvalidArgumentError("one axis label per table dimension")
-        if arr.size > ENUMERATION_CEILING:
-            raise EnumerationTooLargeError(
-                f"{arr.size} joint states exceed the {ENUMERATION_CEILING} ceiling")
-        self.table = _check_pmf(arr, "joint")
-
-    def axis(self, name: str) -> int:
-        try:
-            return self.axes.index(name)
-        except ValueError:
-            raise InvalidArgumentError(f"no axis named {name!r}") from None
-
-    def marginal(self, name: str) -> FinitePMF:
-        return FinitePMF(self._marginal_table((name,)))
-
-    def _marginal_table(self, keep) -> np.ndarray:
-        """The marginal over the axes `keep`, in that order, as an array."""
-        kept = [self.axis(name) for name in keep]
-        reduced = self.table.sum(
-            axis=tuple(i for i in range(self.table.ndim) if i not in kept))
-        order = sorted(kept)
-        return np.transpose(reduced, [order.index(i) for i in kept])
 
 
 def _channel_rows(channel, stacked: bool = False) -> np.ndarray:
@@ -147,16 +93,21 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 
 
 def entropy(p) -> float:
-    """Shannon entropy in nats with the 0 log 0 = 0 convention."""
-    arr = _as_prob_array(p)
-    return float(_entropy_rows(arr.reshape(1, -1))[0])
+    """Shannon entropy in nats of the pmf `p`, with 0 log 0 = 0."""
+    return float(_entropy_rows(_check_pmf(p, "pmf", ndim=1)[None])[0])
+
+
+def _pmf_pair(p, q, what: str):
+    """The pmfs `p` and `q` as checked arrays over a common support."""
+    pa, qa = _check_pmf(p, "pmf", ndim=1), _check_pmf(q, "pmf", ndim=1)
+    if pa.shape != qa.shape:
+        raise InvalidArgumentError(f"{what} needs a common support")
+    return pa, qa
 
 
 def kl(p, q) -> float:
     """KL divergence in nats; support violations return +inf, never raise."""
-    pa, qa = _as_prob_array(p), _as_prob_array(q)
-    if pa.shape != qa.shape:
-        raise InvalidArgumentError("kl needs a common support")
+    pa, qa = _pmf_pair(p, q, "kl")
     mask = pa > 0
     if np.any(qa[mask] == 0):
         return math.inf
@@ -165,9 +116,7 @@ def kl(p, q) -> float:
 
 def tv(p, q) -> float:
     """Total variation distance, in [0, 1]."""
-    pa, qa = _as_prob_array(p), _as_prob_array(q)
-    if pa.shape != qa.shape:
-        raise InvalidArgumentError("tv needs a common support")
+    pa, qa = _pmf_pair(p, q, "tv")
     return float(0.5 * np.abs(pa - qa).sum())
 
 
@@ -183,15 +132,30 @@ def _mi_from_table(joint: np.ndarray) -> np.ndarray:
     return mi.reshape(lead)
 
 
-def mutual_information(j: JointPMF, axis_a: str, axis_b: str) -> float:
-    """I(A; B) in nats after marginalizing every other axis."""
-    return float(_mi_from_table(j._marginal_table((axis_a, axis_b))))
+def mutual_information(joint, axis_a: int, axis_b: int) -> float:
+    """I(A; B) in nats between the distinct axes `axis_a` and `axis_b` of the
+    joint table `joint`, after summing out every other axis."""
+    table = np.asarray(joint, dtype=float)
+    if table.size > ENUMERATION_CEILING:
+        raise EnumerationTooLargeError(
+            f"{table.size} joint states exceed the {ENUMERATION_CEILING} ceiling")
+    table = _check_pmf(table, "joint")
+    if axis_a == axis_b or not {axis_a, axis_b} <= set(range(table.ndim)):
+        raise InvalidArgumentError(f"need two distinct axes of a {table.ndim}-d joint")
+    reduced = table.sum(
+        axis=tuple(i for i in range(table.ndim) if i not in (axis_a, axis_b)))
+    return float(_mi_from_table(reduced.T if axis_a > axis_b else reduced))
+
+
+def _check_hamming(d: int, t: float) -> None:
+    """Raise unless d >= 1 and the radius t is finite and >= 0."""
+    if not (d >= 1 and 0 <= t < math.inf):
+        raise InvalidArgumentError("need d >= 1 and a finite t >= 0")
 
 
 def hamming_neighborhood_size(d: int, t: float) -> int:
     """Vertices of {-1, 1}^d within Hamming distance t of any fixed vertex."""
-    if not (d >= 1 and 0 <= t < math.inf):
-        raise InvalidArgumentError("need d >= 1 and a finite t >= 0")
+    _check_hamming(d, t)
     radius = min(int(math.floor(t)), d)
     return sum(math.comb(d, k) for k in range(radius + 1))
 
@@ -284,8 +248,12 @@ def _quantizer_matrix(quantizer, k_in: int, stacked: bool = False) -> np.ndarray
         out = arr.astype(int)
         if np.any(out < 0) or np.any(out != arr):
             raise InvalidArgumentError("deterministic quantizer outputs are indices >= 0")
+        n_out = int(out.max()) + 1
+        if k_in * n_out > ENUMERATION_CEILING:
+            raise EnumerationTooLargeError(
+                f"{k_in} x {n_out} quantizer states exceed the {ENUMERATION_CEILING} ceiling")
         maps = out.reshape(-1, k_in)
-        q = np.zeros(maps.shape + (int(out.max()) + 1,))
+        q = np.zeros(maps.shape + (n_out,))
         q[np.arange(len(maps))[:, None], np.arange(k_in), maps] = 1.0
         return q
     if arr.ndim == lead + 2:

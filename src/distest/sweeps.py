@@ -233,6 +233,8 @@ def exact_min_hamming_test_error(p_vx: np.ndarray, d: int, t: float) -> float:
     p_vx is the exact joint over (2**d sign patterns, X alphabet); the optimal
     rule picks the center whose radius-t ball has maximal posterior mass.
     """
+    it._check_hamming(d, t)
+    p_vx = it._check_pmf(p_vx, "(V, X) joint", ndim=2)
     if p_vx.shape[0] != 2 ** d:
         raise InvalidArgumentError("p_vx needs one row per sign pattern")
     return float(_hamming_test_errors(p_vx[None], d, t)[0])

@@ -178,7 +178,8 @@ class TestMeanToRegressionReduction:
         n = 3
         a = math.sqrt(n) * np.eye(n)
         x = np.array([0.3, -0.1, 0.9])
-        y = reduce_mean_to_regression(x, a, sigma=2.0, lambda_max2=1.0, rng=0)
+        y = reduce_mean_to_regression(x, a, sigma=2.0, lambda_max2=1.0,
+                                      rng=np.random.default_rng(0))
         assert np.allclose(y, a @ x, atol=1e-12)
 
     def test_two_by_two_eigenvalues(self):
@@ -189,7 +190,7 @@ class TestMeanToRegressionReduction:
         cov = 1.0 * np.eye(2) - (1.0 / (lmax2 * 2)) * (a @ a.T)
         eig = np.linalg.eigvalsh(cov)
         assert eig == pytest.approx([0.0, 1.0], abs=1e-12)
-        y = reduce_mean_to_regression(np.array([0.5]), a, 1.0, lmax2, rng=3)
+        y = reduce_mean_to_regression(np.array([0.5]), a, 1.0, lmax2, np.random.default_rng(3))
         assert y.shape == (2,)
 
     def test_marginal_law_matches(self):
@@ -212,7 +213,8 @@ class TestMeanToRegressionReduction:
     def test_infeasible_lambda_rejected(self):
         a = np.array([[1.0], [1.0]])
         with pytest.raises(ReductionInfeasibleError):
-            reduce_mean_to_regression(np.array([0.0]), a, 1.0, lambda_max2=0.5, rng=0)
+            reduce_mean_to_regression(np.array([0.0]), a, 1.0, lambda_max2=0.5,
+                                      rng=np.random.default_rng(0))
 
 
 class TestProbitReduction:

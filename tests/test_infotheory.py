@@ -10,8 +10,7 @@ from distest import bounds
 from distest import infotheory as it
 from distest import sweeps
 from distest.errors import EnumerationTooLargeError, InvalidArgumentError
-from distest.infotheory import (FinitePMF, JointPMF,
-                                binary_gaussian_mi, check_dpi_independent,
+from distest.infotheory import (binary_gaussian_mi, check_dpi_independent,
                                 check_dpi_truncated, check_information_chaining,
                                 check_likelihood_ratio,
                                 check_pinsker_consequence, check_tensorization,
@@ -26,9 +25,9 @@ def binary_entropy_nats(p: float) -> float:
     return -(p * math.log(p) + (1 - p) * math.log(1 - p))
 
 
-def bsc_joint(crossover: float) -> JointPMF:
+def bsc_joint(crossover: float) -> np.ndarray:
     rows = np.array([[1 - crossover, crossover], [crossover, 1 - crossover]])
-    return JointPMF(("V", "Y"), 0.5 * rows)
+    return 0.5 * rows
 
 
 # Every check with valid tables in its table arguments, by argument name.
@@ -74,22 +73,22 @@ def spoiled(kind: str, table: np.ndarray) -> np.ndarray:
 
 class TestBasicQuantities:
     def test_entropy_uniform(self):
-        assert entropy(FinitePMF(np.array([0.5, 0.5]))) == pytest.approx(math.log(2))
+        assert entropy(np.array([0.5, 0.5])) == pytest.approx(math.log(2))
 
     def test_kl_and_tv_identity(self):
-        p = FinitePMF(np.array([0.2, 0.3, 0.5]))
+        p = np.array([0.2, 0.3, 0.5])
         assert kl(p, p) == 0.0
         assert tv(p, p) == 0.0
 
     def test_kl_support_violation_signals_inf(self):
-        p = FinitePMF(np.array([0.5, 0.5]))
-        q = FinitePMF(np.array([1.0, 0.0]))
+        p = np.array([0.5, 0.5])
+        q = np.array([1.0, 0.0])
         assert kl(p, q) == math.inf
 
     def test_bsc_mutual_information_closed_form(self):
         # V uniform {-1,1}, X = BSC(V, 0.4): I = ln 2 - H_b(0.4)
         expected = math.log(2) - binary_entropy_nats(0.4)
-        got = mutual_information(bsc_joint(0.4), "V", "Y")
+        got = mutual_information(bsc_joint(0.4), 0, 1)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.020136, abs=1e-6)
 
@@ -98,18 +97,27 @@ class TestBasicQuantities:
         for _ in range(200):
             table = rng.uniform(0.01, 1.0, size=(3, 4))
             table /= table.sum()
-            j = JointPMF(("A", "B"), table)
-            iab = mutual_information(j, "A", "B")
-            iba = mutual_information(j, "B", "A")
+            iab = mutual_information(table, 0, 1)
+            iba = mutual_information(table, 1, 0)
             assert iab == pytest.approx(iba, abs=1e-12)
             assert iab >= 0
-            assert iab <= min(entropy(j.marginal("A")), entropy(j.marginal("B"))) + 1e-12
+            assert iab <= min(entropy(table.sum(axis=1)), entropy(table.sum(axis=0))) + 1e-12
 
-    def test_joint_pmf_validation(self):
+    def test_mutual_information_marginalizes_other_axes(self):
+        # A, B a BSC pair and C independent of both: I(A; B) ignores C, and
+        # I(A; C) = I(C; B) = 0
+        table = np.einsum("ab,c->acb", bsc_joint(0.4), np.array([0.2, 0.3, 0.5]))
+        assert mutual_information(table, 0, 2) == mutual_information(bsc_joint(0.4), 0, 1)
+        assert mutual_information(table, 2, 0) == mutual_information(bsc_joint(0.4), 1, 0)
+        assert mutual_information(table, 0, 1) == pytest.approx(0.0, abs=1e-15)
+        assert mutual_information(table, 1, 2) == pytest.approx(0.0, abs=1e-15)
+
+    def test_mutual_information_entry_check(self):
         with pytest.raises(InvalidArgumentError):
-            JointPMF(("A", "B"), np.array([[0.6, 0.6], [0.0, 0.0]]))
+            mutual_information(np.array([[0.6, 0.6], [0.0, 0.0]]), 0, 1)
+        # the ceiling is checked before the pmf rules
         with pytest.raises(EnumerationTooLargeError):
-            JointPMF(("A",), np.zeros(it.ENUMERATION_CEILING + 1))
+            mutual_information(np.zeros((2, it.ENUMERATION_CEILING // 2 + 1)), 0, 1)
 
 
 class TestRejections:
@@ -162,13 +170,17 @@ class TestRejections:
             check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
 
     def test_joint_over_the_ceiling(self):
-        # 2 x 2 states of (V, X) fit; the 2**20 + 1 outputs of Y do not
-        quantizer = np.array([0, it.ENUMERATION_CEILING])
+        # 2 x 2 states of (V, X) fit; the 2**20 + 1 outputs of Y do not, nor
+        # the 10**12 + 1 that a map is rejected for before its table is built
         ch = sweeps.two_point_channel(0.2)
-        with pytest.raises(EnumerationTooLargeError):
-            check_dpi_independent(1, ch, quantizer)
-        with pytest.raises(EnumerationTooLargeError):
-            check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
+        for top in (it.ENUMERATION_CEILING, 10**12):
+            quantizer = np.array([0, top])
+            with pytest.raises(EnumerationTooLargeError):
+                check_dpi_independent(1, ch, quantizer)
+            with pytest.raises(EnumerationTooLargeError):
+                check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
+            with pytest.raises(EnumerationTooLargeError):
+                check_tensorization(1, [ch, ch], [np.arange(2), quantizer])
 
     def test_bad_quantizer_in_tensorization(self):
         ch = sweeps.two_point_channel(0.2)
@@ -196,17 +208,33 @@ class TestRejections:
             check_tensorization(1, [], [])
 
     def test_joint_that_does_not_sum_to_one(self):
-        with pytest.raises(InvalidArgumentError):
-            JointPMF(("V", "Y"), np.full((2, 2), 0.3))
-        with pytest.raises(InvalidArgumentError):
-            JointPMF(("V", "Y"), np.array([[0.6, 0.1], [0.4, -0.1]]))
-        with pytest.raises(InvalidArgumentError):
-            JointPMF(("V",), np.array([[0.5, 0.5]]))
+        with pytest.raises(InvalidArgumentError, match="sums to"):
+            mutual_information(np.full((2, 2), 0.3), 0, 1)
+        with pytest.raises(InvalidArgumentError, match="nonnegative"):
+            mutual_information(np.array([[0.6, 0.1], [0.4, -0.1]]), 0, 1)
 
-    def test_finite_pmf(self):
+    @pytest.mark.parametrize("joint, axes", [
+        ([[0.5, 0.5]], (0, 0)), ([[0.5, 0.5]], (1, 1)), ([[0.5, 0.5]], (0, 2)),
+        ([[0.5, 0.5]], (-1, 0)), ([[0.5, 0.5]], (0.5, 1)), ([0.5, 0.5], (0, 1)),
+    ])
+    def test_mutual_information_needs_two_distinct_axes(self, joint, axes):
+        with pytest.raises(InvalidArgumentError, match="two distinct axes"):
+            mutual_information(np.array(joint), *axes)
+
+    def test_entropy_entry_check(self):
         for bad in ([0.5, 0.6], [1.5, -0.5], [], [[0.5, 0.5]], [math.nan, 1.0]):
             with pytest.raises(InvalidArgumentError):
-                FinitePMF(np.array(bad))
+                entropy(np.array(bad))
+
+    def test_arrays_that_are_not_pmfs_get_no_value(self):
+        # each of these returned a value outside its range before pmfs were
+        # checked where they enter: -0.608, 2.0 and -0.5
+        with pytest.raises(InvalidArgumentError, match="nonnegative"):
+            entropy(np.array([1.5, -0.5]))
+        with pytest.raises(InvalidArgumentError, match="sums to"):
+            tv(np.array([3.0, 0.0]), np.array([0.0, 1.0]))
+        with pytest.raises(InvalidArgumentError, match="sums to"):
+            lecam_testing_error(np.array([3.0, 0.0]), np.array([0.0, 1.0]))
 
     def test_chaining_rejects_d_depending_on_a(self):
         # A, B, C independent and uniform, D = A: D is not independent of A
@@ -285,17 +313,17 @@ def test_scalar_helpers_reject_nan_and_out_of_range_arguments(fn, args, name):
 
 class TestLeCam:
     def test_equal_distributions(self):
-        p = FinitePMF(np.array([0.3, 0.7]))
+        p = np.array([0.3, 0.7])
         assert lecam_testing_error(p, p) == 0.5
 
     def test_disjoint_supports(self):
-        p = FinitePMF(np.array([1.0, 0.0]))
-        q = FinitePMF(np.array([0.0, 1.0]))
+        p = np.array([1.0, 0.0])
+        q = np.array([0.0, 1.0])
         assert lecam_testing_error(p, q) == 0.0
 
     def test_bsc_outputs(self):
-        p1 = FinitePMF(np.array([0.6, 0.4]))
-        p2 = FinitePMF(np.array([0.4, 0.6]))
+        p1 = np.array([0.6, 0.4])
+        p2 = np.array([0.4, 0.6])
         assert tv(p1, p2) == pytest.approx(0.2)
         assert lecam_testing_error(p1, p2) == pytest.approx(0.4)
 
@@ -482,6 +510,21 @@ class TestFanoSuite:
     def test_exact_optimal_test_needs_one_row_per_pattern(self):
         with pytest.raises(InvalidArgumentError):
             sweeps.exact_min_hamming_test_error(np.full((4, 2), 1 / 8), 3, 1)
+
+    @pytest.mark.parametrize("p_vx, match", [
+        (np.full((8, 2), 5.0), "sums to"),      # gave an error probability of -39
+        (np.full((8, 2, 1), 1 / 16), "2-d"),
+        (np.full((8, 0), 0.0), "empty"),
+        (np.array([[0.5, -0.5]] * 4 + [[0.25, 0.0]] * 4), "nonnegative"),
+    ])
+    def test_exact_optimal_test_needs_a_joint_pmf(self, p_vx, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            sweeps.exact_min_hamming_test_error(p_vx, 3, 1)
+
+    @pytest.mark.parametrize("d, t", [(0, 1), (-1, 1), (3, -1), (3, math.nan), (3, math.inf)])
+    def test_exact_optimal_test_needs_d_and_a_finite_radius(self, d, t):
+        with pytest.raises(InvalidArgumentError, match="d >= 1 and a finite t >= 0"):
+            sweeps.exact_min_hamming_test_error(np.full((8, 2), 1 / 16), d, t)
 
     def test_exact_optimal_test_is_a_probability(self):
         rng = np.random.default_rng(2)

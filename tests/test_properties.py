@@ -1,5 +1,6 @@
-"""Property tests: codec round trips, quantizer laws, bit accounting, and
-the guards on extreme CLI inputs.
+"""Property tests: codec round trips, quantizer laws, bit accounting, the
+pmf entry checks of the information quantities, and the guards on extreme
+CLI inputs.
 
 The examples are derandomized, so every run checks the same inputs.
 """
@@ -14,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distest import cli, codec
+from distest import infotheory as it
 from distest.codec import (QuantizerSpec, bits_for_accuracy, ceil_log2,
                            decode_improvement_message, dequantize,
                            encode_improvement_message, pack_fields, quantize,
                            transcript_total_bits, unpack_fields)
 from distest.designs import build_designs
-from distest.errors import ConfigError
+from distest.errors import ConfigError, InvalidArgumentError
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
                               RegressionSpec, UniformLocationSpec,
                               draw_trials, machine_streams)
@@ -69,6 +71,43 @@ def test_quantizer_clamps_and_is_monotone(lo, width, bits, mode, a, b):
     if a <= b:
         assert ia <= ib
     assert spec.lo <= dequantize(ia, spec) <= spec.hi
+
+
+def pmfs(size: int):
+    """Normalized nonnegative vectors of `size` entries, zeros included."""
+    weights = st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size)
+    return weights.filter(lambda w: sum(w) > 0).map(lambda w: np.array(w) / sum(w))
+
+
+# each way to break a pmf by an amount x in (0, 1]
+SPOILERS = {
+    "negative": lambda p, x: np.concatenate([[-x], p[1:]]),
+    "over_one": lambda p, x: p * (1.0 + x),
+    "under_one": lambda p, x: p * (1.0 - x),
+    "nan": lambda p, x: np.concatenate([[math.nan], p[1:]]),
+    "inf": lambda p, x: np.concatenate([[math.inf], p[1:]]),
+    "wrong_rank": lambda p, x: p[None],
+    "empty": lambda p, x: p[:0],
+}
+PAIR_QUANTITIES = (it.kl, it.tv, it.lecam_testing_error)
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), data=st.data())
+def test_pmf_quantities_check_their_input_and_stay_in_range(n, data):
+    p, q = data.draw(pmfs(n)), data.draw(pmfs(n))
+    assert it.entropy(p) >= 0
+    assert 0 <= it.tv(p, q) <= 1
+    assert 0 <= it.lecam_testing_error(p, q) <= 0.5
+    kind = data.draw(st.sampled_from(sorted(SPOILERS)))
+    bad = SPOILERS[kind](p, data.draw(st.floats(1e-9, 1.0)))
+    with pytest.raises(InvalidArgumentError):
+        it.entropy(bad)
+    for fn in PAIR_QUANTITIES:
+        with pytest.raises(InvalidArgumentError):
+            fn(bad, q)
+        with pytest.raises(InvalidArgumentError):
+            fn(q, bad)
 
 
 @PROPERTY
