@@ -30,8 +30,7 @@ print(f"  I(V;Y) = {trep['I_VY']:.6f}, H(E) = {trep['H_E']:.6f}, "
 # the neighborhood Fano bound against the exact optimal test
 rng = np.random.default_rng(1)
 channel = sweeps.random_bounded_channel(rng, 3, 0.4)
-p_xv, _ = it._product_channel(channel, 3)
-joint = p_xv / 8
+joint = it.product_channel(channel, 3) / 8
 info = it.mutual_information(joint, 0, 1)
 bound = it.fano_variant_lower(3, 1, info)
 exact = sweeps.exact_min_hamming_test_error(joint, 3, 1)

@@ -4,29 +4,30 @@ verification of the quantitative data-processing inequalities.
 All joint distributions here are explicit tables, so every reported quantity
 is exact up to float rounding; checks therefore use a 1e-10 slack. Requests
 whose joint state space would exceed 2**20 cells raise instead of
-approximating.
+approximating (`_check_cells`).
 
 Every pmf is a plain array: `entropy`, `kl`, `tv` and `lecam_testing_error`
 take 1-d pmfs, `mutual_information` a joint table and two of its axis
 indices, and a channel is its table of rows P(x | v); the Pinsker and
 chaining joints are (V, Y) and (A, B, C, D) tables in that axis order.
-`_check_pmf` checks each array once, where it enters. Every table built from
-those inside this module is a plain array and is not checked again.
 
-Each check has one body, written for a stack of instances along a leading
-axis: a `check_*` runs it on a stack of one, and `sweeps` on every drawn
-instance of one shape at once. A stacked table is checked once, by the
-rules `_check_pmf` applies to each instance. An instance gets the same
-floats in a stack as alone: elementwise operations and reductions over a
-table's own axes do not depend on the instances beside it, a masked sum
-compacts each instance's cells (see `_masked_sums`), and each instance's
-closing formula runs on Python floats.
+Inside this module a table has one form: a stack of tables along axis 0.
+Every private body takes stacks, and so does `_check_pmf`, whose rules are
+stated for one table of the stack. Each public entry passes its tables as
+stacks of one (`np.asarray(x)[None]`) and returns element [0]; `sweeps`
+passes every drawn instance of one shape at once. `_check_pmf` checks each
+stack once, where it enters; every table built from it is a plain array and
+is not checked again. An instance gets the same floats in a stack as alone:
+elementwise operations and reductions over a table's own axes do not depend
+on the instances beside it, a masked sum compacts each instance's cells (see
+`_masked_sums`), and each instance's closing formula runs on Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -38,29 +39,31 @@ SLACK = 1e-10
 _NORM_TOL = 1e-12
 
 
-def _check_pmf(table, what: str, axis=None, ndim=None) -> np.ndarray:
-    """`table` as a float array, after checking that it has `ndim` axes (any
-    number when None), that it is nonempty and that its entries are
-    nonnegative and sum to 1 over `axis` (over the whole table when None)."""
-    arr = np.asarray(table, dtype=float)
-    if ndim is not None and arr.ndim != ndim:
+def _check_pmf(tables, what: str, ndim=None, axis=None) -> np.ndarray:
+    """The stack `tables` as a float array, after checking that each table
+    has `ndim` axes (any number when None), that the stack is nonempty and
+    that its entries are nonnegative and sum to 1 over `axis` (over all of a
+    table's axes when None)."""
+    arr = np.asarray(tables, dtype=float)
+    if ndim is not None and arr.ndim != ndim + 1:
         raise InvalidArgumentError(f"{what} needs a {ndim}-d table")
     if arr.size == 0:
         raise InvalidArgumentError(f"{what} is empty")
     # array methods, not np.any / np.all: this runs on every table that enters
     if (arr < 0).any():
         raise InvalidArgumentError(f"{what} entries must be nonnegative")
-    total = arr.sum(axis=axis)
+    total = arr.sum(axis=tuple(range(1, arr.ndim)) if axis is None else axis)
     if not (abs(total - 1.0) <= _NORM_TOL).all():
         raise InvalidArgumentError(f"{what} sums to {total!r}, not 1")
     return arr
 
 
-def _channel_rows(channel, stacked: bool = False) -> np.ndarray:
-    """A stack of checked row-stochastic tables P(output | input): the one
-    `channel`, or each table of the stack `channel` when `stacked`."""
-    rows = _check_pmf(channel, "channel row", axis=-1, ndim=3 if stacked else 2)
-    return rows if stacked else rows[None]
+def _check_cells(cells: int, what: str) -> None:
+    """Raise when `cells` (a Python int: products cannot wrap) states of one
+    `what` table exceed the ceiling; a huge count would not print."""
+    if cells > ENUMERATION_CEILING:
+        raise EnumerationTooLargeError(
+            f"{what} states exceed the {ENUMERATION_CEILING} ceiling")
 
 
 def _masked_sums(mask: np.ndarray, term, *tables) -> np.ndarray:
@@ -94,12 +97,12 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
 
 def entropy(p) -> float:
     """Shannon entropy in nats of the pmf `p`, with 0 log 0 = 0."""
-    return float(_entropy_rows(_check_pmf(p, "pmf", ndim=1)[None])[0])
+    return float(_entropy_rows(_check_pmf(np.asarray(p)[None], "pmf", 1))[0])
 
 
 def _pmf_pair(p, q, what: str):
     """The pmfs `p` and `q` as checked arrays over a common support."""
-    pa, qa = _check_pmf(p, "pmf", ndim=1), _check_pmf(q, "pmf", ndim=1)
+    pa, qa = (_check_pmf(np.asarray(x)[None], "pmf", 1)[0] for x in (p, q))
     if pa.shape != qa.shape:
         raise InvalidArgumentError(f"{what} needs a common support")
     return pa, qa
@@ -120,37 +123,30 @@ def tv(p, q) -> float:
     return float(0.5 * np.abs(pa - qa).sum())
 
 
-def _mi_from_table(joint: np.ndarray) -> np.ndarray:
-    """I(A; B) of each (A, B) table on the last two axes of `joint`, in the
-    shape of the leading axes."""
-    pa = joint.sum(axis=-1)
-    pb = joint.sum(axis=-2)
-    prod = pa[..., :, None] * pb[..., None, :]
-    lead = joint.shape[:-2]
-    stack = joint.reshape((-1,) + joint.shape[-2:])
-    mi = _masked_sums(stack > 0, lambda j, p: j * np.log(j / p), stack, prod)
-    return mi.reshape(lead)
+def _mi_from_table(joints: np.ndarray) -> np.ndarray:
+    """I(A; B) of each (A, B) table of the stack `joints`."""
+    prod = joints.sum(axis=2)[:, :, None] * joints.sum(axis=1)[:, None, :]
+    return _masked_sums(joints > 0, lambda j, p: j * np.log(j / p), joints, prod)
 
 
 def mutual_information(joint, axis_a: int, axis_b: int) -> float:
     """I(A; B) in nats between the distinct axes `axis_a` and `axis_b` of the
     joint table `joint`, after summing out every other axis."""
-    table = np.asarray(joint, dtype=float)
-    if table.size > ENUMERATION_CEILING:
-        raise EnumerationTooLargeError(
-            f"{table.size} joint states exceed the {ENUMERATION_CEILING} ceiling")
-    table = _check_pmf(table, "joint")
-    if axis_a == axis_b or not {axis_a, axis_b} <= set(range(table.ndim)):
-        raise InvalidArgumentError(f"need two distinct axes of a {table.ndim}-d joint")
-    reduced = table.sum(
-        axis=tuple(i for i in range(table.ndim) if i not in (axis_a, axis_b)))
-    return float(_mi_from_table(reduced.T if axis_a > axis_b else reduced))
+    tables = np.asarray(joint)[None]
+    _check_cells(tables.size, "joint")
+    tables = _check_pmf(tables, "joint")
+    ndim = tables.ndim - 1
+    if axis_a == axis_b or not {axis_a, axis_b} <= set(range(ndim)):
+        raise InvalidArgumentError(f"need two distinct axes of a {ndim}-d joint")
+    reduced = tables.sum(
+        axis=tuple(i + 1 for i in range(ndim) if i not in (axis_a, axis_b)))
+    return float(_mi_from_table(reduced.swapaxes(1, 2) if axis_a > axis_b else reduced)[0])
 
 
 def _check_hamming(d: int, t: float) -> None:
-    """Raise unless d >= 1 and the radius t is finite and >= 0."""
-    if not (d >= 1 and 0 <= t < math.inf):
-        raise InvalidArgumentError("need d >= 1 and a finite t >= 0")
+    """Raise unless d is an integer >= 1 and the radius t is finite and >= 0."""
+    if not (isinstance(d, Integral) and d >= 1 and 0 <= t < math.inf):
+        raise InvalidArgumentError("need an integer d >= 1 and a finite t >= 0")
 
 
 def hamming_neighborhood_size(d: int, t: float) -> int:
@@ -192,7 +188,8 @@ def check_likelihood_ratio(channel) -> float:
     A zero entry in an otherwise reachable output yields +inf (an infinite
     ratio signal) rather than an exception.
     """
-    return float(_max_log_ratio(_channel_rows(channel))[0])
+    rows = _check_pmf(np.asarray(channel)[None], "channel row", 2, axis=-1)
+    return float(_max_log_ratio(rows)[0])
 
 
 def _max_log_ratio(rows: np.ndarray, keep=None) -> np.ndarray:
@@ -210,15 +207,12 @@ def _max_log_ratio(rows: np.ndarray, keep=None) -> np.ndarray:
 def check_pinsker_consequence(pair) -> dict:
     """tv(P_{Y|V=0}, P_{Y|V=1})^2 <= 2 I(V; Y) for uniform binary V, on the
     (V, Y) joint table `pair`."""
-    return _pinsker_consequence(pair)[0]
+    return _pinsker_consequence(np.asarray(pair)[None])[0]
 
 
-def _pinsker_consequence(pair, stacked: bool = False) -> list:
-    """The Pinsker report of `pair`, or of each table of the stack `pair`
-    when `stacked`."""
-    pair = _check_pmf(pair, "(V, Y) joint", axis=(-2, -1), ndim=3 if stacked else 2)
-    if not stacked:
-        pair = pair[None]
+def _pinsker_consequence(pairs) -> list:
+    """The Pinsker report of each table of the stack `pairs`."""
+    pair = _check_pmf(pairs, "(V, Y) joint", 2)
     pv = pair.sum(axis=2)
     if pv.shape[1] != 2:
         raise InvalidArgumentError("V must be binary")
@@ -236,31 +230,26 @@ def _pinsker_consequence(pair, stacked: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # enumerated Markov chains V -> X -> Y
 
-def _quantizer_matrix(quantizer, k_in: int, stacked: bool = False) -> np.ndarray:
-    """The stack of (k_in, n_out) stochastic tables of one quantizer, or of
-    each quantizer of the stack `quantizer` when `stacked`. A quantizer is a
-    deterministic map (k_in ints) or a stochastic table."""
-    arr = np.asarray(quantizer)
-    lead = 1 if stacked else 0
-    if arr.ndim == lead + 1:
-        if arr.shape[-1] != k_in:
+def _quantizer_matrix(quantizers, k_in: int) -> np.ndarray:
+    """The stack of (k_in, n_out) stochastic tables of the stack
+    `quantizers`, whose quantizers are all deterministic maps (k_in ints) or
+    all stochastic tables."""
+    arr = np.asarray(quantizers)
+    if arr.ndim == 2:
+        if arr.shape[1] != k_in:
             raise InvalidArgumentError("deterministic quantizer needs one output per input")
-        out = arr.astype(int)
-        if np.any(out < 0) or np.any(out != arr):
+        maps = arr.astype(int)
+        if np.any(maps < 0) or np.any(maps != arr):
             raise InvalidArgumentError("deterministic quantizer outputs are indices >= 0")
-        n_out = int(out.max()) + 1
-        if k_in * n_out > ENUMERATION_CEILING:
-            raise EnumerationTooLargeError(
-                f"{k_in} x {n_out} quantizer states exceed the {ENUMERATION_CEILING} ceiling")
-        maps = out.reshape(-1, k_in)
+        n_out = int(maps.max()) + 1
+        _check_cells(k_in * n_out, "quantizer")
         q = np.zeros(maps.shape + (n_out,))
         q[np.arange(len(maps))[:, None], np.arange(k_in), maps] = 1.0
         return q
-    if arr.ndim == lead + 2:
-        if arr.shape[-2] != k_in:
+    if arr.ndim == 3:
+        if arr.shape[1] != k_in:
             raise InvalidArgumentError("stochastic quantizer needs one row per input")
-        q = _check_pmf(arr, "quantizer row", axis=-1)
-        return q if stacked else q[None]
+        return _check_pmf(arr, "quantizer row", 2, axis=-1)
     raise InvalidArgumentError("quantizer must be a map or a stochastic table")
 
 
@@ -279,42 +268,46 @@ def base_k_digits(k: int, width: int) -> np.ndarray:
 
 
 def _product_channel(rows: np.ndarray, v_dim: int, machines: int = 1):
-    """P(x | v) over the product alphabet, from the checked channel `rows`,
-    a (2, k) table or a stack of them along leading axes.
+    """P(x | v) over the product alphabet for each (2, k) table of the
+    checked stack `rows`, and the digits of the x alphabet.
 
     v ranges over 2**v_dim sign patterns (bit b of the index = coordinate b,
     bit 0 most significant, 0 -> row 0, 1 -> row 1); x ranges over
     k**(machines * v_dim) tuples, machine-major. Machine i's coordinate j
     depends on v_j only, conditionally independent across (i, j).
     """
-    if rows.shape[-2] != 2:
+    if rows.shape[1] != 2:
         raise InvalidArgumentError("per-coordinate channels take the binary input {-1, +1}")
-    if v_dim < 1 or machines < 1:
-        raise InvalidArgumentError("need v_dim >= 1 and machines >= 1")
-    k = rows.shape[-1]
+    if not all(isinstance(s, Integral) and s >= 1 for s in (v_dim, machines)):
+        raise InvalidArgumentError("need integers v_dim >= 1 and machines >= 1")
+    k = rows.shape[2]
     n_coords = machines * v_dim
     n_x = k ** n_coords
-    if 2 ** v_dim * n_x > ENUMERATION_CEILING:
-        raise EnumerationTooLargeError("product alphabet exceeds the enumeration ceiling")
+    _check_cells(2 ** v_dim * n_x, "product alphabet")
     digits = base_k_digits(k, n_coords)
     vbits = base_k_digits(2, v_dim)
-    out = np.ones(rows.shape[:-2] + (2 ** v_dim, n_x))
+    out = np.ones((len(rows), 2 ** v_dim, n_x))
     for c in range(n_coords):
         # coordinate c of x belongs to v-coordinate c % v_dim (machine-major order)
-        out *= rows[..., vbits[:, c % v_dim, None], digits[None, :, c]]
+        out *= rows[:, vbits[:, c % v_dim, None], digits[None, :, c]]
     return out, digits
 
 
-def _vxy_joint(v_dim: int, rows: np.ndarray, quantizer, machines: int = 1,
-               stacked: bool = False):
+def product_channel(channel, v_dim: int) -> np.ndarray:
+    """The (2**v_dim, k**v_dim) table P(x | v) of v_dim independent uses of
+    the binary-input channel `channel`, a (2, k) table of rows; v and x are
+    ordered as in `_product_channel`."""
+    rows = _check_pmf(np.asarray(channel)[None], "channel row", 2, axis=-1)
+    return _product_channel(rows, v_dim)[0][0]
+
+
+def _vxy_joint(v_dim: int, rows: np.ndarray, quantizers, machines: int = 1):
     """The (V, X, Y) joint table of V -> X -> Y = quantizer(X) for each
-    channel of the stack `rows`, and the digits of the X alphabet."""
+    channel and quantizer of the stacks `rows` and `quantizers`, and the
+    digits of the X alphabet."""
     p_xv, digits = _product_channel(rows, v_dim, machines)
-    q = _quantizer_matrix(quantizer, p_xv.shape[-1], stacked)
-    cells = p_xv[0].size * q.shape[-1]
-    if cells > ENUMERATION_CEILING:
-        raise EnumerationTooLargeError(
-            f"{cells} joint states exceed the {ENUMERATION_CEILING} ceiling")
+    q = _quantizer_matrix(quantizers, p_xv.shape[2])
+    _check_cells(p_xv[0].size * q.shape[2], "joint")
     joint = p_xv[:, :, :, None] * q[:, None, :, :]
     joint /= p_xv.shape[1]
     return joint, digits
@@ -326,14 +319,14 @@ def check_dpi_independent(v_dim: int, channel, quantizer) -> dict:
     V is uniform on {-1, 1}^v_dim, coordinate j of X depends on V_j through
     `channel`, and Y = quantizer(X).
     """
-    return _dpi_independent(v_dim, channel, quantizer)[0]
+    return _dpi_independent(v_dim, np.asarray(channel)[None], np.asarray(quantizer)[None])[0]
 
 
-def _dpi_independent(v_dim: int, channel, quantizer, stacked: bool = False) -> list:
-    """The report of check_dpi_independent, or one per instance of the
-    stacks `channel` and `quantizer` when `stacked`."""
-    rows = _channel_rows(channel, stacked)
-    joint, _ = _vxy_joint(v_dim, rows, quantizer, 1, stacked)
+def _dpi_independent(v_dim: int, channels, quantizers) -> list:
+    """The report of check_dpi_independent for each instance of the stacks
+    `channels` and `quantizers`."""
+    rows = _check_pmf(channels, "channel row", 2, axis=-1)
+    joint, _ = _vxy_joint(v_dim, rows, quantizers)
     stats = zip(_max_log_ratio(rows).tolist(),
                 _mi_from_table(joint.sum(axis=2)).tolist(),
                 _mi_from_table(joint.sum(axis=1)).tolist(),
@@ -355,18 +348,17 @@ def check_dpi_truncated(v_dim: int, channel, quantizer, truncation,
     bound alpha is measured on the retained symbols only, and E indicates
     that every coordinate of every machine landed inside the retained set.
     """
-    return _dpi_truncated(v_dim, channel, quantizer, truncation, machines)[0]
+    return _dpi_truncated(v_dim, np.asarray(channel)[None], np.asarray(quantizer)[None],
+                          np.asarray(truncation)[None], machines)[0]
 
 
-def _dpi_truncated(v_dim: int, channel, quantizer, truncation, machines: int = 1,
-                   stacked: bool = False) -> list:
-    """The report of check_dpi_truncated, or one per instance of the stacks
-    `channel`, `quantizer` and `truncation` when `stacked`."""
-    rows = _channel_rows(channel, stacked)
-    joint, digits = _vxy_joint(v_dim, rows, quantizer, machines, stacked)
-    keep = np.asarray(truncation, dtype=bool)
-    if not stacked:
-        keep = keep[None]
+def _dpi_truncated(v_dim: int, channels, quantizers, truncations,
+                   machines: int = 1) -> list:
+    """The report of check_dpi_truncated for each instance of the stacks
+    `channels`, `quantizers` and `truncations`."""
+    rows = _check_pmf(channels, "channel row", 2, axis=-1)
+    joint, digits = _vxy_joint(v_dim, rows, quantizers, machines)
+    keep = np.asarray(truncations, dtype=bool)
     if keep.shape != (len(rows), rows.shape[2]):
         raise InvalidArgumentError("need one truncation flag per X symbol")
     if not keep.any(axis=1).all():
@@ -388,24 +380,23 @@ def _dpi_truncated(v_dim: int, channel, quantizer, truncation, machines: int = 1
 
 def check_tensorization(v_dim: int, channels, quantizers) -> dict:
     """I(V; Y_{1:m}) <= sum_i I(V; Y_i) when Y_i depends only on machine i."""
-    return _tensorization(v_dim, channels, quantizers)[0]
+    return _tensorization(v_dim, [np.asarray(c)[None] for c in channels],
+                          [np.asarray(q)[None] for q in quantizers])[0]
 
 
-def _tensorization(v_dim: int, channels, quantizers, stacked: bool = False) -> list:
-    """The report of check_tensorization, or one per instance when each
-    machine's channel and quantizer are stacks (`stacked`)."""
+def _tensorization(v_dim: int, channels, quantizers) -> list:
+    """The report of check_tensorization for each instance, where each
+    machine's channel and quantizer are stacks."""
     m = len(channels)
     if m < 1 or len(quantizers) != m:
         raise InvalidArgumentError("need at least one machine and one quantizer per machine")
     kernels = []
     for channel, quantizer in zip(channels, quantizers):
-        p_xv, _ = _product_channel(_channel_rows(channel, stacked), v_dim)
-        q = _quantizer_matrix(quantizer, p_xv.shape[-1], stacked)
+        p_xv, _ = _product_channel(_check_pmf(channel, "channel row", 2, axis=-1), v_dim)
+        q = _quantizer_matrix(quantizer, p_xv.shape[2])
         kernels.append(p_xv @ q)          # (instances, 2**v_dim, ny_i)
     n, nv = kernels[0].shape[:2]
-    sizes = [k.shape[2] for k in kernels]
-    if nv * int(np.prod(sizes)) > ENUMERATION_CEILING:
-        raise EnumerationTooLargeError("joint message alphabet exceeds the ceiling")
+    _check_cells(nv * math.prod(k.shape[2] for k in kernels), "joint message")
     joint_given_v = np.ones((n, nv, 1))
     for k in kernels:
         joint_given_v = (joint_given_v[..., None] * k[:, :, None, :]).reshape(n, nv, -1)
@@ -429,17 +420,13 @@ def check_information_chaining(model) -> dict:
 
     Zero-probability conditioning slices are skipped and counted.
     """
-    return _information_chaining(model)[0]
+    return _information_chaining(np.asarray(model)[None])[0]
 
 
-def _information_chaining(model, stacked: bool = False) -> list:
-    """The report of check_information_chaining, or one per table of the
-    stack `model` when `stacked`. Axis 0 of every array below indexes the
-    stack."""
-    t = _check_pmf(model, "(A, B, C, D) joint", axis=(-4, -3, -2, -1),
-                   ndim=5 if stacked else 4)
-    if not stacked:
-        t = t[None]
+def _information_chaining(models) -> list:
+    """The report of check_information_chaining for each table of the stack
+    `models`. Axis 0 of every array below indexes the stack."""
+    t = _check_pmf(models, "(A, B, C, D) joint", 4)
     n, ka = t.shape[:2]
     # one errstate for the stack: empty conditioning slices divide by zero,
     # and an infinite alpha times a zero tv is NaN

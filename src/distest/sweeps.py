@@ -4,9 +4,11 @@ Each suite draws seeded random finite instances, runs the matching
 enumeration check from infotheory, and gives one row per instance:
 (suite, instance_seed, lhs, rhs, slack, holds) with slack = rhs - lhs.
 run_suite draws every instance from its own generator, then checks the
-instances of one shape key together, as one stack per shape, with the
-stacked body each `check_*` runs on a stack of one. A row's bytes do not
-depend on which instances share its stack.
+instances of one shape key together: each infotheory body takes a stack of
+tables along axis 0, which a public `check_*` (and
+`exact_min_hamming_test_error` here) builds as a stack of one, and a suite
+as the stack of every instance of one shape. A row's bytes do not depend on
+which instances share its stack.
 Constructors return plain arrays, the tables the checks take, and build them
 strictly positive, so preconditions (normalization, measured likelihood-ratio
 bounds, factorizations) hold exactly rather than by rejection.
@@ -14,6 +16,7 @@ bounds, factorizations) hold exactly rather than by rejection.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -112,8 +115,8 @@ def _sequential_message_kernel(rng, k: int, machines: int):
 
 # A suite is a draw and a check. draw(rng) takes one instance from its own
 # generator and gives its shape key and its tables; check(key, *stacks) takes
-# the tables of every instance with that key, each stacked along a leading
-# axis, and gives one (lhs, rhs, holds) per instance, in stack order.
+# the tables of every instance with that key, each stacked along axis 0,
+# and gives one (lhs, rhs, holds) per instance, in stack order.
 
 def _draw_dpi3(rng):
     v_dim = int(rng.integers(1, 3))
@@ -126,7 +129,7 @@ def _draw_dpi3(rng):
 
 
 def _check_dpi3(key, channels, quantizers):
-    reps = it._dpi_independent(key[0], channels, quantizers, stacked=True)
+    reps = it._dpi_independent(key[0], channels, quantizers)
     return [(r["I_VY"], r["bound"], r["holds"] and r["I_VY"] <= r["I_VX"] + it.SLACK)
             for r in reps]
 
@@ -158,7 +161,7 @@ def _draw_dpi7(rng):
 
 def _check_truncated(key, channels, quantizers, keeps):
     """dpi5 and dpi7: key[0] is the number of machines."""
-    reps = it._dpi_truncated(1, channels, quantizers, keeps, key[0], stacked=True)
+    reps = it._dpi_truncated(1, channels, quantizers, keeps, key[0])
     return [(r["I_VY"], r["bound"], r["holds"]) for r in reps]
 
 
@@ -168,7 +171,7 @@ def _draw_chain(rng):
 
 def _check_chain(key, models):
     out = []
-    for rep in it._information_chaining(models, stacked=True):
+    for rep in it._information_chaining(models):
         worst = rep["worst"] or {"lhs": 0.0, "rhs": 0.0}
         out.append((worst["lhs"], worst["rhs"], rep["holds"]))
     return out
@@ -192,7 +195,7 @@ def _draw_tensor(rng):
 def _check_tensor(key, *stacks):
     v_dim, widths = key
     m = len(widths)
-    reps = it._tensorization(v_dim, stacks[:m], stacks[m:], stacked=True)
+    reps = it._tensorization(v_dim, stacks[:m], stacks[m:])
     return [(r["I_joint"], r["sum_I"], r["holds"]) for r in reps]
 
 
@@ -203,22 +206,25 @@ def _draw_pinsker(rng):
 
 def _check_pinsker(key, pairs):
     return [(r["lhs"], r["rhs"], r["holds"])
-            for r in it._pinsker_consequence(pairs, stacked=True)]
+            for r in it._pinsker_consequence(pairs)]
 
 
 @lru_cache(maxsize=None)
 def _hamming_ball(d: int, radius: int) -> np.ndarray:
     """(2**d, N_t) read-only table: row c lists, in increasing order, the
-    sign patterns within Hamming distance `radius` of pattern c."""
-    v = np.arange(2 ** d)
-    weight = it.base_k_digits(2, d).sum(axis=1)        # Hamming weight of v
-    members = np.nonzero(weight[v[:, None] ^ v] <= radius)[1].reshape(v.size, -1)
+    sign patterns within Hamming distance `radius` of pattern c, each c XOR
+    one of the N_t offsets of Hamming weight <= radius."""
+    offsets = [sum(1 << b for b in bits) for w in range(min(radius, d) + 1)
+               for bits in itertools.combinations(range(d), w)]
+    members = np.sort(np.arange(2 ** d)[:, None] ^ np.array(offsets), axis=1)
     members.setflags(write=False)
     return members
 
 
 def _hamming_test_errors(p_vx: np.ndarray, d: int, t: float) -> np.ndarray:
     """exact_min_hamming_test_error of each joint of the stack p_vx."""
+    it._check_cells(2 ** d * it.hamming_neighborhood_size(d, t) * p_vx.shape[2],
+                    "Hamming ball")
     members = _hamming_ball(d, math.floor(t))
     # (instance, x, center): each ball's mass, summed along a contiguous axis
     mass = np.ascontiguousarray(p_vx.transpose(0, 2, 1)[:, :, members]).sum(axis=3)
@@ -234,10 +240,10 @@ def exact_min_hamming_test_error(p_vx: np.ndarray, d: int, t: float) -> float:
     rule picks the center whose radius-t ball has maximal posterior mass.
     """
     it._check_hamming(d, t)
-    p_vx = it._check_pmf(p_vx, "(V, X) joint", ndim=2)
-    if p_vx.shape[0] != 2 ** d:
+    p_vx = it._check_pmf(np.asarray(p_vx)[None], "(V, X) joint", 2)
+    if p_vx.shape[1] != 2 ** d:
         raise InvalidArgumentError("p_vx needs one row per sign pattern")
-    return float(_hamming_test_errors(p_vx[None], d, t)[0])
+    return float(_hamming_test_errors(p_vx, d, t)[0])
 
 
 def _draw_fano(rng):
@@ -250,7 +256,7 @@ def _draw_fano(rng):
 
 def _check_fano(key, channels):
     d, t, _ = key
-    p_xv, _ = it._product_channel(it._channel_rows(channels, stacked=True), d)
+    p_xv, _ = it._product_channel(it._check_pmf(channels, "channel row", 2, axis=-1), d)
     joint = p_xv / 2 ** d
     out = []
     for info, err in zip(it._mi_from_table(joint).tolist(),

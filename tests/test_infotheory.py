@@ -30,7 +30,8 @@ def bsc_joint(crossover: float) -> np.ndarray:
     return 0.5 * rows
 
 
-# Every check with valid tables in its table arguments, by argument name.
+# Every check, and product_channel, with valid tables in its table
+# arguments, by argument name.
 TWO_POINT = sweeps.two_point_channel(0.2)
 CHECKS = {
     "likelihood_ratio": (check_likelihood_ratio, {"channel": TWO_POINT}),
@@ -48,6 +49,8 @@ CHECKS = {
                 {"pair": sweeps.random_pinsker_joint(np.random.default_rng(1))}),
     "chaining": (check_information_chaining,
                  {"model": sweeps.random_chain_model(np.random.default_rng(3))}),
+    "product_channel": (lambda channel: it.product_channel(channel, 2),
+                        {"channel": TWO_POINT}),
 }
 TABLE_ARGS = [(check, arg) for check, (_, tables) in CHECKS.items() for arg in tables]
 
@@ -132,17 +135,34 @@ class TestRejections:
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_each_table_is_validated_once_per_call(self, check, monkeypatch):
+        # each table enters _check_pmf as its stack-of-one view, whose .base
+        # is the array that owns the caller's memory
         seen = []
         check_pmf = it._check_pmf
 
         def counting(table, *args, **kwargs):
-            seen.append(id(table))
+            seen.append(id(table.base))
             return check_pmf(table, *args, **kwargs)
 
         monkeypatch.setattr(it, "_check_pmf", counting)
         run, tables = CHECKS[check]
         run(**tables)
-        assert sorted(seen) == sorted(id(table) for table in tables.values())
+        owners = [table if table.base is None else table.base for table in tables.values()]
+        assert sorted(seen) == sorted(id(owner) for owner in owners)
+
+    @pytest.mark.parametrize("check, arg, stack", [
+        ("likelihood_ratio", "channel", np.stack([TWO_POINT] * 3)),
+        ("dpi_independent", "channel", np.stack([TWO_POINT] * 3)),
+        ("dpi_truncated", "channel", np.stack([TWO_POINT] * 3)),
+        ("tensorization", "channel2", np.stack([TWO_POINT] * 3)),
+        ("pinsker", "pair", np.stack([CHECKS["pinsker"][1]["pair"]] * 3)),
+        ("chaining", "model", np.stack([CHECKS["chaining"][1]["model"]] * 3)),
+        ("product_channel", "channel", np.stack([TWO_POINT] * 3)),
+    ])
+    def test_a_public_check_takes_one_table_not_a_stack(self, check, arg, stack):
+        run, tables = CHECKS[check]
+        with pytest.raises(InvalidArgumentError, match="-d table"):
+            run(**dict(tables, **{arg: stack}))
 
     @pytest.mark.parametrize("quantizer", [
         np.array([[0.5, 0.5], [0.7, 0.7]]),      # a row sums to 1.4
@@ -182,6 +202,18 @@ class TestRejections:
             with pytest.raises(EnumerationTooLargeError):
                 check_tensorization(1, [ch, ch], [np.arange(2), quantizer])
 
+    def test_huge_v_dim_is_over_the_ceiling(self):
+        # 2**20000 has more digits than an int may print
+        with pytest.raises(EnumerationTooLargeError, match="product alphabet"):
+            check_dpi_independent(20000, TWO_POINT, np.arange(2))
+
+    def test_joint_message_alphabet_over_the_ceiling(self):
+        # each machine's 2 x 65536 map fits; the four together give 2 * 2**64
+        # joint messages, a product that wraps to 0 in int64
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(EnumerationTooLargeError, match="joint message"):
+            check_tensorization(1, [ch] * 4, [np.array([0, 65535])] * 4)
+
     def test_bad_quantizer_in_tensorization(self):
         ch = sweeps.two_point_channel(0.2)
         with pytest.raises(InvalidArgumentError):
@@ -202,6 +234,28 @@ class TestRejections:
         ch = sweeps.two_point_channel(0.2)
         with pytest.raises(InvalidArgumentError, match="machines >= 1"):
             check_dpi_truncated(1, ch, np.arange(2), np.array([True, True]), machines)
+
+    @pytest.mark.parametrize("call", [
+        lambda: hamming_neighborhood_size(2.5, 1),
+        lambda: fano_variant_lower(2.5, 1, 0.1),
+        lambda: sweeps.exact_min_hamming_test_error(np.full((8, 2), 1 / 16), 3.0, 1),
+        lambda: check_dpi_independent(1.5, TWO_POINT, np.arange(2)),
+        lambda: check_dpi_truncated(1, TWO_POINT, np.arange(2), np.array([True, True]),
+                                    machines=1.5),
+        lambda: check_tensorization(1.0, [TWO_POINT], [np.arange(2)]),
+        lambda: it.product_channel(TWO_POINT, 2.0),
+    ], ids=["neighborhood", "fano", "exact_test", "dpi_independent", "dpi_truncated",
+            "tensorization", "product_channel"])
+    def test_non_integer_sizes(self, call):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            call()
+
+    def test_numpy_integer_sizes(self):
+        assert hamming_neighborhood_size(np.int64(3), 1) == 4
+        assert (check_dpi_truncated(np.int32(1), TWO_POINT, np.arange(4),
+                                    np.array([True, True]), machines=np.int64(2))
+                == check_dpi_truncated(1, TWO_POINT, np.arange(4),
+                                       np.array([True, True]), machines=2))
 
     def test_tensorization_needs_a_machine(self):
         with pytest.raises(InvalidArgumentError, match="at least one machine"):
@@ -526,11 +580,25 @@ class TestFanoSuite:
         with pytest.raises(InvalidArgumentError, match="d >= 1 and a finite t >= 0"):
             sweeps.exact_min_hamming_test_error(np.full((8, 2), 1 / 16), d, t)
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_hamming_ball_is_the_popcount_ball(self, d):
+        for radius in range(d + 2):
+            want = [[v for v in range(2 ** d) if bin(c ^ v).count("1") <= radius]
+                    for c in range(2 ** d)]
+            assert sweeps._hamming_ball(d, radius).tolist() == want
+
+    def test_exact_optimal_test_over_the_ceiling(self):
+        # 2**16 centers, one symbol: the radius-0 balls fit, while the
+        # radius-2 gather's 2**16 x 137 cells exceed 2**20
+        p_vx = np.full((2 ** 16, 1), 2.0 ** -16)
+        assert sweeps.exact_min_hamming_test_error(p_vx, 16, 0) == 1.0 - 2.0 ** -16
+        with pytest.raises(EnumerationTooLargeError, match="Hamming ball"):
+            sweeps.exact_min_hamming_test_error(p_vx, 16, 2)
+
     def test_exact_optimal_test_is_a_probability(self):
         rng = np.random.default_rng(2)
         ch = sweeps.random_bounded_channel(rng, 3, 0.4)
-        p_xv, _ = it._product_channel(ch, 3)
-        joint = p_xv / 8
+        joint = it.product_channel(ch, 3) / 8
         err = sweeps.exact_min_hamming_test_error(joint, 3, 1)
         assert 0.0 <= err <= 1.0
 
@@ -600,8 +668,8 @@ def _pinsker_reference(key, pair):
 
 def _fano_reference(key, channel):
     d, t, _ = key
-    joint = it._product_channel(channel, d)[0] / 2 ** d
-    bound = fano_variant_lower(d, t, float(it._mi_from_table(joint)))
+    joint = it.product_channel(channel, d) / 2 ** d
+    bound = fano_variant_lower(d, t, mutual_information(joint, 0, 1))
     err = sweeps.exact_min_hamming_test_error(joint, d, t)
     return bound, err, bound <= err + it.SLACK
 

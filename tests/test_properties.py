@@ -1,6 +1,6 @@
 """Property tests: codec round trips, quantizer laws, bit accounting, the
-pmf entry checks of the information quantities, and the guards on extreme
-CLI inputs.
+pmf entry checks of the information quantities, the stack form of the
+inequality checks, and the guards on extreme CLI inputs.
 
 The examples are derandomized, so every run checks the same inputs.
 """
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distest import cli, codec
+from distest import cli, codec, sweeps
 from distest import infotheory as it
 from distest.codec import (QuantizerSpec, bits_for_accuracy, ceil_log2,
                            decode_improvement_message, dequantize,
@@ -108,6 +108,61 @@ def test_pmf_quantities_check_their_input_and_stay_in_range(n, data):
             fn(bad, q)
         with pytest.raises(InvalidArgumentError):
             fn(q, bad)
+
+
+def _stochastic_stack(rng, size, shape, zeros):
+    """`size` random tables of `shape`, stochastic over the last axis, with
+    about a `zeros` share of zero entries (never a whole row)."""
+    raw = rng.uniform(size=(size,) + shape) * (rng.uniform(size=(size,) + shape) >= zeros)
+    raw[..., 0] += 0.05
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _report_row(report):
+    """A report's numbers as one float array, a nested report flattened."""
+    if not isinstance(report, dict):
+        return np.atleast_1d(np.asarray(report, dtype=float))
+    return np.hstack([_report_row(v) for v in report.values() if v is not None])
+
+
+# each stacked body on a dict of stacks; `v` is the instances' v_dim
+STACKED_BODIES = {
+    "likelihood_ratio": lambda s, v: it._max_log_ratio(s["channel"]),
+    "dpi_independent": lambda s, v: it._dpi_independent(v, s["channel"], s["quantizer"]),
+    "dpi_map": lambda s, v: it._dpi_independent(v, s["channel"], s["map"]),
+    "dpi_truncated": lambda s, v: it._dpi_truncated(v, s["channel"], s["quantizer"],
+                                                    s["keep"]),
+    "tensorization": lambda s, v: it._tensorization(v, [s["channel"], s["channel2"]],
+                                                    [s["quantizer"], s["map"]]),
+    "pinsker": lambda s, v: it._pinsker_consequence(s["pair"]),
+    "chaining": lambda s, v: it._information_chaining(s["model"]),
+    "fano": lambda s, v: sweeps._hamming_test_errors(
+        it._product_channel(s["channel"], 2)[0] / 4, 2, 1),
+}
+
+
+@settings(PROPERTY, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 5),
+       zeros=st.sampled_from([0.0, 0.4]))
+def test_an_instance_gets_the_same_floats_in_a_stack_as_alone(seed, size, zeros):
+    rng = np.random.default_rng(seed)
+    k, v_dim, n_out = (int(x) for x in rng.integers((2, 1, 1), (4, 3, 4)))
+    maps = rng.integers(0, n_out, size=(size, k ** v_dim))
+    maps[:, 0] = n_out - 1                     # every map of the stack is n_out wide
+    keep = rng.uniform(size=(size, k)) < 0.7
+    keep[:, 0] = True
+    stacks = {"channel": _stochastic_stack(rng, size, (2, k), zeros),
+              "channel2": _stochastic_stack(rng, size, (2, k), zeros),
+              "quantizer": _stochastic_stack(rng, size, (k ** v_dim, n_out), zeros),
+              "map": maps, "keep": keep,
+              "pair": 0.5 * _stochastic_stack(rng, size, (2, k + 1), zeros),
+              "model": np.stack([sweeps.random_chain_model(rng) for _ in range(size)])}
+    for name, body in STACKED_BODIES.items():
+        together = body(stacks, v_dim)
+        for i in range(size):
+            alone = body({key: t[i:i + 1] for key, t in stacks.items()}, v_dim)
+            assert np.array_equal(_report_row(alone[0]), _report_row(together[i]),
+                                  equal_nan=True), (name, i)
 
 
 @PROPERTY
