@@ -163,12 +163,12 @@ class ProbitSpec(DesignSpec):
     """Binary responses with P(Z=1 | a, theta) = Phi(a . theta)."""
 
 
-def machine_rows(gens, shape, draw) -> np.ndarray:
-    """(shape[0], m, *shape[1:]) view of one (m, *shape) buffer whose
-    contiguous row i holds draw(i, gens[i], shape)."""
+def machine_rows(gens, shape, fill) -> np.ndarray:
+    """(shape[0], m, *shape[1:]) view of one (m, *shape) buffer; fill(i,
+    gens[i], row) writes machine i's contiguous row of it in place."""
     buf = np.empty((len(gens), *shape))
     for i, (gen, row) in enumerate(zip(gens, buf)):
-        row[...] = draw(i, gen, shape)
+        fill(i, gen, row)
     return buf.swapaxes(0, 1)
 
 
@@ -178,29 +178,51 @@ def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
     Returns shape (trials, m, d, n) for mean families and (trials, m, n) for
     regression / probit responses. Trial 0 reproduces sample() bit for bit,
     and drawing in chunks from the same generators is equivalent to drawing
-    all trials at once.
+    all trials at once. Each machine's draw fills its row in place with each
+    family's formula in its order of operations: theta + sigma * z, for
+    example, is row *= sigma; row += theta, which IEEE + and * make the same
+    bytes.
     """
     theta = spec.theta[:, None]
 
-    def draw(i, gen, shape):
+    def fill(i, gen, row):
         if isinstance(spec, GaussianLocationSpec):
-            return theta + spec.sigma * gen.standard_normal(shape)
-        if isinstance(spec, BoundedProductSpec):
-            u = gen.random(shape)
+            gen.standard_normal(out=row)
+            row *= spec.sigma
+            row += theta
+        elif isinstance(spec, BoundedProductSpec):
+            gen.random(out=row)
             if spec.law == TWO_POINT:
-                return np.where(u < (1.0 + theta) / 2.0, 1.0, -1.0)
-            return theta + (1.0 - np.abs(theta)) * (2.0 * u - 1.0)
-        if isinstance(spec, UniformLocationSpec):
-            return theta + (2.0 * gen.random(shape) - 1.0)
-        if not isinstance(spec, DesignSpec):
+                # [u < p] as 1.0 / 0.0, then 2 z - 1: the +/-1 of np.where
+                np.less(row, (1.0 + theta) / 2.0, out=row)
+                row *= 2.0
+                row -= 1.0
+            else:
+                row *= 2.0
+                row -= 1.0
+                row *= 1.0 - np.abs(theta)
+                row += theta
+        elif isinstance(spec, UniformLocationSpec):
+            gen.random(out=row)
+            row *= 2.0
+            row -= 1.0
+            row += theta
+        elif not isinstance(spec, DesignSpec):
             raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
-        mean = spec.designs[i] @ spec.theta
-        if isinstance(spec, RegressionSpec):
-            return mean + (spec.sigma * gen.standard_normal(shape) if spec.sigma > 0 else 0.0)
-        return mean + gen.standard_normal(shape) >= 0
+        elif isinstance(spec, RegressionSpec) and spec.sigma == 0:
+            # the noiseless model draws nothing; + 0.0 turns a -0.0 mean into +0.0
+            row[...] = spec.designs[i] @ spec.theta + 0.0
+        elif isinstance(spec, RegressionSpec):
+            gen.standard_normal(out=row)
+            row *= spec.sigma
+            row += spec.designs[i] @ spec.theta
+        else:
+            gen.standard_normal(out=row)
+            row += spec.designs[i] @ spec.theta
+            np.greater_equal(row, 0, out=row)
 
     shape = (trials, spec.n) if isinstance(spec, DesignSpec) else (trials, spec.d, n)
-    return machine_rows(gens, shape, draw)
+    return machine_rows(gens, shape, fill)
 
 
 def run_shape(spec, m: int = None, n: int = None):

@@ -164,7 +164,11 @@ def fano_variant_lower(d: int, t: float, info_nats: float) -> float:
     total = 2 ** d
     if total <= size:
         raise InvalidArgumentError("need 2^d > N_t for a nontrivial bound")
-    return max(0.0, 1.0 - (info_nats + math.log(2.0)) / math.log(total / size))
+    try:
+        log_ratio = math.log(total / size)
+    except OverflowError:     # 2^d / N_t is past the float range (d near 1024)
+        log_ratio = math.log(total) - math.log(size)
+    return max(0.0, 1.0 - (info_nats + math.log(2.0)) / log_ratio)
 
 
 def estimation_to_testing_lower(delta: float, t: float, test_error_prob: float) -> float:
@@ -281,7 +285,11 @@ def _product_channel(rows: np.ndarray, v_dim: int, machines: int = 1):
     if not all(isinstance(s, Integral) and s >= 1 for s in (v_dim, machines)):
         raise InvalidArgumentError("need integers v_dim >= 1 and machines >= 1")
     k = rows.shape[2]
-    n_coords = machines * v_dim
+    n_coords = int(machines) * int(v_dim)
+    # the count is at least 2**floor_bits: checking that bound first (capped
+    # once it passes the ceiling) rejects a huge v_dim before its count is built
+    floor_bits = int(v_dim) + n_coords * (k.bit_length() - 1)
+    _check_cells(2 ** min(floor_bits, ENUMERATION_CEILING.bit_length()), "product alphabet")
     n_x = k ** n_coords
     _check_cells(2 ** v_dim * n_x, "product alphabet")
     digits = base_k_digits(k, n_coords)

@@ -247,14 +247,16 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     theta = np.zeros(d)
 
     def loglik(th):
+        """The log-likelihood at th, and the u = a th, log_ndtr(u) and
+        log_ndtr(-u) it is made of, which the next Newton step reuses."""
         u = a @ th
-        return float(z @ log_ndtr(u) + (1.0 - z) @ log_ndtr(-u))
+        lp, lm = log_ndtr(u), log_ndtr(-u)
+        return float(z @ lp + (1.0 - z) @ lm), u, lp, lm
 
-    ll = loglik(theta)
+    ll, u, lp, lm = loglik(theta)
     for _ in range(max_iter):
-        u = a @ theta
-        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(u))
-        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(-u))
+        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lp)
+        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lm)
         score = z * lam_p - (1.0 - z) * lam_m
         grad = a.T @ score
         if np.linalg.norm(grad) < grad_tol:
@@ -269,9 +271,10 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         accepted = False
         while t > 2**-30:
             cand = theta + t * step
-            cand_ll = loglik(cand)
+            cand_ll, *at_cand = loglik(cand)
             if cand_ll > ll:
                 theta, ll = cand, cand_ll
+                u, lp, lm = at_cand
                 accepted = True
                 break
             t *= 0.5
@@ -316,17 +319,20 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
 
     def loglik(a, zs, th):
         u = (a @ th[..., None])[..., 0]
-        return _row_dots(zs, log_ndtr(u)) + _row_dots(1.0 - zs, log_ndtr(-u))
+        lp, lm = log_ndtr(u), log_ndtr(-u)
+        return _row_dots(zs, lp) + _row_dots(1.0 - zs, lm), u, lp, lm
 
-    ll = loglik(design, z, theta)
+    ll, *at_theta = loglik(design, z, theta)
     live = np.arange(p)       # problems probit_mle has not returned from
     for _ in range(max_iter):
         if not live.size:
             break
+        # the live problems' u, log_ndtr(u) and log_ndtr(-u) at theta, copied
+        # out of the loglik that accepted it (no array log_ndtr saw is written)
         a, zs = _rows(design, live), z[live]
-        u = (a @ theta[live][..., None])[..., 0]
-        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(u))
-        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(-u))
+        u, lp, lm = at_theta
+        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lp)
+        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lm)
         score = zs * lam_p - (1.0 - zs) * lam_m
         grad = (a.transpose(0, 2, 1) @ score[..., None])[..., 0]
         going = ~(np.sqrt(_row_dots(grad, grad)) < grad_tol)
@@ -340,14 +346,17 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         except np.linalg.LinAlgError as err:
             raise DegenerateDesignError(f"singular probit Hessian: {err}") from err
         accepted = np.zeros(live.size, dtype=bool)
+        at_theta = [np.empty_like(u) for _ in range(3)]
         searching = np.arange(live.size)
         t = 1.0
         while t > 2**-30 and searching.size:
             rows = live[searching]
             cand = theta[rows] + t * step[searching]
-            cand_ll = loglik(_rows(a, searching), zs[searching], cand)
+            cand_ll, *at_cand = loglik(_rows(a, searching), zs[searching], cand)
             up = cand_ll > ll[rows]
             theta[rows[up]], ll[rows[up]] = cand[up], cand_ll[up]
+            for x, x_cand in zip(at_theta, at_cand):
+                x[searching[up]] = x_cand[up]
             accepted[searching[up]] = True
             searching = searching[~up]
             t *= 0.5
@@ -356,7 +365,9 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         diverged = np.sqrt(_row_dots(th, th)) > diverge_norm
         flagged[live[diverged]] = True
         theta[live[diverged]] = np.clip(th[diverged], -1.0, 1.0)
+        kept = np.flatnonzero(accepted)[~diverged]
         live = live[~diverged]
+        at_theta = [x[kept] for x in at_theta]
     return theta, flagged
 
 
@@ -576,7 +587,7 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     flagged = 0
     pos = 0
     for k in _chunk_sizes(trials, m * d * n):
-        uniforms = (machine_rows(proto_gens, (k, d), lambda i, gen, shape: gen.random(shape))
+        uniforms = (machine_rows(proto_gens, (k, d), lambda i, gen, row: gen.random(out=row))
                     if rec.randomized else None)
         theta_hat, chunk_bits, chunk_flagged = rec.kernel(
             spec, draw_trials(spec, data_gens, n, k), uniforms, budget_bits)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.stats import norm
 
 from distest.errors import (DegenerateDesignError, InvalidArgumentError,
                             ReductionInfeasibleError)
-from distest.families import (TAG_PROTOCOL, BoundedProductSpec,
+from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
                               UniformLocationSpec, design_eigenbounds,
                               draw_trials, machine_rows, machine_streams,
@@ -28,6 +29,75 @@ CHUNK_SPECS = {
     "regression_noiseless": RegressionSpec(CHUNK_DESIGNS, np.array([0.3, -0.2]), 0.0),
     "probit": ProbitSpec(CHUNK_DESIGNS, np.array([0.3, -0.2])),
 }
+
+
+def out_of_place_row(spec, i, gen, shape):
+    """Machine i's row as the sampler computed it before it filled rows in
+    place: the reference for the in-place arithmetic."""
+    theta = spec.theta[:, None]
+    if isinstance(spec, GaussianLocationSpec):
+        return theta + spec.sigma * gen.standard_normal(shape)
+    if isinstance(spec, BoundedProductSpec):
+        u = gen.random(shape)
+        if spec.law == "two_point":
+            return np.where(u < (1.0 + theta) / 2.0, 1.0, -1.0)
+        return theta + (1.0 - np.abs(theta)) * (2.0 * u - 1.0)
+    if isinstance(spec, UniformLocationSpec):
+        return theta + (2.0 * gen.random(shape) - 1.0)
+    mean = spec.designs[i] @ spec.theta
+    if isinstance(spec, RegressionSpec):
+        noise = spec.sigma * gen.standard_normal(shape) if spec.sigma > 0 else 0.0
+        return np.broadcast_to(mean + noise, shape)
+    return (mean + gen.standard_normal(shape) >= 0).astype(float)
+
+
+# theta holds a -0.0 entry, and every entry in the last noiseless regression;
+# the test compares signs too, so a -0.0 written for +0.0 fails it
+SIGNED_ZERO_DESIGNS = (np.array([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]]),) * 3
+SIGNED_ZERO_SPECS = {
+    "gaussian": GaussianLocationSpec(np.array([0.4, -0.0, -1.0]), 0.7),
+    "two_point": BoundedProductSpec(np.array([0.4, -0.0, -1.0]), "two_point"),
+    "uniform_interval": BoundedProductSpec(np.array([0.4, -0.0, -1.0]), "uniform_interval"),
+    "uniform": UniformLocationSpec(np.array([0.4, -0.0, -1.0])),
+    "regression": RegressionSpec(SIGNED_ZERO_DESIGNS, np.array([0.3, -0.0]), 0.8),
+    "regression_noiseless": RegressionSpec(SIGNED_ZERO_DESIGNS, np.array([0.3, -0.0]), 0.0),
+    "regression_noiseless_zero_theta": RegressionSpec(
+        SIGNED_ZERO_DESIGNS[:1], np.array([-0.0, -0.0]), 0.0),
+    "probit": ProbitSpec(SIGNED_ZERO_DESIGNS, np.array([0.3, -0.0])),
+}
+
+
+@pytest.mark.parametrize("split", [(12,), (5, 7)], ids=["whole", "two_chunks"])
+@pytest.mark.parametrize("spec", SIGNED_ZERO_SPECS.values(), ids=SIGNED_ZERO_SPECS.keys())
+def test_in_place_draws_match_out_of_place_reference(spec, split):
+    m = spec.m if isinstance(spec, DesignSpec) else 3
+    n = 4
+    gens = machine_streams(21, m)
+    got = np.concatenate([draw_trials(spec, gens, n, k) for k in split])
+    shape = (sum(split), spec.n) if isinstance(spec, DesignSpec) else (sum(split), spec.d, n)
+    want = np.stack([out_of_place_row(spec, i, gen, shape)
+                     for i, gen in enumerate(machine_streams(21, m))], axis=1)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))   # -0.0 vs +0.0
+
+
+@pytest.mark.parametrize("spec", [GaussianLocationSpec(np.array([0.2, -0.3]), 1.5),
+                                  BoundedProductSpec(np.array([0.2, -0.3]), "two_point"),
+                                  BoundedProductSpec(np.array([0.2, -0.3]), "uniform_interval"),
+                                  UniformLocationSpec(np.array([0.2, -0.3]))],
+                         ids=["gaussian", "two_point", "uniform_interval", "uniform"])
+def test_one_machine_chunk_allocates_only_its_blocks(spec):
+    # at m = 1 one machine's row is the whole chunk, so any temporary of the
+    # sampler's arithmetic would be chunk-sized
+    gens = machine_streams(2, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        blocks = draw_trials(spec, gens, 1000, 125)        # 2 MB of float64
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * blocks.nbytes + 64 * 1024
 
 
 class TestSampling:
@@ -106,7 +176,7 @@ class TestSampling:
         for run in (lambda x: gaussian_quantized_average(x, 1.0),
                     lambda x: onebit_bounded_mean(x, machine_rows(
                         machine_streams(0, 2, TAG_PROTOCOL), (1, 3),
-                        lambda i, gen, shape: gen.random(shape))[0]),
+                        lambda i, gen, row: gen.random(out=row))[0]),
                     uniform_interactive_min):
             with pytest.raises(InvalidArgumentError, match="blocks"):
                 run(np.zeros((2, 3)))

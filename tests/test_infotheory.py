@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -203,9 +204,13 @@ class TestRejections:
                 check_tensorization(1, [ch, ch], [np.arange(2), quantizer])
 
     def test_huge_v_dim_is_over_the_ceiling(self):
-        # 2**20000 has more digits than an int may print
+        # 2**20000 has more digits than an int may print, and 2**(10**12)
+        # more bits than memory holds: both raise on the bound 2**v_dim
+        for v_dim in (20000, 10**12):
+            with pytest.raises(EnumerationTooLargeError, match="product alphabet"):
+                check_dpi_independent(v_dim, TWO_POINT, np.arange(2))
         with pytest.raises(EnumerationTooLargeError, match="product alphabet"):
-            check_dpi_independent(20000, TWO_POINT, np.arange(2))
+            check_tensorization(10**12, [TWO_POINT] * 2, [np.arange(2)] * 2)
 
     def test_joint_message_alphabet_over_the_ceiling(self):
         # each machine's 2 x 65536 map fits; the four together give 2 * 2**64
@@ -329,6 +334,16 @@ class TestNeighborhoodsAndFano:
         assert got == pytest.approx(0.6868, abs=5e-4)
         assert fano_variant_lower(4, 1, 100.0) == 0.0
         assert fano_variant_lower(1, 0, 0.0) == 0.0
+
+    def test_fano_past_the_float_range(self):
+        # below the float range the bound keeps log(2**d / N_t): at d = 6 it
+        # differs from log(2**d) - log(N_t) in the last bit
+        assert fano_variant_lower(6, 1, 0.0) == 1 - math.log(2) / math.log(64 / 7)
+        # 2**2000 / 2001 overflows a float; the bound itself is well defined
+        got = fano_variant_lower(2000, 1, 0.1)
+        want = 1 - (0.1 + math.log(2)) / (2000 * math.log(2) - math.log(2001))
+        assert got == pytest.approx(want, rel=1e-14)
+        assert got == pytest.approx(0.99942, abs=1e-5)
 
     def test_fano_needs_room(self):
         with pytest.raises(InvalidArgumentError):
@@ -560,6 +575,12 @@ class TestFanoSuite:
     def test_bound_below_exact_optimum(self):
         rows = sweeps.run_suite("fano", 400, seed=41)
         assert all(row.holds for row in rows)
+
+    def test_suite_digest(self):
+        # sha256 of the rows' repr: the suite's bytes at its own sizes, d = 2, 3
+        rows = sweeps.run_suite("fano", 3000, seed=5)
+        assert hashlib.sha256(repr(rows).encode("utf-8")).hexdigest() == (
+            "9a3f2a8f4bac7cd1c30b2c951efb910cee0b607e93943d05ae8ad175c85e7674")
 
     def test_exact_optimal_test_needs_one_row_per_pattern(self):
         with pytest.raises(InvalidArgumentError):

@@ -288,7 +288,7 @@ def test_onebit_kernel_rejects_out_of_range_inputs():
 def test_protocol_uniforms_match_per_machine_draws():
     m, k, d = 5, 11, 3
     got = machine_rows(machine_streams(9, m, TAG_PROTOCOL), (k, d),
-                       lambda i, gen, shape: gen.random(shape))
+                       lambda i, gen, row: gen.random(out=row))
     want = np.stack([g.random((k, d)) for g in machine_streams(9, m, TAG_PROTOCOL)],
                     axis=1)
     assert np.array_equal(got, want)

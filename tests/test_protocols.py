@@ -27,7 +27,7 @@ def mean_sample(spec, m, n, seed):
 def onebit_uniforms(seed, m, d):
     """The (m, d) uniforms estimate_risk hands the one-bit scheme's first trial."""
     gens = machine_streams(seed, m, families.TAG_PROTOCOL)
-    return families.machine_rows(gens, (1, d), lambda i, gen, shape: gen.random(shape))[0]
+    return families.machine_rows(gens, (1, d), lambda i, gen, row: gen.random(out=row))[0]
 
 
 class TestSingleMachineQuantizedMean:
