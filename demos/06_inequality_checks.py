@@ -2,9 +2,9 @@
 
 Everything here is computed by enumerating small joint distributions, so each
 inequality is checked to float precision on thousands of random instances.
-Every table a check takes is a plain array (a channel is its rows P(x | v)),
-checked to be a pmf where it enters. One worked instance of each check is
-shown, then the randomized suites run.
+Every table a check takes is a plain array (a channel is its rows P(x | v),
+a quantizer its rows P(y | x)), checked to be a pmf where it enters. One
+worked instance of each check is shown, then the randomized suites run.
 """
 
 import numpy as np
@@ -12,16 +12,16 @@ import numpy as np
 from distest import infotheory as it
 from distest import sweeps
 
-# worked instance: two-point channel, identity quantizer
+# worked instance: two-point channel, identity quantizer (the table np.eye(2))
 ch = sweeps.two_point_channel(0.2)
-rep = it.check_dpi_independent(1, ch, np.arange(2))
+rep = it.check_dpi_independent(1, ch, np.eye(2))
 print("independent DPI, delta = 0.2, Y = X:")
 print(f"  I(V;Y) = {rep['I_VY']:.6f} nats, alpha = {rep['alpha']:.6f}, "
       f"bound = 2(e^2a - 1)^2 I(X;Y) = {rep['bound']:.6f} -> holds: {rep['holds']}")
 
 # truncating one symbol of a three-letter alphabet costs H(E) + P(E=0)
 rows = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
-trep = it.check_dpi_truncated(1, rows, np.arange(3), np.array([True, True, False]))
+trep = it.check_dpi_truncated(1, rows, np.eye(3), np.array([True, True, False]))
 print("\ntruncated DPI, S drops the third symbol:")
 print(f"  I(V;Y) = {trep['I_VY']:.6f}, H(E) = {trep['H_E']:.6f}, "
       f"P(E=0) = {trep['P_E0']:.3f}, bound = {trep['bound']:.6f} "

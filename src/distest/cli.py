@@ -53,7 +53,8 @@ GRID_KEYS = ("theta", "d", "m", "n", "sigma", "budget_bits")
 
 # Size ceilings of a simulate config, checked before any generator or array
 # is built: each machine gets its own generator (about 0.1 ms and 1 KB), and
-# one trial's m * d * n values must fit one chunk of protocols.CHUNK_VALUES.
+# one trial's m * d * n values, like the per-trial error and bit counts of
+# all trials, must fit one chunk of protocols.CHUNK_VALUES.
 MAX_MACHINES = 10_000
 
 SIMULATE_HEADER = ("protocol,family,design,d,m,n,sigma,theta,budget_bits,"
@@ -238,6 +239,8 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
     trials = _single(config, "trials", cast=int)
     if trials < 2:
         raise ConfigError("trials must be >= 2")
+    if trials > proto.CHUNK_VALUES:
+        raise ConfigError(f"trials = {trials} is above the ceiling of {proto.CHUNK_VALUES}")
     seed = _single(config, "seed", default=0, cast=int)
     if seed < 0:
         raise ConfigError("seed must be >= 0")

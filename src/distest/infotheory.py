@@ -8,8 +8,9 @@ approximating (`_check_cells`).
 
 Every pmf is a plain array: `entropy`, `kl`, `tv` and `lecam_testing_error`
 take 1-d pmfs, `mutual_information` a joint table and two of its axis
-indices, and a channel is its table of rows P(x | v); the Pinsker and
-chaining joints are (V, Y) and (A, B, C, D) tables in that axis order.
+indices, a channel is its table of rows P(x | v) and a quantizer its
+(k_in, n_out) table P(y | x), a deterministic one a 0/1 table; the Pinsker
+and chaining joints are (V, Y) and (A, B, C, D) tables in that axis order.
 
 Inside this module a table has one form: a stack of tables along axis 0.
 Every private body takes stacks, and so does `_check_pmf`, whose rules are
@@ -92,7 +93,8 @@ def _masked_sums(mask: np.ndarray, term, *tables) -> np.ndarray:
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     """Entropy in nats of each row of `p`, with 0 log 0 = 0."""
-    return -_masked_sums(p > 0, lambda q: q * np.log(q), p)
+    # 0.0 - sum, not -sum: a point mass has entropy +0.0, not -0.0
+    return 0.0 - _masked_sums(p > 0, lambda q: q * np.log(q), p)
 
 
 def entropy(p) -> float:
@@ -235,26 +237,11 @@ def _pinsker_consequence(pairs) -> list:
 # enumerated Markov chains V -> X -> Y
 
 def _quantizer_matrix(quantizers, k_in: int) -> np.ndarray:
-    """The stack of (k_in, n_out) stochastic tables of the stack
-    `quantizers`, whose quantizers are all deterministic maps (k_in ints) or
-    all stochastic tables."""
-    arr = np.asarray(quantizers)
-    if arr.ndim == 2:
-        if arr.shape[1] != k_in:
-            raise InvalidArgumentError("deterministic quantizer needs one output per input")
-        maps = arr.astype(int)
-        if np.any(maps < 0) or np.any(maps != arr):
-            raise InvalidArgumentError("deterministic quantizer outputs are indices >= 0")
-        n_out = int(maps.max()) + 1
-        _check_cells(k_in * n_out, "quantizer")
-        q = np.zeros(maps.shape + (n_out,))
-        q[np.arange(len(maps))[:, None], np.arange(k_in), maps] = 1.0
-        return q
-    if arr.ndim == 3:
-        if arr.shape[1] != k_in:
-            raise InvalidArgumentError("stochastic quantizer needs one row per input")
-        return _check_pmf(arr, "quantizer row", 2, axis=-1)
-    raise InvalidArgumentError("quantizer must be a map or a stochastic table")
+    """The stack `quantizers` of (k_in, n_out) tables P(y | x), checked."""
+    q = _check_pmf(quantizers, "quantizer row", 2, axis=-1)
+    if q.shape[1] != k_in:
+        raise InvalidArgumentError("quantizer needs one row per input")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -310,9 +297,9 @@ def product_channel(channel, v_dim: int) -> np.ndarray:
 
 
 def _vxy_joint(v_dim: int, rows: np.ndarray, quantizers, machines: int = 1):
-    """The (V, X, Y) joint table of V -> X -> Y = quantizer(X) for each
-    channel and quantizer of the stacks `rows` and `quantizers`, and the
-    digits of the X alphabet."""
+    """The (V, X, Y) joint table of V -> X -> Y, Y drawn from row X of the
+    quantizer, for each channel and quantizer of the stacks `rows` and
+    `quantizers`, and the digits of the X alphabet."""
     p_xv, digits = _product_channel(rows, v_dim, machines)
     q = _quantizer_matrix(quantizers, p_xv.shape[2])
     _check_cells(p_xv[0].size * q.shape[2], "joint")
@@ -325,7 +312,8 @@ def check_dpi_independent(v_dim: int, channel, quantizer) -> dict:
     """Verify I(V; Y) <= 2 (e^{2 alpha} - 1)^2 I(X; Y) by exact enumeration.
 
     V is uniform on {-1, 1}^v_dim, coordinate j of X depends on V_j through
-    `channel`, and Y = quantizer(X).
+    `channel`, and Y is drawn from row X of `quantizer`, the (k**v_dim, n_out)
+    table P(y | x); a deterministic map q is the table np.eye(q.max() + 1)[q].
     """
     return _dpi_independent(v_dim, np.asarray(channel)[None], np.asarray(quantizer)[None])[0]
 
@@ -366,7 +354,9 @@ def _dpi_truncated(v_dim: int, channels, quantizers, truncations,
     `channels`, `quantizers` and `truncations`."""
     rows = _check_pmf(channels, "channel row", 2, axis=-1)
     joint, digits = _vxy_joint(v_dim, rows, quantizers, machines)
-    keep = np.asarray(truncations, dtype=bool)
+    keep = np.asarray(truncations)
+    if keep.dtype != bool:
+        raise InvalidArgumentError("the truncation must be a boolean mask")
     if keep.shape != (len(rows), rows.shape[2]):
         raise InvalidArgumentError("need one truncation flag per X symbol")
     if not keep.any(axis=1).all():

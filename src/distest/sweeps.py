@@ -3,15 +3,17 @@
 Each suite draws seeded random finite instances, runs the matching
 enumeration check from infotheory, and gives one row per instance:
 (suite, instance_seed, lhs, rhs, slack, holds) with slack = rhs - lhs.
-run_suite draws every instance from its own generator, then checks the
-instances of one shape key together: each infotheory body takes a stack of
-tables along axis 0, which a public `check_*` (and
+run_suite draws every instance from its own generator, then checks together
+the instances that share their params and table shapes: each infotheory body
+takes a stack of tables along axis 0, which a public `check_*` (and
 `exact_min_hamming_test_error` here) builds as a stack of one, and a suite
 as the stack of every instance of one shape. A row's bytes do not depend on
 which instances share its stack.
-Constructors return plain arrays, the tables the checks take, and build them
-strictly positive, so preconditions (normalization, measured likelihood-ratio
-bounds, factorizations) hold exactly rather than by rejection.
+Constructors return plain arrays, the tables the checks take; a quantizer is
+its (k_in, n_out) table P(y | x). Every table is strictly positive but a
+deterministic quantizer's 0/1 table, so preconditions (normalization,
+measured likelihood-ratio bounds, factorizations) hold exactly rather than
+by rejection.
 """
 
 from __future__ import annotations
@@ -67,12 +69,14 @@ def random_bounded_channel(rng, k_out: int, delta: float) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-def random_quantizer(rng, k_in: int, n_out: int, stochastic: bool):
+def random_quantizer(rng, k_in: int, n_out: int, stochastic: bool) -> np.ndarray:
+    """(k_in, n_out) quantizer table P(y | x): strictly positive rows, or
+    the 0/1 table of a deterministic map."""
     if stochastic:
         return _stochastic(rng, (k_in, n_out))
     det = rng.integers(0, n_out, size=k_in)
     det[rng.integers(0, k_in)] = n_out - 1  # keep the full output range live
-    return det
+    return np.eye(n_out)[det]
 
 
 def random_pinsker_joint(rng) -> np.ndarray:
@@ -114,22 +118,23 @@ def _sequential_message_kernel(rng, k: int, machines: int):
 
 
 # A suite is a draw and a check. draw(rng) takes one instance from its own
-# generator and gives its shape key and its tables; check(key, *stacks) takes
-# the tables of every instance with that key, each stacked along axis 0,
-# and gives one (lhs, rhs, holds) per instance, in stack order.
+# generator and gives its params, the scalars its check needs, and its
+# tables; check(params, *stacks) takes the tables of every instance with those
+# params and table shapes, each stacked along axis 0, and gives one
+# (lhs, rhs, holds) per instance, in stack order.
 
 def _draw_dpi3(rng):
     v_dim = int(rng.integers(1, 3))
     delta = (0.1, 0.2)[rng.integers(0, 2)]
     channel = random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
     n_out = int(rng.integers(1, 5))
-    stochastic = bool(rng.integers(0, 2))
-    quantizer = random_quantizer(rng, channel.shape[1] ** v_dim, n_out, stochastic)
-    return (v_dim, channel.shape[1], n_out, stochastic), (channel, quantizer)
+    quantizer = random_quantizer(rng, channel.shape[1] ** v_dim, n_out,
+                                 stochastic=bool(rng.integers(0, 2)))
+    return (v_dim,), (channel, quantizer)
 
 
-def _check_dpi3(key, channels, quantizers):
-    reps = it._dpi_independent(key[0], channels, quantizers)
+def _check_dpi3(params, channels, quantizers):
+    reps = it._dpi_independent(params[0], channels, quantizers)
     return [(r["I_VY"], r["bound"], r["holds"] and r["I_VY"] <= r["I_VX"] + it.SLACK)
             for r in reps]
 
@@ -142,9 +147,8 @@ def _draw_dpi5(rng):
     if rng.integers(0, 2):
         keep[rng.integers(0, k)] = False
     n_out = int(rng.integers(1, 5))
-    stochastic = bool(rng.integers(0, 2))
-    quantizer = random_quantizer(rng, k, n_out, stochastic)
-    return (1, n_out, stochastic), (channel, quantizer, keep)
+    quantizer = random_quantizer(rng, k, n_out, stochastic=bool(rng.integers(0, 2)))
+    return (1,), (channel, quantizer, keep)
 
 
 def _draw_dpi7(rng):
@@ -156,12 +160,12 @@ def _draw_dpi7(rng):
     if k > 2 and rng.integers(0, 2):
         keep[rng.integers(0, k)] = False
     quantizer = _sequential_message_kernel(rng, k, machines)
-    return (machines,) + quantizer.shape, (channel, quantizer, keep)
+    return (machines,), (channel, quantizer, keep)
 
 
-def _check_truncated(key, channels, quantizers, keeps):
-    """dpi5 and dpi7: key[0] is the number of machines."""
-    reps = it._dpi_truncated(1, channels, quantizers, keeps, key[0])
+def _check_truncated(params, channels, quantizers, keeps):
+    """dpi5 and dpi7: params[0] is the number of machines."""
+    reps = it._dpi_truncated(1, channels, quantizers, keeps, params[0])
     return [(r["I_VY"], r["bound"], r["holds"]) for r in reps]
 
 
@@ -169,7 +173,7 @@ def _draw_chain(rng):
     return (), (random_chain_model(rng),)
 
 
-def _check_chain(key, models):
+def _check_chain(params, models):
     out = []
     for rep in it._information_chaining(models):
         worst = rep["worst"] or {"lhs": 0.0, "rhs": 0.0}
@@ -182,29 +186,23 @@ def _draw_tensor(rng):
     m = int(rng.integers(2, 4))
     channels = [random_bounded_channel(rng, 2, (0.1, 0.2)[rng.integers(0, 2)])
                 for _ in range(m)]
-    quantizers = []
-    for _ in range(m):
-        n_out = int(rng.integers(1, 3))
-        q = random_quantizer(rng, 2 ** v_dim, n_out, stochastic=bool(rng.integers(0, 2)))
-        # a map as its one-hot table, the form the check gives it, so that
-        # maps and stochastic tables of one width share a stack
-        quantizers.append(q if q.ndim == 2 else np.eye(n_out)[q])
-    return (v_dim, tuple(q.shape[1] for q in quantizers)), (*channels, *quantizers)
+    quantizers = [random_quantizer(rng, 2 ** v_dim, int(rng.integers(1, 3)),
+                                   stochastic=bool(rng.integers(0, 2)))
+                  for _ in range(m)]
+    return (v_dim,), (*channels, *quantizers)
 
 
-def _check_tensor(key, *stacks):
-    v_dim, widths = key
-    m = len(widths)
-    reps = it._tensorization(v_dim, stacks[:m], stacks[m:])
+def _check_tensor(params, *stacks):
+    m = len(stacks) // 2
+    reps = it._tensorization(params[0], stacks[:m], stacks[m:])
     return [(r["I_joint"], r["sum_I"], r["holds"]) for r in reps]
 
 
 def _draw_pinsker(rng):
-    pair = random_pinsker_joint(rng)
-    return pair.shape, (pair,)
+    return (), (random_pinsker_joint(rng),)
 
 
-def _check_pinsker(key, pairs):
+def _check_pinsker(params, pairs):
     return [(r["lhs"], r["rhs"], r["holds"])
             for r in it._pinsker_consequence(pairs)]
 
@@ -251,11 +249,11 @@ def _draw_fano(rng):
     t = int(rng.integers(0, 2))
     delta = float(rng.uniform(0.05, 0.6))
     channel = random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
-    return (d, t, channel.shape[1]), (channel,)
+    return (d, t), (channel,)
 
 
-def _check_fano(key, channels):
-    d, t, _ = key
+def _check_fano(params, channels):
+    d, t = params
     p_xv, _ = it._product_channel(it._check_pmf(channels, "channel row", 2, axis=-1), d)
     joint = p_xv / 2 ** d
     out = []
@@ -276,11 +274,11 @@ _SUITES = {"dpi3": (_draw_dpi3, _check_dpi3),
 SUITE_NAMES = tuple(_SUITES)
 
 # Instances are drawn BLOCK at a time; the instances of one block that share
-# a shape key are checked as one stack. A row's bytes depend on neither. The
-# block bounds the tables and stacks held at once: on the benchmark's
-# verify_suites workload a block of 128 raised peak RSS by about 1 MB over
-# checking one instance at a time and 256 by about 3 MB, and 128 took about
-# 20 % more time than 1024.
+# their params and table shapes are checked as one stack. A row's bytes
+# depend on neither. The block bounds the tables and stacks held at once: on
+# the benchmark's verify_suites workload a block of 128 raised peak RSS by
+# about 1 MB over checking one instance at a time and 256 by about 3 MB, and
+# 128 took about 20 % more time than 1024.
 BLOCK = 128
 
 
@@ -301,12 +299,13 @@ def run_suite(name: str, count: int, seed: int):
         block = [(base + 977 * i) % 2**63 for i in range(start, min(start + BLOCK, count))]
         buckets = {}
         for i, instance_seed in enumerate(block):
-            key, tables = draw(np.random.default_rng(instance_seed))
+            params, tables = draw(np.random.default_rng(instance_seed))
+            key = (params, tuple(t.shape for t in tables))
             buckets.setdefault(key, []).append((i, tables))
         results = [None] * len(block)
-        for key, members in buckets.items():
+        for (params, _), members in buckets.items():
             stacks = [np.stack(column) for column in zip(*(t for _, t in members))]
-            for (i, _), result in zip(members, check(key, *stacks)):
+            for (i, _), result in zip(members, check(params, *stacks)):
                 results[i] = result
         rows += [SuiteRow(name, s, float(lhs), float(rhs), bool(holds))
                  for s, (lhs, rhs, holds) in zip(block, results)]

@@ -315,14 +315,15 @@ class TestEndToEnd:
         assert res.returncode == 2
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
-    @pytest.mark.parametrize("d, m", [(10 ** 51, 2), (1, 10 ** 12)],
-                             ids=["huge_d", "huge_m"])
-    def test_huge_size_exits_two(self, tmp_path, d, m):
-        # rejected at config time, before np.full(d) or one generator per
-        # machine is built
+    @pytest.mark.parametrize("d, m, trials", [(10 ** 51, 2, 2), (1, 10 ** 12, 2),
+                                              (1, 1, 10 ** 17)],
+                             ids=["huge_d", "huge_m", "huge_trials"])
+    def test_huge_size_exits_two(self, tmp_path, d, m, trials):
+        # rejected at config time, before np.full(d), one generator per
+        # machine or the per-trial error and bit arrays are built
         conf = tmp_path / "huge.conf"
         conf.write_text("protocol = onebit\nfamily = bounded_two_point\n"
-                        f"d = {d}\nm = {m}\nn = 1\ntrials = 2\n")
+                        f"d = {d}\nm = {m}\nn = 1\ntrials = {trials}\n")
         res = run_cli(["simulate", str(conf)])
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1

@@ -4,13 +4,17 @@ The files under tests/golden/ pin what the code produces. A change that
 moves any of them must say why in CHANGES.md. To regenerate them, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout;
 it also prints the digests that ``WIDE_VERIFY_SHA256``,
-``BENCH_VERIFY_SHA256`` and ``WIDE_SIMULATE_SHA256`` hold.
+``BENCH_VERIFY_SHA256``, ``WIDE_SIMULATE_SHA256`` and ``DEMO_06_SHA256``
+hold.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -38,6 +42,10 @@ BENCH_VERIFY_SHA256 = "713973b48ec72bf57e3ceb64e974cf8e2415e915ff621106f3fc7c466
 WIDE_SIMULATE_GRID = ("d = 1\nd = 3\nm = 3\nm = 40\nn = 1\nn = 16\ntheta = 0.3\n"
                       "budget_bits = 6\ntrials = 30\nseed = 5\n")
 WIDE_SIMULATE_SHA256 = "b036901ef959f599cc0c62c5e3c52244920c38352899db838f2dcbf457b839ac"
+# sha256 of demos/06_inequality_checks.py's stdout: its worked instances and
+# the suite summaries it prints.
+DEMO_06 = ROOT / "demos" / "06_inequality_checks.py"
+DEMO_06_SHA256 = "688c8a24e3f00821f19f8e8b77b3b721426dfbc85e2a1761cbe9c72f0c608d71"
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")
@@ -120,6 +128,13 @@ def _wide_simulate_digest() -> str:
     return hashlib.sha256(_every_pair(WIDE_SIMULATE_GRID).encode("utf-8")).hexdigest()
 
 
+def _demo_06_digest() -> str:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, str(DEMO_06)], capture_output=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    return hashlib.sha256(res.stdout).hexdigest()
+
+
 PRODUCERS = {
     "onebit_sweep.csv": lambda tmp: _demo("onebit_sweep", tmp),
     "single_mean_grid.csv": lambda tmp: _demo("single_mean_grid", tmp),
@@ -153,6 +168,10 @@ def test_wide_simulate_digest():
     assert _wide_simulate_digest() == WIDE_SIMULATE_SHA256
 
 
+def test_demo_06_digest():
+    assert _demo_06_digest() == DEMO_06_SHA256
+
+
 def test_golden_suites_are_every_suite():
     assert SUITES == ",".join(sweeps.SUITE_NAMES)
 
@@ -172,3 +191,4 @@ if __name__ == "__main__":
             text = _cli(args, Path(tmp)).encode("utf-8")
             print(f"{name}_VERIFY_SHA256 = {hashlib.sha256(text).hexdigest()!r}")
         print(f"WIDE_SIMULATE_SHA256 = {_wide_simulate_digest()!r}")
+        print(f"DEMO_06_SHA256 = {_demo_06_digest()!r}")

@@ -26,6 +26,13 @@ def binary_entropy_nats(p: float) -> float:
     return -(p * math.log(p) + (1 - p) * math.log(1 - p))
 
 
+def one_hot(outputs) -> np.ndarray:
+    """The 0/1 quantizer table of the map x -> outputs[x]: np.eye(n_out)[outputs]
+    without the (n_out, n_out) identity, so a wide table costs only its cells."""
+    outputs = np.asarray(outputs)
+    return (np.arange(outputs.max() + 1) == outputs[:, None]).astype(float)
+
+
 def bsc_joint(crossover: float) -> np.ndarray:
     rows = np.array([[1 - crossover, crossover], [crossover, 1 - crossover]])
     return 0.5 * rows
@@ -58,7 +65,7 @@ TABLE_ARGS = [(check, arg) for check, (_, tables) in CHECKS.items() for arg in t
 
 # each way `spoiled` breaks a table, and the entry error it must raise
 ENTRY_ERRORS = {"negative": "nonnegative", "off_one": "sums to", "nan": "sums to",
-                "wrong_rank": "-d table|stochastic table", "empty": "empty"}
+                "wrong_rank": "-d table", "empty": "empty"}
 
 
 def spoiled(kind: str, table: np.ndarray) -> np.ndarray:
@@ -78,6 +85,10 @@ def spoiled(kind: str, table: np.ndarray) -> np.ndarray:
 class TestBasicQuantities:
     def test_entropy_uniform(self):
         assert entropy(np.array([0.5, 0.5])) == pytest.approx(math.log(2))
+
+    def test_point_mass_entropy_is_positive_zero(self):
+        for p in (np.array([1.0]), np.array([0.0, 1.0, 0.0])):
+            assert math.copysign(1.0, entropy(p)) == 1.0
 
     def test_kl_and_tv_identity(self):
         p = np.array([0.2, 0.3, 0.5])
@@ -159,6 +170,12 @@ class TestRejections:
         ("pinsker", "pair", np.stack([CHECKS["pinsker"][1]["pair"]] * 3)),
         ("chaining", "model", np.stack([CHECKS["chaining"][1]["model"]] * 3)),
         ("product_channel", "channel", np.stack([TWO_POINT] * 3)),
+        # a quantizer is its table: a 1-d map is one axis short, like a stack
+        # of tables is one axis over
+        ("dpi_independent", "quantizer", np.arange(2)),
+        ("dpi_truncated", "quantizer", np.stack([np.eye(2)] * 3)),
+        ("tensorization", "quantizer1", np.arange(2)),
+        ("tensorization", "quantizer2", np.stack([np.eye(2)] * 3)),
     ])
     def test_a_public_check_takes_one_table_not_a_stack(self, check, arg, stack):
         run, tables = CHECKS[check]
@@ -181,8 +198,12 @@ class TestRejections:
             else:
                 check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
 
-    @pytest.mark.parametrize("quantizer", [np.arange(3), np.zeros(1, dtype=int),
-                                           np.array([-1, 1]), np.array([0.0, 0.5])])
+    @pytest.mark.parametrize("quantizer", [
+        np.eye(3),                               # three inputs' rows for two
+        np.eye(1),                               # one input's row for two
+        np.array([[1.0, 0.0], [0.0, 0.0]]),      # a row with no output symbol
+        np.array([[1.0, 1.0], [0.0, 1.0]]),      # a row with two output symbols
+    ])
     def test_deterministic_quantizer_of_wrong_length_or_symbols(self, quantizer):
         ch = sweeps.two_point_channel(0.2)
         with pytest.raises(InvalidArgumentError):
@@ -191,63 +212,61 @@ class TestRejections:
             check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
 
     def test_joint_over_the_ceiling(self):
-        # 2 x 2 states of (V, X) fit; the 2**20 + 1 outputs of Y do not, nor
-        # the 10**12 + 1 that a map is rejected for before its table is built
+        # 2 x 2 states of (V, X) fit; the 2**20 + 1 outputs of Y do not
         ch = sweeps.two_point_channel(0.2)
-        for top in (it.ENUMERATION_CEILING, 10**12):
-            quantizer = np.array([0, top])
-            with pytest.raises(EnumerationTooLargeError):
-                check_dpi_independent(1, ch, quantizer)
-            with pytest.raises(EnumerationTooLargeError):
-                check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
-            with pytest.raises(EnumerationTooLargeError):
-                check_tensorization(1, [ch, ch], [np.arange(2), quantizer])
+        quantizer = one_hot([0, it.ENUMERATION_CEILING])
+        with pytest.raises(EnumerationTooLargeError, match="joint"):
+            check_dpi_independent(1, ch, quantizer)
+        with pytest.raises(EnumerationTooLargeError, match="joint"):
+            check_dpi_truncated(1, ch, quantizer, np.array([True, True]))
+        with pytest.raises(EnumerationTooLargeError, match="joint message"):
+            check_tensorization(1, [ch, ch], [np.eye(2), quantizer])
 
     def test_huge_v_dim_is_over_the_ceiling(self):
         # 2**20000 has more digits than an int may print, and 2**(10**12)
         # more bits than memory holds: both raise on the bound 2**v_dim
         for v_dim in (20000, 10**12):
             with pytest.raises(EnumerationTooLargeError, match="product alphabet"):
-                check_dpi_independent(v_dim, TWO_POINT, np.arange(2))
+                check_dpi_independent(v_dim, TWO_POINT, np.eye(2))
         with pytest.raises(EnumerationTooLargeError, match="product alphabet"):
-            check_tensorization(10**12, [TWO_POINT] * 2, [np.arange(2)] * 2)
+            check_tensorization(10**12, [TWO_POINT] * 2, [np.eye(2)] * 2)
 
     def test_joint_message_alphabet_over_the_ceiling(self):
-        # each machine's 2 x 65536 map fits; the four together give 2 * 2**64
+        # each machine's 2 x 65536 table fits; the four together give 2 * 2**64
         # joint messages, a product that wraps to 0 in int64
         ch = sweeps.two_point_channel(0.2)
         with pytest.raises(EnumerationTooLargeError, match="joint message"):
-            check_tensorization(1, [ch] * 4, [np.array([0, 65535])] * 4)
+            check_tensorization(1, [ch] * 4, [one_hot([0, 65535])] * 4)
 
     def test_bad_quantizer_in_tensorization(self):
         ch = sweeps.two_point_channel(0.2)
         with pytest.raises(InvalidArgumentError):
-            check_tensorization(1, [ch, ch], [np.arange(2), np.array([[0.5, 0.6], [1.0, 0.0]])])
+            check_tensorization(1, [ch, ch], [np.eye(2), np.array([[0.5, 0.6], [1.0, 0.0]])])
 
     @pytest.mark.parametrize("v_dim", [0, -1])
     def test_v_dim_below_one(self, v_dim):
         ch = sweeps.two_point_channel(0.2)
         with pytest.raises(InvalidArgumentError, match="v_dim >= 1"):
-            check_dpi_independent(v_dim, ch, np.arange(2))
+            check_dpi_independent(v_dim, ch, np.eye(2))
         with pytest.raises(InvalidArgumentError, match="v_dim >= 1"):
-            check_dpi_truncated(v_dim, ch, np.arange(2), np.array([True, True]))
+            check_dpi_truncated(v_dim, ch, np.eye(2), np.array([True, True]))
         with pytest.raises(InvalidArgumentError, match="v_dim >= 1"):
-            check_tensorization(v_dim, [ch], [np.arange(2)])
+            check_tensorization(v_dim, [ch], [np.eye(2)])
 
     @pytest.mark.parametrize("machines", [0, -1])
     def test_machines_below_one(self, machines):
         ch = sweeps.two_point_channel(0.2)
         with pytest.raises(InvalidArgumentError, match="machines >= 1"):
-            check_dpi_truncated(1, ch, np.arange(2), np.array([True, True]), machines)
+            check_dpi_truncated(1, ch, np.eye(2), np.array([True, True]), machines)
 
     @pytest.mark.parametrize("call", [
         lambda: hamming_neighborhood_size(2.5, 1),
         lambda: fano_variant_lower(2.5, 1, 0.1),
         lambda: sweeps.exact_min_hamming_test_error(np.full((8, 2), 1 / 16), 3.0, 1),
-        lambda: check_dpi_independent(1.5, TWO_POINT, np.arange(2)),
-        lambda: check_dpi_truncated(1, TWO_POINT, np.arange(2), np.array([True, True]),
+        lambda: check_dpi_independent(1.5, TWO_POINT, np.eye(2)),
+        lambda: check_dpi_truncated(1, TWO_POINT, np.eye(2), np.array([True, True]),
                                     machines=1.5),
-        lambda: check_tensorization(1.0, [TWO_POINT], [np.arange(2)]),
+        lambda: check_tensorization(1.0, [TWO_POINT], [np.eye(2)]),
         lambda: it.product_channel(TWO_POINT, 2.0),
     ], ids=["neighborhood", "fano", "exact_test", "dpi_independent", "dpi_truncated",
             "tensorization", "product_channel"])
@@ -257,9 +276,9 @@ class TestRejections:
 
     def test_numpy_integer_sizes(self):
         assert hamming_neighborhood_size(np.int64(3), 1) == 4
-        assert (check_dpi_truncated(np.int32(1), TWO_POINT, np.arange(4),
+        assert (check_dpi_truncated(np.int32(1), TWO_POINT, np.eye(4),
                                     np.array([True, True]), machines=np.int64(2))
-                == check_dpi_truncated(1, TWO_POINT, np.arange(4),
+                == check_dpi_truncated(1, TWO_POINT, np.eye(4),
                                        np.array([True, True]), machines=2))
 
     def test_tensorization_needs_a_machine(self):
@@ -436,7 +455,7 @@ class TestPinskerConsequence:
 class TestDpiIndependent:
     def test_identity_quantizer_worked_example(self):
         ch = sweeps.two_point_channel(0.2)
-        rep = check_dpi_independent(1, ch, np.arange(2))
+        rep = check_dpi_independent(1, ch, np.eye(2))
         expected_i = math.log(2) - binary_entropy_nats(0.4)
         # the identity map makes the two ends of the chain coincide
         assert rep["I_VY"] == pytest.approx(expected_i, abs=1e-12)
@@ -447,7 +466,7 @@ class TestDpiIndependent:
 
     def test_constant_output_equality_case(self):
         ch = sweeps.two_point_channel(0.2)
-        rep = check_dpi_independent(1, ch, np.zeros(2, dtype=int))
+        rep = check_dpi_independent(1, ch, np.ones((2, 1)))
         assert rep["I_VY"] == pytest.approx(0.0, abs=1e-12)
         assert rep["bound"] == pytest.approx(0.0, abs=1e-12)
         assert rep["holds"]
@@ -469,8 +488,9 @@ class TestDpiIndependent:
 class TestDpiTruncated:
     def test_full_set_reduces_to_lemma3_shape(self):
         ch = sweeps.two_point_channel(0.2)
-        rep = check_dpi_truncated(1, ch, np.arange(2), np.array([True, True]))
-        assert rep["H_E"] == 0.0
+        rep = check_dpi_truncated(1, ch, np.eye(2), np.array([True, True]))
+        # +0.0, not -0.0: a sure event has entropy +0.0
+        assert rep["H_E"] == 0.0 and math.copysign(1.0, rep["H_E"]) == 1.0
         assert rep["P_E0"] == 0.0
         a = rep["alpha"]
         assert rep["bound"] == pytest.approx(
@@ -480,7 +500,7 @@ class TestDpiTruncated:
     def test_three_symbol_truncation(self):
         ch = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
         keep = np.array([True, True, False])
-        rep = check_dpi_truncated(1, ch, np.arange(3), keep)
+        rep = check_dpi_truncated(1, ch, np.eye(3), keep)
         assert rep["P_E0"] == pytest.approx(0.2)
         assert rep["H_E"] > 0
         assert rep["alpha"] == pytest.approx(math.log(5 / 3), abs=1e-12)
@@ -491,7 +511,15 @@ class TestDpiTruncated:
     def test_mask_of_wrong_shape_or_empty(self, keep):
         ch = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
         with pytest.raises(InvalidArgumentError, match="truncation"):
-            check_dpi_truncated(1, ch, np.arange(3), keep)
+            check_dpi_truncated(1, ch, np.eye(3), keep)
+
+    @pytest.mark.parametrize("truncation", [[0, 1], [0.5, 7], np.array([1, 1])])
+    def test_truncation_is_a_boolean_mask(self, truncation):
+        # read as a mask, the index list [0, 1] ("keep symbols 0 and 1") would
+        # keep symbol 1 alone and report P_E0 = 0.5, not the 0 of keeping both
+        ch = sweeps.two_point_channel(0.2)
+        with pytest.raises(InvalidArgumentError, match="boolean mask"):
+            check_dpi_truncated(1, ch, np.eye(2), truncation)
 
     @pytest.mark.parametrize("v_dim, machines, expected", [
         (2, 1, {"I_VY": 0.014630366891838763, "I_XY": 1.4444190426347407,
@@ -507,8 +535,9 @@ class TestDpiTruncated:
         # 2's is 0 and 3 otherwise (machines = 2)
         ch = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2]])
         digits = it.base_k_digits(3, 2)
-        quantizer = (digits.sum(axis=1) if v_dim == 2
-                     else np.where(digits[:, 1] == 0, digits[:, 0], 3))
+        outputs = (digits.sum(axis=1) if v_dim == 2
+                   else np.where(digits[:, 1] == 0, digits[:, 0], 3))
+        quantizer = np.eye(outputs.max() + 1)[outputs]
         rep = check_dpi_truncated(v_dim, ch, quantizer, np.array([True, True, False]),
                                   machines=machines)
         assert rep["alpha"] == math.log(0.5 / 0.3)
@@ -525,12 +554,12 @@ class TestDpiTruncated:
 class TestTensorization:
     def test_single_machine_equality(self):
         ch = sweeps.two_point_channel(0.2)
-        rep = check_tensorization(1, [ch], [np.arange(2)])
+        rep = check_tensorization(1, [ch], [np.eye(2)])
         assert rep["I_joint"] == pytest.approx(rep["sum_I"], abs=1e-12)
 
     def test_two_identical_machines(self):
         ch = sweeps.two_point_channel(0.2)
-        rep = check_tensorization(1, [ch, ch], [np.arange(2), np.arange(2)])
+        rep = check_tensorization(1, [ch, ch], [np.eye(2), np.eye(2)])
         assert rep["holds"]
         assert rep["I_joint"] <= rep["sum_I"] + 1e-12
         assert rep["sum_I"] == pytest.approx(
@@ -660,35 +689,35 @@ class TestBinaryGaussianMi:
 
 # One drawn instance's (lhs, rhs, holds) from the scalar checks, by suite:
 # the reference that the suites' stacked checks must equal bit for bit.
-def _dpi3_reference(key, channel, quantizer):
-    rep = check_dpi_independent(key[0], channel, quantizer)
+def _dpi3_reference(params, channel, quantizer):
+    rep = check_dpi_independent(params[0], channel, quantizer)
     return rep["I_VY"], rep["bound"], rep["holds"] and rep["I_VY"] <= rep["I_VX"] + it.SLACK
 
 
-def _truncated_reference(key, channel, quantizer, keep):
-    rep = check_dpi_truncated(1, channel, quantizer, keep, machines=key[0])
+def _truncated_reference(params, channel, quantizer, keep):
+    rep = check_dpi_truncated(1, channel, quantizer, keep, machines=params[0])
     return rep["I_VY"], rep["bound"], rep["holds"]
 
 
-def _chain_reference(key, model):
+def _chain_reference(params, model):
     rep = check_information_chaining(model)
     worst = rep["worst"] or {"lhs": 0.0, "rhs": 0.0}
     return worst["lhs"], worst["rhs"], rep["holds"]
 
 
-def _tensor_reference(key, *tables):
-    m = len(key[1])
-    rep = check_tensorization(key[0], tables[:m], tables[m:])
+def _tensor_reference(params, *tables):
+    m = len(tables) // 2
+    rep = check_tensorization(params[0], tables[:m], tables[m:])
     return rep["I_joint"], rep["sum_I"], rep["holds"]
 
 
-def _pinsker_reference(key, pair):
+def _pinsker_reference(params, pair):
     rep = check_pinsker_consequence(pair)
     return rep["lhs"], rep["rhs"], rep["holds"]
 
 
-def _fano_reference(key, channel):
-    d, t, _ = key
+def _fano_reference(params, channel):
+    d, t = params
     joint = it.product_channel(channel, d) / 2 ** d
     bound = fano_variant_lower(d, t, mutual_information(joint, 0, 1))
     err = sweeps.exact_min_hamming_test_error(joint, d, t)
@@ -700,25 +729,27 @@ REFERENCES = {"dpi3": _dpi3_reference, "dpi5": _truncated_reference,
               "tensor": _tensor_reference, "pinsker": _pinsker_reference,
               "fano": _fano_reference}
 
-# Every shape key each suite draws: (v_dim, k, n_out, stochastic) for dpi3,
-# (machines, n_out, stochastic) for dpi5, (machines, k**machines, n_y) for
-# dpi7, (v_dim, each machine's n_y) for tensor, the (V, Y) shape for pinsker
-# and (d, t, k) for fano.
-SHAPE_KEYS = {
-    "dpi3": set(itertools.product((1, 2), (2, 3), (1, 2, 3, 4), (False, True))),
-    "dpi5": set(itertools.product((1,), (1, 2, 3, 4), (False, True))),
-    "dpi7": {(m, k ** m, math.prod(sizes)) for m in (2, 3) for k in (2, 3)
-             for sizes in itertools.product((2, 3), repeat=m)},
-    "chain": {()},
-    "tensor": {(v_dim, widths) for v_dim in (1, 2) for m in (2, 3)
+# Every bucket key each suite draws, (params, table shapes): params are
+# (v_dim,) for dpi3 and tensor, (machines,) for dpi5 and dpi7, (d, t) for
+# fano and () for chain and pinsker; a deterministic and a stochastic
+# quantizer of one shape share a key.
+BUCKET_KEYS = {
+    "dpi3": {((v,), ((2, k), (k ** v, n))) for v in (1, 2) for k in (2, 3)
+             for n in (1, 2, 3, 4)},
+    "dpi5": {((1,), ((2, 3), (3, n), (3,))) for n in (1, 2, 3, 4)},
+    "dpi7": {((m,), ((2, k), (k ** m, math.prod(sizes)), (k,))) for m in (2, 3)
+             for k in (2, 3) for sizes in itertools.product((2, 3), repeat=m)},
+    "chain": {((), ((2, 2, 4, 2),))},
+    "tensor": {((v,), ((2, 2),) * m + tuple((2 ** v, w) for w in widths))
+               for v in (1, 2) for m in (2, 3)
                for widths in itertools.product((1, 2), repeat=m)},
-    "pinsker": {(2, 2), (2, 3), (2, 4)},
-    "fano": set(itertools.product((2, 3), (0, 1), (2, 3))),
+    "pinsker": {((), ((2, k),)) for k in (2, 3, 4)},
+    "fano": {((d, t), ((2, k),)) for d in (2, 3) for t in (0, 1) for k in (2, 3)},
 }
 
 
 class TestStackedSuites:
-    """run_suite checks each block's instances one stack per shape key; each
+    """run_suite checks each block's instances one stack per bucket key; each
     row must be what the scalar checks give on the same drawn tables."""
 
     @pytest.mark.parametrize("name", sweeps.SUITE_NAMES)
@@ -727,10 +758,10 @@ class TestStackedSuites:
         rows = sweeps.run_suite(name, max(300, 2 * sweeps.BLOCK) + 77, seed=13)
         keys, ref = set(), []
         for row in rows:
-            key, tables = draw(np.random.default_rng(row.seed))
-            keys.add(key)
-            ref.append(REFERENCES[name](key, *tables))
-        assert keys == SHAPE_KEYS[name]
+            params, tables = draw(np.random.default_rng(row.seed))
+            keys.add((params, tuple(t.shape for t in tables)))
+            ref.append(REFERENCES[name](params, *tables))
+        assert keys == BUCKET_KEYS[name]
         lhs, rhs, holds = zip(*ref)
         assert np.array_equal([row.lhs for row in rows], lhs)
         assert np.array_equal([row.rhs for row in rows], rhs)

@@ -154,7 +154,8 @@ def test_an_instance_gets_the_same_floats_in_a_stack_as_alone(seed, size, zeros)
     stacks = {"channel": _stochastic_stack(rng, size, (2, k), zeros),
               "channel2": _stochastic_stack(rng, size, (2, k), zeros),
               "quantizer": _stochastic_stack(rng, size, (k ** v_dim, n_out), zeros),
-              "map": maps, "keep": keep,
+              # a deterministic map as its 0/1 table: zero cells in every row
+              "map": np.eye(n_out)[maps], "keep": keep,
               "pair": 0.5 * _stochastic_stack(rng, size, (2, k + 1), zeros),
               "model": np.stack([sweeps.random_chain_model(rng) for _ in range(size)])}
     for name, body in STACKED_BODIES.items():
