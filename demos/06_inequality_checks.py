@@ -36,6 +36,12 @@ bound = it.fano_variant_lower(3, 1, info)
 exact = sweeps.exact_min_hamming_test_error(joint, 3, 1)
 print(f"\nFano with Hamming-1 neighborhoods, d = 3: bound {bound:.4f} <= "
       f"exact optimal error {exact:.4f}")
+# the estimation-to-testing reduction turns either error into a risk bound:
+# packing vertices delta * v, risk >= delta^2 (floor(t) + 1) P(test error)
+delta = 0.1
+print(f"  risk >= delta^2 (floor(t) + 1) P(error) at delta = {delta}: "
+      f"{it.estimation_to_testing_lower(delta, 1, bound):.6f} from Fano, "
+      f"{it.estimation_to_testing_lower(delta, 1, exact):.6f} from the exact test")
 
 print("\nrandomized suites (500 instances each):")
 for name in sweeps.SUITE_NAMES:

@@ -14,13 +14,13 @@ sweeps      randomized verification suites over enumerable instances
 from . import bounds, codec, designs, families, infotheory, protocols, sweeps
 from .errors import (ConfigError, DegenerateDesignError,
                      EnumerationTooLargeError, InvalidArgumentError,
-                     QuadratureError, ReductionInfeasibleError)
+                     ReductionInfeasibleError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "bounds", "codec", "designs", "families", "infotheory", "protocols",
     "sweeps", "ConfigError", "DegenerateDesignError",
-    "EnumerationTooLargeError", "InvalidArgumentError", "QuadratureError",
+    "EnumerationTooLargeError", "InvalidArgumentError",
     "ReductionInfeasibleError",
 ]

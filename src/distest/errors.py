@@ -17,9 +17,5 @@ class EnumerationTooLargeError(ValueError):
     """Exact enumeration would exceed the joint-state ceiling."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within the order cap."""
-
-
 class ConfigError(ValueError):
     """A config or query file failed to parse or validate."""

@@ -6,11 +6,11 @@ is exact up to float rounding; checks therefore use a 1e-10 slack. Requests
 whose joint state space would exceed 2**20 cells raise instead of
 approximating (`_check_cells`).
 
-Every pmf is a plain array: `entropy`, `kl`, `tv` and `lecam_testing_error`
-take 1-d pmfs, `mutual_information` a joint table and two of its axis
-indices, a channel is its table of rows P(x | v) and a quantizer its
-(k_in, n_out) table P(y | x), a deterministic one a 0/1 table; the Pinsker
-and chaining joints are (V, Y) and (A, B, C, D) tables in that axis order.
+Every pmf is a plain array: `entropy` takes a 1-d pmf, `mutual_information`
+a joint table and two of its axis indices, a channel is its table of rows
+P(x | v) and a quantizer its (k_in, n_out) table P(y | x), a deterministic
+one a 0/1 table; the Pinsker and chaining joints are (V, Y) and (A, B, C, D)
+tables in that axis order.
 
 Inside this module a table has one form: a stack of tables along axis 0.
 Every private body takes stacks, and so does `_check_pmf`, whose rules are
@@ -32,8 +32,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import (EnumerationTooLargeError, InvalidArgumentError,
-                     QuadratureError)
+from .errors import EnumerationTooLargeError, InvalidArgumentError
 
 ENUMERATION_CEILING = 1 << 20
 SLACK = 1e-10
@@ -102,29 +101,6 @@ def entropy(p) -> float:
     return float(_entropy_rows(_check_pmf(np.asarray(p)[None], "pmf", 1))[0])
 
 
-def _pmf_pair(p, q, what: str):
-    """The pmfs `p` and `q` as checked arrays over a common support."""
-    pa, qa = (_check_pmf(np.asarray(x)[None], "pmf", 1)[0] for x in (p, q))
-    if pa.shape != qa.shape:
-        raise InvalidArgumentError(f"{what} needs a common support")
-    return pa, qa
-
-
-def kl(p, q) -> float:
-    """KL divergence in nats; support violations return +inf, never raise."""
-    pa, qa = _pmf_pair(p, q, "kl")
-    mask = pa > 0
-    if np.any(qa[mask] == 0):
-        return math.inf
-    return float((pa[mask] * np.log(pa[mask] / qa[mask])).sum())
-
-
-def tv(p, q) -> float:
-    """Total variation distance, in [0, 1]."""
-    pa, qa = _pmf_pair(p, q, "tv")
-    return float(0.5 * np.abs(pa - qa).sum())
-
-
 def _mi_from_table(joints: np.ndarray) -> np.ndarray:
     """I(A; B) of each (A, B) table of the stack `joints`."""
     prod = joints.sum(axis=2)[:, :, None] * joints.sum(axis=1)[:, None, :]
@@ -183,21 +159,6 @@ def estimation_to_testing_lower(delta: float, t: float, test_error_prob: float) 
     return delta ** 2 * (math.floor(t) + 1) * test_error_prob
 
 
-def lecam_testing_error(p1, p2) -> float:
-    """Bayes error of the uniform-prior binary test: 1/2 - tv/2."""
-    return 0.5 - 0.5 * tv(p1, p2)
-
-
-def check_likelihood_ratio(channel) -> float:
-    """Log of the worst output-wise max/min row ratio.
-
-    A zero entry in an otherwise reachable output yields +inf (an infinite
-    ratio signal) rather than an exception.
-    """
-    rows = _check_pmf(np.asarray(channel)[None], "channel row", 2, axis=-1)
-    return float(_max_log_ratio(rows)[0])
-
-
 def _max_log_ratio(rows: np.ndarray, keep=None) -> np.ndarray:
     """Per table of the stack `rows`, the log of the worst max/min ratio over
     the row axis (-2), taken over the output columns where `keep` holds
@@ -211,7 +172,7 @@ def _max_log_ratio(rows: np.ndarray, keep=None) -> np.ndarray:
 
 
 def check_pinsker_consequence(pair) -> dict:
-    """tv(P_{Y|V=0}, P_{Y|V=1})^2 <= 2 I(V; Y) for uniform binary V, on the
+    """TV(P_{Y|V=0}, P_{Y|V=1})^2 <= 2 I(V; Y) for uniform binary V, on the
     (V, Y) joint table `pair`."""
     return _pinsker_consequence(np.asarray(pair)[None])[0]
 
@@ -414,7 +375,7 @@ def check_information_chaining(model) -> dict:
 
         |P(a | c, d) - P(a | c)| <=
             2 (e^{2 alpha} - 1) min{P(a | c), P(a | c, d)}
-                                 tv(P_B(. | c, d), P_B(. | c)) + slack.
+                                 TV(P_B(. | c, d), P_B(. | c)) + slack.
 
     Zero-probability conditioning slices are skipped and counted.
     """
@@ -483,42 +444,3 @@ def _information_chaining(models) -> list:
                                   if max_violation > -math.inf else None),
                         "holds": max_violation <= SLACK})
     return reports
-
-
-# ---------------------------------------------------------------------------
-# one-dimensional Gaussian specialization
-
-@lru_cache(maxsize=None)
-def _gh_nodes(order: int):
-    from scipy.special import roots_hermite
-    return roots_hermite(order)
-
-
-def _gh_estimate(delta: float, sigma: float, order: int) -> float:
-    """Gauss-Hermite estimate of I(V; X) for X | V ~ N(delta V, sigma^2)."""
-    nodes, weights = _gh_nodes(order)
-    x = delta + math.sqrt(2.0) * sigma * nodes
-    integrand = math.log(2.0) - np.logaddexp(0.0, -2.0 * delta * x / sigma**2)
-    return float((weights * integrand).sum() / math.sqrt(math.pi))
-
-
-def binary_gaussian_mi(delta: float, sigma: float, tol: float = 1e-9) -> float:
-    """I(V; X) for V uniform on {-1, 1} and X | V ~ N(delta V, sigma^2).
-
-    Adaptive Gauss-Hermite quadrature, doubling the order until two
-    consecutive estimates agree within tol. The value is guaranteed at most
-    delta^2 / sigma^2.
-    """
-    if not 0 <= delta < math.inf:
-        raise InvalidArgumentError("delta must be finite and >= 0")
-    if not 0 < sigma < math.inf:
-        raise InvalidArgumentError("sigma must be positive and finite")
-    prev = _gh_estimate(delta, sigma, 32)
-    order = 64
-    while order <= 8192:
-        cur = _gh_estimate(delta, sigma, order)
-        if abs(cur - prev) < tol:
-            return max(0.0, cur)
-        prev = cur
-        order *= 2
-    raise QuadratureError("Gauss-Hermite order cap reached without convergence")

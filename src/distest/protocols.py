@@ -237,8 +237,8 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     """Damped Newton ascent of the concave probit log-likelihood.
 
     Returns (theta, flagged); flagged marks separation, detected by the
-    iterate norm exceeding diverge_norm, in which case the boundary-truncated
-    iterate is returned.
+    iterate norm exceeding diverge_norm or by a singular Newton system, in
+    which case the iterate clipped to [-1, 1] is returned.
     """
     log_ndtr = sys.modules[__name__].log_ndtr
     a = np.asarray(design, dtype=float)
@@ -265,8 +265,8 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         hess = a.T @ (weights[:, None] * a)
         try:
             step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as err:
-            raise DegenerateDesignError(f"singular probit Hessian: {err}") from err
+        except np.linalg.LinAlgError:
+            return np.clip(theta, -1.0, 1.0), True
         t = 1.0
         accepted = False
         while t > 2**-30:
@@ -343,8 +343,21 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         hess = a.transpose(0, 2, 1) @ (weights[..., None] * a)
         try:
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
-        except np.linalg.LinAlgError as err:
-            raise DegenerateDesignError(f"singular probit Hessian: {err}") from err
+        except np.linalg.LinAlgError:
+            # some Hessian is singular: solve problem by problem, and flag and
+            # stop each singular one where probit_mle returns
+            step = np.zeros_like(grad)
+            solved = np.ones(live.size, dtype=bool)
+            for j in range(live.size):
+                try:
+                    step[j] = np.linalg.solve(hess[j], grad[j])
+                except np.linalg.LinAlgError:
+                    solved[j] = False
+            stopped = live[~solved]
+            flagged[stopped] = True
+            theta[stopped] = np.clip(theta[stopped], -1.0, 1.0)
+            live, zs, u, step = (x[solved] for x in (live, zs, u, step))
+            a = _rows(a, np.flatnonzero(solved))
         accepted = np.zeros(live.size, dtype=bool)
         at_theta = [np.empty_like(u) for _ in range(3)]
         searching = np.arange(live.size)

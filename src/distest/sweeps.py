@@ -280,6 +280,10 @@ SUITE_NAMES = tuple(_SUITES)
 # about 1 MB over checking one instance at a time and 256 by about 3 MB, and
 # 128 took about 20 % more time than 1024.
 BLOCK = 128
+# run_suite returns every row of a suite, and `verify` holds every suite's
+# rows before it writes any, about 0.5 KB per instance: at this count one
+# suite peaks near 90 MB of RSS.
+MAX_COUNT = 100_000
 
 
 def run_suite(name: str, count: int, seed: int):
@@ -288,8 +292,8 @@ def run_suite(name: str, count: int, seed: int):
     (base + 977 i) mod 2**63."""
     if name not in _SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choices: {SUITE_NAMES}")
-    if count < 1:
-        raise InvalidArgumentError("instance count must be >= 1")
+    if not 1 <= count <= MAX_COUNT:
+        raise InvalidArgumentError(f"instance count must be in [1, {MAX_COUNT}]")
     if seed < 0:
         raise InvalidArgumentError("seed must be >= 0")
     draw, check = _SUITES[name]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import distest
-from distest import cli
+from distest import cli, sweeps
 from distest.cli import (SIMULATE_HEADER, parse_config, run_bounds,
                          run_simulate, run_verify)
 from distest.errors import ConfigError
@@ -24,7 +24,7 @@ trials = 50
 seed = 3
 """
 
-# a grid point whose local probit Hessian is singular on some trial
+# a grid point whose local probit Hessian is singular on some trials
 SINGULAR_PROBIT_CONF = """
 protocol = probit_avg
 family = probit
@@ -258,6 +258,11 @@ class TestEndToEnd:
         bad = run_cli(["verify", "nosuch", "--count", "5", "--seed", "1"])
         assert bad.returncode == 2
         assert "unknown suite" in bad.stderr
+        # a count over the ceiling is refused before any instance is drawn
+        for count in (sweeps.MAX_COUNT + 1, 10 ** 29):
+            big = run_cli(["verify", "fano", "--count", str(count)])
+            assert big.returncode == 2 and big.stdout == ""
+            assert big.stderr == f"error: instance count must be in [1, {sweeps.MAX_COUNT}]\n"
 
     def test_config_error_exit_two_no_output(self, tmp_path):
         conf = tmp_path / "bad.conf"
@@ -289,14 +294,16 @@ class TestEndToEnd:
         assert serial.returncode == 0 and threaded.returncode == 0
         assert serial.stdout == threaded.stdout
 
-    def test_singular_probit_hessian_is_a_row_error(self, tmp_path):
+    def test_singular_probit_hessian_is_a_flagged_trial(self, tmp_path):
+        # a trial whose local Newton system is singular is flagged, like one
+        # whose iterate diverges, and the grid point gets a normal row
         conf = tmp_path / "probit.conf"
         conf.write_text(SINGULAR_PROBIT_CONF)
         res = run_cli(["simulate", str(conf)])
-        assert res.returncode == 0 and "Traceback" not in res.stderr
-        assert res.stdout.splitlines()[1:] == [
-            "probit_avg,probit,orthogonal,2,3,4,,0.9,,50,11,,,,,,,,,,"
-            "singular probit Hessian: Singular matrix"]
+        assert res.returncode == 0 and res.stderr == ""
+        header, row = res.stdout.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert int(cells["flagged_trials"]) > 0 and cells["error"] == ""
 
     def test_import_does_not_load_scipy(self):
         """scipy is imported on the first probit solve, not by the package:

@@ -42,10 +42,10 @@ BENCH_VERIFY_SHA256 = "713973b48ec72bf57e3ceb64e974cf8e2415e915ff621106f3fc7c466
 WIDE_SIMULATE_GRID = ("d = 1\nd = 3\nm = 3\nm = 40\nn = 1\nn = 16\ntheta = 0.3\n"
                       "budget_bits = 6\ntrials = 30\nseed = 5\n")
 WIDE_SIMULATE_SHA256 = "b036901ef959f599cc0c62c5e3c52244920c38352899db838f2dcbf457b839ac"
-# sha256 of demos/06_inequality_checks.py's stdout: its worked instances and
-# the suite summaries it prints.
+# sha256 of demos/06_inequality_checks.py's stdout: its worked instances, the
+# risk bound of its Fano instance and the suite summaries it prints.
 DEMO_06 = ROOT / "demos" / "06_inequality_checks.py"
-DEMO_06_SHA256 = "688c8a24e3f00821f19f8e8b77b3b721426dfbc85e2a1761cbe9c72f0c608d71"
+DEMO_06_SHA256 = "af6add117e1b7c6d9dc80a2a447055ed0e457a88c4c8003aed4f2a2183303919"
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")

@@ -4,20 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from distest import bounds
 from distest import infotheory as it
 from distest import sweeps
 from distest.errors import EnumerationTooLargeError, InvalidArgumentError
-from distest.infotheory import (binary_gaussian_mi, check_dpi_independent,
-                                check_dpi_truncated, check_information_chaining,
-                                check_likelihood_ratio,
+from distest.infotheory import (check_dpi_independent, check_dpi_truncated,
+                                check_information_chaining,
                                 check_pinsker_consequence, check_tensorization,
                                 entropy, estimation_to_testing_lower,
                                 fano_variant_lower, hamming_neighborhood_size,
-                                kl, lecam_testing_error, mutual_information, tv)
+                                mutual_information)
 
 
 def binary_entropy_nats(p: float) -> float:
@@ -42,7 +39,6 @@ def bsc_joint(crossover: float) -> np.ndarray:
 # arguments, by argument name.
 TWO_POINT = sweeps.two_point_channel(0.2)
 CHECKS = {
-    "likelihood_ratio": (check_likelihood_ratio, {"channel": TWO_POINT}),
     "dpi_independent": (lambda channel, quantizer: check_dpi_independent(1, channel, quantizer),
                         {"channel": TWO_POINT, "quantizer": np.array([[0.3, 0.7], [0.6, 0.4]])}),
     "dpi_truncated": (lambda channel, quantizer: check_dpi_truncated(
@@ -89,16 +85,6 @@ class TestBasicQuantities:
     def test_point_mass_entropy_is_positive_zero(self):
         for p in (np.array([1.0]), np.array([0.0, 1.0, 0.0])):
             assert math.copysign(1.0, entropy(p)) == 1.0
-
-    def test_kl_and_tv_identity(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert kl(p, p) == 0.0
-        assert tv(p, p) == 0.0
-
-    def test_kl_support_violation_signals_inf(self):
-        p = np.array([0.5, 0.5])
-        q = np.array([1.0, 0.0])
-        assert kl(p, q) == math.inf
 
     def test_bsc_mutual_information_closed_form(self):
         # V uniform {-1,1}, X = BSC(V, 0.4): I = ln 2 - H_b(0.4)
@@ -163,7 +149,6 @@ class TestRejections:
         assert sorted(seen) == sorted(id(owner) for owner in owners)
 
     @pytest.mark.parametrize("check, arg, stack", [
-        ("likelihood_ratio", "channel", np.stack([TWO_POINT] * 3)),
         ("dpi_independent", "channel", np.stack([TWO_POINT] * 3)),
         ("dpi_truncated", "channel", np.stack([TWO_POINT] * 3)),
         ("tensorization", "channel2", np.stack([TWO_POINT] * 3)),
@@ -305,14 +290,10 @@ class TestRejections:
                 entropy(np.array(bad))
 
     def test_arrays_that_are_not_pmfs_get_no_value(self):
-        # each of these returned a value outside its range before pmfs were
-        # checked where they enter: -0.608, 2.0 and -0.5
+        # this returned -0.608, a negative entropy, before pmfs were checked
+        # where they enter
         with pytest.raises(InvalidArgumentError, match="nonnegative"):
             entropy(np.array([1.5, -0.5]))
-        with pytest.raises(InvalidArgumentError, match="sums to"):
-            tv(np.array([3.0, 0.0]), np.array([0.0, 1.0]))
-        with pytest.raises(InvalidArgumentError, match="sums to"):
-            lecam_testing_error(np.array([3.0, 0.0]), np.array([0.0, 1.0]))
 
     def test_chaining_rejects_d_depending_on_a(self):
         # A, B, C independent and uniform, D = A: D is not independent of A
@@ -391,43 +372,10 @@ class TestNeighborhoodsAndFano:
     (estimation_to_testing_lower, (0.1, math.inf, 0.5), "t must"),
     (estimation_to_testing_lower, (0.1, 1, math.nan), "test_error_prob"),
     (hamming_neighborhood_size, (3, math.nan), "finite t"),
-    (binary_gaussian_mi, (math.nan, 1.0), "delta"),
-    (binary_gaussian_mi, (1.0, math.inf), "sigma"),
 ], ids=lambda x: x.__name__ if callable(x) else str(x).replace(" ", ""))
 def test_scalar_helpers_reject_nan_and_out_of_range_arguments(fn, args, name):
     with pytest.raises(InvalidArgumentError, match=name):
         fn(*args)
-
-
-class TestLeCam:
-    def test_equal_distributions(self):
-        p = np.array([0.3, 0.7])
-        assert lecam_testing_error(p, p) == 0.5
-
-    def test_disjoint_supports(self):
-        p = np.array([1.0, 0.0])
-        q = np.array([0.0, 1.0])
-        assert lecam_testing_error(p, q) == 0.0
-
-    def test_bsc_outputs(self):
-        p1 = np.array([0.6, 0.4])
-        p2 = np.array([0.4, 0.6])
-        assert tv(p1, p2) == pytest.approx(0.2)
-        assert lecam_testing_error(p1, p2) == pytest.approx(0.4)
-
-
-class TestLikelihoodRatio:
-    def test_two_point_delta(self):
-        assert check_likelihood_ratio(sweeps.two_point_channel(0.2)) == (
-            pytest.approx(math.log(1.5), abs=1e-12))
-        assert check_likelihood_ratio(sweeps.two_point_channel(0.5)) == (
-            pytest.approx(math.log(3.0), abs=1e-12))
-
-    def test_equal_rows(self):
-        assert check_likelihood_ratio(np.array([[0.3, 0.7], [0.3, 0.7]])) == 0.0
-
-    def test_zero_entry_infinite_signal(self):
-        assert check_likelihood_ratio(np.array([[1.0, 0.0], [0.5, 0.5]])) == math.inf
 
 
 class TestPinskerConsequence:
@@ -463,6 +411,13 @@ class TestDpiIndependent:
         assert rep["alpha"] == pytest.approx(math.log(1.5), abs=1e-12)
         assert rep["bound"] == pytest.approx(2 * 1.25**2 * rep["I_XY"], abs=1e-12)
         assert rep["holds"]
+        # alpha is the log of the worst likelihood ratio between the rows
+        for channel, alpha in ((sweeps.two_point_channel(0.5), math.log(3.0)),
+                               (np.array([[0.3, 0.7], [0.3, 0.7]]), 0.0),
+                               # a zero entry beside a positive one: no finite ratio
+                               (np.array([[1.0, 0.0], [0.5, 0.5]]), math.inf)):
+            rep = check_dpi_independent(1, channel, np.eye(2))
+            assert rep["alpha"] == pytest.approx(alpha, abs=1e-12)
 
     def test_constant_output_equality_case(self):
         ch = sweeps.two_point_channel(0.2)
@@ -651,40 +606,6 @@ class TestFanoSuite:
         joint = it.product_channel(ch, 3) / 8
         err = sweeps.exact_min_hamming_test_error(joint, 3, 1)
         assert 0.0 <= err <= 1.0
-
-
-class TestBinaryGaussianMi:
-    def test_zero_delta(self):
-        assert binary_gaussian_mi(0.0, 1.0) == 0.0
-
-    def test_bounded_by_kl_average(self):
-        for delta in (0.05, 0.1, 0.5, 1.0, 2.0):
-            for sigma in (0.5, 1.0, 3.0):
-                val = binary_gaussian_mi(delta, sigma)
-                assert 0.0 <= val <= delta**2 / sigma**2 + 1e-12
-
-    def test_against_doubled_order_and_quad_oracles(self):
-        for delta, sigma in ((0.1, 1.0), (1.0, 1.0), (0.7, 0.4)):
-            val = binary_gaussian_mi(delta, sigma)
-            doubled = it._gh_estimate(delta, sigma, 4096)
-            assert val == pytest.approx(doubled, abs=1e-8)
-
-            def integrand(x, d=delta, s=sigma):
-                return norm.pdf(x, d, s) * (
-                    math.log(2.0) - np.logaddexp(0.0, -2.0 * d * x / s**2))
-
-            oracle, _ = quad(integrand, -np.inf, np.inf)
-            assert val == pytest.approx(oracle, abs=1e-8)
-
-    def test_monotone_in_delta(self):
-        vals = [binary_gaussian_mi(d, 1.0) for d in np.linspace(0.0, 2.0, 21)]
-        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            binary_gaussian_mi(-0.1, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            binary_gaussian_mi(0.1, 0.0)
 
 
 # One drawn instance's (lhs, rhs, holds) from the scalar checks, by suite:

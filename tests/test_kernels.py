@@ -13,7 +13,7 @@ import pytest
 from distest import protocols
 from distest.codec import transcript_total_bits
 from distest.designs import build_designs
-from distest.errors import DegenerateDesignError, InvalidArgumentError
+from distest.errors import InvalidArgumentError
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
                               UniformLocationSpec, draw_trials, machine_rows,
@@ -174,22 +174,32 @@ def test_centralized_probit_kernel_covers_flagged_trials():
     assert any(flags) and not all(flags)
 
 
-def test_singular_probit_hessian_raises_from_kernel_and_reference():
+def test_singular_probit_hessian_is_flagged_by_kernel_and_reference(monkeypatch):
     # the grid point protocol = probit_avg, family = probit, d = 2, m = 3,
     # n = 4, theta = 0.9, trials = 50, seed = 11 of distest simulate
     m, n, d, seed = 3, 4, 2, 11
     spec = ProbitSpec(build_designs("orthogonal", m, n, d, seed), np.full(d, 0.9))
     blocks = draw_trials(spec, machine_streams(seed, m), n, 50)
-    with pytest.raises(DegenerateDesignError, match="singular probit Hessian"):
-        PROTOCOLS["probit_avg"].kernel(spec, blocks, None, None)
-    singular = 0
-    for block in blocks:
+    singular = []
+    solve = np.linalg.solve
+
+    def counting(hess, grad):
         try:
-            probit_local_average(spec, block)
-        except DegenerateDesignError as err:
-            assert str(err) == "singular probit Hessian: Singular matrix"
-            singular += 1
-    assert singular
+            return solve(hess, grad)
+        except np.linalg.LinAlgError:
+            singular.append(hess.ndim)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    theta_hat, bits, flagged = PROTOCOLS["probit_avg"].kernel(spec, blocks, None, None)
+    # a stacked solve failed, and so did a single problem's, in the kernel
+    assert 3 in singular and 2 in singular
+    for t, block in enumerate(blocks):
+        ref_theta, ref_bits, ref_flagged = reference("probit_avg", spec, block, None, None)
+        assert np.array_equal(theta_hat[t], ref_theta), f"trial {t}"
+        assert bits[t] == ref_bits, f"trial {t}"
+        assert flagged[t] == ref_flagged, f"trial {t}"
+    assert flagged.any() and not flagged.all()
 
 
 # ---------------------------------------------------------------------------

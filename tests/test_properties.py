@@ -89,25 +89,17 @@ SPOILERS = {
     "wrong_rank": lambda p, x: p[None],
     "empty": lambda p, x: p[:0],
 }
-PAIR_QUANTITIES = (it.kl, it.tv, it.lecam_testing_error)
 
 
 @PROPERTY
 @given(n=st.integers(1, 8), data=st.data())
 def test_pmf_quantities_check_their_input_and_stay_in_range(n, data):
-    p, q = data.draw(pmfs(n)), data.draw(pmfs(n))
+    p = data.draw(pmfs(n))
     assert it.entropy(p) >= 0
-    assert 0 <= it.tv(p, q) <= 1
-    assert 0 <= it.lecam_testing_error(p, q) <= 0.5
     kind = data.draw(st.sampled_from(sorted(SPOILERS)))
     bad = SPOILERS[kind](p, data.draw(st.floats(1e-9, 1.0)))
     with pytest.raises(InvalidArgumentError):
         it.entropy(bad)
-    for fn in PAIR_QUANTITIES:
-        with pytest.raises(InvalidArgumentError):
-            fn(bad, q)
-        with pytest.raises(InvalidArgumentError):
-            fn(q, bad)
 
 
 def _stochastic_stack(rng, size, shape, zeros):
