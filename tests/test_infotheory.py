@@ -35,10 +35,11 @@ def bsc_joint(crossover: float) -> np.ndarray:
     return 0.5 * rows
 
 
-# Every check, and product_channel, with valid tables in its table
+# Every check, entropy and product_channel, with valid tables in its table
 # arguments, by argument name.
 TWO_POINT = sweeps.two_point_channel(0.2)
 CHECKS = {
+    "entropy": (entropy, {"p": np.array([0.2, 0.3, 0.5])}),
     "dpi_independent": (lambda channel, quantizer: check_dpi_independent(1, channel, quantizer),
                         {"channel": TWO_POINT, "quantizer": np.array([[0.3, 0.7], [0.6, 0.4]])}),
     "dpi_truncated": (lambda channel, quantizer: check_dpi_truncated(
@@ -149,6 +150,7 @@ class TestRejections:
         assert sorted(seen) == sorted(id(owner) for owner in owners)
 
     @pytest.mark.parametrize("check, arg, stack", [
+        ("entropy", "p", np.stack([CHECKS["entropy"][1]["p"]] * 3)),
         ("dpi_independent", "channel", np.stack([TWO_POINT] * 3)),
         ("dpi_truncated", "channel", np.stack([TWO_POINT] * 3)),
         ("tensorization", "channel2", np.stack([TWO_POINT] * 3)),
@@ -372,10 +374,64 @@ class TestNeighborhoodsAndFano:
     (estimation_to_testing_lower, (0.1, math.inf, 0.5), "t must"),
     (estimation_to_testing_lower, (0.1, 1, math.nan), "test_error_prob"),
     (hamming_neighborhood_size, (3, math.nan), "finite t"),
+    (hamming_neighborhood_size, (3, -1), "finite t"),
+    (hamming_neighborhood_size, (0, 1), "integer d >= 1"),
+    (hamming_neighborhood_size, (2.0, 1), "integer d >= 1"),
+    (fano_variant_lower, (3, 1, -0.5), "info_nats"),
+    (fano_variant_lower, (3, 1, math.inf), "info_nats"),
+    (estimation_to_testing_lower, (-0.1, 1, 0.5), "delta"),
+    (estimation_to_testing_lower, (0.1, -1, 0.5), "t must"),
+    (estimation_to_testing_lower, (0.1, 1, -0.1), "test_error_prob"),
+    (estimation_to_testing_lower, (0.1, 1, 1.5), "test_error_prob"),
 ], ids=lambda x: x.__name__ if callable(x) else str(x).replace(" ", ""))
 def test_scalar_helpers_reject_nan_and_out_of_range_arguments(fn, args, name):
     with pytest.raises(InvalidArgumentError, match=name):
         fn(*args)
+
+
+class TestLeCam:
+    """At d = 1 and t = 0 the exact Hamming test decides between two
+    hypotheses, and its error is Le Cam's (1 - TV(P_0, P_1)) / 2."""
+
+    @staticmethod
+    def error(p0, p1):
+        return sweeps.exact_min_hamming_test_error(0.5 * np.array([p0, p1]), 1, 0)
+
+    def test_equal_distributions(self):
+        p = np.array([0.3, 0.7])
+        assert self.error(p, p) == 0.5
+
+    def test_disjoint_supports(self):
+        assert self.error([1.0, 0.0], [0.0, 1.0]) == 0.0
+
+    def test_bsc_outputs(self):
+        p0, p1 = [0.6, 0.4], [0.4, 0.6]
+        # the Pinsker report's lhs is TV(P_0, P_1)^2
+        assert check_pinsker_consequence(0.5 * np.array([p0, p1]))["lhs"] == (
+            pytest.approx(0.2 ** 2))
+        assert self.error(p0, p1) == pytest.approx(0.4)
+
+
+class TestLikelihoodRatio:
+    """A channel's alpha in check_dpi_independent is the log of the worst
+    likelihood ratio between its rows."""
+
+    @staticmethod
+    def alpha(channel):
+        return check_dpi_independent(1, channel, np.eye(channel.shape[1]))["alpha"]
+
+    def test_two_point_delta(self):
+        assert self.alpha(sweeps.two_point_channel(0.2)) == (
+            pytest.approx(math.log(1.5), abs=1e-12))
+        assert self.alpha(sweeps.two_point_channel(0.5)) == (
+            pytest.approx(math.log(3.0), abs=1e-12))
+
+    def test_equal_rows(self):
+        assert self.alpha(np.array([[0.3, 0.7], [0.3, 0.7]])) == 0.0
+
+    def test_zero_entry_infinite_signal(self):
+        # a zero entry beside a positive one: no finite ratio
+        assert self.alpha(np.array([[1.0, 0.0], [0.5, 0.5]])) == math.inf
 
 
 class TestPinskerConsequence:
@@ -411,13 +467,6 @@ class TestDpiIndependent:
         assert rep["alpha"] == pytest.approx(math.log(1.5), abs=1e-12)
         assert rep["bound"] == pytest.approx(2 * 1.25**2 * rep["I_XY"], abs=1e-12)
         assert rep["holds"]
-        # alpha is the log of the worst likelihood ratio between the rows
-        for channel, alpha in ((sweeps.two_point_channel(0.5), math.log(3.0)),
-                               (np.array([[0.3, 0.7], [0.3, 0.7]]), 0.0),
-                               # a zero entry beside a positive one: no finite ratio
-                               (np.array([[1.0, 0.0], [0.5, 0.5]]), math.inf)):
-            rep = check_dpi_independent(1, channel, np.eye(2))
-            assert rep["alpha"] == pytest.approx(alpha, abs=1e-12)
 
     def test_constant_output_equality_case(self):
         ch = sweeps.two_point_channel(0.2)

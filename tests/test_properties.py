@@ -102,6 +102,20 @@ def test_pmf_quantities_check_their_input_and_stay_in_range(n, data):
         it.entropy(bad)
 
 
+@PROPERTY
+@given(n=st.integers(1, 8), data=st.data())
+def test_two_point_test_error_is_le_cams(n, data):
+    # at d = 1, t = 0 the exact Hamming test is the Bayes test between two
+    # pmfs, whose error is (1 - TV) / 2; the Pinsker report's lhs is TV^2.
+    # Both are exact up to float rounding, hence the 1e-12 margins.
+    pair = 0.5 * np.array([data.draw(pmfs(n)), data.draw(pmfs(n))])
+    dist = math.sqrt(it.check_pinsker_consequence(pair)["lhs"])
+    assert 0 <= dist <= 1 + 1e-12
+    err = sweeps.exact_min_hamming_test_error(pair, 1, 0)
+    assert -1e-12 <= err <= 0.5 + 1e-12
+    assert err == pytest.approx(0.5 * (1 - dist), abs=1e-12)
+
+
 def _stochastic_stack(rng, size, shape, zeros):
     """`size` random tables of `shape`, stochastic over the last axis, with
     about a `zeros` share of zero entries (never a whole row)."""
