@@ -53,8 +53,9 @@ GRID_KEYS = ("theta", "d", "m", "n", "sigma", "budget_bits")
 
 # Size ceilings of a simulate config, checked before any generator or array
 # is built: each machine gets its own generator (about 0.1 ms and 1 KB), and
-# one trial's m * d * n values, like the per-trial error and bit counts of
-# all trials, must fit one chunk of protocols.CHUNK_VALUES.
+# one trial's m * d * n values, like the number of trials (whose errors and
+# bit counts are kept), must be at most protocols.CHUNK_VALUES. The memory of
+# a run is set apart from these, by protocols.WORKING_VALUES.
 MAX_MACHINES = 10_000
 
 SIMULATE_HEADER = ("protocol,family,design,d,m,n,sigma,theta,budget_bits,"

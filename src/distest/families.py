@@ -4,9 +4,12 @@ mean-to-regression / regression-to-probit reductions.
 A sample is a plain array, the machines' local blocks: (m, d, n) for a mean
 family and (m, n) responses for a design family. sample() returns one, and
 draw_trials stacks one per trial, so blocks[t] of a draw is what the
-protocols' reference functions take. draw_trials returns a transposed view of
-a machine-major buffer, not a C-contiguous array: a float reduction over
-machines must copy it to C order first, or its rounding depends on the layout.
+protocols' reference functions take. Both are made of draw_row, which fills
+one machine's block of a run of trials in place; estimate_risk calls it
+machine by machine on one reused row and never holds the stack. draw_trials
+returns a transposed view of a machine-major buffer, not a C-contiguous
+array: a float reduction over machines on it must copy it to C order first,
+or its rounding depends on the layout.
 
 Seeding contract
 ----------------
@@ -172,57 +175,67 @@ def machine_rows(gens, shape, fill) -> np.ndarray:
     return buf.swapaxes(0, 1)
 
 
+def row_shape(spec, n: int) -> tuple:
+    """Shape of one machine's draw in one trial: (d, n) for a mean family,
+    (n,) responses for a design family."""
+    return (spec.n,) if isinstance(spec, DesignSpec) else (spec.d, n)
+
+
+def draw_row(spec, i: int, gen, row) -> None:
+    """Fill row, machine i's C-contiguous (trials, *row_shape) block, in place
+    from its generator gen.
+
+    Each family's formula runs in its order of operations: theta + sigma * z,
+    for example, is row *= sigma; row += theta, which IEEE + and * make the
+    same bytes.
+    """
+    theta = spec.theta[:, None]
+    if isinstance(spec, GaussianLocationSpec):
+        gen.standard_normal(out=row)
+        row *= spec.sigma
+        row += theta
+    elif isinstance(spec, BoundedProductSpec):
+        gen.random(out=row)
+        if spec.law == TWO_POINT:
+            # [u < p] as 1.0 / 0.0, then 2 z - 1: the +/-1 of np.where
+            np.less(row, (1.0 + theta) / 2.0, out=row)
+            row *= 2.0
+            row -= 1.0
+        else:
+            row *= 2.0
+            row -= 1.0
+            row *= 1.0 - np.abs(theta)
+            row += theta
+    elif isinstance(spec, UniformLocationSpec):
+        gen.random(out=row)
+        row *= 2.0
+        row -= 1.0
+        row += theta
+    elif not isinstance(spec, DesignSpec):
+        raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
+    elif isinstance(spec, RegressionSpec) and spec.sigma == 0:
+        # the noiseless model draws nothing; + 0.0 turns a -0.0 mean into +0.0
+        row[...] = spec.designs[i] @ spec.theta + 0.0
+    elif isinstance(spec, RegressionSpec):
+        gen.standard_normal(out=row)
+        row *= spec.sigma
+        row += spec.designs[i] @ spec.theta
+    else:
+        gen.standard_normal(out=row)
+        row += spec.designs[i] @ spec.theta
+        np.greater_equal(row, 0, out=row)
+
+
 def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
     """Batch of i.i.d. trials, one stream per machine.
 
     Returns shape (trials, m, d, n) for mean families and (trials, m, n) for
-    regression / probit responses. Trial 0 reproduces sample() bit for bit,
-    and drawing in chunks from the same generators is equivalent to drawing
-    all trials at once. Each machine's draw fills its row in place with each
-    family's formula in its order of operations: theta + sigma * z, for
-    example, is row *= sigma; row += theta, which IEEE + and * make the same
-    bytes.
+    regression / probit responses: machine i's draw_row, stacked. Trial 0
+    reproduces sample() bit for bit, and drawing in chunks from the same
+    generators is equivalent to drawing all trials at once.
     """
-    theta = spec.theta[:, None]
-
-    def fill(i, gen, row):
-        if isinstance(spec, GaussianLocationSpec):
-            gen.standard_normal(out=row)
-            row *= spec.sigma
-            row += theta
-        elif isinstance(spec, BoundedProductSpec):
-            gen.random(out=row)
-            if spec.law == TWO_POINT:
-                # [u < p] as 1.0 / 0.0, then 2 z - 1: the +/-1 of np.where
-                np.less(row, (1.0 + theta) / 2.0, out=row)
-                row *= 2.0
-                row -= 1.0
-            else:
-                row *= 2.0
-                row -= 1.0
-                row *= 1.0 - np.abs(theta)
-                row += theta
-        elif isinstance(spec, UniformLocationSpec):
-            gen.random(out=row)
-            row *= 2.0
-            row -= 1.0
-            row += theta
-        elif not isinstance(spec, DesignSpec):
-            raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
-        elif isinstance(spec, RegressionSpec) and spec.sigma == 0:
-            # the noiseless model draws nothing; + 0.0 turns a -0.0 mean into +0.0
-            row[...] = spec.designs[i] @ spec.theta + 0.0
-        elif isinstance(spec, RegressionSpec):
-            gen.standard_normal(out=row)
-            row *= spec.sigma
-            row += spec.designs[i] @ spec.theta
-        else:
-            gen.standard_normal(out=row)
-            row += spec.designs[i] @ spec.theta
-            np.greater_equal(row, 0, out=row)
-
-    shape = (trials, spec.n) if isinstance(spec, DesignSpec) else (trials, spec.d, n)
-    return machine_rows(gens, shape, fill)
+    return machine_rows(gens, (trials, *row_shape(spec, n)),
+                        lambda i, gen, row: draw_row(spec, i, gen, row))
 
 
 def run_shape(spec, m: int = None, n: int = None):

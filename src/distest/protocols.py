@@ -3,15 +3,17 @@
 Each protocol has a reference function that runs one trial and returns a
 ProtocolOutput holding the estimate and the exact Transcript it would put on
 the wire; tests call these. A reference takes the sample as the array
-families.sample returns, which is the kernels' per-trial block blocks[t]:
-(m, d, n) for the mean families, (m, n) responses for the design families.
-estimate_risk measures mean-squared error and bit statistics over many
-seeded trials without building transcripts: PROTOCOLS maps each protocol id
-to its transcript kind, the spec types it runs on and a kernel that runs a
-whole chunk of trials as arrays, with the reference's estimates and bit
-counts trial by trial. The probit kernels solve all trials of a chunk at
-once with probit_mle_batched, which repeats probit_mle operation for
-operation on a stack of problems.
+families.sample returns: (m, d, n) for the mean families, (m, n) responses
+for the design families. estimate_risk measures mean-squared error and bit
+statistics over many seeded trials without building transcripts. PROTOCOLS
+maps each protocol id to its transcript kind, the spec types it runs on and
+its two steps: a local step that reduces one machine's block of a chunk of
+trials to the messages it sends, and a fusion step that turns the chunk's
+messages from all machines into the estimates, bit counts and flags the
+reference gives trial by trial. run_chunks streams the machines, so a chunk
+never holds more than one machine's raw block. The probit local step solves
+all trials of a chunk at once with probit_mle_batched, which repeats
+probit_mle operation for operation on a stack of problems.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
                     encode_improvement_message, pack_fields, quantize,
                     dequantize, transcript_total_bits)  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
+# draw_trials is not called here either (estimate_risk draws machine by
+# machine with draw_row); it stays importable for the same reason.
 from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
-                       RegressionSpec, UniformLocationSpec, draw_trials,
-                       machine_rows, machine_streams, run_shape)
+                       RegressionSpec, UniformLocationSpec, draw_row,
+                       draw_trials, machine_streams, row_shape,  # noqa: F401
+                       run_shape)
 
 
 def __getattr__(name):
@@ -199,16 +204,12 @@ def uniform_interactive_min(samples) -> ProtocolOutput:
                           {"improved": improved})
 
 
-def _local_least_squares(spec: RegressionSpec):
-    """Per-machine solve operators (A^T A)^-1 A^T, computed once."""
-    solvers = []
-    for a in spec.designs:
-        gram = a.T @ a
-        try:
-            solvers.append(np.linalg.solve(gram, a.T))
-        except np.linalg.LinAlgError as err:
-            raise DegenerateDesignError(f"singular local Gram: {err}") from err
-    return solvers
+def _local_solver(design):
+    """A machine's solve operator (A^T A)^-1 A^T."""
+    try:
+        return np.linalg.solve(design.T @ design, design.T)
+    except np.linalg.LinAlgError as err:
+        raise DegenerateDesignError(f"singular local Gram: {err}") from err
 
 
 def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
@@ -222,9 +223,8 @@ def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
     y = np.asarray(responses, dtype=float)
     if y.shape != (m, n):
         raise InvalidArgumentError(f"responses must have shape {(m, n)}")
-    solvers = _local_least_squares(spec)
     qspec = _local_average_grid(m, n)
-    local = np.stack([solvers[i] @ y[i] for i in range(m)])
+    local = np.stack([_local_solver(spec.designs[i]) @ y[i] for i in range(m)])
     idx = quantize(np.clip(local, -1.0, 1.0), qspec)
     messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
     theta_hat = dequantize(idx, qspec).mean(axis=0)
@@ -405,73 +405,89 @@ def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
                           {"flagged": flagged})
 
 
-def centralized_baseline(spec, samples) -> np.ndarray:
-    """Family-appropriate estimator with access to the pooled sample.
+def centralized_baseline(spec, samples):
+    """Family-appropriate estimator with access to the pooled sample, and
+    whether it is flagged.
 
     Gaussian / bounded: pooled mean; uniform: pooled per-coordinate minimum
-    plus one; regression: pooled least squares; probit: pooled MLE.
+    plus one; regression: pooled least squares; probit: pooled MLE, flagged
+    as probit_mle flags it. Only the probit estimate can be flagged.
     """
     x = np.asarray(samples, dtype=float)
     if isinstance(spec, (GaussianLocationSpec, BoundedProductSpec)):
-        return x.mean(axis=(0, 2))
+        return x.mean(axis=(0, 2)), False
     if isinstance(spec, UniformLocationSpec):
-        return x.min(axis=(0, 2)) + 1.0
+        return x.min(axis=(0, 2)) + 1.0, False
     if isinstance(spec, RegressionSpec):
         sol, *_ = np.linalg.lstsq(np.vstack(spec.designs), x.ravel(), rcond=None)
-        return sol
+        return sol, False
     if isinstance(spec, ProbitSpec):
-        est, _ = probit_mle(np.vstack(spec.designs), x.ravel())
-        return est
+        return probit_mle(np.vstack(spec.designs), x.ravel())
     raise InvalidArgumentError(f"no centralized baseline for {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
-# trial-batched kernels
+# streaming kernels
 #
-# A kernel runs one chunk of k trials at once. blocks is the draw_trials
-# array, (k, m, d, n) for the mean families and (k, m, n) for the design
-# families; uniforms is the (k, m, d) TAG_PROTOCOL array of a randomized
-# protocol and None otherwise. It returns theta_hat (k, d), bits (k,) and
-# flagged (k,), equal trial by trial to what the reference function above
-# gives for that trial, and builds no transcript.
+# estimate_risk runs a chunk of k trials machine by machine, the way the
+# protocols run: machine i's data is one reused row, (k, d, n) for the mean
+# families and (k, n) for the design families, and a randomized protocol gets
+# the machine's (k, d) TAG_PROTOCOL uniforms with it (None otherwise). A
+# protocol's local step reduces the row to what the machine puts on the wire,
+# (k, ...), which fills machine i's column of the chunk's (k, m, ...) message
+# buffer. Its fusion step turns the buffer into theta_hat (k, d), bits (k,)
+# and flagged (k,), equal trial by trial to what the reference function above
+# gives for that trial, and builds no transcript. The buffer is C-contiguous
+# in the references' (machine, coordinate) order, so a float reduction over
+# machines adds in their order.
 
 def _fixed(k: int, bits: int):
     """bits and flagged of a chunk whose transcripts all have one length."""
     return np.full(k, bits, dtype=np.int64), np.zeros(k, dtype=bool)
 
 
-def _single_mean_kernel(spec, blocks, uniforms, budget_bits):
+def _single_mean_local(spec, i, row, uniforms):
+    # the mean of the [0, 1] image (1 + x) / 2, as the reference averages it;
+    # the row is scratch that the next draw refills, so it is mapped in place
+    row += 1.0
+    row /= 2.0
+    return row.mean(axis=2)
+
+
+def _single_mean_fuse(spec, messages, n, budget_bits):
     if budget_bits < 1:
         raise InvalidArgumentError("budget must be at least one bit")
     qspec = QuantizerSpec(0.0, 1.0, budget_bits, codec.ROUND_NEAREST)
-    means = ((1.0 + blocks[:, 0, 0, :]) / 2.0).mean(axis=1)
-    return (dequantize(quantize(means, qspec), qspec)[:, None],
-            *_fixed(len(blocks), budget_bits))
+    return (dequantize(quantize(messages[:, 0], qspec), qspec),
+            *_fixed(len(messages), budget_bits))
 
 
-def _gauss_qavg_kernel(spec, blocks, uniforms, budget_bits):
-    k, m, d, n = blocks.shape
+def _gauss_qavg_fuse(spec, messages, n, budget_bits):
+    k, m, d = messages.shape
     qspec = _gauss_qavg_grid(spec.sigma, m, n)
-    idx = quantize(np.ascontiguousarray(blocks.mean(axis=3)), qspec)
+    idx = quantize(messages, qspec)
     return dequantize(idx, qspec).mean(axis=1), *_fixed(k, m * d * qspec.bits)
 
 
-def _onebit_kernel(spec, blocks, uniforms, budget_bits):
-    x = blocks[..., 0]
+def _onebit_local(spec, i, row, uniforms):
+    x = row[..., 0]
     if np.any(np.abs(x) > 1 + 1e-12):
         raise InvalidArgumentError("one-bit inputs must lie in [-1, 1]")
-    k, m, d = x.shape
+    return uniforms < (1.0 + x) / 2.0
+
+
+def _onebit_fuse(spec, messages, n, budget_bits):
+    k, m, d = messages.shape
     # the sum of m values of +/-1 is an exact integer, so this equals
     # mean(2 z - 1) bit for bit
-    ones = (uniforms < (1.0 + x) / 2.0).sum(axis=1)
+    ones = messages.sum(axis=1)
     return (2.0 * ones - m) / m, *_fixed(k, m * d)
 
 
-def _uniform_min_kernel(spec, blocks, uniforms, budget_bits):
-    k, m, d, n = blocks.shape
+def _uniform_min_fuse(spec, local_min, n, budget_bits):
+    k, m, d = local_min.shape
     vbits = uniform_min_value_bits(m, n)
     qspec = QuantizerSpec(-2.0, 2.0, vbits, codec.ROUND_DOWN)
-    local_min = blocks.min(axis=3)                         # (k, m, d)
     # Round-down quantization is monotone, so the fusion state after machine
     # i is q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
     # coordinates where local_min_i < state_{i-1}.
@@ -481,45 +497,46 @@ def _uniform_min_kernel(spec, blocks, uniforms, budget_bits):
     return state[:, -1] + 1.0, bits, np.zeros(k, dtype=bool)
 
 
-def _regress_avg_kernel(spec, blocks, uniforms, budget_bits):
-    k, m, n = blocks.shape
+def _regress_local(spec, i, row, uniforms):
+    # a stack of matrix-vector products: one gemv per trial, the same BLAS
+    # call (and rounding) as solvers[i] @ y[i] in the reference
+    return (_local_solver(spec.designs[i]) @ row[..., None])[..., 0]
+
+
+def _average_fuse(spec, sent, n, budget_bits):
+    """Fusion of the averaging schemes: truncate the (k, m, d) local
+    solutions, quantize on the 1/(mn) grid, average. A probit message
+    carries the solver's flag as one more value after them."""
+    local = sent[..., :spec.d]
+    k, m, d = local.shape
     qspec = _local_average_grid(m, n)
-    # a stack of matrix-vector products: one gemv per machine and trial, the
-    # same BLAS call (and rounding) as solvers[i] @ y[i] in the reference
-    local = (np.stack(_local_least_squares(spec)) @ blocks[..., None])[..., 0]
     idx = quantize(np.clip(local, -1.0, 1.0), qspec)
-    return dequantize(idx, qspec).mean(axis=1), *_fixed(k, m * spec.d * qspec.bits)
+    return (dequantize(idx, qspec).mean(axis=1), np.full(k, m * d * qspec.bits, dtype=np.int64),
+            sent[..., d:].any(axis=(1, 2)))
 
 
-def _probit_avg_kernel(spec, blocks, uniforms, budget_bits):
-    k, m, n = blocks.shape
-    qspec = _local_average_grid(m, n)
-    local = np.empty((k, m, spec.d))
-    bits, flagged = _fixed(k, m * spec.d * qspec.bits)
-    # one batched Newton per machine over the chunk's trials; the machine's
-    # design is shared by all of them, so a zero-stride view stands in for k
-    # copies
-    for i, design in enumerate(spec.designs):
-        local[:, i], flag = probit_mle_batched(
-            np.broadcast_to(design, (k, n, spec.d)), np.ascontiguousarray(blocks[:, i]))
-        flagged |= flag
-    idx = quantize(np.clip(local, -1.0, 1.0), qspec)
-    return dequantize(idx, qspec).mean(axis=1), bits, flagged
+def _probit_local(spec, i, row, uniforms):
+    # one batched Newton over the chunk's trials; the machine's design is
+    # shared by all of them, so a zero-stride view stands in for k copies
+    theta, flagged = probit_mle_batched(np.broadcast_to(spec.designs[i], (*row.shape, spec.d)),
+                                        row)
+    return np.column_stack((theta, flagged))
 
 
-def _centralized_kernel(spec, blocks, uniforms, budget_bits):
-    k = len(blocks)
+def _centralized_fuse(spec, pooled, n, budget_bits):
+    k = len(pooled)
+    bits, flagged = _fixed(k, 0)
     if isinstance(spec, UniformLocationSpec):
-        theta_hat = blocks.min(axis=(1, 3)) + 1.0
+        theta_hat = pooled.min(axis=(1, 3)) + 1.0
     elif isinstance(spec, MeanSpec):
-        theta_hat = np.ascontiguousarray(blocks).mean(axis=(1, 3))
+        theta_hat = pooled.mean(axis=(1, 3))
     elif isinstance(spec, ProbitSpec):
-        pooled = np.vstack(spec.designs)
-        theta_hat, _ = probit_mle_batched(np.broadcast_to(pooled, (k, *pooled.shape)),
-                                          blocks.reshape(k, -1))
+        design = np.vstack(spec.designs)
+        theta_hat, flagged = probit_mle_batched(np.broadcast_to(design, (k, *design.shape)),
+                                                pooled.reshape(k, -1))
     else:
-        theta_hat = np.stack([centralized_baseline(spec, block) for block in blocks])
-    return theta_hat, *_fixed(k, 0)
+        theta_hat = np.stack([centralized_baseline(spec, block)[0] for block in pooled])
+    return theta_hat, bits, flagged
 
 
 # ---------------------------------------------------------------------------
@@ -531,31 +548,71 @@ class Protocol:
 
     kind: str                 # transcript kind reported in the RiskReport
     accepts: tuple            # spec types the protocol runs on
-    kernel: Callable          # (spec, blocks, uniforms, budget_bits) -> (theta_hat, bits, flagged)
+    local: Callable           # (spec, i, row, uniforms) -> machine i's (k, ...) messages
+    fuse: Callable            # (spec, messages, n, budget_bits) -> (theta_hat, bits, flagged)
     bound: str = None         # lower-bound formula id replacing the family's
-    randomized: bool = False  # the kernel reads (k, m, d) TAG_PROTOCOL uniforms
+    randomized: bool = False  # the local step reads (k, d) TAG_PROTOCOL uniforms
+    # values one machine sends per trial, from d and its row's values per trial
+    sends: Callable = lambda d, row_values: d
 
 
 PROTOCOLS = {
-    "single_mean": Protocol(INDEPENDENT, (BoundedProductSpec,), _single_mean_kernel,
-                            bound="prop1"),
-    "gauss_qavg": Protocol(INDEPENDENT, (GaussianLocationSpec,), _gauss_qavg_kernel),
-    "onebit": Protocol(INDEPENDENT, (MeanSpec,), _onebit_kernel, bound="prop2",
-                       randomized=True),
-    "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), _uniform_min_kernel),
-    "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_avg_kernel),
-    "probit_avg": Protocol(INDEPENDENT, (DesignSpec,), _probit_avg_kernel),
-    "centralized": Protocol("centralized", (MeanSpec, DesignSpec), _centralized_kernel),
+    "single_mean": Protocol(INDEPENDENT, (BoundedProductSpec,), _single_mean_local,
+                            _single_mean_fuse, bound="prop1"),
+    "gauss_qavg": Protocol(INDEPENDENT, (GaussianLocationSpec,),
+                           lambda spec, i, row, u: row.mean(axis=2), _gauss_qavg_fuse),
+    "onebit": Protocol(INDEPENDENT, (MeanSpec,), _onebit_local, _onebit_fuse,
+                       bound="prop2", randomized=True),
+    "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
+                            _uniform_min_fuse),
+    "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local, _average_fuse),
+    "probit_avg": Protocol(INDEPENDENT, (DesignSpec,), _probit_local, _average_fuse,
+                           sends=lambda d, row_values: d + 1),
+    # the centralized estimator sees all the data: each machine sends its row
+    "centralized": Protocol("centralized", (MeanSpec, DesignSpec), lambda spec, i, row, u: row,
+                            _centralized_fuse, sends=lambda d, row_values: row_values),
 }
 
 
-# Values drawn per chunk of trials (32 MB of float64).
+# Ceiling of a simulate config: values in one trial's m * d * n, and trials.
 CHUNK_VALUES = 4_000_000
 
+# Working-set budget of estimate_risk: one chunk's message buffer and one
+# machine's row each hold at most this many values (32 MB of float64), or
+# one trial's worth where a single trial is larger.
+WORKING_VALUES = 4_000_000
 
-def _chunk_sizes(trials: int, per_trial_values: int):
-    chunk = max(1, int(CHUNK_VALUES // max(1, per_trial_values)))
+
+def _chunk_sizes(trials: int, message_values: int, row_values: int):
+    """Trials per chunk, so that message_values and row_values per trial
+    each fit WORKING_VALUES."""
+    chunk = max(1, int(WORKING_VALUES // max(1, message_values, row_values)))
     return [min(chunk, trials - start) for start in range(0, trials, chunk)]
+
+
+def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
+               budget_bits: int = None):
+    """Yield (theta_hat, bits, flagged) of each chunk of sizes[c] trials.
+
+    Machine by machine, draw_row fills one reused row from data_gens[i] (and
+    a randomized protocol's uniforms from proto_gens[i]), and the protocol's
+    local step writes what the machine sends into the chunk's message buffer;
+    the fusion step then runs on the buffer. sizes[0] is the largest chunk.
+    """
+    rec = PROTOCOLS[protocol]
+    row = np.empty((sizes[0], *row_shape(spec, n)))
+    uniforms = np.empty((sizes[0], spec.d)) if rec.randomized else None
+    messages = None
+    for k in sizes:
+        for i, gen in enumerate(data_gens):
+            draw_row(spec, i, gen, row[:k])
+            if rec.randomized:
+                proto_gens[i].random(out=uniforms[:k])
+            sent = rec.local(spec, i, row[:k], uniforms[:k] if rec.randomized else None)
+            if messages is None:
+                messages = np.empty((sizes[0], len(data_gens), *sent.shape[1:]), sent.dtype)
+            messages[:k, i] = sent
+        yield rec.fuse(spec, messages[:k], n, budget_bits)
 
 
 def estimate_risk(protocol: str, spec, trials: int, seed: int,
@@ -565,7 +622,7 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     Deterministic given (protocol, spec, trials, seed): data for machine i
     comes from its TAG_DATA stream, protocol randomness from its TAG_PROTOCOL
     stream, trials consuming consecutive blocks. Trials run in chunks through
-    the protocol's kernel; the results equal those of the reference
+    run_chunks, machine by machine; the results equal those of the reference
     functions, trial by trial.
     """
     if trials < 2:
@@ -592,19 +649,17 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     d = spec.d
     # single_mean works on [0, 1]; the bounded family maps to it affinely
     theta_true = (1.0 + spec.theta) / 2.0 if protocol == "single_mean" else spec.theta
-    data_gens = machine_streams(seed, m, TAG_DATA)
-    proto_gens = machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized else None
+    row_values = math.prod(row_shape(spec, n))
+    sizes = _chunk_sizes(trials, m * rec.sends(d, row_values), row_values)
+    chunks = run_chunks(protocol, spec, n, sizes, machine_streams(seed, m, TAG_DATA),
+                        machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized else None,
+                        budget_bits)
 
     sqerr = np.empty(trials)
     bits = np.empty(trials, dtype=np.int64)
     flagged = 0
     pos = 0
-    for k in _chunk_sizes(trials, m * d * n):
-        uniforms = (machine_rows(proto_gens, (k, d), lambda i, gen, row: gen.random(out=row))
-                    if rec.randomized else None)
-        theta_hat, chunk_bits, chunk_flagged = rec.kernel(
-            spec, draw_trials(spec, data_gens, n, k), uniforms, budget_bits)
-        del uniforms  # this chunk's arrays are freed before the next is drawn
+    for k, (theta_hat, chunk_bits, chunk_flagged) in zip(sizes, chunks):
         diff = theta_hat - theta_true
         # a stack of (1, d) @ (d, 1) products is one ddot per trial, the same
         # rounding as diff @ diff on a single trial

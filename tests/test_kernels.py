@@ -1,8 +1,10 @@
-"""Trial-batched kernels against the single-trial reference functions.
+"""Streaming kernels against the single-trial reference functions.
 
-Every kernel in protocols.PROTOCOLS must give, trial by trial, exactly the
-estimate, transcript length and flag of the reference function that builds
-the transcript. The comparisons are np.array_equal, never a tolerance.
+Every protocol in protocols.PROTOCOLS, its local step run machine by machine
+by run_chunks and its fusion step on the messages, must give, trial by
+trial, exactly the estimate, transcript length and flag of the reference
+function that builds the transcript. The comparisons are np.array_equal,
+never a tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from distest.protocols import (PROTOCOLS, centralized_baseline,
                                gaussian_quantized_average, onebit_bounded_mean,
                                probit_local_average, probit_mle,
                                probit_mle_batched, regression_local_average,
-                               single_machine_quantized_mean,
+                               run_chunks, single_machine_quantized_mean,
                                uniform_interactive_min)
 
 TRIALS = 60
@@ -55,7 +57,8 @@ def make_spec(family, m, n, d, seed=3):
 def reference(protocol, spec, block, u, budget_bits):
     """(theta_hat, bits, flagged) of one trial, from the reference function."""
     if protocol == "centralized":
-        return centralized_baseline(spec, block), 0, False
+        theta_hat, flagged = centralized_baseline(spec, block)
+        return theta_hat, 0, flagged
     if protocol == "single_mean":
         out = single_machine_quantized_mean((1.0 + block[0].ravel()) / 2.0, budget_bits)
     elif protocol in ("regress_avg", "probit_avg"):
@@ -80,10 +83,18 @@ def chunk(protocol, spec, m, n, seed=5, trials=TRIALS):
     return blocks, uniforms
 
 
+def kernel(protocol, spec, m, n, seed=5, trials=TRIALS, budget_bits=None):
+    """(theta_hat, bits, flagged) of one chunk of trials, streamed machine by
+    machine from the streams chunk() draws from."""
+    proto_gens = (machine_streams(seed, m, TAG_PROTOCOL)
+                  if PROTOCOLS[protocol].randomized else None)
+    return next(run_chunks(protocol, spec, n, [trials], machine_streams(seed, m),
+                           proto_gens, budget_bits))
+
+
 def assert_kernel_matches_reference(protocol, spec, m, n, budget_bits=None):
     blocks, uniforms = chunk(protocol, spec, m, n)
-    theta_hat, bits, flagged = PROTOCOLS[protocol].kernel(spec, blocks, uniforms,
-                                                          budget_bits)
+    theta_hat, bits, flagged = kernel(protocol, spec, m, n, budget_bits=budget_bits)
     assert theta_hat.shape == (TRIALS, spec.d)
     assert bits.shape == flagged.shape == (TRIALS,)
     for t in range(TRIALS):
@@ -168,9 +179,10 @@ def test_probit_kernel_covers_flagged_trials():
 def test_centralized_probit_kernel_covers_flagged_trials():
     m, n = 3, 2
     spec = make_spec("probit_separable", m, n, 1)
-    blocks, _ = assert_kernel_matches_reference("centralized", spec, m, n)
+    blocks, flagged = assert_kernel_matches_reference("centralized", spec, m, n)
     pooled = np.vstack(spec.designs)
     flags = [probit_mle(pooled, block.ravel())[1] for block in blocks]
+    assert np.array_equal(flagged, flags)
     assert any(flags) and not all(flags)
 
 
@@ -191,7 +203,7 @@ def test_singular_probit_hessian_is_flagged_by_kernel_and_reference(monkeypatch)
             raise
 
     monkeypatch.setattr(np.linalg, "solve", counting)
-    theta_hat, bits, flagged = PROTOCOLS["probit_avg"].kernel(spec, blocks, None, None)
+    theta_hat, bits, flagged = kernel("probit_avg", spec, m, n, seed=seed, trials=50)
     # a stacked solve failed, and so did a single problem's, in the kernel
     assert 3 in singular and 2 in singular
     for t, block in enumerate(blocks):
@@ -290,9 +302,8 @@ def test_batched_newton_on_a_broadcast_design():
 
 def test_onebit_kernel_rejects_out_of_range_inputs():
     spec = make_spec("gaussian", 4, 1, 2)
-    blocks, uniforms = chunk("onebit", spec, 4, 1)
     with pytest.raises(InvalidArgumentError, match="one-bit inputs"):
-        PROTOCOLS["onebit"].kernel(spec, blocks, uniforms, None)
+        kernel("onebit", spec, 4, 1)
 
 
 def test_protocol_uniforms_match_per_machine_draws():
@@ -305,14 +316,21 @@ def test_protocol_uniforms_match_per_machine_draws():
 
 
 @pytest.mark.parametrize("protocol,family,m,n,d", [
-    ("onebit", "bounded_two_point", 6, 1, 3),
-    ("uniform_min", "uniform", 5, 4, 2),
-    ("probit_avg", "probit_separable", 3, 4, 1),
     ("single_mean", "bounded_uniform", 1, 16, 1),
+    ("gauss_qavg", "gaussian", 5, 3, 2),
+    ("onebit", "bounded_two_point", 6, 1, 3),
+    ("onebit", "bounded_two_point", 150, 1, 4),     # messages set the chunk size
+    ("uniform_min", "uniform", 5, 4, 2),
+    ("regress_avg", "regression", 4, 6, 2),
+    ("probit_avg", "probit_separable", 3, 4, 1),
+    ("centralized", "gaussian", 4, 3, 2),
+    ("centralized", "probit_separable", 3, 2, 1),
 ])
 def test_estimate_risk_matches_reference_loop(monkeypatch, protocol, family, m, n, d):
-    """Chunked kernels and the array reduction give the report a per-trial
-    loop over the reference functions gives, for any chunk size."""
+    """Streamed chunks and the array reduction give the report a per-trial
+    loop over the reference functions gives, for any chunk size: the whole
+    run in one chunk, chunks of 7 trials, and the chunks of a 2500-value
+    working-set budget."""
     spec = make_spec(family, m, n, d)
     trials = 45
     blocks, uniforms = chunk(protocol, spec, m, n, seed=21, trials=trials)
@@ -331,7 +349,19 @@ def test_estimate_risk_matches_reference_loop(monkeypatch, protocol, family, m, 
                                 float(bits.mean()), int(bits.max()),
                                 PROTOCOLS[protocol].kind, flagged)
     kw = {} if isinstance(spec, DesignSpec) else {"m": m, "n": n}
-    assert protocols.estimate_risk(protocol, spec, trials, 21, budget_bits=5, **kw) == want
+
+    def risk():
+        return protocols.estimate_risk(protocol, spec, trials, 21, budget_bits=5, **kw)
+
+    assert risk() == want
+    chunk_sizes = protocols._chunk_sizes
     monkeypatch.setattr(protocols, "_chunk_sizes",
-                        lambda total, per_trial: [min(7, total - s) for s in range(0, total, 7)])
-    assert protocols.estimate_risk(protocol, spec, trials, 21, budget_bits=5, **kw) == want
+                        lambda total, *per_trial: [min(7, total - s) for s in range(0, total, 7)])
+    assert risk() == want
+    sizes = []
+    monkeypatch.setattr(protocols, "_chunk_sizes",
+                        lambda *args: sizes.extend(chunk_sizes(*args)) or sizes)
+    monkeypatch.setattr(protocols, "WORKING_VALUES", 2500)
+    assert risk() == want
+    if m == 150:    # 600 message values per trial against a 4-value row
+        assert sizes == [4] * 11 + [1]

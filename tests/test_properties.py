@@ -22,13 +22,13 @@ from distest.codec import (QuantizerSpec, bits_for_accuracy, ceil_log2,
                            transcript_total_bits, unpack_fields)
 from distest.designs import build_designs
 from distest.errors import ConfigError, InvalidArgumentError
-from distest.families import (BoundedProductSpec, GaussianLocationSpec,
-                              RegressionSpec, UniformLocationSpec,
-                              draw_trials, machine_streams)
+from distest.families import (TAG_PROTOCOL, BoundedProductSpec,
+                              GaussianLocationSpec, RegressionSpec,
+                              UniformLocationSpec, draw_trials, machine_streams)
 from distest.protocols import (PROTOCOLS, gauss_qavg_message_bits,
                                gaussian_quantized_average, onebit_bounded_mean,
                                regress_avg_message_bits,
-                               regression_local_average,
+                               regression_local_average, run_chunks,
                                uniform_interactive_min, uniform_min_value_bits)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -195,26 +195,31 @@ def test_bits_for_accuracy_delivers_eps(lo, width, eps):
 def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
     trials = 4
 
+    def kernel_bits(protocol, spec, n):
+        proto_gens = (machine_streams(seed, m, TAG_PROTOCOL)
+                      if PROTOCOLS[protocol].randomized else None)
+        _, bits, _ = next(run_chunks(protocol, spec, n, [trials],
+                                     machine_streams(seed, m), proto_gens))
+        return bits, draw_trials(spec, machine_streams(seed, m), n, trials)
+
     spec = GaussianLocationSpec(np.zeros(d), 0.9)
-    blocks = draw_trials(spec, machine_streams(seed, m), n, trials)
-    _, bits, _ = PROTOCOLS["gauss_qavg"].kernel(spec, blocks, None, None)
+    bits, blocks = kernel_bits("gauss_qavg", spec, n)
     ref = [transcript_total_bits(
         gaussian_quantized_average(blocks[t], 0.9).transcript)
         for t in range(trials)]
     assert list(bits) == ref == [m * gauss_qavg_message_bits(d, 0.9, m, n)] * trials
 
     spec = BoundedProductSpec(np.zeros(d), "two_point")
-    blocks = draw_trials(spec, machine_streams(seed, m), 1, trials)
-    uniforms = np.random.default_rng(seed).random((trials, m, d))
-    _, bits, _ = PROTOCOLS["onebit"].kernel(spec, blocks, uniforms, None)
+    bits, blocks = kernel_bits("onebit", spec, 1)
+    uniforms = np.stack([g.random((trials, d))
+                         for g in machine_streams(seed, m, TAG_PROTOCOL)], axis=1)
     ref = [transcript_total_bits(
         onebit_bounded_mean(blocks[t], uniforms[t]).transcript)
         for t in range(trials)]
     assert list(bits) == ref == [m * d] * trials
 
     spec = UniformLocationSpec(np.zeros(d))
-    blocks = draw_trials(spec, machine_streams(seed, m), n, trials)
-    _, bits, _ = PROTOCOLS["uniform_min"].kernel(spec, blocks, None, None)
+    bits, blocks = kernel_bits("uniform_min", spec, n)
     vbits = uniform_min_value_bits(m, n)
     for t in range(trials):
         out = uniform_interactive_min(blocks[t])
@@ -224,8 +229,7 @@ def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
 
     rows = max(n, d)
     spec = RegressionSpec(build_designs("orthogonal", m, rows, d, seed), np.zeros(d), 1.0)
-    blocks = draw_trials(spec, machine_streams(seed, m), rows, trials)
-    _, bits, _ = PROTOCOLS["regress_avg"].kernel(spec, blocks, None, None)
+    bits, blocks = kernel_bits("regress_avg", spec, rows)
     ref = [transcript_total_bits(regression_local_average(spec, blocks[t]).transcript)
            for t in range(trials)]
     assert list(bits) == ref == [m * regress_avg_message_bits(d, m, rows)] * trials

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from distest import codec, families
+from distest import codec, families, protocols
 from distest.codec import transcript_total_bits
 from distest.designs import build_designs
 from distest.errors import InvalidArgumentError
@@ -254,8 +255,8 @@ class TestCentralizedBaselines:
     def test_regression_noiseless_exact(self):
         designs = build_designs("orthogonal", 3, 10, 2, seed=5)
         spec = RegressionSpec(designs, np.array([0.3, -0.7]), 0.0)
-        est = centralized_baseline(spec, sample(spec, seed=0))
-        assert np.allclose(est, spec.theta, atol=1e-10)
+        est, flagged = centralized_baseline(spec, sample(spec, seed=0))
+        assert np.allclose(est, spec.theta, atol=1e-10) and not flagged
 
 
 class TestEstimateRisk:
@@ -272,6 +273,25 @@ class TestEstimateRisk:
         assert a == b
         c = estimate_risk("onebit", spec, trials=200, seed=6, m=10, n=1)
         assert a != c
+
+    def test_working_set_is_the_messages_and_a_few_machine_rows(self):
+        """2500 trials of m * d = 3200 one-bit inputs are 8e6 values. The run
+        holds one chunk's (k, m, d) bool messages and a few (k, d) float64
+        machine rows; the 1 MiB covers the 800 generators and the per-trial
+        error and bit arrays. A small run first makes the one-time imports
+        and caches, which are not part of the working set."""
+        d, m, trials = 8, 400, 2500
+        spec = BoundedProductSpec(np.zeros(d), "two_point")
+        estimate_risk("onebit", spec, trials=2, seed=1, m=2, n=1)
+        k = protocols.WORKING_VALUES // (m * d)
+        messages, row = k * m * d, k * d * 8
+        tracemalloc.start()
+        try:
+            estimate_risk("onebit", spec, trials=trials, seed=1, m=m, n=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= messages + 16 * row + 2**20
 
     def test_validation(self):
         spec = BoundedProductSpec(np.zeros(4), "two_point")
