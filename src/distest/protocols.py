@@ -33,8 +33,10 @@ from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
                     encode_improvement_message, pack_fields, quantize,
                     dequantize, transcript_total_bits)  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
-# draw_trials is not called here either (estimate_risk draws machine by
-# machine with draw_row); it stays importable for the same reason.
+# draw_trials is not called here either: estimate_risk draws machine by
+# machine with draw_row. It stays importable because bench/spans.py patches
+# it, and so that tracer's draw counters read 0 on simulate workloads until
+# it patches draw_row instead (ROADMAP item 1).
 from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
                        RegressionSpec, UniformLocationSpec, draw_row,
@@ -552,8 +554,6 @@ class Protocol:
     fuse: Callable            # (spec, messages, n, budget_bits) -> (theta_hat, bits, flagged)
     bound: str = None         # lower-bound formula id replacing the family's
     randomized: bool = False  # the local step reads (k, d) TAG_PROTOCOL uniforms
-    # values one machine sends per trial, from d and its row's values per trial
-    sends: Callable = lambda d, row_values: d
 
 
 PROTOCOLS = {
@@ -566,27 +566,27 @@ PROTOCOLS = {
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
                             _uniform_min_fuse),
     "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local, _average_fuse),
-    "probit_avg": Protocol(INDEPENDENT, (DesignSpec,), _probit_local, _average_fuse,
-                           sends=lambda d, row_values: d + 1),
+    "probit_avg": Protocol(INDEPENDENT, (DesignSpec,), _probit_local, _average_fuse),
     # the centralized estimator sees all the data: each machine sends its row
     "centralized": Protocol("centralized", (MeanSpec, DesignSpec), lambda spec, i, row, u: row,
-                            _centralized_fuse, sends=lambda d, row_values: row_values),
+                            _centralized_fuse),
 }
 
 
 # Ceiling of a simulate config: values in one trial's m * d * n, and trials.
 CHUNK_VALUES = 4_000_000
 
-# Working-set budget of estimate_risk: one chunk's message buffer and one
-# machine's row each hold at most this many values (32 MB of float64), or
-# one trial's worth where a single trial is larger.
+# Working-set budget of estimate_risk: a chunk's trials draw at most this
+# many values, m * d * n per trial (32 MB of float64), or one trial's worth
+# where a single trial is larger. One machine's row, and the (k, n, d)
+# stack its local solver works on, are at most 1/m of that. A machine sends
+# at most d * n values per trial, so the message buffer fits too, except
+# probit's d + 1 at d = n = 1.
 WORKING_VALUES = 4_000_000
 
 
-def _chunk_sizes(trials: int, message_values: int, row_values: int):
-    """Trials per chunk, so that message_values and row_values per trial
-    each fit WORKING_VALUES."""
-    chunk = max(1, int(WORKING_VALUES // max(1, message_values, row_values)))
+def _chunk_sizes(trials: int, per_trial_values: int):
+    chunk = max(1, int(WORKING_VALUES // max(1, per_trial_values)))
     return [min(chunk, trials - start) for start in range(0, trials, chunk)]
 
 
@@ -649,8 +649,7 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     d = spec.d
     # single_mean works on [0, 1]; the bounded family maps to it affinely
     theta_true = (1.0 + spec.theta) / 2.0 if protocol == "single_mean" else spec.theta
-    row_values = math.prod(row_shape(spec, n))
-    sizes = _chunk_sizes(trials, m * rec.sends(d, row_values), row_values)
+    sizes = _chunk_sizes(trials, m * d * n)
     chunks = run_chunks(protocol, spec, n, sizes, machine_streams(seed, m, TAG_DATA),
                         machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized else None,
                         budget_bits)

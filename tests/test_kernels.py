@@ -319,7 +319,7 @@ def test_protocol_uniforms_match_per_machine_draws():
     ("single_mean", "bounded_uniform", 1, 16, 1),
     ("gauss_qavg", "gaussian", 5, 3, 2),
     ("onebit", "bounded_two_point", 6, 1, 3),
-    ("onebit", "bounded_two_point", 150, 1, 4),     # messages set the chunk size
+    ("onebit", "bounded_two_point", 150, 1, 4),     # several chunks of a small budget
     ("uniform_min", "uniform", 5, 4, 2),
     ("regress_avg", "regression", 4, 6, 2),
     ("probit_avg", "probit_separable", 3, 4, 1),
@@ -356,12 +356,12 @@ def test_estimate_risk_matches_reference_loop(monkeypatch, protocol, family, m, 
     assert risk() == want
     chunk_sizes = protocols._chunk_sizes
     monkeypatch.setattr(protocols, "_chunk_sizes",
-                        lambda total, *per_trial: [min(7, total - s) for s in range(0, total, 7)])
+                        lambda total, per_trial: [min(7, total - s) for s in range(0, total, 7)])
     assert risk() == want
     sizes = []
     monkeypatch.setattr(protocols, "_chunk_sizes",
                         lambda *args: sizes.extend(chunk_sizes(*args)) or sizes)
     monkeypatch.setattr(protocols, "WORKING_VALUES", 2500)
     assert risk() == want
-    if m == 150:    # 600 message values per trial against a 4-value row
+    if m == 150:    # 600 values per trial
         assert sizes == [4] * 11 + [1]

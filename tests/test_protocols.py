@@ -293,6 +293,25 @@ class TestEstimateRisk:
             tracemalloc.stop()
         assert peak <= messages + 16 * row + 2**20
 
+    def test_chunks_count_every_value_a_trial_draws(self, monkeypatch):
+        """uniform_min's fusion makes a few message-sized temporaries, and a
+        message is 1/n of what a machine draws. Sizing chunks by the
+        m * d * n drawn values keeps the buffer, those temporaries and the
+        row within one budget of float64; sizing them by the messages alone
+        would give n = 10 times the trials per chunk and about 5 budgets.
+        A small budget keeps the run small."""
+        d, m, n, trials = 4, 50, 10, 1000
+        spec = UniformLocationSpec(np.zeros(d))
+        estimate_risk("uniform_min", spec, trials=2, seed=1, m=2, n=2)
+        monkeypatch.setattr(protocols, "WORKING_VALUES", 200_000)
+        tracemalloc.start()
+        try:
+            estimate_risk("uniform_min", spec, trials=trials, seed=1, m=m, n=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * protocols.WORKING_VALUES
+
     def test_validation(self):
         spec = BoundedProductSpec(np.zeros(4), "two_point")
         with pytest.raises(InvalidArgumentError):
