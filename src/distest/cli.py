@@ -7,9 +7,8 @@ Subcommands::
     distest verify <suite>[,<suite>...] --count N --seed S [--out PATH]
 
 Exit codes: 0 success, 1 inequality violation, 2 usage or config error.
-Output CSV is byte-deterministic given the inputs and seed. The only
-environment variable honored is DISTEST_THREADS (worker count for sweep grid
-points; output order is unaffected).
+Output CSV is byte-deterministic given the inputs; distest reads no
+environment variable.
 
 Config files are flat ``key = value`` text; repeating one of the grid keys
 (theta, d, m, n, sigma, budget_bits) forms a sweep over the cartesian
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -185,9 +183,8 @@ def _error_cell(err: Exception) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
-def _simulate_point(args) -> str:
-    (protocol, family, design_kind, theta, d, m, n, sigma, budget_bits,
-     trials, seed) = args
+def _simulate_point(protocol, family, design_kind, theta, d, m, n, sigma,
+                    budget_bits, trials, seed) -> str:
     fam = FAMILIES[family]
     base = (f"{protocol},{family},{design_kind if fam.uses_designs else ''},"
             f"{d},{m},{n},{_fmt(sigma)},{';'.join(repr(v) for v in theta)},"
@@ -217,14 +214,6 @@ def _simulate_point(args) -> str:
     except (InvalidArgumentError, ConfigError, DegenerateDesignError,
             np.linalg.LinAlgError, OverflowError, FloatingPointError) as err:
         return f"{base},,,,,,,,,,{_error_cell(err)}"
-
-
-def ProcessPoolExecutor(max_workers: int):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use: its
-    modules cost about 20 ms of import time and 1.3 MB of memory, which a
-    serial run never needs."""
-    from concurrent.futures import ProcessPoolExecutor as pool
-    return pool(max_workers=max_workers)
 
 
 def run_simulate(config: dict, gnuplot_hints: bool = False):
@@ -266,25 +255,11 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
     if max(ms) * max(ds) * max(ns) > proto.CHUNK_VALUES:
         raise ConfigError(f"m * d * n = {max(ms) * max(ds) * max(ns)} values per trial "
                           f"is above the ceiling of {proto.CHUNK_VALUES}")
-    threads = os.environ.get("DISTEST_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise ConfigError(f"DISTEST_THREADS must be an integer, got {threads!r}") from None
 
-    points = [(protocol, family, design_kind, theta, d, m, n, sigma,
-               budget_bits, trials, seed)
-              for d in ds for m in ms for n in ns for sigma in sigmas
-              for budget_bits in budgets for theta in thetas]
-    if not points:
-        raise ConfigError("the sweep grid is empty")
-
-    if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            rows = list(pool.map(_simulate_point, points))
-    else:
-        rows = [_simulate_point(p) for p in points]
-
+    rows = [_simulate_point(protocol, family, design_kind, theta, d, m, n, sigma,
+                            budget_bits, trials, seed)
+            for d in ds for m in ms for n in ns for sigma in sigmas
+            for budget_bits in budgets for theta in thetas]
     lines = [SIMULATE_HEADER] + rows
     if gnuplot_hints:
         lines.append("# gnuplot: set datafile separator ','")

@@ -166,15 +166,6 @@ class ProbitSpec(DesignSpec):
     """Binary responses with P(Z=1 | a, theta) = Phi(a . theta)."""
 
 
-def machine_rows(gens, shape, fill) -> np.ndarray:
-    """(shape[0], m, *shape[1:]) view of one (m, *shape) buffer; fill(i,
-    gens[i], row) writes machine i's contiguous row of it in place."""
-    buf = np.empty((len(gens), *shape))
-    for i, (gen, row) in enumerate(zip(gens, buf)):
-        fill(i, gen, row)
-    return buf.swapaxes(0, 1)
-
-
 def row_shape(spec, n: int) -> tuple:
     """Shape of one machine's draw in one trial: (d, n) for a mean family,
     (n,) responses for a design family."""
@@ -230,12 +221,15 @@ def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
     """Batch of i.i.d. trials, one stream per machine.
 
     Returns shape (trials, m, d, n) for mean families and (trials, m, n) for
-    regression / probit responses: machine i's draw_row, stacked. Trial 0
-    reproduces sample() bit for bit, and drawing in chunks from the same
-    generators is equivalent to drawing all trials at once.
+    regression / probit responses: the transposed view of one machine-major
+    buffer whose row i is machine i's draw_row. Trial 0 reproduces sample()
+    bit for bit, and drawing in chunks from the same generators is equivalent
+    to drawing all trials at once.
     """
-    return machine_rows(gens, (trials, *row_shape(spec, n)),
-                        lambda i, gen, row: draw_row(spec, i, gen, row))
+    buf = np.empty((len(gens), trials, *row_shape(spec, n)))
+    for i, (gen, row) in enumerate(zip(gens, buf)):
+        draw_row(spec, i, gen, row)
+    return buf.swapaxes(0, 1)
 
 
 def run_shape(spec, m: int = None, n: int = None):

@@ -11,7 +11,7 @@ from distest.errors import (DegenerateDesignError, InvalidArgumentError,
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
                               UniformLocationSpec, design_eigenbounds,
-                              draw_trials, machine_rows, machine_streams,
+                              draw_trials, machine_streams,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit, sample)
 from distest.protocols import (_mean_blocks, gaussian_quantized_average,
@@ -174,9 +174,9 @@ class TestSampling:
             _mean_blocks(np.zeros((2, 3)))
         assert _mean_blocks(np.zeros((2, 1, 3)))[1:] == (2, 1, 3)
         for run in (lambda x: gaussian_quantized_average(x, 1.0),
-                    lambda x: onebit_bounded_mean(x, machine_rows(
-                        machine_streams(0, 2, TAG_PROTOCOL), (1, 3),
-                        lambda i, gen, row: gen.random(out=row))[0]),
+                    lambda x: onebit_bounded_mean(x, np.stack(
+                        [g.random((1, 3)) for g in machine_streams(0, 2, TAG_PROTOCOL)],
+                        axis=1)[0]),
                     uniform_interactive_min):
             with pytest.raises(InvalidArgumentError, match="blocks"):
                 run(np.zeros((2, 3)))

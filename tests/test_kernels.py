@@ -18,8 +18,7 @@ from distest.designs import build_designs
 from distest.errors import InvalidArgumentError
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
-                              UniformLocationSpec, draw_trials, machine_rows,
-                              machine_streams)
+                              UniformLocationSpec, draw_trials, machine_streams)
 from distest.protocols import (PROTOCOLS, centralized_baseline,
                                gaussian_quantized_average, onebit_bounded_mean,
                                probit_local_average, probit_mle,
@@ -304,15 +303,6 @@ def test_onebit_kernel_rejects_out_of_range_inputs():
     spec = make_spec("gaussian", 4, 1, 2)
     with pytest.raises(InvalidArgumentError, match="one-bit inputs"):
         kernel("onebit", spec, 4, 1)
-
-
-def test_protocol_uniforms_match_per_machine_draws():
-    m, k, d = 5, 11, 3
-    got = machine_rows(machine_streams(9, m, TAG_PROTOCOL), (k, d),
-                       lambda i, gen, row: gen.random(out=row))
-    want = np.stack([g.random((k, d)) for g in machine_streams(9, m, TAG_PROTOCOL)],
-                    axis=1)
-    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("protocol,family,m,n,d", [

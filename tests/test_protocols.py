@@ -28,7 +28,7 @@ def mean_sample(spec, m, n, seed):
 def onebit_uniforms(seed, m, d):
     """The (m, d) uniforms estimate_risk hands the one-bit scheme's first trial."""
     gens = machine_streams(seed, m, families.TAG_PROTOCOL)
-    return families.machine_rows(gens, (1, d), lambda i, gen, row: gen.random(out=row))[0]
+    return np.stack([g.random((1, d)) for g in gens], axis=1)[0]
 
 
 class TestSingleMachineQuantizedMean:
