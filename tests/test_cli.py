@@ -100,6 +100,21 @@ class TestSimulate:
         assert len(good) == 2 and len(bad) == 2
         assert "one-bit" in bad[0]
 
+    def test_each_grid_point_runs_once_in_row_order(self, monkeypatch):
+        # one serial loop: _simulate_point sees every (d, m) point exactly
+        # once, and its rows come back in the order it was called
+        calls = []
+
+        def record(*args):
+            calls.append((args[4], args[5]))
+            return f"row {len(calls)}"
+
+        monkeypatch.setattr(cli, "_simulate_point", record)
+        conf = ONEBIT_CONF.replace("d = 4\n", "d = 4\nd = 2\n")
+        lines = run_simulate(parse_config(conf))
+        assert calls == [(4, 10), (4, 20), (2, 10), (2, 20)]
+        assert lines == [SIMULATE_HEADER, "row 1", "row 2", "row 3", "row 4"]
+
     def test_row_order_d_slowest_theta_fastest(self):
         conf = ("protocol = onebit\nfamily = bounded_two_point\nn = 1\n"
                 "d = 1\nd = 2\nm = 10\nm = 20\ntheta = 0.0\ntheta = 0.5\n"
@@ -260,17 +275,17 @@ class TestEndToEnd:
         res = run_cli(["simulate", "/nonexistent/x.conf"])
         assert res.returncode == 2
 
-    def test_simulate_reads_no_environment_variable(self, tmp_path):
+    @pytest.mark.parametrize("value", ["abc", "2"])
+    def test_simulate_reads_no_environment_variable(self, tmp_path, value):
         # a DISTEST_THREADS left in the environment, valid or not, is ignored
         conf = tmp_path / "sweep.conf"
         conf.write_text(ONEBIT_CONF)
         plain = run_cli(["simulate", str(conf)])
         assert plain.returncode == 0 and len(plain.stdout.splitlines()) == 3
-        for value in ("abc", "2"):
-            res = run_cli(["simulate", str(conf)],
-                          env=dict(os.environ, DISTEST_THREADS=value))
-            assert res.returncode == 0 and res.stderr == ""
-            assert res.stdout == plain.stdout
+        res = run_cli(["simulate", str(conf)],
+                      env=dict(os.environ, DISTEST_THREADS=value))
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout == plain.stdout
 
     def test_singular_probit_hessian_is_a_flagged_trial(self, tmp_path):
         # a trial whose local Newton system is singular is flagged, like one

@@ -123,6 +123,16 @@ class TestSampling:
                                 draw_trials(spec, gens, 4, 4)])
         assert np.array_equal(whole, parts)
 
+    @pytest.mark.parametrize("spec", CHUNK_SPECS.values(), ids=CHUNK_SPECS.keys())
+    def test_each_machine_draws_into_one_contiguous_row(self, spec):
+        # draw_trials is the (trials, m, ...) view of one machine-major buffer,
+        # so every machine's (trials, ...) block is C-contiguous in memory
+        m = spec.m if isinstance(spec, DesignSpec) else 3
+        blocks = draw_trials(spec, machine_streams(4, m), 4, 5)
+        assert blocks.shape[:2] == (5, m)
+        assert all(blocks[:, i].flags.c_contiguous for i in range(m))
+        assert blocks.base is not None and blocks.base.shape[0] == m
+
     def test_gaussian_lln_smoke(self):
         spec = GaussianLocationSpec(np.array([0.0]), 1.0)
         assert sample(spec, m=2, n=3, seed=1).shape == (2, 1, 3)
