@@ -13,7 +13,10 @@ messages from all machines into the estimates, bit counts and flags the
 reference gives trial by trial. run_chunks streams the machines, so a chunk
 never holds more than one machine's raw block. The probit local step solves
 all trials of a chunk at once with probit_mle_batched, which repeats
-probit_mle operation for operation on a stack of problems.
+probit_mle operation for operation on a stack of problems that share one
+(n, d) design (or on a (P, n, d) stack of designs). Both solvers take 0/1
+responses only, raise InvalidArgumentError on any other value, and make one
+log_ndtr call per response at each likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -234,36 +237,51 @@ def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
                           {"nominal_bits_per_machine": math.ceil(d * math.log2(m * n))})
 
 
+def _binary_responses(z):
+    """z as a float array, every entry 0 or 1."""
+    z = np.asarray(z, dtype=float)
+    if not np.all((z == 0.0) | (z == 1.0)):
+        raise InvalidArgumentError("probit responses must be 0 or 1")
+    return z
+
+
 def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                diverge_norm: float = 1e3):
     """Damped Newton ascent of the concave probit log-likelihood.
 
-    Returns (theta, flagged); flagged marks separation, detected by the
-    iterate norm exceeding diverge_norm or by a singular Newton system, in
-    which case the iterate clipped to [-1, 1] is returned.
+    design is (n, d) and z holds n responses, each 0 or 1; any other
+    response raises InvalidArgumentError. With sign = 2 z - 1 and
+    s = sign * (design @ theta), response j has likelihood Phi(s_j), so each
+    evaluation makes one log_ndtr call on s. Returns (theta, flagged);
+    flagged marks separation, detected by the iterate norm exceeding
+    diverge_norm or by a singular Newton system, in which case the iterate
+    clipped to [-1, 1] is returned.
     """
     log_ndtr = sys.modules[__name__].log_ndtr
     a = np.asarray(design, dtype=float)
-    z = np.asarray(z, dtype=float)
-    d = a.shape[1]
-    theta = np.zeros(d)
+    z = _binary_responses(z)
+    sign = 2.0 * z - 1.0
+    theta = np.zeros(a.shape[1])
 
     def loglik(th):
-        """The log-likelihood at th, and the u = a th, log_ndtr(u) and
-        log_ndtr(-u) it is made of, which the next Newton step reuses."""
-        u = a @ th
-        lp, lm = log_ndtr(u), log_ndtr(-u)
-        return float(z @ lp + (1.0 - z) @ lm), u, lp, lm
+        """The log-likelihood at th, and the s and log_ndtr(s) it is made
+        of, which the next Newton step reuses. It is summed per side, the
+        z = 1 terms in one dot product and the z = 0 terms in the other
+        (each with exact zeros in the other side's places), so it rounds as
+        z @ log Phi(u) + (1 - z) @ log Phi(-u) does and the golden outputs
+        hold."""
+        s = sign * (a @ th)
+        ls = log_ndtr(s)
+        return float(z @ ls + (1.0 - z) @ ls), s, ls
 
-    ll, u, lp, lm = loglik(theta)
+    ll, s, ls = loglik(theta)
     for _ in range(max_iter):
-        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lp)
-        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lm)
-        score = z * lam_p - (1.0 - z) * lam_m
-        grad = a.T @ score
+        # lam = phi(s) / Phi(s), the inverse Mills ratio
+        lam = np.exp(-s * s / 2.0 - 0.5 * math.log(2 * math.pi) - ls)
+        grad = a.T @ (sign * lam)
         if np.linalg.norm(grad) < grad_tol:
             break
-        weights = z * lam_p * (lam_p + u) + (1.0 - z) * lam_m * (lam_m - u)
+        weights = lam * (lam + s)
         hess = a.T @ (weights[:, None] * a)
         try:
             step = np.linalg.solve(hess, grad)
@@ -276,7 +294,7 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
             cand_ll, *at_cand = loglik(cand)
             if cand_ll > ll:
                 theta, ll = cand, cand_ll
-                u, lp, lm = at_cand
+                s, ls = at_cand
                 accepted = True
                 break
             t *= 0.5
@@ -294,55 +312,55 @@ def _row_dots(x, y):
 
 
 def _rows(x, idx):
-    """x[idx] along the first axis, where a zero-stride broadcast stays a
-    view instead of becoming one copy of its matrix per problem."""
-    if x.strides[0] == 0:
-        return np.broadcast_to(x[0], (len(idx),) + x.shape[1:])
-    return x[idx]
+    """x[idx] of a (P, n, d) stack of designs; a shared (n, d) design is
+    every problem's, so it is returned as it is."""
+    return x if x.ndim == 2 else x[idx]
 
 
 def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                        diverge_norm: float = 1e3):
-    """probit_mle on P problems at once: design (P, n, d), z (P, n).
+    """probit_mle on P problems at once: z (P, n) of 0/1 responses, and a
+    design that is one (n, d) matrix all problems share or a (P, n, d) stack.
 
     Returns theta (P, d) and flagged (P,), equal problem by problem to what
-    probit_mle gives, bit for bit. design may be a zero-stride
-    np.broadcast_to view of one matrix. Each product is the stacked form of
-    probit_mle's, which numpy sends to the same BLAS call; a problem leaves
-    the active set where probit_mle returns, and the line search halves one
-    step size for all problems still searching.
+    probit_mle gives, bit for bit; a response other than 0 or 1 raises
+    InvalidArgumentError. Each product is the stacked form of probit_mle's,
+    which numpy sends to the same BLAS call (a shared design is broadcast,
+    never copied), and each evaluation makes one log_ndtr call. A problem
+    leaves the active set where probit_mle returns. The line search halves
+    one step size for all problems still searching; their rows are gathered
+    once per Newton step and again only after a halving that some problem
+    accepts.
     """
     log_ndtr = sys.modules[__name__].log_ndtr
     design = np.asarray(design, dtype=float)
-    z = np.asarray(z, dtype=float)
-    p, n, d = design.shape
+    z = _binary_responses(z)
+    sign = 2.0 * z - 1.0
+    p, d = len(z), design.shape[-1]
     theta = np.zeros((p, d))
     flagged = np.zeros(p, dtype=bool)
 
-    def loglik(a, zs, th):
-        u = (a @ th[..., None])[..., 0]
-        lp, lm = log_ndtr(u), log_ndtr(-u)
-        return _row_dots(zs, lp) + _row_dots(1.0 - zs, lm), u, lp, lm
+    def loglik(a, zs, sg, th):
+        s = sg * (a @ th[..., None])[..., 0]
+        ls = log_ndtr(s)
+        return _row_dots(zs, ls) + _row_dots(1.0 - zs, ls), s, ls
 
-    ll, *at_theta = loglik(design, z, theta)
+    ll, *at_theta = loglik(design, z, sign, theta)
     live = np.arange(p)       # problems probit_mle has not returned from
     for _ in range(max_iter):
         if not live.size:
             break
-        # the live problems' u, log_ndtr(u) and log_ndtr(-u) at theta, copied
-        # out of the loglik that accepted it (no array log_ndtr saw is written)
-        a, zs = _rows(design, live), z[live]
-        u, lp, lm = at_theta
-        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lp)
-        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lm)
-        score = zs * lam_p - (1.0 - zs) * lam_m
-        grad = (a.transpose(0, 2, 1) @ score[..., None])[..., 0]
+        # the live problems' s and log_ndtr(s) at theta, copied out of the
+        # loglik that accepted it (no array log_ndtr saw is written)
+        a, zs, sg = _rows(design, live), z[live], sign[live]
+        s, ls = at_theta
+        lam = np.exp(-s * s / 2.0 - 0.5 * math.log(2 * math.pi) - ls)
+        grad = (np.swapaxes(a, -1, -2) @ (sg * lam)[..., None])[..., 0]
         going = ~(np.sqrt(_row_dots(grad, grad)) < grad_tol)
-        live, zs, u, lam_p, lam_m, grad = (
-            x[going] for x in (live, zs, u, lam_p, lam_m, grad))
-        a = _rows(a, np.flatnonzero(going))
-        weights = zs * lam_p * (lam_p + u) + (1.0 - zs) * lam_m * (lam_m - u)
-        hess = a.transpose(0, 2, 1) @ (weights[..., None] * a)
+        live, zs, sg, s, lam, grad = (x[going] for x in (live, zs, sg, s, lam, grad))
+        a = _rows(a, going)
+        weights = lam * (lam + s)
+        hess = np.swapaxes(a, -1, -2) @ (weights[..., None] * a)
         try:
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -358,22 +376,29 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
             stopped = live[~solved]
             flagged[stopped] = True
             theta[stopped] = np.clip(theta[stopped], -1.0, 1.0)
-            live, zs, u, step = (x[solved] for x in (live, zs, u, step))
-            a = _rows(a, np.flatnonzero(solved))
+            live, zs, sg, step = (x[solved] for x in (live, zs, sg, step))
+            a = _rows(a, solved)
         accepted = np.zeros(live.size, dtype=bool)
-        at_theta = [np.empty_like(u) for _ in range(3)]
+        at_theta = [np.empty_like(zs) for _ in range(2)]
+        # the searching problems' positions in live; a, zs, sg, ths, step
+        # and lls hold their rows, and only an accepting halving shrinks them
         searching = np.arange(live.size)
+        ths, lls = theta[live], ll[live]
         t = 1.0
         while t > 2**-30 and searching.size:
-            rows = live[searching]
-            cand = theta[rows] + t * step[searching]
-            cand_ll, *at_cand = loglik(_rows(a, searching), zs[searching], cand)
-            up = cand_ll > ll[rows]
-            theta[rows[up]], ll[rows[up]] = cand[up], cand_ll[up]
-            for x, x_cand in zip(at_theta, at_cand):
-                x[searching[up]] = x_cand[up]
-            accepted[searching[up]] = True
-            searching = searching[~up]
+            cand = ths + t * step
+            cand_ll, *at_cand = loglik(a, zs, sg, cand)
+            up = cand_ll > lls
+            if up.any():
+                hit = searching[up]
+                theta[live[hit]], ll[live[hit]] = cand[up], cand_ll[up]
+                for x, x_cand in zip(at_theta, at_cand):
+                    x[hit] = x_cand[up]
+                accepted[hit] = True
+                still = ~up
+                searching, zs, sg, ths, step, lls = (
+                    x[still] for x in (searching, zs, sg, ths, step, lls))
+                a = _rows(a, still)
             t *= 0.5
         live = live[accepted]     # the others failed every halving and stop
         th = theta[live]
@@ -518,10 +543,8 @@ def _average_fuse(spec, sent, n, budget_bits):
 
 
 def _probit_local(spec, i, row, uniforms):
-    # one batched Newton over the chunk's trials; the machine's design is
-    # shared by all of them, so a zero-stride view stands in for k copies
-    theta, flagged = probit_mle_batched(np.broadcast_to(spec.designs[i], (*row.shape, spec.d)),
-                                        row)
+    # one batched Newton over the chunk's trials, which share the machine's design
+    theta, flagged = probit_mle_batched(spec.designs[i], row)
     return np.column_stack((theta, flagged))
 
 
@@ -533,9 +556,7 @@ def _centralized_fuse(spec, pooled, n, budget_bits):
     elif isinstance(spec, MeanSpec):
         theta_hat = pooled.mean(axis=(1, 3))
     elif isinstance(spec, ProbitSpec):
-        design = np.vstack(spec.designs)
-        theta_hat, flagged = probit_mle_batched(np.broadcast_to(design, (k, *design.shape)),
-                                                pooled.reshape(k, -1))
+        theta_hat, flagged = probit_mle_batched(np.vstack(spec.designs), pooled.reshape(k, -1))
     else:
         theta_hat = np.stack([centralized_baseline(spec, block)[0] for block in pooled])
     return theta_hat, bits, flagged
@@ -566,7 +587,7 @@ PROTOCOLS = {
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
                             _uniform_min_fuse),
     "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local, _average_fuse),
-    "probit_avg": Protocol(INDEPENDENT, (DesignSpec,), _probit_local, _average_fuse),
+    "probit_avg": Protocol(INDEPENDENT, (ProbitSpec,), _probit_local, _average_fuse),
     # the centralized estimator sees all the data: each machine sends its row
     "centralized": Protocol("centralized", (MeanSpec, DesignSpec), lambda spec, i, row, u: row,
                             _centralized_fuse),

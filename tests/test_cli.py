@@ -298,6 +298,17 @@ class TestEndToEnd:
         cells = dict(zip(header.split(","), row.split(",")))
         assert int(cells["flagged_trials"]) > 0 and cells["error"] == ""
 
+    def test_probit_avg_on_regression_data_is_a_row_error(self, tmp_path):
+        # real-valued regression responses are not probit bits
+        conf = tmp_path / "probit.conf"
+        conf.write_text(SINGULAR_PROBIT_CONF.replace("family = probit", "family = regression"))
+        res = run_cli(["simulate", str(conf)])
+        assert res.returncode == 0 and res.stderr == ""
+        header, row = res.stdout.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["error"] == "protocol 'probit_avg' does not run on RegressionSpec"
+        assert cells["mse_mean"] == ""
+
     def test_import_does_not_load_scipy(self):
         """scipy is imported on the first probit solve, not by the package:
         it is most of the import time."""

@@ -41,7 +41,7 @@ BENCH_VERIFY_SHA256 = "713973b48ec72bf57e3ceb64e974cf8e2415e915ff621106f3fc7c466
 # layout of the draws moves it.
 WIDE_SIMULATE_GRID = ("d = 1\nd = 3\nm = 3\nm = 40\nn = 1\nn = 16\ntheta = 0.3\n"
                       "budget_bits = 6\ntrials = 30\nseed = 5\n")
-WIDE_SIMULATE_SHA256 = "b036901ef959f599cc0c62c5e3c52244920c38352899db838f2dcbf457b839ac"
+WIDE_SIMULATE_SHA256 = "d75aa1c1bcd7cd45df922763ff2dfb5675bc05d1b74472297b2df683e201ea5e"
 # sha256 of demos/06_inequality_checks.py's stdout: its worked instances, the
 # risk bound of its Fano instance and the suite summaries it prints.
 DEMO_06 = ROOT / "demos" / "06_inequality_checks.py"

@@ -9,8 +9,11 @@ never a tolerance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from distest import protocols
 from distest.codec import transcript_total_bits
@@ -130,7 +133,6 @@ CASES = [
     ("regress_avg", "probit", 4, 7, 2),
     ("probit_avg", "probit", 4, 12, 2),
     ("probit_avg", "probit", 1, 3, 1),
-    ("probit_avg", "regression", 3, 9, 2),
     ("centralized", "gaussian", 5, 4, 3),
     ("centralized", "bounded_two_point", 3, 1, 1),
     ("centralized", "bounded_uniform", 1, 6, 2),
@@ -234,21 +236,28 @@ def random_probit_problems(n, d, count, seed):
     return a, z.astype(float)
 
 
-@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (9, 1), (2, 2), (3, 3), (5, 2),
-                                 (30, 3), (12, 4), (6, 6)])
+NEWTON_SHAPES = [(1, 1), (2, 1), (9, 1), (2, 2), (3, 3), (5, 2), (30, 3), (12, 4), (6, 6)]
+
+
+@pytest.mark.parametrize("n,d", NEWTON_SHAPES)
 def test_batched_newton_matches_probit_mle(n, d):
     a, z = random_probit_problems(n, d, 80, seed=100 * n + d)
     assert_newton_matches_reference(a, z)
+
+
+def every_way_out_problems():
+    a, z = random_probit_problems(4, 2, 40, seed=7)
+    unit = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    a[3], z[3] = unit, [1.0, 0.0, 1.0, 0.0]             # gradient exactly 0 at 0
+    a[17], z[17] = 1e-3 * unit, np.ones(4)              # separable, tiny design
+    return a, z
 
 
 def test_batched_newton_covers_every_way_out():
     """One batch holds a problem that stops at grad_tol on iteration 0, one
     that separates (flagged) and random ones, so the active set loses
     problems for different reasons in the same iterations."""
-    a, z = random_probit_problems(4, 2, 40, seed=7)
-    unit = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    a[3], z[3] = unit, [1.0, 0.0, 1.0, 0.0]             # gradient exactly 0 at 0
-    a[17], z[17] = 1e-3 * unit, np.ones(4)              # separable, tiny design
+    a, z = every_way_out_problems()
     theta, flagged = assert_newton_matches_reference(a, z)
     assert np.array_equal(theta[3], np.zeros(2)) and not flagged[3]
     assert flagged[17]
@@ -288,15 +297,125 @@ def test_batched_newton_evaluates_what_probit_mle_evaluates(monkeypatch, grad_to
 
 
 def test_batched_newton_on_a_broadcast_design():
-    """A zero-stride view of one design gives what probit_mle gives on that
-    design and what a contiguous stack of its copies gives."""
+    """One design in each of its three forms gives what probit_mle gives on
+    it: the shared (n, d) matrix, its zero-stride broadcast view (indexed
+    like any stack) and a contiguous stack of its copies."""
     a, z = random_probit_problems(12, 3, 60, seed=9)
     view = np.broadcast_to(a[0], a.shape)
     assert view.strides[0] == 0
     theta, flagged = assert_newton_matches_reference(view, z)
-    stacked_theta, stacked_flagged = probit_mle_batched(np.ascontiguousarray(view), z)
-    assert np.array_equal(stacked_theta, theta)
-    assert np.array_equal(stacked_flagged, flagged)
+    for design in (a[0], np.ascontiguousarray(view)):
+        other_theta, other_flagged = probit_mle_batched(design, z)
+        assert np.array_equal(other_theta, theta)
+        assert np.array_equal(other_flagged, flagged)
+
+
+# ---------------------------------------------------------------------------
+# the signed solvers against the two-sided form they replaced
+
+def two_sided_probit_mle(design, z, max_iter=100, grad_tol=1e-9, diverge_norm=1e3):
+    """probit_mle in its two-sided form: log_ndtr of u = a theta and of -u,
+    and the inverse Mills ratios lam_p and lam_m of both sides, weighted by
+    z and 1 - z."""
+    a = np.asarray(design, dtype=float)
+    z = np.asarray(z, dtype=float)
+    theta = np.zeros(a.shape[1])
+
+    def loglik(th):
+        u = a @ th
+        lp, lm = log_ndtr(u), log_ndtr(-u)
+        return float(z @ lp + (1.0 - z) @ lm), u, lp, lm
+
+    ll, u, lp, lm = loglik(theta)
+    for _ in range(max_iter):
+        lam_p = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lp)
+        lam_m = np.exp(-u * u / 2.0 - 0.5 * math.log(2 * math.pi) - lm)
+        score = z * lam_p - (1.0 - z) * lam_m
+        grad = a.T @ score
+        if np.linalg.norm(grad) < grad_tol:
+            break
+        weights = z * lam_p * (lam_p + u) + (1.0 - z) * lam_m * (lam_m - u)
+        hess = a.T @ (weights[:, None] * a)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return np.clip(theta, -1.0, 1.0), True
+        t = 1.0
+        accepted = False
+        while t > 2**-30:
+            cand = theta + t * step
+            cand_ll, *at_cand = loglik(cand)
+            if cand_ll > ll:
+                theta, ll = cand, cand_ll
+                u, lp, lm = at_cand
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            break
+        if np.linalg.norm(theta) > diverge_norm:
+            return np.clip(theta, -1.0, 1.0), True
+    return theta, False
+
+
+def assert_matches_two_sided(a, z, **kw):
+    """probit_mle, and probit_mle_batched on the (P, n, d) stack a and on
+    its first matrix shared by all P problems, give the two-sided solver's
+    theta bytes and flag. Returns the stack's flags."""
+    for design, design_of in ((a[0], lambda p: a[0]), (a, lambda p: a[p])):
+        theta, flagged = probit_mle_batched(design, z, **kw)
+        for p in range(len(z)):
+            want_theta, want_flagged = two_sided_probit_mle(design_of(p), z[p], **kw)
+            got_theta, got_flagged = probit_mle(design_of(p), z[p], **kw)
+            assert got_theta.tobytes() == want_theta.tobytes(), f"problem {p}"
+            assert theta[p].tobytes() == want_theta.tobytes(), f"problem {p}"
+            assert got_flagged == flagged[p] == want_flagged, f"problem {p}"
+    return flagged
+
+
+@pytest.mark.parametrize("n,d", NEWTON_SHAPES)
+def test_signed_solvers_match_the_two_sided_form(n, d):
+    a, z = random_probit_problems(n, d, 80, seed=100 * n + d)
+    assert_matches_two_sided(a, z)
+
+
+def test_signed_solvers_match_the_two_sided_form_on_separable_problems():
+    a, z = random_probit_problems(5, 2, 60, seed=12)
+    flagged = assert_matches_two_sided(1e-3 * a, z)
+    assert flagged.any() and not flagged.all()
+
+
+def test_signed_solvers_match_the_two_sided_form_on_every_way_out():
+    assert_matches_two_sided(*every_way_out_problems())
+
+
+def test_signed_solvers_match_the_two_sided_form_on_exhausted_halvings():
+    a, z = random_probit_problems(30, 3, 40, seed=8)
+    assert_matches_two_sided(a, z, grad_tol=0.0)
+
+
+def test_signed_solvers_read_a_negative_zero_response_as_zero():
+    a, z = random_probit_problems(9, 2, 40, seed=13)
+    z[z == 0.0] = -0.0
+    assert np.signbit(z).any()
+    assert_matches_two_sided(a, z)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.nan])
+def test_probit_solvers_take_only_binary_responses(bad):
+    a, z = random_probit_problems(6, 2, 3, seed=4)
+    z[1, 2] = bad
+    for solve in (lambda: probit_mle(a[1], z[1]), lambda: probit_mle_batched(a[0], z),
+                  lambda: probit_mle_batched(a, z)):
+        with pytest.raises(InvalidArgumentError, match="probit responses must be 0 or 1"):
+            solve()
+
+
+def test_probit_avg_rejects_regression_data():
+    spec = make_spec("regression", 3, 9, 2)
+    with pytest.raises(InvalidArgumentError,
+                       match="protocol 'probit_avg' does not run on RegressionSpec"):
+        protocols.estimate_risk("probit_avg", spec, trials=10, seed=1)
 
 
 def test_onebit_kernel_rejects_out_of_range_inputs():
