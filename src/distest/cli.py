@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         rows, violations = run_verify(suites, args.count, args.seed)
         _emit(rows, args.out)
         return 1 if violations else 0
-    except (ConfigError, InvalidArgumentError, OSError) as err:
+    except (ConfigError, InvalidArgumentError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

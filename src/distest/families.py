@@ -121,10 +121,9 @@ class DesignSpec:
         designs = tuple(np.asarray(a, dtype=float) for a in self.designs)
         if not designs:
             raise InvalidArgumentError("need at least one design matrix")
+        if designs[0].ndim != 2 or any(a.shape != designs[0].shape for a in designs):
+            raise InvalidArgumentError("all designs must share one (n, d) shape")
         n, d = designs[0].shape
-        for a in designs:
-            if a.ndim != 2 or a.shape != (n, d):
-                raise InvalidArgumentError("all designs must share one (n, d) shape")
         if n < d:
             raise DegenerateDesignError("designs need n >= d for full column rank")
         object.__setattr__(self, "designs", designs)

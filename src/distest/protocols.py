@@ -11,12 +11,13 @@ its two steps: a local step that reduces one machine's block of a chunk of
 trials to the messages it sends, and a fusion step that turns the chunk's
 messages from all machines into the estimates, bit counts and flags the
 reference gives trial by trial. run_chunks streams the machines, so a chunk
-never holds more than one machine's raw block. The probit local step solves
-all trials of a chunk at once with probit_mle_batched, which repeats
-probit_mle operation for operation on a stack of problems that share one
-(n, d) design (or on a (P, n, d) stack of designs). Both solvers take 0/1
-responses only, raise InvalidArgumentError on any other value, and make one
-log_ndtr call per response at each likelihood evaluation.
+never holds more than one machine's raw block. There is one probit solver,
+probit_mle_batched, a damped Newton on a stack of problems that share one
+(n, d) design (or on a (P, n, d) stack of designs); the probit local step
+solves all trials of a chunk with it at once, and probit_mle is that solver
+on a stack of one. It takes 0/1 responses only, raises InvalidArgumentError
+on any other value, and makes one log_ndtr call per response at each
+likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -237,74 +238,6 @@ def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
                           {"nominal_bits_per_machine": math.ceil(d * math.log2(m * n))})
 
 
-def _binary_responses(z):
-    """z as a float array, every entry 0 or 1."""
-    z = np.asarray(z, dtype=float)
-    if not np.all((z == 0.0) | (z == 1.0)):
-        raise InvalidArgumentError("probit responses must be 0 or 1")
-    return z
-
-
-def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
-               diverge_norm: float = 1e3):
-    """Damped Newton ascent of the concave probit log-likelihood.
-
-    design is (n, d) and z holds n responses, each 0 or 1; any other
-    response raises InvalidArgumentError. With sign = 2 z - 1 and
-    s = sign * (design @ theta), response j has likelihood Phi(s_j), so each
-    evaluation makes one log_ndtr call on s. Returns (theta, flagged);
-    flagged marks separation, detected by the iterate norm exceeding
-    diverge_norm or by a singular Newton system, in which case the iterate
-    clipped to [-1, 1] is returned.
-    """
-    log_ndtr = sys.modules[__name__].log_ndtr
-    a = np.asarray(design, dtype=float)
-    z = _binary_responses(z)
-    sign = 2.0 * z - 1.0
-    theta = np.zeros(a.shape[1])
-
-    def loglik(th):
-        """The log-likelihood at th, and the s and log_ndtr(s) it is made
-        of, which the next Newton step reuses. It is summed per side, the
-        z = 1 terms in one dot product and the z = 0 terms in the other
-        (each with exact zeros in the other side's places), so it rounds as
-        z @ log Phi(u) + (1 - z) @ log Phi(-u) does and the golden outputs
-        hold."""
-        s = sign * (a @ th)
-        ls = log_ndtr(s)
-        return float(z @ ls + (1.0 - z) @ ls), s, ls
-
-    ll, s, ls = loglik(theta)
-    for _ in range(max_iter):
-        # lam = phi(s) / Phi(s), the inverse Mills ratio
-        lam = np.exp(-s * s / 2.0 - 0.5 * math.log(2 * math.pi) - ls)
-        grad = a.T @ (sign * lam)
-        if np.linalg.norm(grad) < grad_tol:
-            break
-        weights = lam * (lam + s)
-        hess = a.T @ (weights[:, None] * a)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            return np.clip(theta, -1.0, 1.0), True
-        t = 1.0
-        accepted = False
-        while t > 2**-30:
-            cand = theta + t * step
-            cand_ll, *at_cand = loglik(cand)
-            if cand_ll > ll:
-                theta, ll = cand, cand_ll
-                s, ls = at_cand
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        if np.linalg.norm(theta) > diverge_norm:
-            return np.clip(theta, -1.0, 1.0), True
-    return theta, False
-
-
 def _row_dots(x, y):
     """x[p] @ y[p] for each row of two (P, n) stacks: one ddot per row, the
     BLAS call (and rounding) of the 1-d product."""
@@ -319,34 +252,42 @@ def _rows(x, idx):
 
 def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                        diverge_norm: float = 1e3):
-    """probit_mle on P problems at once: z (P, n) of 0/1 responses, and a
-    design that is one (n, d) matrix all problems share or a (P, n, d) stack.
+    """Damped Newton ascent of the concave probit log-likelihood on P
+    problems at once: z (P, n) of 0/1 responses, and a design that is one
+    (n, d) matrix all problems share or a (P, n, d) stack.
 
-    Returns theta (P, d) and flagged (P,), equal problem by problem to what
-    probit_mle gives, bit for bit; a response other than 0 or 1 raises
-    InvalidArgumentError. Each product is the stacked form of probit_mle's,
-    which numpy sends to the same BLAS call (a shared design is broadcast,
-    never copied), and each evaluation makes one log_ndtr call. A problem
-    leaves the active set where probit_mle returns. The line search halves
-    one step size for all problems still searching; their rows are gathered
-    once per Newton step and again only after a halving that some problem
-    accepts.
+    A response other than 0 or 1 raises InvalidArgumentError. With
+    sign = 2 z - 1 and s = sign * (a @ theta), response j has likelihood
+    Phi(s_j), so each evaluation makes one log_ndtr call. Returns theta
+    (P, d) and flagged (P,); flagged marks separation, detected by the
+    iterate norm exceeding diverge_norm or by a singular Newton system, in
+    which case the iterate clipped to [-1, 1] is returned. Each product is a
+    stack of the one-problem product, which numpy sends to the same BLAS
+    call (a shared design is broadcast, never copied), so a problem gets the
+    same bytes alone as in any stack. The line search halves one step size
+    for all problems still searching; their rows are gathered once per
+    Newton step and again only after a halving that some problem accepts.
     """
     log_ndtr = sys.modules[__name__].log_ndtr
     design = np.asarray(design, dtype=float)
-    z = _binary_responses(z)
+    z = np.asarray(z, dtype=float)
+    if not np.all((z == 0.0) | (z == 1.0)):
+        raise InvalidArgumentError("probit responses must be 0 or 1")
     sign = 2.0 * z - 1.0
     p, d = len(z), design.shape[-1]
     theta = np.zeros((p, d))
     flagged = np.zeros(p, dtype=bool)
 
     def loglik(a, zs, sg, th):
+        # summed per side, each dot product with exact zeros in the other
+        # side's places, so it rounds as z @ log Phi(u) + (1 - z) @ log Phi(-u)
+        # does and the golden outputs hold; s and log_ndtr(s) are reused
         s = sg * (a @ th[..., None])[..., 0]
         ls = log_ndtr(s)
         return _row_dots(zs, ls) + _row_dots(1.0 - zs, ls), s, ls
 
     ll, *at_theta = loglik(design, z, sign, theta)
-    live = np.arange(p)       # problems probit_mle has not returned from
+    live = np.arange(p)       # problems still iterating
     for _ in range(max_iter):
         if not live.size:
             break
@@ -354,6 +295,7 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         # loglik that accepted it (no array log_ndtr saw is written)
         a, zs, sg = _rows(design, live), z[live], sign[live]
         s, ls = at_theta
+        # lam = phi(s) / Phi(s), the inverse Mills ratio
         lam = np.exp(-s * s / 2.0 - 0.5 * math.log(2 * math.pi) - ls)
         grad = (np.swapaxes(a, -1, -2) @ (sg * lam)[..., None])[..., 0]
         going = ~(np.sqrt(_row_dots(grad, grad)) < grad_tol)
@@ -365,7 +307,7 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             # some Hessian is singular: solve problem by problem, and flag and
-            # stop each singular one where probit_mle returns
+            # stop each singular one
             step = np.zeros_like(grad)
             solved = np.ones(live.size, dtype=bool)
             for j in range(live.size):
@@ -409,6 +351,15 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         live = live[~diverged]
         at_theta = [x[kept] for x in at_theta]
     return theta, flagged
+
+
+def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
+               diverge_norm: float = 1e3):
+    """probit_mle_batched on one problem: design (n, d) and n responses z.
+    Returns theta (d,) and flagged as a bool."""
+    theta, flagged = probit_mle_batched(design, np.asarray(z)[None], max_iter, grad_tol,
+                                        diverge_norm)
+    return theta[0], bool(flagged[0])
 
 
 def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:

@@ -275,6 +275,19 @@ class TestEndToEnd:
         res = run_cli(["simulate", "/nonexistent/x.conf"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", b"protocol = onebit\xff\n"),
+        ("bounds", b"formula,d,m,n\nthm2,4,16,\xff\n")], ids=["simulate", "bounds"])
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys, command, text):
+        # a decode error is a bad input, not exit 1 ("inequality violated")
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text)
+        assert cli.main([command, str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:") and out.err.count("\n") == 1
+        assert "can't decode byte 0xff" in out.err
+
     @pytest.mark.parametrize("value", ["abc", "2"])
     def test_simulate_reads_no_environment_variable(self, tmp_path, value):
         # a DISTEST_THREADS left in the environment, valid or not, is ignored

@@ -244,6 +244,14 @@ class TestDesignEigenbounds:
         with pytest.raises(InvalidArgumentError, match="overflows"):
             ProbitSpec((huge,), np.zeros(2))
 
+    @pytest.mark.parametrize("first", [np.ones(3), np.ones((2, 3, 2))], ids=["1d", "3d"])
+    def test_design_that_is_not_2d_is_rejected(self, first):
+        for designs in ((first,), (first, np.eye(2))):
+            with pytest.raises(InvalidArgumentError, match="share one"):
+                ProbitSpec(designs, 0.1)
+            with pytest.raises(InvalidArgumentError, match="share one"):
+                RegressionSpec(designs, 0.1, 1.0)
+
     def test_rank_deficient(self):
         a = np.ones((5, 2))
         with pytest.raises(DegenerateDesignError):

@@ -216,9 +216,12 @@ def test_singular_probit_hessian_is_flagged_by_kernel_and_reference(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
-# the batched damped Newton against probit_mle, problem by problem
+# batch invariance of the damped Newton: a problem gets the same bytes solved
+# alone (probit_mle, the solver on a stack of one) as in a stack of many
 
-def assert_newton_matches_reference(a, z, **kw):
+def assert_batch_invariant(a, z, **kw):
+    """probit_mle_batched on the (P, n, d) stack a gives each problem the
+    theta bytes and flag that probit_mle gives it alone."""
     theta, flagged = probit_mle_batched(a, z, **kw)
     assert theta.shape == (len(z), a.shape[2]) and flagged.shape == (len(z),)
     for p in range(len(z)):
@@ -241,8 +244,9 @@ NEWTON_SHAPES = [(1, 1), (2, 1), (9, 1), (2, 2), (3, 3), (5, 2), (30, 3), (12, 4
 
 @pytest.mark.parametrize("n,d", NEWTON_SHAPES)
 def test_batched_newton_matches_probit_mle(n, d):
+    """80 problems in one stack, each against itself solved alone."""
     a, z = random_probit_problems(n, d, 80, seed=100 * n + d)
-    assert_newton_matches_reference(a, z)
+    assert_batch_invariant(a, z)
 
 
 def every_way_out_problems():
@@ -258,7 +262,7 @@ def test_batched_newton_covers_every_way_out():
     that separates (flagged) and random ones, so the active set loses
     problems for different reasons in the same iterations."""
     a, z = every_way_out_problems()
-    theta, flagged = assert_newton_matches_reference(a, z)
+    theta, flagged = assert_batch_invariant(a, z)
     assert np.array_equal(theta[3], np.zeros(2)) and not flagged[3]
     assert flagged[17]
 
@@ -269,41 +273,20 @@ def test_batched_newton_covers_exhausted_halvings():
     problem whose result with max_iter = 50 equals its result with 100
     stopped before iteration 50, so its last step failed every halving."""
     a, z = random_probit_problems(30, 3, 40, seed=8)
-    theta, flagged = assert_newton_matches_reference(a, z, grad_tol=0.0)
+    theta, flagged = assert_batch_invariant(a, z, grad_tol=0.0)
     exhausted = [p for p in range(len(z)) if not flagged[p] and np.array_equal(
         probit_mle(a[p], z[p], max_iter=50, grad_tol=0.0)[0], theta[p])]
     assert exhausted
 
 
-@pytest.mark.parametrize("grad_tol", [1e-9, 0.0])
-def test_batched_newton_evaluates_what_probit_mle_evaluates(monkeypatch, grad_tol):
-    """On a single problem the batched solver hands log_ndtr the arguments
-    probit_mle does, in the same order: every iteration and every halving,
-    down to the last of the 30 halvings of an exhausted step."""
-    log_ndtr = protocols.log_ndtr
-    a, z = random_probit_problems(30, 3, 6, seed=8)
-    for p in range(len(z)):
-        args = {}
-        for name, solve in (("reference", lambda: probit_mle(a[p], z[p], grad_tol=grad_tol)),
-                            ("batched", lambda: probit_mle_batched(a[p:p + 1], z[p:p + 1],
-                                                                   grad_tol=grad_tol))):
-            seen = args[name] = []
-            monkeypatch.setattr(protocols, "log_ndtr",
-                                lambda u, seen=seen: seen.append(np.ravel(u)) or log_ndtr(u))
-            solve()
-        assert len(args["batched"]) == len(args["reference"]), f"problem {p}"
-        for got, want in zip(args["batched"], args["reference"]):
-            assert np.array_equal(got, want), f"problem {p}"
-
-
 def test_batched_newton_on_a_broadcast_design():
-    """One design in each of its three forms gives what probit_mle gives on
-    it: the shared (n, d) matrix, its zero-stride broadcast view (indexed
+    """One design in each of its three forms gives what each problem gets
+    alone: the shared (n, d) matrix, its zero-stride broadcast view (indexed
     like any stack) and a contiguous stack of its copies."""
     a, z = random_probit_problems(12, 3, 60, seed=9)
     view = np.broadcast_to(a[0], a.shape)
     assert view.strides[0] == 0
-    theta, flagged = assert_newton_matches_reference(view, z)
+    theta, flagged = assert_batch_invariant(view, z)
     for design in (a[0], np.ascontiguousarray(view)):
         other_theta, other_flagged = probit_mle_batched(design, z)
         assert np.array_equal(other_theta, theta)
@@ -371,6 +354,28 @@ def assert_matches_two_sided(a, z, **kw):
             assert theta[p].tobytes() == want_theta.tobytes(), f"problem {p}"
             assert got_flagged == flagged[p] == want_flagged, f"problem {p}"
     return flagged
+
+
+@pytest.mark.parametrize("grad_tol", [1e-9, 0.0])
+def test_newton_evaluates_what_the_two_sided_form_evaluates(monkeypatch, grad_tol):
+    """On each problem the solver hands log_ndtr exactly sign * u for each
+    u = a theta the two-sided form evaluates (it evaluates u, then -u), in
+    the same order: every iteration and every halving, down to the last of
+    the 30 halvings of an exhausted step."""
+    scipy_log_ndtr = log_ndtr
+    a, z = random_probit_problems(30, 3, 6, seed=8)
+    for p in range(len(z)):
+        oracle, solver = [], []
+        monkeypatch.setitem(globals(), "log_ndtr",
+                            lambda u: oracle.append(u) or scipy_log_ndtr(u))
+        monkeypatch.setattr(protocols, "log_ndtr",
+                            lambda s: solver.append(np.ravel(s)) or scipy_log_ndtr(s))
+        two_sided_probit_mle(a[p], z[p], grad_tol=grad_tol)
+        probit_mle(a[p], z[p], grad_tol=grad_tol)
+        sign = 2.0 * z[p] - 1.0
+        assert len(oracle) == 2 * len(solver), f"problem {p}"
+        for got, u in zip(solver, oracle[::2]):
+            assert got.tobytes() == (sign * u).tobytes(), f"problem {p}"
 
 
 @pytest.mark.parametrize("n,d", NEWTON_SHAPES)
