@@ -4,12 +4,13 @@ mean-to-regression / regression-to-probit reductions.
 A sample is a plain array, the machines' local blocks: (m, d, n) for a mean
 family and (m, n) responses for a design family. sample() returns one, and
 draw_trials stacks one per trial, so blocks[t] of a draw is what the
-protocols' reference functions take. Both are made of draw_row, which fills
-one machine's block of a run of trials in place; estimate_risk calls it
-machine by machine on one reused row and never holds the stack. draw_trials
-returns a transposed view of a machine-major buffer, not a C-contiguous
-array: a float reduction over machines on it must copy it to C order first,
-or its rounding depends on the layout.
+protocols' reference functions take. Each spec class holds its family's
+rules: fill(i, gen, row) fills machine i's block of a run of trials in place,
+in its formula's order of operations, and pooled(x) is the estimator on a
+(k, m, *row) stack of whole samples, giving theta_hat (k, d) and flagged
+(k,). draw_trials returns a transposed view of a machine-major buffer, not a
+C-contiguous array: a float reduction over machines on it must copy it to C
+order first, or its rounding depends on the layout.
 
 Seeding contract
 ----------------
@@ -70,6 +71,9 @@ class MeanSpec:
     def d(self) -> int:
         return self.theta.size
 
+    def pooled(self, x):
+        return x.mean(axis=(1, 3)), np.zeros(len(x), dtype=bool)
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianLocationSpec(MeanSpec):
@@ -81,6 +85,12 @@ class GaussianLocationSpec(MeanSpec):
         super().__post_init__()
         if not 0 < self.sigma < math.inf:
             raise InvalidArgumentError("sigma must be positive and finite")
+
+    def fill(self, i: int, gen, row) -> None:
+        # theta + sigma * z as row *= sigma; row += theta: the same bytes in IEEE
+        gen.standard_normal(out=row)
+        row *= self.sigma
+        row += self.theta[:, None]
 
 
 TWO_POINT = "two_point"
@@ -103,10 +113,33 @@ class BoundedProductSpec(MeanSpec):
         if self.law not in (TWO_POINT, UNIFORM_INTERVAL):
             raise InvalidArgumentError(f"unknown bounded law {self.law!r}")
 
+    def fill(self, i: int, gen, row) -> None:
+        theta = self.theta[:, None]
+        gen.random(out=row)
+        if self.law == TWO_POINT:
+            # [u < p] as 1.0 / 0.0, then 2 z - 1: the +/-1 of np.where
+            np.less(row, (1.0 + theta) / 2.0, out=row)
+            row *= 2.0
+            row -= 1.0
+        else:
+            row *= 2.0
+            row -= 1.0
+            row *= 1.0 - np.abs(theta)
+            row += theta
+
 
 @dataclass(frozen=True, eq=False)
 class UniformLocationSpec(MeanSpec):
     """Coordinate j uniform on [theta_j - 1, theta_j + 1]."""
+
+    def fill(self, i: int, gen, row) -> None:
+        gen.random(out=row)
+        row *= 2.0
+        row -= 1.0
+        row += self.theta[:, None]
+
+    def pooled(self, x):
+        return x.min(axis=(1, 3)) + 1.0, np.zeros(len(x), dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +192,36 @@ class RegressionSpec(DesignSpec):
         if not 0 <= self.sigma < math.inf:
             raise InvalidArgumentError("sigma must be finite and >= 0")
 
+    def fill(self, i: int, gen, row) -> None:
+        if self.sigma == 0:
+            # the noiseless model draws nothing; + 0.0 turns a -0.0 mean into +0.0
+            row[...] = self.designs[i] @ self.theta + 0.0
+        else:
+            gen.standard_normal(out=row)
+            row *= self.sigma
+            row += self.designs[i] @ self.theta
+
+    def pooled(self, y):
+        # one lstsq per trial: a stacked right-hand side rounds differently
+        design = np.vstack(self.designs)
+        theta = np.stack([np.linalg.lstsq(design, t.ravel(), rcond=None)[0] for t in y])
+        return theta, np.zeros(len(y), dtype=bool)
+
 
 @dataclass(frozen=True, eq=False)
 class ProbitSpec(DesignSpec):
     """Binary responses with P(Z=1 | a, theta) = Phi(a . theta)."""
+
+    def fill(self, i: int, gen, row) -> None:
+        gen.standard_normal(out=row)
+        row += self.designs[i] @ self.theta
+        np.greater_equal(row, 0, out=row)
+
+    def pooled(self, z):
+        # the pooled MLE, flagged as the solver flags it; protocols imports
+        # this module, so the solver is imported on first use
+        from .protocols import probit_mle_batched
+        return probit_mle_batched(np.vstack(self.designs), z.reshape(len(z), -1))
 
 
 def row_shape(spec, n: int) -> tuple:
@@ -171,63 +230,18 @@ def row_shape(spec, n: int) -> tuple:
     return (spec.n,) if isinstance(spec, DesignSpec) else (spec.d, n)
 
 
-def draw_row(spec, i: int, gen, row) -> None:
-    """Fill row, machine i's C-contiguous (trials, *row_shape) block, in place
-    from its generator gen.
-
-    Each family's formula runs in its order of operations: theta + sigma * z,
-    for example, is row *= sigma; row += theta, which IEEE + and * make the
-    same bytes.
-    """
-    theta = spec.theta[:, None]
-    if isinstance(spec, GaussianLocationSpec):
-        gen.standard_normal(out=row)
-        row *= spec.sigma
-        row += theta
-    elif isinstance(spec, BoundedProductSpec):
-        gen.random(out=row)
-        if spec.law == TWO_POINT:
-            # [u < p] as 1.0 / 0.0, then 2 z - 1: the +/-1 of np.where
-            np.less(row, (1.0 + theta) / 2.0, out=row)
-            row *= 2.0
-            row -= 1.0
-        else:
-            row *= 2.0
-            row -= 1.0
-            row *= 1.0 - np.abs(theta)
-            row += theta
-    elif isinstance(spec, UniformLocationSpec):
-        gen.random(out=row)
-        row *= 2.0
-        row -= 1.0
-        row += theta
-    elif not isinstance(spec, DesignSpec):
-        raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
-    elif isinstance(spec, RegressionSpec) and spec.sigma == 0:
-        # the noiseless model draws nothing; + 0.0 turns a -0.0 mean into +0.0
-        row[...] = spec.designs[i] @ spec.theta + 0.0
-    elif isinstance(spec, RegressionSpec):
-        gen.standard_normal(out=row)
-        row *= spec.sigma
-        row += spec.designs[i] @ spec.theta
-    else:
-        gen.standard_normal(out=row)
-        row += spec.designs[i] @ spec.theta
-        np.greater_equal(row, 0, out=row)
-
-
 def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
     """Batch of i.i.d. trials, one stream per machine.
 
     Returns shape (trials, m, d, n) for mean families and (trials, m, n) for
     regression / probit responses: the transposed view of one machine-major
-    buffer whose row i is machine i's draw_row. Trial 0 reproduces sample()
+    buffer whose row i is machine i's spec.fill. Trial 0 reproduces sample()
     bit for bit, and drawing in chunks from the same generators is equivalent
     to drawing all trials at once.
     """
     buf = np.empty((len(gens), trials, *row_shape(spec, n)))
     for i, (gen, row) in enumerate(zip(gens, buf)):
-        draw_row(spec, i, gen, row)
+        spec.fill(i, gen, row)
     return buf.swapaxes(0, 1)
 
 
@@ -240,6 +254,8 @@ def run_shape(spec, m: int = None, n: int = None):
         if n is not None and n != spec.n:
             raise InvalidArgumentError("n must match the design row count")
         return spec.m, spec.n
+    if not isinstance(spec, MeanSpec):
+        raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
     if m is None or n is None:
         raise InvalidArgumentError("mean families need explicit m and n")
     if m < 1 or n < 1:

@@ -6,18 +6,18 @@ the wire; tests call these. A reference takes the sample as the array
 families.sample returns: (m, d, n) for the mean families, (m, n) responses
 for the design families. estimate_risk measures mean-squared error and bit
 statistics over many seeded trials without building transcripts. PROTOCOLS
-maps each protocol id to its transcript kind, the spec types it runs on and
-its two steps: a local step that reduces one machine's block of a chunk of
-trials to the messages it sends, and a fusion step that turns the chunk's
-messages from all machines into the estimates, bit counts and flags the
-reference gives trial by trial. run_chunks streams the machines, so a chunk
-never holds more than one machine's raw block. There is one probit solver,
-probit_mle_batched, a damped Newton on a stack of problems that share one
-(n, d) design (or on a (P, n, d) stack of designs); the probit local step
-solves all trials of a chunk with it at once, and probit_mle is that solver
-on a stack of one. It takes 0/1 responses only, raises InvalidArgumentError
-on any other value, and makes one log_ndtr call per response at each
-likelihood evaluation.
+maps each protocol id to its transcript kind, the spec types it runs on, its
+run rules and its two steps: a local step that reduces one machine's block
+of a chunk of trials to the messages it sends, and a fusion step that turns
+the chunk's messages from all machines into the estimates, bit counts and
+flags the reference gives trial by trial. run_chunks streams the machines,
+so a chunk never holds more than one machine's raw block. There is one
+probit solver, probit_mle_batched, a damped Newton on a stack of problems
+that share one (n, d) design (or on a (P, n, d) stack of designs); the
+probit local step solves all trials of a chunk with it at once, and
+probit_mle is that solver on a stack of one. It takes 0/1 responses only,
+raises InvalidArgumentError on any other value, and makes one log_ndtr call
+per response at each likelihood evaluation.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
                     encode_improvement_message, pack_fields, quantize,
                     dequantize, transcript_total_bits)  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
-# draw_trials is not called here either: estimate_risk draws machine by
-# machine with draw_row. It stays importable because bench/spans.py patches
-# it, and so that tracer's draw counters read 0 on simulate workloads until
-# it patches draw_row instead (ROADMAP item 1).
+# draw_trials is not called here either: run_chunks draws machine by machine
+# with spec.fill. It stays importable because bench/spans.py patches it, so
+# that tracer's draw counters read 0 on simulate workloads (ROADMAP item 1).
 from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
-                       GaussianLocationSpec, MeanSpec, ProbitSpec,
-                       RegressionSpec, UniformLocationSpec, draw_row,
+                       GaussianLocationSpec, MeanSpec, ProbitSpec, RegressionSpec,
                        draw_trials, machine_streams, row_shape,  # noqa: F401
                        run_shape)
 
@@ -384,24 +382,12 @@ def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
 
 
 def centralized_baseline(spec, samples):
-    """Family-appropriate estimator with access to the pooled sample, and
-    whether it is flagged.
-
-    Gaussian / bounded: pooled mean; uniform: pooled per-coordinate minimum
-    plus one; regression: pooled least squares; probit: pooled MLE, flagged
-    as probit_mle flags it. Only the probit estimate can be flagged.
-    """
+    """The family's estimator on the pooled sample, spec.pooled on a stack
+    of one, and whether it is flagged (only the probit MLE can be)."""
     x = np.asarray(samples, dtype=float)
-    if isinstance(spec, (GaussianLocationSpec, BoundedProductSpec)):
-        return x.mean(axis=(0, 2)), False
-    if isinstance(spec, UniformLocationSpec):
-        return x.min(axis=(0, 2)) + 1.0, False
-    if isinstance(spec, RegressionSpec):
-        sol, *_ = np.linalg.lstsq(np.vstack(spec.designs), x.ravel(), rcond=None)
-        return sol, False
-    if isinstance(spec, ProbitSpec):
-        return probit_mle(np.vstack(spec.designs), x.ravel())
-    raise InvalidArgumentError(f"no centralized baseline for {type(spec).__name__}")
+    run_shape(spec, len(x), x.shape[-1])
+    theta_hat, flagged = spec.pooled(x[None])
+    return theta_hat[0], bool(flagged[0])
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +431,6 @@ def _gauss_qavg_fuse(spec, messages, n, budget_bits):
     qspec = _gauss_qavg_grid(spec.sigma, m, n)
     idx = quantize(messages, qspec)
     return dequantize(idx, qspec).mean(axis=1), *_fixed(k, m * d * qspec.bits)
-
-
-def _onebit_local(spec, i, row, uniforms):
-    x = row[..., 0]
-    if np.any(np.abs(x) > 1 + 1e-12):
-        raise InvalidArgumentError("one-bit inputs must lie in [-1, 1]")
-    return uniforms < (1.0 + x) / 2.0
 
 
 def _onebit_fuse(spec, messages, n, budget_bits):
@@ -500,17 +479,24 @@ def _probit_local(spec, i, row, uniforms):
 
 
 def _centralized_fuse(spec, pooled, n, budget_bits):
-    k = len(pooled)
-    bits, flagged = _fixed(k, 0)
-    if isinstance(spec, UniformLocationSpec):
-        theta_hat = pooled.min(axis=(1, 3)) + 1.0
-    elif isinstance(spec, MeanSpec):
-        theta_hat = pooled.mean(axis=(1, 3))
-    elif isinstance(spec, ProbitSpec):
-        theta_hat, flagged = probit_mle_batched(np.vstack(spec.designs), pooled.reshape(k, -1))
-    else:
-        theta_hat = np.stack([centralized_baseline(spec, block)[0] for block in pooled])
-    return theta_hat, bits, flagged
+    theta_hat, flagged = spec.pooled(pooled)
+    return theta_hat, np.zeros(len(pooled), dtype=np.int64), flagged
+
+
+def _onebit_check(spec, m, n, budget_bits):
+    if n != 1:
+        raise InvalidArgumentError("the one-bit scheme needs n = 1")
+
+
+def _single_mean_check(spec, m, n, budget_bits):
+    if m != 1:
+        raise InvalidArgumentError("single_mean is a single-machine protocol")
+    if budget_bits is None:
+        raise InvalidArgumentError("single_mean needs budget_bits")
+    if not isinstance(spec, BoundedProductSpec):
+        raise InvalidArgumentError("single_mean runs on the bounded family")
+    if spec.d != 1:
+        raise InvalidArgumentError("single_mean needs d = 1")
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +512,21 @@ class Protocol:
     fuse: Callable            # (spec, messages, n, budget_bits) -> (theta_hat, bits, flagged)
     bound: str = None         # lower-bound formula id replacing the family's
     randomized: bool = False  # the local step reads (k, d) TAG_PROTOCOL uniforms
+    check: Callable = lambda spec, m, n, budget_bits: None  # raises on a run it refuses
+    target: Callable = lambda theta: theta    # theta -> what the estimate is scored against
 
 
 PROTOCOLS = {
+    # single_mean works on [0, 1]; the bounded family maps to it affinely
     "single_mean": Protocol(INDEPENDENT, (BoundedProductSpec,), _single_mean_local,
-                            _single_mean_fuse, bound="prop1"),
+                            _single_mean_fuse, bound="prop1", check=_single_mean_check,
+                            target=lambda theta: (1.0 + theta) / 2.0),
     "gauss_qavg": Protocol(INDEPENDENT, (GaussianLocationSpec,),
                            lambda spec, i, row, u: row.mean(axis=2), _gauss_qavg_fuse),
-    "onebit": Protocol(INDEPENDENT, (MeanSpec,), _onebit_local, _onebit_fuse,
-                       bound="prop2", randomized=True),
+    # Proposition 2's scheme is for data in [-1, 1]^d: the bounded family only
+    "onebit": Protocol(INDEPENDENT, (BoundedProductSpec,),
+                       lambda spec, i, row, u: u < (1.0 + row[..., 0]) / 2.0, _onebit_fuse,
+                       bound="prop2", randomized=True, check=_onebit_check),
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
                             _uniform_min_fuse),
     "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local, _average_fuse),
@@ -566,7 +558,7 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
                budget_bits: int = None):
     """Yield (theta_hat, bits, flagged) of each chunk of sizes[c] trials.
 
-    Machine by machine, draw_row fills one reused row from data_gens[i] (and
+    Machine by machine, spec.fill fills one reused row from data_gens[i] (and
     a randomized protocol's uniforms from proto_gens[i]), and the protocol's
     local step writes what the machine sends into the chunk's message buffer;
     the fusion step then runs on the buffer. sizes[0] is the largest chunk.
@@ -577,7 +569,7 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
     messages = None
     for k in sizes:
         for i, gen in enumerate(data_gens):
-            draw_row(spec, i, gen, row[:k])
+            spec.fill(i, gen, row[:k])
             if rec.randomized:
                 proto_gens[i].random(out=uniforms[:k])
             sent = rec.local(spec, i, row[:k], uniforms[:k] if rec.randomized else None)
@@ -603,25 +595,13 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     if rec is None:
         raise InvalidArgumentError(f"unknown protocol id {protocol!r}")
     m, n = run_shape(spec, m, n)
-    if protocol == "onebit" and n != 1:
-        raise InvalidArgumentError("the one-bit scheme needs n = 1")
-    if protocol == "single_mean":
-        if m != 1:
-            raise InvalidArgumentError("single_mean is a single-machine protocol")
-        if budget_bits is None:
-            raise InvalidArgumentError("single_mean needs budget_bits")
-        if not isinstance(spec, BoundedProductSpec):
-            raise InvalidArgumentError("single_mean runs on the bounded family")
-        if spec.d != 1:
-            raise InvalidArgumentError("single_mean needs d = 1")
+    rec.check(spec, m, n, budget_bits)
     if not isinstance(spec, rec.accepts):
         raise InvalidArgumentError(
             f"protocol {protocol!r} does not run on {type(spec).__name__}")
 
-    d = spec.d
-    # single_mean works on [0, 1]; the bounded family maps to it affinely
-    theta_true = (1.0 + spec.theta) / 2.0 if protocol == "single_mean" else spec.theta
-    sizes = _chunk_sizes(trials, m * d * n)
+    theta_true = rec.target(spec.theta)
+    sizes = _chunk_sizes(trials, m * spec.d * n)
     chunks = run_chunks(protocol, spec, n, sizes, machine_streams(seed, m, TAG_DATA),
                         machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized else None,
                         budget_bits)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -349,6 +350,41 @@ def test_design_family_rejects_a_mismatched_m_or_n(m, n):
     with pytest.raises(InvalidArgumentError, match="must match"):
         sample(spec, m=m, n=n)
     assert estimate_risk("regress_avg", spec, trials=4, seed=0, m=3, n=10).trials == 4
+
+
+@pytest.mark.parametrize("run", [lambda: sample(object(), 2, 1),
+                                 lambda: estimate_risk("onebit", object(), 10, 1, m=2, n=1),
+                                 lambda: centralized_baseline(object(), np.zeros((2, 1, 1)))],
+                         ids=["sample", "estimate_risk", "centralized_baseline"])
+def test_a_non_spec_is_refused_as_one(run):
+    with pytest.raises(InvalidArgumentError, match="^not a family spec: object$"):
+        run()
+
+
+def test_estimate_risk_takes_the_run_rules_from_the_table(monkeypatch):
+    """A throwaway id registered in PROTOCOLS runs with its entry's check
+    and is scored against its entry's target, so estimate_risk needs no
+    protocol's name."""
+    spec = BoundedProductSpec(np.array([0.4, -0.2]), "two_point")
+    seen = []
+
+    def check(spec, m, n, budget_bits):
+        seen.append((spec, m, n, budget_bits))
+        if budget_bits is None:
+            raise InvalidArgumentError("throwaway needs budget_bits")
+
+    rec = dataclasses.replace(protocols.PROTOCOLS["centralized"], check=check,
+                              target=lambda theta: theta + 10.0)
+    monkeypatch.setitem(protocols.PROTOCOLS, "throwaway", rec)
+    with pytest.raises(InvalidArgumentError, match="throwaway needs budget_bits"):
+        estimate_risk("throwaway", spec, trials=10, seed=1, m=3, n=4)
+    rep = estimate_risk("throwaway", spec, trials=10, seed=1, m=3, n=4, budget_bits=2)
+    assert seen == [(spec, 3, 4, None), (spec, 3, 4, 2)]
+    theta_hat, _, _ = next(protocols.run_chunks("centralized", spec, 4, [10],
+                                                machine_streams(1, 3)))
+    sqerr = ((theta_hat - (spec.theta + 10.0)) ** 2).sum(axis=1)
+    assert rep.mse_mean == pytest.approx(float(sqerr.mean()), rel=1e-12)
+    assert rep.mse_mean > 50.0
 
 
 class TestIndependenceStructure:
