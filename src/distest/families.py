@@ -226,8 +226,12 @@ class ProbitSpec(DesignSpec):
 
 def row_shape(spec, n: int) -> tuple:
     """Shape of one machine's draw in one trial: (d, n) for a mean family,
-    (n,) responses for a design family."""
-    return (spec.n,) if isinstance(spec, DesignSpec) else (spec.d, n)
+    (n,) responses for a design family. Any other object raises."""
+    if isinstance(spec, DesignSpec):
+        return (spec.n,)
+    if not isinstance(spec, MeanSpec):
+        raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
+    return (spec.d, n)
 
 
 def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
@@ -254,8 +258,7 @@ def run_shape(spec, m: int = None, n: int = None):
         if n is not None and n != spec.n:
             raise InvalidArgumentError("n must match the design row count")
         return spec.m, spec.n
-    if not isinstance(spec, MeanSpec):
-        raise InvalidArgumentError(f"not a family spec: {type(spec).__name__}")
+    row_shape(spec, n)  # raises on an object that is not a family spec
     if m is None or n is None:
         raise InvalidArgumentError("mean families need explicit m and n")
     if m < 1 or n < 1:

@@ -13,8 +13,8 @@ the chunk's messages from all machines into the estimates, bit counts and
 flags the reference gives trial by trial. run_chunks streams the machines,
 so a chunk never holds more than one machine's raw block. There is one
 probit solver, probit_mle_batched, a damped Newton on a stack of problems
-that share one (n, d) design (or on a (P, n, d) stack of designs); the
-probit local step solves all trials of a chunk with it at once, and
+that share one (n, d) design, its only problem form; the probit local step
+solves all trials of a chunk on the machine's design with it at once, and
 probit_mle is that solver on a stack of one. It takes 0/1 responses only,
 raises InvalidArgumentError on any other value, and makes one log_ndtr call
 per response at each likelihood evaluation.
@@ -189,7 +189,7 @@ def uniform_interactive_min(samples) -> ProtocolOutput:
     spec = QuantizerSpec(-2.0, 2.0, vbits, codec.ROUND_DOWN)
     local_min = x.min(axis=2)                     # (m, d)
 
-    idx0 = quantize(np.clip(local_min[0], -2.0, 2.0), spec)
+    idx0 = quantize(local_min[0], spec)
     state = dequantize(idx0, spec)
     messages = [Message(1, 1, pack_fields(idx0, vbits))]
     improved = np.zeros((m, d), dtype=bool)
@@ -229,7 +229,7 @@ def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
         raise InvalidArgumentError(f"responses must have shape {(m, n)}")
     qspec = _local_average_grid(m, n)
     local = np.stack([_local_solver(spec.designs[i]) @ y[i] for i in range(m)])
-    idx = quantize(np.clip(local, -1.0, 1.0), qspec)
+    idx = quantize(local, qspec)
     messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
     theta_hat = dequantize(idx, qspec).mean(axis=0)
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
@@ -242,70 +242,65 @@ def _row_dots(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _rows(x, idx):
-    """x[idx] of a (P, n, d) stack of designs; a shared (n, d) design is
-    every problem's, so it is returned as it is."""
-    return x if x.ndim == 2 else x[idx]
-
-
 def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                        diverge_norm: float = 1e3):
     """Damped Newton ascent of the concave probit log-likelihood on P
-    problems at once: z (P, n) of 0/1 responses, and a design that is one
-    (n, d) matrix all problems share or a (P, n, d) stack.
+    problems that share one (n, d) design, z (P, n) holding their 0/1
+    responses. Any other shape, or a response other than 0 or 1, raises
+    InvalidArgumentError.
 
-    A response other than 0 or 1 raises InvalidArgumentError. With
-    sign = 2 z - 1 and s = sign * (a @ theta), response j has likelihood
-    Phi(s_j), so each evaluation makes one log_ndtr call. Returns theta
-    (P, d) and flagged (P,); flagged marks separation, detected by the
+    With sign = 2 z - 1 and s = sign * (design @ theta), response j has
+    likelihood Phi(s_j), so each evaluation makes one log_ndtr call. Returns
+    theta (P, d) and flagged (P,); flagged marks separation, detected by the
     iterate norm exceeding diverge_norm or by a singular Newton system, in
     which case the iterate clipped to [-1, 1] is returned. Each product is a
-    stack of the one-problem product, which numpy sends to the same BLAS
-    call (a shared design is broadcast, never copied), so a problem gets the
-    same bytes alone as in any stack. The line search halves one step size
-    for all problems still searching; their rows are gathered once per
-    Newton step and again only after a halving that some problem accepts.
+    stack of the one-problem product, which numpy sends to the same BLAS call
+    (the design is broadcast, never copied), so a problem gets the same bytes
+    alone as in any stack.
     """
     log_ndtr = sys.modules[__name__].log_ndtr
     design = np.asarray(design, dtype=float)
     z = np.asarray(z, dtype=float)
+    if design.ndim != 2 or z.ndim != 2 or z.shape[1] != len(design):
+        raise InvalidArgumentError(f"need one (n, d) design and (P, n) responses; "
+                                   f"got {design.shape} and {z.shape}")
     if not np.all((z == 0.0) | (z == 1.0)):
         raise InvalidArgumentError("probit responses must be 0 or 1")
     sign = 2.0 * z - 1.0
-    p, d = len(z), design.shape[-1]
-    theta = np.zeros((p, d))
-    flagged = np.zeros(p, dtype=bool)
+    theta = np.zeros((len(z), design.shape[1]))
+    flagged = np.zeros(len(z), dtype=bool)
+    stopped = np.zeros(len(z), dtype=bool)   # by a step that failed every halving
 
-    def loglik(a, zs, sg, th):
+    def loglik(zs, sg, th):
         # summed per side, each dot product with exact zeros in the other
         # side's places, so it rounds as z @ log Phi(u) + (1 - z) @ log Phi(-u)
         # does and the golden outputs hold; s and log_ndtr(s) are reused
-        s = sg * (a @ th[..., None])[..., 0]
+        s = sg * (design @ th[..., None])[..., 0]
         ls = log_ndtr(s)
         return _row_dots(zs, ls) + _row_dots(1.0 - zs, ls), s, ls
 
-    ll, *at_theta = loglik(design, z, sign, theta)
-    live = np.arange(p)       # problems still iterating
+    def separated(ids):
+        # flag and stop: the iterate clipped to [-1, 1] is returned
+        flagged[ids] = True
+        theta[ids] = np.clip(theta[ids], -1.0, 1.0)
+
+    ll, s, ls = loglik(z, sign, theta)  # at theta, by problem id as theta is
+    s = s.copy()                        # its rows are written; log_ndtr saw it
+    live = np.arange(len(z))  # ids of the problems still iterating
     for _ in range(max_iter):
         if not live.size:
             break
-        # the live problems' s and log_ndtr(s) at theta, copied out of the
-        # loglik that accepted it (no array log_ndtr saw is written)
-        a, zs, sg = _rows(design, live), z[live], sign[live]
-        s, ls = at_theta
+        sl = s[live]
         # lam = phi(s) / Phi(s), the inverse Mills ratio
-        lam = np.exp(-s * s / 2.0 - 0.5 * math.log(2 * math.pi) - ls)
-        grad = (np.swapaxes(a, -1, -2) @ (sg * lam)[..., None])[..., 0]
+        lam = np.exp(-sl * sl / 2.0 - 0.5 * math.log(2 * math.pi) - ls[live])
+        grad = (design.T @ (sign[live] * lam)[..., None])[..., 0]
         going = ~(np.sqrt(_row_dots(grad, grad)) < grad_tol)
-        live, zs, sg, s, lam, grad = (x[going] for x in (live, zs, sg, s, lam, grad))
-        a = _rows(a, going)
-        weights = lam * (lam + s)
-        hess = np.swapaxes(a, -1, -2) @ (weights[..., None] * a)
+        live, sl, lam, grad = (x[going] for x in (live, sl, lam, grad))
+        hess = design.T @ ((lam * (lam + sl))[..., None] * design)
         try:
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            # some Hessian is singular: solve problem by problem, and flag and
-            # stop each singular one
+            # some Hessian is singular: solve one by one, stop each singular one
             step = np.zeros_like(grad)
             solved = np.ones(live.size, dtype=bool)
             for j in range(live.size):
@@ -313,41 +308,29 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                     step[j] = np.linalg.solve(hess[j], grad[j])
                 except np.linalg.LinAlgError:
                     solved[j] = False
-            stopped = live[~solved]
-            flagged[stopped] = True
-            theta[stopped] = np.clip(theta[stopped], -1.0, 1.0)
-            live, zs, sg, step = (x[solved] for x in (live, zs, sg, step))
-            a = _rows(a, solved)
-        accepted = np.zeros(live.size, dtype=bool)
-        at_theta = [np.empty_like(zs) for _ in range(2)]
-        # the searching problems' positions in live; a, zs, sg, ths, step
-        # and lls hold their rows, and only an accepting halving shrinks them
-        searching = np.arange(live.size)
-        ths, lls = theta[live], ll[live]
+            separated(live[~solved])
+            live, step = live[solved], step[solved]
+        # one step size, halved, for the ids still searching; zs, sg, ths,
+        # step and lls hold their rows, and only an accepting halving shrinks them
+        searching, zs, sg, ths, lls = live, z[live], sign[live], theta[live], ll[live]
         t = 1.0
         while t > 2**-30 and searching.size:
             cand = ths + t * step
-            cand_ll, *at_cand = loglik(a, zs, sg, cand)
+            cand_ll, cand_s, cand_ls = loglik(zs, sg, cand)
             up = cand_ll > lls
             if up.any():
                 hit = searching[up]
-                theta[live[hit]], ll[live[hit]] = cand[up], cand_ll[up]
-                for x, x_cand in zip(at_theta, at_cand):
-                    x[hit] = x_cand[up]
-                accepted[hit] = True
-                still = ~up
+                theta[hit], ll[hit], s[hit], ls[hit] = (
+                    x[up] for x in (cand, cand_ll, cand_s, cand_ls))
                 searching, zs, sg, ths, step, lls = (
-                    x[still] for x in (searching, zs, sg, ths, step, lls))
-                a = _rows(a, still)
+                    x[~up] for x in (searching, zs, sg, ths, step, lls))
             t *= 0.5
-        live = live[accepted]     # the others failed every halving and stop
+        stopped[searching] = True
+        live = live[~stopped[live]]
         th = theta[live]
         diverged = np.sqrt(_row_dots(th, th)) > diverge_norm
-        flagged[live[diverged]] = True
-        theta[live[diverged]] = np.clip(th[diverged], -1.0, 1.0)
-        kept = np.flatnonzero(accepted)[~diverged]
+        separated(live[diverged])
         live = live[~diverged]
-        at_theta = [x[kept] for x in at_theta]
     return theta, flagged
 
 
@@ -374,7 +357,7 @@ def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
         est, flag = probit_mle(spec.designs[i], z[i])
         local[i] = est
         flagged += int(flag)
-    idx = quantize(np.clip(local, -1.0, 1.0), qspec)
+    idx = quantize(local, qspec)
     messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
     theta_hat = dequantize(idx, qspec).mean(axis=0)
     return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
@@ -467,7 +450,8 @@ def _average_fuse(spec, sent, n, budget_bits):
     local = sent[..., :spec.d]
     k, m, d = local.shape
     qspec = _local_average_grid(m, n)
-    idx = quantize(np.clip(local, -1.0, 1.0), qspec)
+    # quantize clamps to the grid's [-1, 1] first: that clamp is the truncation
+    idx = quantize(local, qspec)
     return (dequantize(idx, qspec).mean(axis=1), np.full(k, m * d * qspec.bits, dtype=np.int64),
             sent[..., d:].any(axis=(1, 2)))
 

@@ -191,6 +191,11 @@ class TestSampling:
             with pytest.raises(InvalidArgumentError, match="blocks"):
                 run(np.zeros((2, 3)))
 
+    def test_draw_trials_refuses_a_non_spec(self):
+        # the one family check, in row_shape, and not a bare AttributeError
+        with pytest.raises(InvalidArgumentError, match="^not a family spec: object$"):
+            draw_trials(object(), machine_streams(0, 2), 1, 3)
+
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_theta_and_sigma_rejected(value):

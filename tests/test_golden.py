@@ -4,8 +4,8 @@ The files under tests/golden/ pin what the code produces. A change that
 moves any of them must say why in CHANGES.md. To regenerate them, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout;
 it also prints the digests that ``WIDE_VERIFY_SHA256``,
-``BENCH_VERIFY_SHA256``, ``WIDE_SIMULATE_SHA256`` and ``DEMO_06_SHA256``
-hold.
+``BENCH_VERIFY_SHA256``, ``WIDE_SIMULATE_SHA256``, ``DEMO_06_SHA256`` and
+``SOLVER_EVALUATIONS`` hold.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from distest import cli, protocols, sweeps
+from distest.designs import build_designs
+from distest.families import ProbitSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -46,6 +49,11 @@ WIDE_SIMULATE_SHA256 = "6a808359ea9f7b3595223b1b4e776dab53a162c162c00692febb84ec
 # risk bound of its Fano instance and the suite summaries it prints.
 DEMO_06 = ROOT / "demos" / "06_inequality_checks.py"
 DEMO_06_SHA256 = "af6add117e1b7c6d9dc80a2a447055ed0e457a88c4c8003aed4f2a2183303919"
+# (calls, values, sha256 of their bytes in order) of every array the probit
+# solver hands protocols.log_ndtr over probit_avg and centralized runs on one
+# spec: a change to the Newton loop that moves any evaluation moves it.
+SOLVER_EVALUATIONS = (1498, 1118220,
+                      "9b0dd0aa060b9dccd464c0e602535961afad570cc00a9f1679fba4a461aac0a3")
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")
@@ -128,6 +136,26 @@ def _wide_simulate_digest() -> str:
     return hashlib.sha256(_every_pair(WIDE_SIMULATE_GRID).encode("utf-8")).hexdigest()
 
 
+def _solver_evaluations():
+    log_ndtr = protocols.log_ndtr
+    sha, seen = hashlib.sha256(), [0, 0]
+
+    def recording(s):
+        seen[0] += 1
+        seen[1] += s.size
+        sha.update(np.ascontiguousarray(s).tobytes())
+        return log_ndtr(s)
+
+    spec = ProbitSpec(build_designs("orthogonal", 10, 30, 3, 7), (0.3, -0.2, 0.1))
+    protocols.log_ndtr = recording
+    try:
+        for protocol in ("probit_avg", "centralized"):
+            protocols.estimate_risk(protocol, spec, 100, 7)
+    finally:
+        protocols.log_ndtr = log_ndtr
+    return (*seen, sha.hexdigest())
+
+
 def _demo_06_digest() -> str:
     src = str(Path(cli.__file__).resolve().parents[1])
     res = subprocess.run([sys.executable, str(DEMO_06)], capture_output=True,
@@ -172,6 +200,10 @@ def test_demo_06_digest():
     assert _demo_06_digest() == DEMO_06_SHA256
 
 
+def test_probit_solver_evaluation_digest():
+    assert _solver_evaluations() == SOLVER_EVALUATIONS
+
+
 def test_golden_suites_are_every_suite():
     assert SUITES == ",".join(sweeps.SUITE_NAMES)
 
@@ -192,3 +224,4 @@ if __name__ == "__main__":
             print(f"{name}_VERIFY_SHA256 = {hashlib.sha256(text).hexdigest()!r}")
         print(f"WIDE_SIMULATE_SHA256 = {_wide_simulate_digest()!r}")
         print(f"DEMO_06_SHA256 = {_demo_06_digest()!r}")
+        print(f"SOLVER_EVALUATIONS = {_solver_evaluations()!r}")

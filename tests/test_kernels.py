@@ -247,22 +247,24 @@ def test_singular_probit_hessian_is_flagged_by_kernel_and_reference(monkeypatch)
 # alone (probit_mle, the solver on a stack of one) as in a stack of many
 
 def assert_batch_invariant(a, z, **kw):
-    """probit_mle_batched on the (P, n, d) stack a gives each problem the
-    theta bytes and flag that probit_mle gives it alone."""
+    """probit_mle_batched on the problems z that share the design a gives
+    each problem the theta bytes and flag that probit_mle gives it alone."""
     theta, flagged = probit_mle_batched(a, z, **kw)
-    assert theta.shape == (len(z), a.shape[2]) and flagged.shape == (len(z),)
+    assert theta.shape == (len(z), a.shape[1]) and flagged.shape == (len(z),)
     for p in range(len(z)):
-        ref_theta, ref_flagged = probit_mle(a[p], z[p], **kw)
+        ref_theta, ref_flagged = probit_mle(a, z[p], **kw)
         assert np.array_equal(theta[p], ref_theta), f"problem {p}"
         assert flagged[p] == ref_flagged, f"problem {p}"
     return theta, flagged
 
 
 def random_probit_problems(n, d, count, seed):
+    """One random (n, d) design and the (count, n) responses of count
+    problems on it, each drawn at its own theta."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((count, n, d))
+    a = rng.standard_normal((n, d))
     theta = rng.uniform(-1.5, 1.5, (count, d))
-    z = rng.random((count, n)) < 0.5 + 0.45 * np.tanh((a @ theta[..., None])[..., 0])
+    z = rng.random((count, n)) < 0.5 + 0.45 * np.tanh(theta @ a.T)
     return a, z.astype(float)
 
 
@@ -277,21 +279,26 @@ def test_batched_newton_matches_probit_mle(n, d):
 
 
 def every_way_out_problems():
-    a, z = random_probit_problems(4, 2, 40, seed=7)
-    unit = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    a[3], z[3] = unit, [1.0, 0.0, 1.0, 0.0]             # gradient exactly 0 at 0
-    a[17], z[17] = 1e-3 * unit, np.ones(4)              # separable, tiny design
+    """40 problems on a design whose rows come in equal pairs, its last
+    column scaled by 1e-3: problem 3 answers 1, 0 on each pair, so its
+    gradient at theta = 0 is exactly 0; problem 17 is separable along the
+    tiny column; the others are random."""
+    rng = np.random.default_rng(7)
+    a = np.repeat(rng.standard_normal((4, 3)) * [1.0, 1.0, 1e-3], 2, axis=0)
+    z = (rng.random((40, 8)) < 0.5).astype(float)
+    z[3] = np.tile([1.0, 0.0], 4)
+    z[17] = a[:, 2] > 0
     return a, z
 
 
 def test_batched_newton_covers_every_way_out():
     """One batch holds a problem that stops at grad_tol on iteration 0, one
-    that separates (flagged) and random ones, so the active set loses
-    problems for different reasons in the same iterations."""
+    that separates (flagged) and random ones that converge, so the active
+    set loses problems for different reasons in the same iterations."""
     a, z = every_way_out_problems()
     theta, flagged = assert_batch_invariant(a, z)
-    assert np.array_equal(theta[3], np.zeros(2)) and not flagged[3]
-    assert flagged[17]
+    assert np.array_equal(theta[3], np.zeros(3)) and not flagged[3]
+    assert flagged[17] and not flagged.all()
 
 
 def test_batched_newton_covers_exhausted_halvings():
@@ -302,22 +309,24 @@ def test_batched_newton_covers_exhausted_halvings():
     a, z = random_probit_problems(30, 3, 40, seed=8)
     theta, flagged = assert_batch_invariant(a, z, grad_tol=0.0)
     exhausted = [p for p in range(len(z)) if not flagged[p] and np.array_equal(
-        probit_mle(a[p], z[p], max_iter=50, grad_tol=0.0)[0], theta[p])]
+        probit_mle(a, z[p], max_iter=50, grad_tol=0.0)[0], theta[p])]
     assert exhausted
 
 
-def test_batched_newton_on_a_broadcast_design():
-    """One design in each of its three forms gives what each problem gets
-    alone: the shared (n, d) matrix, its zero-stride broadcast view (indexed
-    like any stack) and a contiguous stack of its copies."""
-    a, z = random_probit_problems(12, 3, 60, seed=9)
-    view = np.broadcast_to(a[0], a.shape)
-    assert view.strides[0] == 0
-    theta, flagged = assert_batch_invariant(view, z)
-    for design in (a[0], np.ascontiguousarray(view)):
-        other_theta, other_flagged = probit_mle_batched(design, z)
-        assert np.array_equal(other_theta, theta)
-        assert np.array_equal(other_flagged, flagged)
+@pytest.mark.parametrize("design_of,z_of", [
+    (lambda a: a[:, 0], lambda z: z),
+    (lambda a: np.stack([a] * 4), lambda z: z),
+    (lambda a: np.broadcast_to(a, (4, *a.shape)), lambda z: z),
+    (lambda a: a, lambda z: z[:, :-1]),
+    (lambda a: a, lambda z: z[0]),
+], ids=["1d-design", "stack-of-designs", "broadcast-view", "wrong-width-z", "1d-z"])
+def test_batched_newton_takes_one_shared_design(design_of, z_of):
+    """The solver's one problem form is an (n, d) design that all P
+    problems of z (P, n) share; any other shape is refused by name."""
+    a, z = random_probit_problems(6, 2, 4, seed=9)
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^need one \(n, d\) design and \(P, n\) responses; got"):
+        probit_mle_batched(design_of(a), z_of(z))
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +378,16 @@ def two_sided_probit_mle(design, z, max_iter=100, grad_tol=1e-9, diverge_norm=1e
 
 
 def assert_matches_two_sided(a, z, **kw):
-    """probit_mle, and probit_mle_batched on the (P, n, d) stack a and on
-    its first matrix shared by all P problems, give the two-sided solver's
-    theta bytes and flag. Returns the stack's flags."""
-    for design, design_of in ((a[0], lambda p: a[0]), (a, lambda p: a[p])):
-        theta, flagged = probit_mle_batched(design, z, **kw)
-        for p in range(len(z)):
-            want_theta, want_flagged = two_sided_probit_mle(design_of(p), z[p], **kw)
-            got_theta, got_flagged = probit_mle(design_of(p), z[p], **kw)
-            assert got_theta.tobytes() == want_theta.tobytes(), f"problem {p}"
-            assert theta[p].tobytes() == want_theta.tobytes(), f"problem {p}"
-            assert got_flagged == flagged[p] == want_flagged, f"problem {p}"
+    """probit_mle, and probit_mle_batched on the problems z that share the
+    design a, give the two-sided solver's theta bytes and flag. Returns the
+    batch's flags."""
+    theta, flagged = probit_mle_batched(a, z, **kw)
+    for p in range(len(z)):
+        want_theta, want_flagged = two_sided_probit_mle(a, z[p], **kw)
+        got_theta, got_flagged = probit_mle(a, z[p], **kw)
+        assert got_theta.tobytes() == want_theta.tobytes(), f"problem {p}"
+        assert theta[p].tobytes() == want_theta.tobytes(), f"problem {p}"
+        assert got_flagged == flagged[p] == want_flagged, f"problem {p}"
     return flagged
 
 
@@ -397,8 +405,8 @@ def test_newton_evaluates_what_the_two_sided_form_evaluates(monkeypatch, grad_to
                             lambda u: oracle.append(u) or scipy_log_ndtr(u))
         monkeypatch.setattr(protocols, "log_ndtr",
                             lambda s: solver.append(np.ravel(s)) or scipy_log_ndtr(s))
-        two_sided_probit_mle(a[p], z[p], grad_tol=grad_tol)
-        probit_mle(a[p], z[p], grad_tol=grad_tol)
+        two_sided_probit_mle(a, z[p], grad_tol=grad_tol)
+        probit_mle(a, z[p], grad_tol=grad_tol)
         sign = 2.0 * z[p] - 1.0
         assert len(oracle) == 2 * len(solver), f"problem {p}"
         for got, u in zip(solver, oracle[::2]):
@@ -437,8 +445,7 @@ def test_signed_solvers_read_a_negative_zero_response_as_zero():
 def test_probit_solvers_take_only_binary_responses(bad):
     a, z = random_probit_problems(6, 2, 3, seed=4)
     z[1, 2] = bad
-    for solve in (lambda: probit_mle(a[1], z[1]), lambda: probit_mle_batched(a[0], z),
-                  lambda: probit_mle_batched(a, z)):
+    for solve in (lambda: probit_mle(a, z[1]), lambda: probit_mle_batched(a, z)):
         with pytest.raises(InvalidArgumentError, match="probit responses must be 0 or 1"):
             solve()
 
