@@ -17,7 +17,10 @@ that share one (n, d) design, its only problem form; the probit local step
 solves all trials of a chunk on the machine's design with it at once, and
 probit_mle is that solver on a stack of one. It takes 0/1 responses only,
 raises InvalidArgumentError on any other value, and makes one log_ndtr call
-per response at each likelihood evaluation.
+per response at each likelihood evaluation. Two exit rules bound its work
+and its flags: a Newton decrement under TAU ulps of the log-likelihood stops
+a problem without a line search, and a problem whose iterate at exit has
+every s_j > 0 is strictly separated, so it is flagged and clipped.
 """
 
 from __future__ import annotations
@@ -242,21 +245,32 @@ def _row_dots(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
+# The Newton decrement, in ulps of |ll|, under which a step is not searched.
+TAU = 1.0
+
+
 def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                        diverge_norm: float = 1e3):
     """Damped Newton ascent of the concave probit log-likelihood on P
     problems that share one (n, d) design, z (P, n) holding their 0/1
-    responses. Any other shape, or a response other than 0 or 1, raises
-    InvalidArgumentError.
+    responses. Any other shape, a non-finite design entry, a response other
+    than 0 or 1, or a setting outside max_iter >= 0 (an int), grad_tol >= 0
+    and diverge_norm > 0 raises InvalidArgumentError.
 
     With sign = 2 z - 1 and s = sign * (design @ theta), response j has
-    likelihood Phi(s_j), so each evaluation makes one log_ndtr call. Returns
-    theta (P, d) and flagged (P,); flagged marks separation, detected by the
-    iterate norm exceeding diverge_norm or by a singular Newton system, in
-    which case the iterate clipped to [-1, 1] is returned. Each product is a
-    stack of the one-problem product, which numpy sends to the same BLAS call
-    (the design is broadcast, never copied), so a problem gets the same bytes
-    alone as in any stack.
+    likelihood Phi(s_j), so each evaluation makes one log_ndtr call. A
+    problem stops when its gradient norm is below grad_tol, after max_iter
+    iterations, when its Newton step fails every halving, or when its Newton
+    decrement grad @ step is below TAU * spacing(|ll|): the quadratic model
+    then predicts a rise under half an ulp of ll, which only rounding could
+    give, so the step is not searched. Returns theta (P, d) and flagged (P,);
+    flagged marks separation, in which case the iterate clipped to [-1, 1]
+    is returned. Separation is detected by a singular Newton system, by the
+    iterate norm exceeding diverge_norm, or, at exit, by an iterate with
+    every s_j > 0, which strictly separates the data so that no MLE exists.
+    Each product is a stack of the one-problem product, which numpy sends to
+    the same BLAS call (the design is broadcast, never copied), so a problem
+    gets the same bytes alone as in any stack.
     """
     log_ndtr = sys.modules[__name__].log_ndtr
     design = np.asarray(design, dtype=float)
@@ -264,12 +278,19 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     if design.ndim != 2 or z.ndim != 2 or z.shape[1] != len(design):
         raise InvalidArgumentError(f"need one (n, d) design and (P, n) responses; "
                                    f"got {design.shape} and {z.shape}")
+    if not np.isfinite(design).all():
+        raise InvalidArgumentError("probit design entries must be finite")
     if not np.all((z == 0.0) | (z == 1.0)):
         raise InvalidArgumentError("probit responses must be 0 or 1")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0
+            and grad_tol >= 0 and diverge_norm > 0):
+        raise InvalidArgumentError(f"probit solver needs an int max_iter >= 0, grad_tol >= 0 "
+                                   f"and diverge_norm > 0; got {max_iter!r}, {grad_tol!r} "
+                                   f"and {diverge_norm!r}")
     sign = 2.0 * z - 1.0
     theta = np.zeros((len(z), design.shape[1]))
     flagged = np.zeros(len(z), dtype=bool)
-    stopped = np.zeros(len(z), dtype=bool)   # by a step that failed every halving
+    stopped = np.zeros(len(z), dtype=bool)   # by a step that cannot raise ll
 
     def loglik(zs, sg, th):
         # summed per side, each dot product with exact zeros in the other
@@ -309,10 +330,15 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                 except np.linalg.LinAlgError:
                     solved[j] = False
             separated(live[~solved])
-            live, step = live[solved], step[solved]
+            live, grad, step = live[solved], grad[solved], step[solved]
+        # a decrement under TAU ulps of ll stops the problem as an exhausted
+        # search would, without evaluating its halvings
+        flat = _row_dots(grad, step) < TAU * np.spacing(np.abs(ll[live]))
+        stopped[live[flat]] = True
         # one step size, halved, for the ids still searching; zs, sg, ths,
         # step and lls hold their rows, and only an accepting halving shrinks them
-        searching, zs, sg, ths, lls = live, z[live], sign[live], theta[live], ll[live]
+        searching, step = live[~flat], step[~flat]
+        zs, sg, ths, lls = z[searching], sign[searching], theta[searching], ll[searching]
         t = 1.0
         while t > 2**-30 and searching.size:
             cand = ths + t * step
@@ -331,6 +357,7 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         diverged = np.sqrt(_row_dots(th, th)) > diverge_norm
         separated(live[diverged])
         live = live[~diverged]
+    separated(np.flatnonzero(~flagged & (s > 0).all(axis=1)))
     return theta, flagged
 
 

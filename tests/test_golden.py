@@ -44,7 +44,7 @@ BENCH_VERIFY_SHA256 = "713973b48ec72bf57e3ceb64e974cf8e2415e915ff621106f3fc7c466
 # layout of the draws moves it.
 WIDE_SIMULATE_GRID = ("d = 1\nd = 3\nm = 3\nm = 40\nn = 1\nn = 16\ntheta = 0.3\n"
                       "budget_bits = 6\ntrials = 30\nseed = 5\n")
-WIDE_SIMULATE_SHA256 = "6a808359ea9f7b3595223b1b4e776dab53a162c162c00692febb84ec1f57d29f"
+WIDE_SIMULATE_SHA256 = "c38d18d398d7f0a3f602ee2ce2db2d4f1d754999de2afbfe39f5cc3410190380"
 # sha256 of demos/06_inequality_checks.py's stdout: its worked instances, the
 # risk bound of its Fano instance and the suite summaries it prints.
 DEMO_06 = ROOT / "demos" / "06_inequality_checks.py"
@@ -52,8 +52,8 @@ DEMO_06_SHA256 = "af6add117e1b7c6d9dc80a2a447055ed0e457a88c4c8003aed4f2a21833039
 # (calls, values, sha256 of their bytes in order) of every array the probit
 # solver hands protocols.log_ndtr over probit_avg and centralized runs on one
 # spec: a change to the Newton loop that moves any evaluation moves it.
-SOLVER_EVALUATIONS = (1498, 1118220,
-                      "9b0dd0aa060b9dccd464c0e602535961afad570cc00a9f1679fba4a461aac0a3")
+SOLVER_EVALUATIONS = (411, 309030,
+                      "d456fa128ecda311fe60acb7d82e9c3b4da725f4ef0c4681e1624417b9204c9a")
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")

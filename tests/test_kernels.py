@@ -303,9 +303,10 @@ def test_batched_newton_covers_every_way_out():
 
 def test_batched_newton_covers_exhausted_halvings():
     """With grad_tol = 0 a problem stops only by separating (flagged), at
-    max_iter, or at a Newton step that fails all 30 halvings. An unflagged
-    problem whose result with max_iter = 50 equals its result with 100
-    stopped before iteration 50, so its last step failed every halving."""
+    max_iter, or at a Newton step that cannot raise the log-likelihood: its
+    decrement is under TAU ulps of |ll|, or it fails all 30 halvings. An
+    unflagged problem whose result with max_iter = 50 equals its result with
+    100 stopped before iteration 50, so it stopped on such a step."""
     a, z = random_probit_problems(30, 3, 40, seed=8)
     theta, flagged = assert_batch_invariant(a, z, grad_tol=0.0)
     exhausted = [p for p in range(len(z)) if not flagged[p] and np.array_equal(
@@ -335,7 +336,9 @@ def test_batched_newton_takes_one_shared_design(design_of, z_of):
 def two_sided_probit_mle(design, z, max_iter=100, grad_tol=1e-9, diverge_norm=1e3):
     """probit_mle in its two-sided form: log_ndtr of u = a theta and of -u,
     and the inverse Mills ratios lam_p and lam_m of both sides, weighted by
-    z and 1 - z."""
+    z and 1 - z. It has the solver's exit rules: a Newton decrement grad @
+    step under TAU ulps of |ll| stops it as an exhausted search does, and an
+    iterate that puts every u_j on its response's side of 0 is flagged."""
     a = np.asarray(design, dtype=float)
     z = np.asarray(z, dtype=float)
     theta = np.zeros(a.shape[1])
@@ -359,6 +362,8 @@ def two_sided_probit_mle(design, z, max_iter=100, grad_tol=1e-9, diverge_norm=1e
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             return np.clip(theta, -1.0, 1.0), True
+        if grad @ step < protocols.TAU * np.spacing(abs(ll)):
+            break
         t = 1.0
         accepted = False
         while t > 2**-30:
@@ -374,6 +379,8 @@ def two_sided_probit_mle(design, z, max_iter=100, grad_tol=1e-9, diverge_norm=1e
             break
         if np.linalg.norm(theta) > diverge_norm:
             return np.clip(theta, -1.0, 1.0), True
+    if np.where(z == 1.0, u > 0.0, u < 0.0).all():
+        return np.clip(theta, -1.0, 1.0), True
     return theta, False
 
 
@@ -448,6 +455,69 @@ def test_probit_solvers_take_only_binary_responses(bad):
     for solve in (lambda: probit_mle(a, z[1]), lambda: probit_mle_batched(a, z)):
         with pytest.raises(InvalidArgumentError, match="probit responses must be 0 or 1"):
             solve()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probit_solvers_take_only_finite_designs(bad):
+    a, z = random_probit_problems(6, 2, 3, seed=4)
+    a[3, 1] = bad
+    for solve in (lambda: probit_mle(a, z[1]), lambda: probit_mle_batched(a, z)):
+        with pytest.raises(InvalidArgumentError, match="probit design entries must be finite"):
+            solve()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("max_iter", -1), ("max_iter", 2.0), ("grad_tol", -1e-9), ("grad_tol", np.nan),
+    ("diverge_norm", 0.0), ("diverge_norm", -1.0), ("diverge_norm", np.nan)])
+def test_probit_solver_settings_are_checked(name, value):
+    """max_iter is an int >= 0, grad_tol >= 0 and diverge_norm > 0; NaN
+    fails each comparison, so it cannot turn a test off. The bounds
+    themselves are accepted: no iteration returns theta = 0 unflagged."""
+    a, z = random_probit_problems(6, 2, 3, seed=4)
+    for solve in (lambda: probit_mle(a, z[1], **{name: value}),
+                  lambda: probit_mle_batched(a, z, **{name: value})):
+        with pytest.raises(InvalidArgumentError, match="^probit solver needs an int max_iter"):
+            solve()
+    theta, flagged = probit_mle(a, z[1], max_iter=0, grad_tol=0.0)
+    assert theta.tolist() == [0.0, 0.0] and flagged is False
+
+
+# ---------------------------------------------------------------------------
+# separation: an iterate with every s_j > 0 separates the data strictly, so
+# no MLE exists, and the solver flags it at whichever exit it takes
+
+def test_a_separated_problem_that_leaves_on_the_gradient_test_is_flagged(monkeypatch):
+    """One response of 1 on the design [[1.0]] is separated by every theta >
+    0. Each evaluation raises the log-likelihood, so each is an accepted
+    iterate; at the last one the gradient, the inverse Mills ratio, is under
+    grad_tol = 1e-9, so the solver left on the gradient test. It flags the
+    problem and returns the iterate clipped to 1."""
+    seen = []
+    monkeypatch.setattr(protocols, "log_ndtr",
+                        lambda s: seen.append(float(s[0, 0])) or log_ndtr(s))
+    theta, flagged = probit_mle([[1.0]], [1.0])
+    assert theta.tolist() == [1.0] and flagged is True
+    assert seen == sorted(set(seen)) and seen[-1] > 0.0
+    last = seen[-1]
+    assert math.exp(-last * last / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(last)) < 1e-9
+
+
+def test_separated_centralized_probit_trials_are_flagged_and_clipped():
+    """The grid point of the singular-Hessian test with protocol =
+    centralized: the pooled responses of trials 1, 18, 34 and 38 are
+    strictly separated by their iterates, which stop far inside
+    diverge_norm. The kernel flags exactly these, clips them to [-1, 1],
+    and agrees with the oracle on every trial."""
+    m, n, d, seed = 3, 4, 2, 11
+    spec = ProbitSpec(build_designs("orthogonal", m, n, d, seed), np.full(d, 0.9))
+    blocks = draw_trials(spec, machine_streams(seed, m), n, 50)
+    theta_hat, _, flagged = kernel("centralized", spec, m, n, seed=seed, trials=50)
+    for t, block in enumerate(blocks):
+        ref_theta, ref_flagged = centralized_oracle(spec, block)
+        assert np.array_equal(theta_hat[t], ref_theta), f"trial {t}"
+        assert flagged[t] == ref_flagged, f"trial {t}"
+    assert np.flatnonzero(flagged).tolist() == [1, 18, 34, 38]
+    assert (np.abs(theta_hat[flagged]) <= 1.0).all()
 
 
 def test_probit_avg_rejects_regression_data():
