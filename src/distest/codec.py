@@ -70,15 +70,12 @@ def pack_fields(values, width: int) -> BitString:
     return BitString(acc, n)
 
 
-def unpack_fields(payload: BitString, width: int) -> tuple:
-    """Inverse of pack_fields; payload length must be a multiple of width."""
-    if width <= 0:
-        if payload.length:
-            raise InvalidArgumentError("cannot unpack nonempty payload with width 0")
-        return ()
-    if payload.length % width:
-        raise InvalidArgumentError("payload length is not a multiple of the field width")
-    count = payload.length // width
+def unpack_fields(payload: BitString, width: int, count: int) -> tuple:
+    """Inverse of pack_fields: the count width-bit fields of payload, which
+    must be exactly count * width bits long. Zero-width fields are zeros."""
+    if width < 0 or count < 0 or payload.length != width * count:
+        raise InvalidArgumentError(f"a {payload.length}-bit payload is not {count} "
+                                   f"fields of {width} bits")
     mask = (1 << width) - 1
     return tuple((payload.value >> (width * (count - 1 - i))) & mask for i in range(count))
 
@@ -239,14 +236,7 @@ def decode_improvement_message(payload: BitString, d: int, value_bits: int):
     if payload.length % per_entry:
         raise InvalidArgumentError("payload length inconsistent with entry width")
     count = payload.length // per_entry
+    # at d == 1 the indices take no bits: the only coordinate is implicit
     head = BitString(payload.value >> (count * value_bits), count * index_bits)
     tail = BitString(payload.value & ((1 << (count * value_bits)) - 1), count * value_bits)
-    if index_bits == 0:
-        indices = (0,) * count  # d == 1: the only coordinate is implicit
-    else:
-        indices = unpack_fields(head, index_bits)
-    if value_bits == 0:
-        values = (0,) * count
-    else:
-        values = unpack_fields(tail, value_bits)
-    return indices, values
+    return unpack_fields(head, index_bits, count), unpack_fields(tail, value_bits, count)

@@ -3,8 +3,8 @@ mean-to-regression / regression-to-probit reductions.
 
 A sample is a plain array, the machines' local blocks: (m, d, n) for a mean
 family and (m, n) responses for a design family. sample() returns one, and
-draw_trials stacks one per trial, so blocks[t] of a draw is what the
-protocols' reference functions take. Each spec class holds its family's
+draw_trials stacks one per trial, so blocks[t] of a draw is what
+protocols.run_trial takes. Each spec class holds its family's
 rules: fill(i, gen, row) fills machine i's block of a run of trials in place,
 in its formula's order of operations, and pooled(x) is the estimator on a
 (k, m, *row) stack of whole samples, giving theta_hat (k, d) and flagged

@@ -1,33 +1,40 @@
 """Executable estimation protocols with bit-accounted transcripts.
 
-Each protocol has a reference function that runs one trial and returns a
-ProtocolOutput holding the estimate and the exact Transcript it would put on
-the wire; tests call these. A reference takes the sample as the array
-families.sample returns: (m, d, n) for the mean families, (m, n) responses
-for the design families. estimate_risk measures mean-squared error and bit
-statistics over many seeded trials without building transcripts. PROTOCOLS
-maps each protocol id to its transcript kind, the spec types it runs on, its
-run rules and its two steps: a local step that reduces one machine's block
-of a chunk of trials to the messages it sends, and a fusion step that turns
-the chunk's messages from all machines into the estimates, bit counts and
-flags the reference gives trial by trial. run_chunks streams the machines,
-so a chunk never holds more than one machine's raw block. There is one
-probit solver, probit_mle_batched, a damped Newton on a stack of problems
-that share one (n, d) design, its only problem form; the probit local step
-solves all trials of a chunk on the machine's design with it at once, and
-probit_mle is that solver on a stack of one. It takes 0/1 responses only,
-raises InvalidArgumentError on any other value, and makes one log_ndtr call
-per response at each likelihood evaluation. Two exit rules bound its work
-and its flags: a Newton decrement under TAU ulps of the log-likelihood stops
-a problem without a line search, and a problem whose iterate at exit has
-every s_j > 0 is strictly separated, so it is flagged and clipped.
+PROTOCOLS maps each protocol id to its transcript kind, the spec types it
+runs on, its run rules and its steps: a local step that reduces one
+machine's block of a chunk of trials to the values it sends, and a fusion
+step that turns the chunk's values from all machines into the estimates,
+bit counts and flags. Every protocol but centralized, which sends its raw
+data, also has an encode, which puts one trial's (m, ...) values on the wire
+as a Transcript, and a decode, which computes the estimate from that
+Transcript and the run's public parameters alone, since the fusion center
+sees only the messages. There are three message kinds: fixed-width fields
+on the protocol's grid (single_mean, gauss_qavg, regress_avg, probit_avg),
+one bit per coordinate (onebit) and improvement lists (uniform_min).
+run_trial runs one trial on the array families.sample returns, (m, d, n)
+for the mean families and (m, n) responses for the design families: the
+local step per machine, then encode, then decode; tests hold the fusion to
+it trial by trial. estimate_risk measures mean-squared error and bit
+statistics over many seeded trials through run_chunks, which streams the
+machines, so a chunk never holds more than one machine's raw block, and
+builds no transcript. There is one probit solver, probit_mle_batched, a
+damped Newton on a stack of problems that share one (n, d) design, its only
+problem form; the probit local step solves all trials of a chunk on the
+machine's design with it at once, and probit_mle is that solver on a stack
+of one. It takes 0/1 responses only, raises InvalidArgumentError on any
+other value, and makes one log_ndtr call per response at each likelihood
+evaluation. Two exit rules bound its work and its flags: a Newton decrement
+under TAU ulps of the log-likelihood stops a problem without a line search,
+and a problem whose iterate at exit has every s_j > 0 on the design's
+nonzero rows is strictly separated, so it is flagged and clipped.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,16 +42,16 @@ import numpy as np
 from . import codec
 # transcript_total_bits is not called here; it stays importable from this
 # module because instrumentation patches the codec names protocols imports.
-from .codec import (INDEPENDENT, INTERACTIVE, BitString, Message, QuantizerSpec,
-                    Transcript, bits_for_accuracy, ceil_log2,
-                    encode_improvement_message, pack_fields, quantize,
-                    dequantize, transcript_total_bits)  # noqa: F401
+from .codec import (INDEPENDENT, INTERACTIVE, Message, QuantizerSpec, Transcript,
+                    bits_for_accuracy, ceil_log2, decode_improvement_message,
+                    encode_improvement_message, pack_fields, quantize, dequantize,
+                    transcript_total_bits, unpack_fields)  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
 # draw_trials is not called here either: run_chunks draws machine by machine
 # with spec.fill. It stays importable because bench/spans.py patches it, so
 # that tracer's draw counters read 0 on simulate workloads (ROADMAP item 1).
 from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
-                       GaussianLocationSpec, MeanSpec, ProbitSpec, RegressionSpec,
+                       GaussianLocationSpec, MeanSpec, ProbitSpec,
                        draw_trials, machine_streams, row_shape,  # noqa: F401
                        run_shape)
 
@@ -58,13 +65,6 @@ def __getattr__(name):
         globals()[name] = log_ndtr
         return log_ndtr
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-@dataclass(eq=False)
-class ProtocolOutput:
-    theta_hat: np.ndarray
-    transcript: Transcript
-    info: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -96,6 +96,11 @@ def _local_average_grid(m: int, n: int) -> QuantizerSpec:
     return QuantizerSpec(-1.0, 1.0, bits_for_accuracy(-1.0, 1.0, 1.0 / (m * n)))
 
 
+def _uniform_min_grid(m: int, n: int) -> QuantizerSpec:
+    """The interactive minimum's grid on [-2, 2], rounding down."""
+    return QuantizerSpec(-2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN)
+
+
 def gauss_qavg_message_bits(d: int, sigma: float, m: int, n: int) -> int:
     """Per-machine bits: d coordinates on the gauss_qavg grid."""
     return d * _gauss_qavg_grid(sigma, m, n).bits
@@ -112,131 +117,12 @@ def uniform_min_value_bits(m: int, n: int) -> int:
     return bits_for_accuracy(-2.0, 2.0, 1.0 / (m * n) ** 2)
 
 
-# ---------------------------------------------------------------------------
-# the achievability schemes
-
-def single_machine_quantized_mean(x, budget_bits: int) -> ProtocolOutput:
-    """Transmit the sample mean of [0, 1]-valued data on a budget_bits grid."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidArgumentError("need a 1-d sample vector")
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise InvalidArgumentError("samples must lie in [0, 1]")
-    if budget_bits < 1:
-        raise InvalidArgumentError("budget must be at least one bit")
-    spec = QuantizerSpec(0.0, 1.0, budget_bits, codec.ROUND_NEAREST)
-    idx = quantize(arr.mean(), spec)
-    transcript = Transcript((Message(1, 1, BitString(idx, budget_bits)),), INDEPENDENT)
-    return ProtocolOutput(np.array([dequantize(idx, spec)]), transcript)
-
-
-def _mean_blocks(samples):
-    """The (m, d, n) blocks of one mean-family sample, and m, d, n."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 3:
-        raise InvalidArgumentError(f"need (m, d, n) blocks; got shape {arr.shape}")
-    return (arr, *arr.shape)
-
-
-def gaussian_quantized_average(samples, sigma: float) -> ProtocolOutput:
-    """Truncate-quantize-average for the normal location family.
-
-    Each machine sends its local mean, truncated coordinatewise to
-    [-1 - sigma/sqrt(n), 1 + sigma/sqrt(n)] and quantized to cell width
-    sigma^2/(mn) (round to nearest); the fusion center averages.
-    """
-    x, m, _, n = _mean_blocks(samples)
-    spec = _gauss_qavg_grid(sigma, m, n)
-    means = x.mean(axis=2)                        # (m, d)
-    idx = quantize(means, spec)
-    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], spec.bits)) for i in range(m))
-    theta_hat = dequantize(idx, spec).mean(axis=0)
-    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT))
-
-
-def onebit_bounded_mean(samples, uniforms) -> ProtocolOutput:
-    """One bit per coordinate: machine i sends Z_ij ~ Bernoulli((1 + X_ij)/2).
-
-    uniforms is the (m, d) array U with machine i's TAG_PROTOCOL uniforms in
-    row i, as estimate_risk draws them, and Z_ij = [U_ij < (1 + X_ij)/2]. The
-    fusion estimate mean(2 Z - 1) is unbiased for theta.
-    """
-    blocks, m, d, n = _mean_blocks(samples)
-    if n != 1:
-        raise InvalidArgumentError("the one-bit scheme needs n = 1 per machine")
-    x = blocks[:, :, 0]
-    if np.any(np.abs(x) > 1 + 1e-12):
-        raise InvalidArgumentError("one-bit inputs must lie in [-1, 1]")
-    if np.shape(uniforms) != (m, d):
-        raise InvalidArgumentError(
-            f"protocol uniforms have shape {np.shape(uniforms)}; expected {(m, d)}")
-    z = (uniforms < (1.0 + x) / 2.0)
-    powers = np.array([1 << k for k in range(d - 1, -1, -1)], dtype=object)
-    vals = (z * powers).sum(axis=1)
-    messages = tuple(Message(i + 1, 1, BitString(int(vals[i]), d)) for i in range(m))
-    theta_hat = (2.0 * z - 1.0).mean(axis=0)
-    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT))
-
-
-def uniform_interactive_min(samples) -> ProtocolOutput:
-    """Interactive minimum protocol for the uniform location family.
-
-    Machine 1 broadcasts all d local minima quantized on [-2, 2] to cell
-    width (mn)^-2 rounding down; machines 2..m in index order broadcast only
-    the coordinates that strictly improve the running state s, as an index
-    list plus quantized values; the output is s + 1. info["improved"] is
-    the (m, d) mask of the coordinates each machine sent.
-    """
-    x, m, d, n = _mean_blocks(samples)
-    vbits = uniform_min_value_bits(m, n)
-    spec = QuantizerSpec(-2.0, 2.0, vbits, codec.ROUND_DOWN)
-    local_min = x.min(axis=2)                     # (m, d)
-
-    idx0 = quantize(local_min[0], spec)
-    state = dequantize(idx0, spec)
-    messages = [Message(1, 1, pack_fields(idx0, vbits))]
-    improved = np.zeros((m, d), dtype=bool)
-    improved[0] = True
-    for i in range(1, m):
-        better = np.nonzero(local_min[i] < state)[0]
-        if better.size:
-            idx = quantize(local_min[i, better], spec)
-            state[better] = dequantize(idx, spec)
-            payload = encode_improvement_message(better, np.atleast_1d(idx), d, vbits)
-            improved[i, better] = True
-        else:
-            payload = BitString()
-        messages.append(Message(i + 1, i + 1, payload))
-    return ProtocolOutput(np.asarray(state) + 1.0, Transcript(tuple(messages), INTERACTIVE),
-                          {"improved": improved})
-
-
 def _local_solver(design):
     """A machine's solve operator (A^T A)^-1 A^T."""
     try:
         return np.linalg.solve(design.T @ design, design.T)
     except np.linalg.LinAlgError as err:
         raise DegenerateDesignError(f"singular local Gram: {err}") from err
-
-
-def regression_local_average(spec: RegressionSpec, responses) -> ProtocolOutput:
-    """Average of truncated, quantized local least-squares solutions.
-
-    Coordinates are quantized on [-1, 1] to cell width 1/(mn); the honest
-    charge is d * ceil(log2(2mn)) bits per machine, one bit per coordinate
-    more than the nominal ceil(d log2(mn)) count, which is reported in info.
-    """
-    m, n, d = spec.m, spec.n, spec.d
-    y = np.asarray(responses, dtype=float)
-    if y.shape != (m, n):
-        raise InvalidArgumentError(f"responses must have shape {(m, n)}")
-    qspec = _local_average_grid(m, n)
-    local = np.stack([_local_solver(spec.designs[i]) @ y[i] for i in range(m)])
-    idx = quantize(local, qspec)
-    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
-    theta_hat = dequantize(idx, qspec).mean(axis=0)
-    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
-                          {"nominal_bits_per_machine": math.ceil(d * math.log2(m * n))})
 
 
 def _row_dots(x, y):
@@ -267,7 +153,8 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     flagged marks separation, in which case the iterate clipped to [-1, 1]
     is returned. Separation is detected by a singular Newton system, by the
     iterate norm exceeding diverge_norm, or, at exit, by an iterate with
-    every s_j > 0, which strictly separates the data so that no MLE exists.
+    every s_j > 0 on the design's nonzero rows, which strictly separates the
+    data so that no MLE exists.
     Each product is a stack of the one-problem product, which numpy sends to
     the same BLAS call (the design is broadcast, never copied), so a problem
     gets the same bytes alone as in any stack.
@@ -357,7 +244,10 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         diverged = np.sqrt(_row_dots(th, th)) > diverge_norm
         separated(live[diverged])
         live = live[~diverged]
-    separated(np.flatnonzero(~flagged & (s > 0).all(axis=1)))
+    # a zero design row has s_j = 0 at every theta and carries no information
+    informative = design.any(axis=1)
+    separated(np.flatnonzero(~flagged & (s[:, informative] > 0).all(axis=1)
+                             & informative.any()))
     return theta, flagged
 
 
@@ -370,36 +260,6 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     return theta[0], bool(flagged[0])
 
 
-def probit_local_average(spec: ProbitSpec, responses) -> ProtocolOutput:
-    """Average of truncated, quantized local probit MLEs (same grid as the
-    regression scheme). Separation at any machine flags the run in info."""
-    m, n, d = spec.m, spec.n, spec.d
-    z = np.asarray(responses, dtype=float)
-    if z.shape != (m, n):
-        raise InvalidArgumentError(f"responses must have shape {(m, n)}")
-    qspec = _local_average_grid(m, n)
-    local = np.empty((m, d))
-    flagged = 0
-    for i in range(m):
-        est, flag = probit_mle(spec.designs[i], z[i])
-        local[i] = est
-        flagged += int(flag)
-    idx = quantize(local, qspec)
-    messages = tuple(Message(i + 1, 1, pack_fields(idx[i], qspec.bits)) for i in range(m))
-    theta_hat = dequantize(idx, qspec).mean(axis=0)
-    return ProtocolOutput(theta_hat, Transcript(messages, INDEPENDENT),
-                          {"flagged": flagged})
-
-
-def centralized_baseline(spec, samples):
-    """The family's estimator on the pooled sample, spec.pooled on a stack
-    of one, and whether it is flagged (only the probit MLE can be)."""
-    x = np.asarray(samples, dtype=float)
-    run_shape(spec, len(x), x.shape[-1])
-    theta_hat, flagged = spec.pooled(x[None])
-    return theta_hat[0], bool(flagged[0])
-
-
 # ---------------------------------------------------------------------------
 # streaming kernels
 #
@@ -410,37 +270,17 @@ def centralized_baseline(spec, samples):
 # protocol's local step reduces the row to what the machine puts on the wire,
 # (k, ...), which fills machine i's column of the chunk's (k, m, ...) message
 # buffer. Its fusion step turns the buffer into theta_hat (k, d), bits (k,)
-# and flagged (k,), equal trial by trial to what the reference function above
-# gives for that trial, and builds no transcript. The buffer is C-contiguous
-# in the references' (machine, coordinate) order, so a float reduction over
+# and flagged (k,), equal trial by trial to what run_trial gives for that
+# trial, and builds no transcript. The buffer is C-contiguous in the
+# (machine, coordinate) order of a trial's values, so a float reduction over
 # machines adds in their order.
 
-def _fixed(k: int, bits: int):
-    """bits and flagged of a chunk whose transcripts all have one length."""
-    return np.full(k, bits, dtype=np.int64), np.zeros(k, dtype=bool)
-
-
 def _single_mean_local(spec, i, row, uniforms):
-    # the mean of the [0, 1] image (1 + x) / 2, as the reference averages it;
-    # the row is scratch that the next draw refills, so it is mapped in place
+    # the mean of the [0, 1] image (1 + x) / 2; the row is scratch that the
+    # next draw refills, so it is mapped in place
     row += 1.0
     row /= 2.0
     return row.mean(axis=2)
-
-
-def _single_mean_fuse(spec, messages, n, budget_bits):
-    if budget_bits < 1:
-        raise InvalidArgumentError("budget must be at least one bit")
-    qspec = QuantizerSpec(0.0, 1.0, budget_bits, codec.ROUND_NEAREST)
-    return (dequantize(quantize(messages[:, 0], qspec), qspec),
-            *_fixed(len(messages), budget_bits))
-
-
-def _gauss_qavg_fuse(spec, messages, n, budget_bits):
-    k, m, d = messages.shape
-    qspec = _gauss_qavg_grid(spec.sigma, m, n)
-    idx = quantize(messages, qspec)
-    return dequantize(idx, qspec).mean(axis=1), *_fixed(k, m * d * qspec.bits)
 
 
 def _onebit_fuse(spec, messages, n, budget_bits):
@@ -448,36 +288,35 @@ def _onebit_fuse(spec, messages, n, budget_bits):
     # the sum of m values of +/-1 is an exact integer, so this equals
     # mean(2 z - 1) bit for bit
     ones = messages.sum(axis=1)
-    return (2.0 * ones - m) / m, *_fixed(k, m * d)
+    return (2.0 * ones - m) / m, np.full(k, m * d, dtype=np.int64), np.zeros(k, dtype=bool)
 
 
 def _uniform_min_fuse(spec, local_min, n, budget_bits):
     k, m, d = local_min.shape
-    vbits = uniform_min_value_bits(m, n)
-    qspec = QuantizerSpec(-2.0, 2.0, vbits, codec.ROUND_DOWN)
+    qspec = _uniform_min_grid(m, n)
     # Round-down quantization is monotone, so the fusion state after machine
     # i is q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
     # coordinates where local_min_i < state_{i-1}.
     state = dequantize(quantize(np.minimum.accumulate(local_min, axis=1), qspec), qspec)
     improvements = np.count_nonzero(local_min[:, 1:] < state[:, :-1], axis=(1, 2))
-    bits = d * vbits + improvements * (ceil_log2(d) + vbits)
+    bits = d * qspec.bits + improvements * (ceil_log2(d) + qspec.bits)
     return state[:, -1] + 1.0, bits, np.zeros(k, dtype=bool)
 
 
 def _regress_local(spec, i, row, uniforms):
     # a stack of matrix-vector products: one gemv per trial, the same BLAS
-    # call (and rounding) as solvers[i] @ y[i] in the reference
+    # call (and rounding) as the solver applied to one trial's responses
     return (_local_solver(spec.designs[i]) @ row[..., None])[..., 0]
 
 
-def _average_fuse(spec, sent, n, budget_bits):
-    """Fusion of the averaging schemes: truncate the (k, m, d) local
-    solutions, quantize on the 1/(mn) grid, average. A probit message
-    carries the solver's flag as one more value after them."""
+def _average_fuse(grid, spec, sent, n, budget_bits):
+    """Fusion of the averaging schemes: quantize the (k, m, d) local values
+    on the protocol's grid, average. A probit message carries the solver's
+    flag as one more value after them."""
     local = sent[..., :spec.d]
     k, m, d = local.shape
-    qspec = _local_average_grid(m, n)
-    # quantize clamps to the grid's [-1, 1] first: that clamp is the truncation
+    qspec = grid(spec, m, n, budget_bits)
+    # quantize clamps to the grid first: that clamp is the truncation
     idx = quantize(local, qspec)
     return (dequantize(idx, qspec).mean(axis=1), np.full(k, m * d * qspec.bits, dtype=np.int64),
             sent[..., d:].any(axis=(1, 2)))
@@ -494,6 +333,65 @@ def _centralized_fuse(spec, pooled, n, budget_bits):
     return theta_hat, np.zeros(len(pooled), dtype=np.int64), flagged
 
 
+# ---------------------------------------------------------------------------
+# the three message kinds: encode takes one trial's (m, ...) values, what the
+# local steps send, and returns its Transcript; decode returns theta_hat from
+# the Transcript and the public spec.d, spec.sigma, n and budget_bits alone
+
+def _encode_fields(grid, spec, sent, n, budget_bits):
+    qspec = grid(spec, len(sent), n, budget_bits)
+    idx = quantize(sent[:, :spec.d], qspec)
+    return Transcript([Message(i + 1, 1, pack_fields(row, qspec.bits))
+                       for i, row in enumerate(idx.tolist())], INDEPENDENT)
+
+
+def _decode_fields(grid, spec, transcript, n, budget_bits):
+    qspec = grid(spec, len(transcript.messages), n, budget_bits)
+    idx = np.array([unpack_fields(msg.payload, qspec.bits, spec.d)
+                    for msg in transcript.messages])
+    return dequantize(idx, qspec).mean(axis=0)
+
+
+def _encode_bits(spec, z, n, budget_bits):
+    return Transcript([Message(i + 1, 1, pack_fields(row, 1))
+                       for i, row in enumerate(z.tolist())], INDEPENDENT)
+
+
+def _decode_bits(spec, transcript, n, budget_bits):
+    m = len(transcript.messages)
+    ones = np.sum([unpack_fields(msg.payload, 1, spec.d) for msg in transcript.messages],
+                  axis=0)
+    return (2.0 * ones - m) / m
+
+
+def _encode_improvements(spec, local_min, n, budget_bits):
+    # machine 1 sends all d minima, and each later machine, in index order,
+    # the coordinates that strictly improve the broadcast state
+    m, d = local_min.shape
+    qspec = _uniform_min_grid(m, n)
+    idx = quantize(local_min, qspec)
+    cells = dequantize(idx, qspec)
+    state = cells[0].copy()
+    messages = [Message(1, 1, pack_fields(idx[0], qspec.bits))]
+    for i in range(1, m):
+        better = np.flatnonzero(local_min[i] < state)
+        state[better] = cells[i, better]
+        messages.append(Message(i + 1, i + 1, encode_improvement_message(
+            better, idx[i, better], d, qspec.bits)))
+    return Transcript(messages, INTERACTIVE)
+
+
+def _decode_improvements(spec, transcript, n, budget_bits):
+    # a coordinate's state is the cell its last sender sent
+    first, *rest = transcript.messages
+    qspec = _uniform_min_grid(len(transcript.messages), n)
+    idx = np.array(unpack_fields(first.payload, qspec.bits, spec.d))
+    for msg in rest:
+        better, sent = decode_improvement_message(msg.payload, spec.d, qspec.bits)
+        idx[list(better)] = sent
+    return dequantize(idx, qspec) + 1.0
+
+
 def _onebit_check(spec, m, n, budget_bits):
     if n != 1:
         raise InvalidArgumentError("the one-bit scheme needs n = 1")
@@ -508,6 +406,8 @@ def _single_mean_check(spec, m, n, budget_bits):
         raise InvalidArgumentError("single_mean runs on the bounded family")
     if spec.d != 1:
         raise InvalidArgumentError("single_mean needs d = 1")
+    if budget_bits < 1:
+        raise InvalidArgumentError("budget must be at least one bit")
 
 
 # ---------------------------------------------------------------------------
@@ -515,37 +415,101 @@ def _single_mean_check(spec, m, n, budget_bits):
 
 @dataclass(frozen=True)
 class Protocol:
-    """One protocol id: what estimate_risk needs to run it."""
+    """One protocol id: what estimate_risk and run_trial need to run it."""
 
     kind: str                 # transcript kind reported in the RiskReport
     accepts: tuple            # spec types the protocol runs on
     local: Callable           # (spec, i, row, uniforms) -> machine i's (k, ...) messages
     fuse: Callable            # (spec, messages, n, budget_bits) -> (theta_hat, bits, flagged)
+    encode: Callable = None   # (spec, sent, n, budget_bits) -> one trial's Transcript
+    decode: Callable = None   # (spec, transcript, n, budget_bits) -> theta_hat
     bound: str = None         # lower-bound formula id replacing the family's
     randomized: bool = False  # the local step reads (k, d) TAG_PROTOCOL uniforms
     check: Callable = lambda spec, m, n, budget_bits: None  # raises on a run it refuses
     target: Callable = lambda theta: theta    # theta -> what the estimate is scored against
 
 
+def _averaging(accepts, local, grid, **rules):
+    """An averaging protocol: each machine sends its d local values as fields
+    on grid(spec, m, n, budget_bits), and the fusion center averages them."""
+    return Protocol(INDEPENDENT, accepts, local, partial(_average_fuse, grid),
+                    partial(_encode_fields, grid), partial(_decode_fields, grid), **rules)
+
+
 PROTOCOLS = {
     # single_mean works on [0, 1]; the bounded family maps to it affinely
-    "single_mean": Protocol(INDEPENDENT, (BoundedProductSpec,), _single_mean_local,
-                            _single_mean_fuse, bound="prop1", check=_single_mean_check,
-                            target=lambda theta: (1.0 + theta) / 2.0),
-    "gauss_qavg": Protocol(INDEPENDENT, (GaussianLocationSpec,),
-                           lambda spec, i, row, u: row.mean(axis=2), _gauss_qavg_fuse),
+    "single_mean": _averaging((BoundedProductSpec,), _single_mean_local,
+                              lambda spec, m, n, budget_bits: QuantizerSpec(0.0, 1.0, budget_bits),
+                              bound="prop1", check=_single_mean_check,
+                              target=lambda theta: (1.0 + theta) / 2.0),
+    # each machine's local means, truncated to the grid's interval
+    "gauss_qavg": _averaging((GaussianLocationSpec,), lambda spec, i, row, u: row.mean(axis=2),
+                             lambda spec, m, n, budget_bits: _gauss_qavg_grid(spec.sigma, m, n)),
     # Proposition 2's scheme is for data in [-1, 1]^d: the bounded family only
     "onebit": Protocol(INDEPENDENT, (BoundedProductSpec,),
                        lambda spec, i, row, u: u < (1.0 + row[..., 0]) / 2.0, _onebit_fuse,
-                       bound="prop2", randomized=True, check=_onebit_check),
+                       _encode_bits, _decode_bits, bound="prop2", randomized=True,
+                       check=_onebit_check),
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
-                            _uniform_min_fuse),
-    "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local, _average_fuse),
-    "probit_avg": Protocol(INDEPENDENT, (ProbitSpec,), _probit_local, _average_fuse),
+                            _uniform_min_fuse, _encode_improvements, _decode_improvements),
+    "regress_avg": _averaging((DesignSpec,), _regress_local,
+                              lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
+    "probit_avg": _averaging((ProbitSpec,), _probit_local,
+                             lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
     # the centralized estimator sees all the data: each machine sends its row
     "centralized": Protocol("centralized", (MeanSpec, DesignSpec), lambda spec, i, row, u: row,
                             _centralized_fuse),
 }
+
+
+def _runnable(protocol: str, spec, m: int, n: int, budget_bits):
+    """The PROTOCOLS entry of protocol and the run's (m, n), once its rules
+    accept the run; raises InvalidArgumentError where they do not."""
+    rec = PROTOCOLS.get(protocol)
+    if rec is None:
+        raise InvalidArgumentError(f"unknown protocol id {protocol!r}")
+    m, n = run_shape(spec, m, n)
+    rec.check(spec, m, n, budget_bits)
+    if not isinstance(spec, rec.accepts):
+        raise InvalidArgumentError(
+            f"protocol {protocol!r} does not run on {type(spec).__name__}")
+    return rec, m, n
+
+
+def run_trial(protocol: str, spec, block, uniforms=None, budget_bits: int = None):
+    """(theta_hat, transcript, flagged) of one trial on block, the array
+    families.sample returns. Each machine's local step runs on a stack of
+    one, encode puts what the machines send on the wire, and theta_hat is
+    decoded from that transcript alone. uniforms is a randomized protocol's
+    (m, d) array, machine i's TAG_PROTOCOL uniforms in row i, as estimate_risk
+    draws them. flagged, side information outside the transcript, is whether
+    a machine's probit solver flagged its problem. centralized, which sends
+    raw data, has no transcript and is refused.
+    """
+    block = np.array(block, dtype=float)   # a copy: a local step may map its row in place
+    row = row_shape(spec, block.shape[-1] if block.ndim else 0)
+    if block.shape[1:] != row:
+        raise InvalidArgumentError(f"need (m, {', '.join(map(str, row))}) blocks for "
+                                   f"{type(spec).__name__}; got shape {block.shape}")
+    rec, m, n = _runnable(protocol, spec, len(block), block.shape[-1], budget_bits)
+    if rec.encode is None:
+        raise InvalidArgumentError(f"protocol {protocol!r} sends no transcript")
+    if rec.randomized and np.shape(uniforms) != (m, spec.d):
+        raise InvalidArgumentError(
+            f"protocol uniforms have shape {np.shape(uniforms)}; expected {(m, spec.d)}")
+    if isinstance(spec, BoundedProductSpec) and np.any(np.abs(block) > 1 + 1e-12):
+        raise InvalidArgumentError("bounded-family data must lie in [-1, 1]")
+    u = np.asarray(uniforms, dtype=float) if rec.randomized else None
+    sent = np.stack([rec.local(spec, i, block[i:i + 1], None if u is None else u[i:i + 1])[0]
+                     for i in range(m)])
+    transcript = rec.encode(spec, sent, n, budget_bits)
+    return rec.decode(spec, transcript, n, budget_bits), transcript, bool(sent[:, spec.d:].any())
+
+
+# The names bench/spans.py looks up, each one protocol on run_trial.
+onebit_bounded_mean = partial(run_trial, "onebit")
+uniform_interactive_min = partial(run_trial, "uniform_min")
+probit_local_average = partial(run_trial, "probit_avg")
 
 
 # Ceiling of a simulate config: values in one trial's m * d * n, and trials.
@@ -597,19 +561,12 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     Deterministic given (protocol, spec, trials, seed): data for machine i
     comes from its TAG_DATA stream, protocol randomness from its TAG_PROTOCOL
     stream, trials consuming consecutive blocks. Trials run in chunks through
-    run_chunks, machine by machine; the results equal those of the reference
-    functions, trial by trial.
+    run_chunks, machine by machine; the results equal run_trial's, trial by
+    trial.
     """
     if trials < 2:
         raise InvalidArgumentError("need at least 2 trials for a standard error")
-    rec = PROTOCOLS.get(protocol)
-    if rec is None:
-        raise InvalidArgumentError(f"unknown protocol id {protocol!r}")
-    m, n = run_shape(spec, m, n)
-    rec.check(spec, m, n, budget_bits)
-    if not isinstance(spec, rec.accepts):
-        raise InvalidArgumentError(
-            f"protocol {protocol!r} does not run on {type(spec).__name__}")
+    rec, m, n = _runnable(protocol, spec, m, n, budget_bits)
 
     theta_true = rec.target(spec.theta)
     sizes = _chunk_sizes(trials, m * spec.d * n)

@@ -16,16 +16,16 @@ import numpy as np
 from scipy.stats import norm
 
 import distest
-from distest import bounds, families, protocols, sweeps
-from distest.codec import transcript_total_bits
+from distest import bounds, families, sweeps
+from distest.codec import decode_improvement_message, transcript_total_bits
 from distest.designs import build_designs
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
                               RegressionSpec, UniformLocationSpec,
                               design_eigenbounds, draw_trials, machine_streams,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit)
-from distest.protocols import (estimate_risk, gauss_qavg_message_bits,
-                               onebit_bounded_mean, uniform_interactive_min)
+from distest.protocols import (estimate_risk, gauss_qavg_message_bits, run_trial,
+                               uniform_min_value_bits)
 
 
 def report(criterion: int, message: str):
@@ -57,10 +57,9 @@ def test_criterion_2_gaussian_quantized_average():
     rep = estimate_risk("gauss_qavg", spec, trials=trials, seed=202, m=m, n=n)
     ratio = rep.mse_mean / (sigma**2 * d / (m * n))
     assert 0.85 <= ratio <= 1.35
-    out = protocols.gaussian_quantized_average(
-        families.sample(spec, m=m, n=n, seed=202), sigma)
-    assert len(out.transcript.messages) == 16
-    assert all(msg.payload.length == 48 for msg in out.transcript.messages)
+    _, transcript, _ = run_trial("gauss_qavg", spec, families.sample(spec, m=m, n=n, seed=202))
+    assert len(transcript.messages) == 16
+    assert all(msg.payload.length == 48 for msg in transcript.messages)
     assert gauss_qavg_message_bits(d, sigma, m, n) == 48
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -86,7 +85,7 @@ def test_criterion_3_onebit_scheme():
     uniforms = np.stack([g.random((grid_trials, d)) for g in proto], axis=1)
     hats = np.empty((grid_trials, d))
     for t in range(grid_trials):
-        hats[t] = onebit_bounded_mean(blocks[t], uniforms[t]).theta_hat
+        hats[t] = run_trial("onebit", gspec, blocks[t], uniforms[t])[0]
     stderr = hats.std(axis=0, ddof=1) / math.sqrt(grid_trials)
     assert np.all(np.abs(hats.mean(axis=0) - theta) <= 4 * stderr)
     elapsed = time.perf_counter() - start
@@ -102,16 +101,19 @@ def test_criterion_4_uniform_interactive_protocol():
     gens = machine_streams(404, m)
     per_coord_sq = np.zeros(d)
     improved = np.zeros((m, d))
+    improved[0] = trials
+    vbits = uniform_min_value_bits(m, n)
     total_bits = 0
     left = trials
     while left:
         k = min(1000, left)
         blocks = draw_trials(spec, gens, n, k)
         for t in range(k):
-            out = uniform_interactive_min(blocks[t])
-            per_coord_sq += (out.theta_hat - spec.theta) ** 2
-            improved += out.info["improved"]
-            total_bits += transcript_total_bits(out.transcript)
+            theta_hat, transcript, _ = run_trial("uniform_min", spec, blocks[t])
+            per_coord_sq += (theta_hat - spec.theta) ** 2
+            for i, msg in enumerate(transcript.messages[1:], 1):
+                improved[i, list(decode_improvement_message(msg.payload, d, vbits)[0])] += 1
+            total_bits += transcript_total_bits(transcript)
         left -= k
     per_coord_mse = per_coord_sq / trials
     big_n = m * n

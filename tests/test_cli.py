@@ -311,6 +311,18 @@ class TestEndToEnd:
         cells = dict(zip(header.split(","), row.split(",")))
         assert int(cells["flagged_trials"]) > 0 and cells["error"] == ""
 
+    @pytest.mark.parametrize("conf,flagged", [
+        ("protocol = probit_avg\nd = 3\nm = 10\nn = 30\ntheta = 0.3;-0.2;0.1\n", 200),
+        ("protocol = centralized\nd = 2\nm = 4\nn = 8\ntheta = 0.3\n", 35)],
+        ids=["probit_avg", "centralized"])
+    def test_identity_design_probit_rows_flag_their_separated_trials(self, conf, flagged):
+        # the identity design's zero rows carry no information: every local
+        # problem on it is separated, and so are 35 of the 200 pooled ones
+        lines = run_simulate(parse_config(
+            conf + "family = probit\ndesign = identity\ntrials = 200\nseed = 7\n"))
+        cells = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert cells["error"] == "" and int(cells["flagged_trials"]) == flagged
+
     def test_probit_avg_on_regression_data_is_a_row_error(self, tmp_path):
         # real-valued regression responses are not probit bits
         conf = tmp_path / "probit.conf"

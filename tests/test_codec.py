@@ -121,9 +121,19 @@ class TestBitString:
     def test_pack_unpack_fields(self):
         bs = pack_fields([3, 0, 7], 3)
         assert bs.length == 9
-        assert unpack_fields(bs, 3) == (3, 0, 7)
+        assert unpack_fields(bs, 3, 3) == (3, 0, 7)
         with pytest.raises(InvalidArgumentError):
             pack_fields([8], 3)
+        for width, count in ((3, 2), (3, 4), (2, 4), (-1, 0), (3, -3)):
+            with pytest.raises(InvalidArgumentError, match="is not"):
+                unpack_fields(bs, width, count)
+
+    def test_zero_width_fields_unpack_to_zeros(self):
+        # a field on a one-cell grid takes no bits, and there are still count of them
+        assert unpack_fields(pack_fields([0, 0, 0], 0), 0, 3) == (0, 0, 0)
+        assert unpack_fields(BitString(), 0, 0) == ()
+        with pytest.raises(InvalidArgumentError):
+            unpack_fields(BitString(1, 1), 0, 3)
 
 
 class TestTranscript:

@@ -14,8 +14,7 @@ from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               draw_trials, machine_streams,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit, sample)
-from distest.protocols import (_mean_blocks, gaussian_quantized_average,
-                               onebit_bounded_mean, uniform_interactive_min)
+from distest.protocols import run_trial
 
 
 # every family, on two machines (the design families' n is their own, 4)
@@ -179,17 +178,14 @@ class TestSampling:
             sample(GaussianLocationSpec(np.array([0.0]), 1.0), m=0, n=3, seed=0)
 
     def test_sample_set_shape_guard(self):
-        # the mean-family references take (m, d, n) blocks, never (m, n)
-        with pytest.raises(InvalidArgumentError, match="blocks"):
-            _mean_blocks(np.zeros((2, 3)))
-        assert _mean_blocks(np.zeros((2, 1, 3)))[1:] == (2, 1, 3)
-        for run in (lambda x: gaussian_quantized_average(x, 1.0),
-                    lambda x: onebit_bounded_mean(x, np.stack(
-                        [g.random((1, 3)) for g in machine_streams(0, 2, TAG_PROTOCOL)],
-                        axis=1)[0]),
-                    uniform_interactive_min):
+        # a mean-family trial is (m, d, n) blocks, never (m, n)
+        spec = BoundedProductSpec(np.zeros(3), "two_point")
+        uniforms = np.stack([g.random((1, 3)) for g in machine_streams(0, 2, TAG_PROTOCOL)],
+                            axis=1)[0]
+        for protocol in ("onebit", "uniform_min"):
             with pytest.raises(InvalidArgumentError, match="blocks"):
-                run(np.zeros((2, 3)))
+                run_trial(protocol, spec, np.zeros((2, 3)), uniforms)
+            assert run_trial(protocol, spec, np.zeros((2, 3, 1)), uniforms)[0].shape == (3,)
 
     def test_draw_trials_refuses_a_non_spec(self):
         # the one family check, in row_shape, and not a bare AttributeError

@@ -1,12 +1,14 @@
-"""Streaming kernels against the single-trial reference functions.
+"""Streaming kernels against the single-trial runner and per-trial oracles.
 
 Every protocol in protocols.PROTOCOLS, its local step run machine by machine
 by run_chunks and its fusion step on the messages, must give, trial by
-trial, exactly the estimate, transcript length and flag of the reference
-function that builds the transcript. The centralized estimator is checked
-against centralized_oracle, the pooled formulas written out here trial by
-trial, since its public function is the kernel's own spec.pooled. The
-comparisons are np.array_equal, never a tolerance.
+trial, exactly the estimate, transcript length and flag of run_trial, which
+decodes the estimate from the transcript that encode builds. Each local
+step, run on a stack of one as run_trial runs it, must give the values of
+local_oracle, the per-trial formulas written out here. The centralized
+estimator has no transcript, so it is checked against centralized_oracle,
+the pooled formulas written out here trial by trial. The comparisons are
+np.array_equal, never a tolerance.
 """
 
 from __future__ import annotations
@@ -24,12 +26,8 @@ from distest.errors import InvalidArgumentError
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
                               UniformLocationSpec, draw_trials, machine_streams)
-from distest.protocols import (PROTOCOLS, centralized_baseline,
-                               gaussian_quantized_average, onebit_bounded_mean,
-                               probit_local_average, probit_mle,
-                               probit_mle_batched, regression_local_average,
-                               run_chunks, single_machine_quantized_mean,
-                               uniform_interactive_min)
+from distest.protocols import (PROTOCOLS, probit_mle, probit_mle_batched,
+                               run_chunks, run_trial)
 
 TRIALS = 60
 
@@ -69,24 +67,41 @@ def centralized_oracle(spec, block):
     return two_sided_probit_mle(design, x.ravel())
 
 
+def local_oracle(protocol, spec, block, u):
+    """The (m, ...) values the machines of one trial send: the mean of the
+    [0, 1] image (1 + x) / 2, the local means, the bits u < (1 + x) / 2,
+    the local minima, the local least-squares solutions, or the local probit
+    MLEs followed by their flags."""
+    x = np.asarray(block, dtype=float)
+    if protocol == "single_mean":
+        return np.array([[((1.0 + x[0].ravel()) / 2.0).mean()]])
+    if protocol == "gauss_qavg":
+        return x.mean(axis=2)
+    if protocol == "onebit":
+        return u < (1.0 + x[:, :, 0]) / 2.0
+    if protocol == "uniform_min":
+        return x.min(axis=2)
+    if protocol == "regress_avg":
+        return np.stack([np.linalg.solve(a.T @ a, a.T) @ y for a, y in zip(spec.designs, x)])
+    return np.stack([np.append(*probit_mle(a, z)) for a, z in zip(spec.designs, x)])
+
+
+def local_steps(protocol, spec, block, u):
+    """What each machine's local step sends in one trial, on a stack of one."""
+    rec = PROTOCOLS[protocol]
+    return np.stack([rec.local(spec, i, np.array(block[i:i + 1], dtype=float),
+                               None if u is None else u[i:i + 1])[0]
+                     for i in range(len(block))])
+
+
 def reference(protocol, spec, block, u, budget_bits):
-    """(theta_hat, bits, flagged) of one trial, from the reference function."""
+    """(theta_hat, bits, flagged) of one trial: run_trial and the length of
+    its transcript, or the centralized oracle."""
     if protocol == "centralized":
         theta_hat, flagged = centralized_oracle(spec, block)
         return theta_hat, 0, flagged
-    if protocol == "single_mean":
-        out = single_machine_quantized_mean((1.0 + block[0].ravel()) / 2.0, budget_bits)
-    elif protocol in ("regress_avg", "probit_avg"):
-        run = regression_local_average if protocol == "regress_avg" else probit_local_average
-        out = run(spec, block)
-    elif protocol == "gauss_qavg":
-        out = gaussian_quantized_average(block, spec.sigma)
-    elif protocol == "onebit":
-        out = onebit_bounded_mean(block, u)
-    else:
-        out = uniform_interactive_min(block)
-    return (out.theta_hat, transcript_total_bits(out.transcript),
-            out.info.get("flagged", 0) > 0)
+    theta_hat, transcript, flagged = run_trial(protocol, spec, block, u, budget_bits)
+    return theta_hat, transcript_total_bits(transcript), flagged
 
 
 def chunk(protocol, spec, m, n, seed=5, trials=TRIALS):
@@ -113,12 +128,14 @@ def assert_kernel_matches_reference(protocol, spec, m, n, budget_bits=None):
     assert theta_hat.shape == (TRIALS, spec.d)
     assert bits.shape == flagged.shape == (TRIALS,)
     for t in range(TRIALS):
-        ref_theta, ref_bits, ref_flagged = reference(
-            protocol, spec, blocks[t], None if uniforms is None else uniforms[t],
-            budget_bits)
+        u = None if uniforms is None else uniforms[t]
+        ref_theta, ref_bits, ref_flagged = reference(protocol, spec, blocks[t], u, budget_bits)
         assert np.array_equal(theta_hat[t], ref_theta), f"trial {t}"
         assert bits[t] == ref_bits, f"trial {t}"
         assert flagged[t] == ref_flagged, f"trial {t}"
+        if protocol != "centralized":
+            assert np.array_equal(local_steps(protocol, spec, blocks[t], u),
+                                  local_oracle(protocol, spec, blocks[t], u)), f"trial {t}"
     return blocks, flagged
 
 
@@ -164,6 +181,9 @@ def test_cases_cover_exactly_the_accepted_spec_types():
     accepted = {(pid, spec_type) for pid, rec in PROTOCOLS.items()
                 for spec_type in SPEC_TYPES if issubclass(spec_type, rec.accepts)}
     assert covered == accepted
+    # every protocol but centralized, which sends raw data, has a transcript
+    assert [pid for pid, rec in PROTOCOLS.items()
+            if rec.encode is None or rec.decode is None] == ["centralized"]
 
 
 @pytest.mark.parametrize("protocol,family,m,n,d", CASES)
@@ -172,29 +192,44 @@ def test_kernel_matches_reference(protocol, family, m, n, d):
     assert_kernel_matches_reference(protocol, spec, m, n, budget_bits=7)
 
 
+def test_a_zero_bit_gauss_qavg_trial_decodes_to_the_kernel_bytes():
+    """At sigma = 3 and m = n = 1 the grid's one cell is wider than the
+    accuracy asked for, so each machine sends 0 bits per coordinate: the
+    transcript is empty, and decoding its zero-width fields gives the
+    grid's midpoint, as the fusion does."""
+    theta = np.array([0.5, -0.25, 0.0])
+    spec = GaussianLocationSpec(theta, 3.0)
+    blocks, flagged = assert_kernel_matches_reference("gauss_qavg", spec, 1, 1)
+    theta_hat, bits, _ = kernel("gauss_qavg", spec, 1, 1)
+    assert not bits.any() and not flagged.any()
+    _, transcript, _ = run_trial("gauss_qavg", spec, blocks[0])
+    assert transcript_total_bits(transcript) == 0
+    assert theta_hat.tobytes() == np.zeros((TRIALS, 3)).tobytes()
+
+
 CENTRALIZED_CASES = [case for case in CASES if case[0] == "centralized"]
 
 
 @pytest.mark.parametrize("protocol,family,m,n,d", CENTRALIZED_CASES)
-def test_centralized_baseline_is_the_kernel_on_a_stack_of_one(protocol, family, m, n, d):
-    """Batch invariance: centralized_baseline is spec.pooled on a stack of
-    one trial, and it gives each trial the bytes and flag the chunk's
-    stacked spec.pooled gives it."""
+def test_pooled_on_a_stack_of_one_is_the_kernel(protocol, family, m, n, d):
+    """Batch invariance: spec.pooled on a stack of one trial gives each
+    trial the bytes and flag the chunk's stacked spec.pooled gives it."""
     spec = make_spec(family, m, n, d)
     blocks, _ = chunk(protocol, spec, m, n)
     theta_hat, _, flagged = kernel(protocol, spec, m, n)
     for t in range(TRIALS):
-        got_theta, got_flagged = centralized_baseline(spec, blocks[t])
-        assert np.array_equal(got_theta, theta_hat[t]), f"trial {t}"
-        assert type(got_flagged) is bool and got_flagged == flagged[t], f"trial {t}"
+        got_theta, got_flagged = spec.pooled(blocks[t][None])
+        assert np.array_equal(got_theta[0], theta_hat[t]), f"trial {t}"
+        assert got_flagged[0] == flagged[t], f"trial {t}"
 
 
 def test_uniform_kernel_covers_a_machine_that_improves_nothing():
     m, n, d = 6, 8, 1
     spec = make_spec("uniform", m, n, d)
     blocks, _ = assert_kernel_matches_reference("uniform_min", spec, m, n)
-    silent = [t for t in range(TRIALS)
-              if not uniform_interactive_min(blocks[t]).info["improved"][1:].all()]
+    # a machine that improves nothing sends an empty improvement list
+    silent = [t for t in range(TRIALS) if not all(
+        msg.payload.length for msg in run_trial("uniform_min", spec, blocks[t])[1].messages[1:])]
     assert silent
 
 
@@ -502,6 +537,24 @@ def test_a_separated_problem_that_leaves_on_the_gradient_test_is_flagged(monkeyp
     assert math.exp(-last * last / 2.0 - 0.5 * math.log(2 * math.pi) - log_ndtr(last)) < 1e-9
 
 
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 2), (8, 2), (30, 3), (12, 4), (6, 6)])
+def test_every_local_problem_on_an_identity_design_is_flagged(n, d):
+    """The identity design sqrt(n) I[:, :d] gives each coordinate one
+    observation, which one binary response always separates, and rows d..n-1
+    are zero: their s_j is 0 at every theta. So no local problem on it has a
+    finite MLE, and the separation test reads only the nonzero rows."""
+    design = build_designs("identity", 1, n, d, 0)[0]
+    z = (np.random.default_rng(10 * n + d).random((200, n)) < 0.5).astype(float)
+    theta, flagged = assert_batch_invariant(design, z)
+    assert flagged.all() and (np.abs(theta) <= 1.0).all()
+
+
+def test_an_all_zero_design_is_not_separated():
+    # its likelihood is flat, so every theta is an MLE: no row to separate
+    theta, flagged = probit_mle(np.zeros((3, 2)), [1.0, 0.0, 1.0])
+    assert theta.tolist() == [0.0, 0.0] and flagged is False
+
+
 def test_separated_centralized_probit_trials_are_flagged_and_clipped():
     """The grid point of the singular-Hessian test with protocol =
     centralized: the pooled responses of trials 1, 18, 34 and 38 are
@@ -551,7 +604,7 @@ def test_onebit_runs_on_bounded_data_only(family, spec_type):
 ])
 def test_estimate_risk_matches_reference_loop(monkeypatch, protocol, family, m, n, d):
     """Streamed chunks and the array reduction give the report a per-trial
-    loop over the reference functions gives, for any chunk size: the whole
+    loop over run_trial (or the centralized oracle) gives, for any chunk size: the whole
     run in one chunk, chunks of 7 trials, and the chunks of a 2500-value
     working-set budget."""
     spec = make_spec(family, m, n, d)

@@ -26,10 +26,8 @@ from distest.families import (TAG_PROTOCOL, BoundedProductSpec,
                               GaussianLocationSpec, RegressionSpec,
                               UniformLocationSpec, draw_trials, machine_streams)
 from distest.protocols import (PROTOCOLS, gauss_qavg_message_bits,
-                               gaussian_quantized_average, onebit_bounded_mean,
-                               regress_avg_message_bits,
-                               regression_local_average, run_chunks,
-                               uniform_interactive_min, uniform_min_value_bits)
+                               regress_avg_message_bits, run_chunks, run_trial,
+                               uniform_min_value_bits)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 MODES = st.sampled_from([codec.ROUND_DOWN, codec.ROUND_NEAREST])
@@ -41,7 +39,7 @@ def test_pack_unpack_round_trip(width, data):
     values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=12))
     payload = pack_fields(values, width)
     assert payload.length == width * len(values)
-    assert unpack_fields(payload, width) == tuple(values)
+    assert unpack_fields(payload, width, len(values)) == tuple(values)
 
 
 @PROPERTY
@@ -204,33 +202,32 @@ def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
 
     spec = GaussianLocationSpec(np.zeros(d), 0.9)
     bits, blocks = kernel_bits("gauss_qavg", spec, n)
-    ref = [transcript_total_bits(
-        gaussian_quantized_average(blocks[t], 0.9).transcript)
-        for t in range(trials)]
+    ref = [transcript_total_bits(run_trial("gauss_qavg", spec, blocks[t])[1])
+           for t in range(trials)]
     assert list(bits) == ref == [m * gauss_qavg_message_bits(d, 0.9, m, n)] * trials
 
     spec = BoundedProductSpec(np.zeros(d), "two_point")
     bits, blocks = kernel_bits("onebit", spec, 1)
     uniforms = np.stack([g.random((trials, d))
                          for g in machine_streams(seed, m, TAG_PROTOCOL)], axis=1)
-    ref = [transcript_total_bits(
-        onebit_bounded_mean(blocks[t], uniforms[t]).transcript)
-        for t in range(trials)]
+    ref = [transcript_total_bits(run_trial("onebit", spec, blocks[t], uniforms[t])[1])
+           for t in range(trials)]
     assert list(bits) == ref == [m * d] * trials
 
     spec = UniformLocationSpec(np.zeros(d))
     bits, blocks = kernel_bits("uniform_min", spec, n)
     vbits = uniform_min_value_bits(m, n)
     for t in range(trials):
-        out = uniform_interactive_min(blocks[t])
-        improvements = int(out.info["improved"][1:].sum())
-        assert bits[t] == transcript_total_bits(out.transcript) == (
+        _, transcript, _ = run_trial("uniform_min", spec, blocks[t])
+        improvements = sum(len(decode_improvement_message(msg.payload, d, vbits)[0])
+                           for msg in transcript.messages[1:])
+        assert bits[t] == transcript_total_bits(transcript) == (
             d * vbits + improvements * (ceil_log2(d) + vbits))
 
     rows = max(n, d)
     spec = RegressionSpec(build_designs("orthogonal", m, rows, d, seed), np.zeros(d), 1.0)
     bits, blocks = kernel_bits("regress_avg", spec, rows)
-    ref = [transcript_total_bits(regression_local_average(spec, blocks[t]).transcript)
+    ref = [transcript_total_bits(run_trial("regress_avg", spec, blocks[t])[1])
            for t in range(trials)]
     assert list(bits) == ref == [m * regress_avg_message_bits(d, m, rows)] * trials
 

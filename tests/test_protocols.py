@@ -6,20 +6,15 @@ import numpy as np
 import pytest
 
 from distest import codec, families, protocols
-from distest.codec import transcript_total_bits
+from distest.codec import decode_improvement_message, transcript_total_bits
 from distest.designs import build_designs
 from distest.errors import InvalidArgumentError
 from distest.families import (BoundedProductSpec, GaussianLocationSpec,
                               ProbitSpec, RegressionSpec, UniformLocationSpec,
                               draw_trials, machine_streams, sample)
-from distest.protocols import (centralized_baseline, estimate_risk,
-                               gauss_qavg_message_bits,
-                               gaussian_quantized_average, onebit_bounded_mean,
-                               probit_local_average, probit_mle,
-                               regression_local_average,
-                               regress_avg_message_bits,
-                               single_machine_quantized_mean,
-                               uniform_interactive_min, uniform_min_value_bits)
+from distest.protocols import (estimate_risk, gauss_qavg_message_bits,
+                               probit_mle, regress_avg_message_bits, run_trial,
+                               uniform_min_value_bits)
 
 
 def mean_sample(spec, m, n, seed):
@@ -32,15 +27,33 @@ def onebit_uniforms(seed, m, d):
     return np.stack([g.random((1, d)) for g in gens], axis=1)[0]
 
 
+def improved_mask(transcript, d, value_bits):
+    """The (m, d) mask of the coordinates each machine of an interactive
+    minimum sent, read from its improvement messages."""
+    mask = np.zeros((len(transcript.messages), d), dtype=bool)
+    mask[0] = True
+    for i, msg in enumerate(transcript.messages[1:], 1):
+        mask[i, list(decode_improvement_message(msg.payload, d, value_bits)[0])] = True
+    return mask
+
+
+def single_mean(x01, budget_bits):
+    """run_trial of single_mean on one machine's [0, 1] sample x01, given as
+    the bounded family's 2 x01 - 1."""
+    spec = BoundedProductSpec(np.array([0.0]), "two_point")
+    return run_trial("single_mean", spec, 2.0 * np.asarray(x01)[None, None] - 1.0,
+                     budget_bits=budget_bits)
+
+
 class TestSingleMachineQuantizedMean:
     def test_constant_samples(self):
-        out = single_machine_quantized_mean(np.full(64, 0.5), 10)
-        assert abs(out.theta_hat[0] - 0.5) <= 2**-10
-        assert transcript_total_bits(out.transcript) == 10
+        theta_hat, transcript, _ = single_mean(np.full(64, 0.5), 10)
+        assert abs(theta_hat[0] - 0.5) <= 2**-10
+        assert transcript_total_bits(transcript) == 10
 
     def test_one_bit_grid(self):
-        out = single_machine_quantized_mean(np.array([0.1, 0.2]), 1)
-        assert out.theta_hat[0] in (0.25, 0.75)
+        theta_hat, _, _ = single_mean(np.array([0.1, 0.2]), 1)
+        assert theta_hat[0] in (0.25, 0.75)
 
     def test_mse_bound_bernoulli_half(self):
         spec = BoundedProductSpec(np.array([0.0]), "two_point")  # maps to Bern(1/2)
@@ -50,31 +63,31 @@ class TestSingleMachineQuantizedMean:
         assert rep.bits_max == rep.bits_mean == 10
 
     def test_input_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            single_machine_quantized_mean(np.array([-0.2, 0.5]), 4)
-        with pytest.raises(InvalidArgumentError):
-            single_machine_quantized_mean(np.array([0.2, 0.5]), 0)
+        with pytest.raises(InvalidArgumentError, match=r"must lie in \[-1, 1\]"):
+            single_mean(np.array([-0.2, 0.5]), 4)
+        with pytest.raises(InvalidArgumentError, match="at least one bit"):
+            single_mean(np.array([0.2, 0.5]), 0)
 
 
 class TestGaussianQuantizedAverage:
     def test_small_sigma_tracks_sample(self):
         spec = GaussianLocationSpec(np.full(3, 0.7), 1e-3)
         x = mean_sample(spec, 1, 1, seed=0)
-        out = gaussian_quantized_average(x, 1e-3)
+        theta_hat, _, _ = run_trial("gauss_qavg", spec, x)
         cell = (2 + 2e-3) / 2 ** codec.bits_for_accuracy(
             -1 - 1e-3, 1 + 1e-3, 1e-6)
-        assert np.all(np.abs(out.theta_hat - x[0, :, 0]) <= cell)
+        assert np.all(np.abs(theta_hat - x[0, :, 0]) <= cell)
 
     def test_transcript_accounting(self):
         d, sigma, m, n = 4, 1.0, 16, 64
         spec = GaussianLocationSpec(np.full(d, 0.2), sigma)
-        out = gaussian_quantized_average(mean_sample(spec, m, n, 3), sigma)
-        assert len(out.transcript.messages) == m
+        _, transcript, _ = run_trial("gauss_qavg", spec, mean_sample(spec, m, n, 3))
+        assert len(transcript.messages) == m
         per_machine = gauss_qavg_message_bits(d, sigma, m, n)
         assert per_machine == 48
         assert all(msg.payload.length == per_machine
-                   for msg in out.transcript.messages)
-        assert transcript_total_bits(out.transcript) == m * per_machine
+                   for msg in transcript.messages)
+        assert transcript_total_bits(transcript) == m * per_machine
 
     def test_risk_near_centralized_rate(self):
         spec = GaussianLocationSpec(np.array([0.3, -0.2, 0.1, 0.4]), 1.0)
@@ -85,9 +98,10 @@ class TestGaussianQuantizedAverage:
 class TestOnebit:
     def test_degenerate_all_ones(self):
         spec = BoundedProductSpec(np.ones(3), "two_point")
-        out = onebit_bounded_mean(mean_sample(spec, 5, 1, seed=0), onebit_uniforms(12, 5, 3))
-        assert np.array_equal(out.theta_hat, np.ones(3))
-        assert transcript_total_bits(out.transcript) == 5 * 3
+        theta_hat, transcript, _ = run_trial("onebit", spec, mean_sample(spec, 5, 1, seed=0),
+                                             onebit_uniforms(12, 5, 3))
+        assert np.array_equal(theta_hat, np.ones(3))
+        assert transcript_total_bits(transcript) == 5 * 3
 
     def test_exact_variance_at_zero(self):
         spec = BoundedProductSpec(np.zeros(8), "two_point")
@@ -105,32 +119,34 @@ class TestOnebit:
         uniforms = np.stack([g.random((trials, 4)) for g in proto], axis=1)
         hats = np.empty((trials, 4))
         for t in range(trials):
-            hats[t] = onebit_bounded_mean(blocks[t], uniforms[t]).theta_hat
+            hats[t] = run_trial("onebit", spec, blocks[t], uniforms[t])[0]
         stderr = hats.std(axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(hats.mean(axis=0) - theta) <= 4 * stderr)
 
     def test_requires_unit_range_and_single_observation(self):
-        with pytest.raises(InvalidArgumentError):
-            onebit_bounded_mean(np.full((2, 1, 1), 3.0), onebit_uniforms(0, 2, 1))
+        with pytest.raises(InvalidArgumentError, match=r"must lie in \[-1, 1\]"):
+            run_trial("onebit", BoundedProductSpec(np.zeros(1)), np.full((2, 1, 1), 3.0),
+                      onebit_uniforms(0, 2, 1))
         spec = BoundedProductSpec(np.zeros(2), "two_point")
-        with pytest.raises(InvalidArgumentError):
-            onebit_bounded_mean(mean_sample(spec, 2, 3, 0), onebit_uniforms(0, 2, 2))
+        with pytest.raises(InvalidArgumentError, match="needs n = 1"):
+            run_trial("onebit", spec, mean_sample(spec, 2, 3, 0), onebit_uniforms(0, 2, 2))
 
     @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 4), (4, 3, 1)])
     def test_rejects_uniforms_not_shaped_machines_by_coordinates(self, shape):
         # a (d,) or (1, d) array would broadcast, giving every machine one uniform
-        x = mean_sample(BoundedProductSpec(np.zeros(3), "two_point"), 4, 1, seed=0)
+        spec = BoundedProductSpec(np.zeros(3), "two_point")
+        x = mean_sample(spec, 4, 1, seed=0)
         with pytest.raises(InvalidArgumentError, match="shape"):
-            onebit_bounded_mean(x, np.full(shape, 0.5))
-        assert transcript_total_bits(onebit_bounded_mean(x, np.full((4, 3), 0.5)).transcript) == 12
+            run_trial("onebit", spec, x, np.full(shape, 0.5))
+        assert transcript_total_bits(run_trial("onebit", spec, x, np.full((4, 3), 0.5))[1]) == 12
 
 
 class TestUniformInteractiveMin:
     def test_single_machine_transcript(self):
         spec = UniformLocationSpec(np.array([0.1, -0.2, 0.5]))
-        out = uniform_interactive_min(mean_sample(spec, 1, 16, 7))
-        assert len(out.transcript.messages) == 1
-        assert out.transcript.messages[0].payload.length == (
+        _, transcript, _ = run_trial("uniform_min", spec, mean_sample(spec, 1, 16, 7))
+        assert len(transcript.messages) == 1
+        assert transcript.messages[0].payload.length == (
             3 * uniform_min_value_bits(1, 16))
 
     def test_state_matches_global_min_oracle(self):
@@ -140,7 +156,7 @@ class TestUniformInteractiveMin:
         for seed in range(30):
             x = mean_sample(spec, m, n, seed)
             gmin = x.min(axis=(0, 2))
-            s = uniform_interactive_min(x).theta_hat - 1.0
+            s = run_trial("uniform_min", spec, x)[0] - 1.0
             assert np.all(s <= gmin + 1e-15)
             assert np.all(s >= gmin - cell - 1e-15)
 
@@ -149,10 +165,10 @@ class TestUniformInteractiveMin:
         m, n, d = 8, 16, 3
         vb = uniform_min_value_bits(m, n)
         for seed in range(10):
-            out = uniform_interactive_min(mean_sample(spec, m, n, seed))
-            improved = out.info["improved"]
+            _, transcript, _ = run_trial("uniform_min", spec, mean_sample(spec, m, n, seed))
+            improved = improved_mask(transcript, d, vb)
             expected = d * vb + int(improved[1:].sum()) * (codec.ceil_log2(d) + vb)
-            assert transcript_total_bits(out.transcript) == expected
+            assert transcript_total_bits(transcript) == expected
 
     def test_improvement_frequency_is_one_over_i(self):
         # exchangeability oracle: coordinate j improves at machine i w.p. 1/i
@@ -161,8 +177,9 @@ class TestUniformInteractiveMin:
         gens = machine_streams(5, m)
         blocks = draw_trials(spec, gens, n, trials)
         freq = np.zeros((m, 3))
+        vb = uniform_min_value_bits(m, n)
         for t in range(trials):
-            freq += uniform_interactive_min(blocks[t]).info["improved"]
+            freq += improved_mask(run_trial("uniform_min", spec, blocks[t])[1], 3, vb)
         freq /= trials
         for i in range(1, m):
             p = 1.0 / (i + 1)
@@ -174,17 +191,16 @@ class TestRegressionLocalAverage:
     def test_noiseless_recovery(self):
         designs = build_designs("orthogonal", 4, 20, 3, seed=1)
         spec = RegressionSpec(designs, np.array([0.5, -0.5, 0.25]), 0.0)
-        out = regression_local_average(spec, sample(spec, seed=0))
+        theta_hat, _, _ = run_trial("regress_avg", spec, sample(spec, seed=0))
         cell = 2.0 / 2 ** codec.bits_for_accuracy(-1, 1, 1 / 80)
-        assert float((out.theta_hat - spec.theta) @ (out.theta_hat - spec.theta)) <= 3 * cell**2
+        assert float((theta_hat - spec.theta) @ (theta_hat - spec.theta)) <= 3 * cell**2
 
     def test_per_machine_bits(self):
         assert regress_avg_message_bits(3, 10, 30) == 30
         designs = build_designs("identity", 10, 30, 3, seed=0)
         spec = RegressionSpec(designs, np.zeros(3), 1.0)
-        out = regression_local_average(spec, sample(spec, seed=1))
-        assert all(msg.payload.length == 30 for msg in out.transcript.messages)
-        assert out.info["nominal_bits_per_machine"] == math.ceil(3 * math.log2(300))
+        _, transcript, _ = run_trial("regress_avg", spec, sample(spec, seed=1))
+        assert all(msg.payload.length == 30 for msg in transcript.messages)
 
     def test_risk_matches_trace_oracle(self):
         designs = build_designs("orthogonal", 10, 30, 3, seed=9)
@@ -202,7 +218,7 @@ class TestProbit:
         blocks = draw_trials(spec, gens, 120, 400)
         hats = np.empty((400, 2))
         for t in range(400):
-            hats[t] = probit_local_average(spec, blocks[t]).theta_hat
+            hats[t] = run_trial("probit_avg", spec, blocks[t])[0]
         stderr = hats.std(axis=0, ddof=1) / math.sqrt(400)
         assert np.all(np.abs(hats.mean(axis=0)) <= 3 * stderr)
 
@@ -256,8 +272,8 @@ class TestCentralizedBaselines:
     def test_regression_noiseless_exact(self):
         designs = build_designs("orthogonal", 3, 10, 2, seed=5)
         spec = RegressionSpec(designs, np.array([0.3, -0.7]), 0.0)
-        est, flagged = centralized_baseline(spec, sample(spec, seed=0))
-        assert np.allclose(est, spec.theta, atol=1e-10) and not flagged
+        est, flagged = spec.pooled(sample(spec, seed=0)[None])
+        assert np.allclose(est[0], spec.theta, atol=1e-10) and not flagged[0]
 
 
 class TestEstimateRisk:
@@ -330,6 +346,55 @@ class TestEstimateRisk:
                           budget_bits=3)
 
 
+class TestRunTrial:
+    """run_trial looks its protocol up and applies its run rules with the
+    helper estimate_risk uses, so both refuse a run with the same text."""
+
+    @pytest.mark.parametrize("protocol,spec,m,n,budget_bits,text", [
+        ("warp", BoundedProductSpec(np.zeros(2)), 3, 1, None, "unknown protocol id 'warp'"),
+        ("onebit", BoundedProductSpec(np.zeros(2)), 3, 2, None, "the one-bit scheme needs n = 1"),
+        ("single_mean", BoundedProductSpec(np.zeros(1)), 2, 4, 3,
+         "single_mean is a single-machine protocol"),
+        ("single_mean", BoundedProductSpec(np.zeros(1)), 1, 4, 0,
+         "budget must be at least one bit"),
+        ("onebit", GaussianLocationSpec(np.zeros(2)), 3, 1, None,
+         "protocol 'onebit' does not run on GaussianLocationSpec"),
+        ("gauss_qavg", GaussianLocationSpec(np.zeros(2)), 0, 3, None, "need m >= 1 and n >= 1"),
+    ], ids=["unknown", "check", "single_mean_m", "budget", "accepts", "run_shape"])
+    def test_refusals_match_estimate_risk(self, protocol, spec, m, n, budget_bits, text):
+        block = np.zeros((m, spec.d, n))
+        with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
+            run_trial(protocol, spec, block, np.zeros((m, spec.d)), budget_bits)
+        with pytest.raises(InvalidArgumentError, match=f"^{text}$"):
+            estimate_risk(protocol, spec, trials=4, seed=0, m=m, n=n, budget_bits=budget_bits)
+
+    def test_centralized_sends_no_transcript(self):
+        spec = GaussianLocationSpec(np.zeros(2))
+        with pytest.raises(InvalidArgumentError,
+                           match="^protocol 'centralized' sends no transcript$"):
+            run_trial("centralized", spec, mean_sample(spec, 3, 4, seed=0))
+
+    @pytest.mark.parametrize("spec,shape", [
+        (GaussianLocationSpec(np.zeros(3)), (2, 3)),
+        (GaussianLocationSpec(np.zeros(3)), (2, 2, 4)),
+        (GaussianLocationSpec(np.zeros(3)), ()),
+        (RegressionSpec(build_designs("identity", 3, 10, 2, seed=0), np.zeros(2)), (3, 9)),
+        (RegressionSpec(build_designs("identity", 3, 10, 2, seed=0), np.zeros(2)), (3, 2, 10)),
+    ], ids=["mean-2d", "mean-wrong-d", "scalar", "design-wrong-n", "design-3d"])
+    def test_block_shape_is_checked_against_the_spec(self, spec, shape):
+        protocol = "regress_avg" if isinstance(spec, RegressionSpec) else "gauss_qavg"
+        with pytest.raises(InvalidArgumentError, match="blocks for .*Spec; got shape"):
+            run_trial(protocol, spec, np.zeros(shape))
+
+    def test_the_caller_block_is_not_written(self):
+        # the single_mean local step maps its row in place; run_trial copies
+        spec = BoundedProductSpec(np.array([0.4]), "uniform_interval")
+        block = mean_sample(spec, 1, 16, seed=2)
+        before = block.copy()
+        run_trial("single_mean", spec, block, budget_bits=6)
+        assert np.array_equal(block, before)
+
+
 @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
 def test_mean_family_needs_m_and_n_at_least_one(m, n):
     spec = GaussianLocationSpec(np.zeros(2), 1.0)
@@ -354,8 +419,8 @@ def test_design_family_rejects_a_mismatched_m_or_n(m, n):
 
 @pytest.mark.parametrize("run", [lambda: sample(object(), 2, 1),
                                  lambda: estimate_risk("onebit", object(), 10, 1, m=2, n=1),
-                                 lambda: centralized_baseline(object(), np.zeros((2, 1, 1)))],
-                         ids=["sample", "estimate_risk", "centralized_baseline"])
+                                 lambda: run_trial("onebit", object(), np.zeros((2, 1, 1)))],
+                         ids=["sample", "estimate_risk", "run_trial"])
 def test_a_non_spec_is_refused_as_one(run):
     with pytest.raises(InvalidArgumentError, match="^not a family spec: object$"):
         run()
@@ -397,27 +462,27 @@ class TestIndependenceStructure:
     def test_gauss_message_depends_only_on_own_data(self):
         spec = GaussianLocationSpec(np.full(3, 0.1), 1.0)
         x = mean_sample(spec, 6, 8, seed=3)
-        out_a = gaussian_quantized_average(x, 1.0)
-        out_b = gaussian_quantized_average(self.permuted(x, 2), 1.0)
-        assert out_a.transcript.messages[2] == out_b.transcript.messages[2]
+        _, out_a, _ = run_trial("gauss_qavg", spec, x)
+        _, out_b, _ = run_trial("gauss_qavg", spec, self.permuted(x, 2))
+        assert out_a.messages[2] == out_b.messages[2]
 
     def test_onebit_message_depends_only_on_own_data_and_stream(self):
         spec = BoundedProductSpec(np.zeros(4), "two_point")
         x = mean_sample(spec, 6, 1, seed=4)
         u = onebit_uniforms(99, 6, 4)
-        out_a = onebit_bounded_mean(x, u)
-        out_b = onebit_bounded_mean(self.permuted(x, 3), u)
-        assert out_a.transcript.messages[3] == out_b.transcript.messages[3]
+        _, out_a, _ = run_trial("onebit", spec, x, u)
+        _, out_b, _ = run_trial("onebit", spec, self.permuted(x, 3), u)
+        assert out_a.messages[3] == out_b.messages[3]
 
     def test_regression_message_depends_only_on_own_responses(self):
         designs = build_designs("orthogonal", 5, 12, 2, seed=6)
         spec = RegressionSpec(designs, np.array([0.2, -0.1]), 1.0)
         y = sample(spec, seed=2)
-        out_a = regression_local_average(spec, y)
+        _, out_a, _ = run_trial("regress_avg", spec, y)
         y_perm = y.copy()
         y_perm[[0, 1, 3, 4]] = y_perm[[4, 3, 1, 0]]
-        out_b = regression_local_average(spec, y_perm)
-        assert out_a.transcript.messages[2] == out_b.transcript.messages[2]
+        _, out_b, _ = run_trial("regress_avg", spec, y_perm)
+        assert out_a.messages[2] == out_b.messages[2]
 
 
 class TestMonotonicityInN:
