@@ -1,10 +1,11 @@
 """Closed-form minimax rate calculators.
 
-Every calculator returns a RateResult whose value recombines exactly from its
-terms dict, so downstream consumers can audit each min/max branch. Universal
-constants default to 1 and are shape-only: nothing here claims them as ground
-truth. "log m" inside the rate formulas is the natural log; where the source
-expressions mix bases, both readings appear in terms.
+Every calculator returns a RateResult whose terms dict holds each min/max
+branch of its value, so downstream consumers can audit it; the tests
+recombine each value from its terms exactly. Universal constants default to
+1 and are shape-only: nothing here claims them as ground truth. "log m"
+inside the rate formulas is the natural log; where the source expressions
+mix bases, both readings appear in terms.
 
 Conventions for total extensions:
   * zero-budget branches that would divide by zero evaluate as +inf so the
@@ -258,25 +259,3 @@ def tail_pstar(a: float, delta: float, n: int, sigma: float) -> float:
     gap = a - math.sqrt(n) * delta
     return min(2.0 * math.exp(-gap * gap / (2.0 * sigma**2)), 0.5)
 
-
-def recombine(result: RateResult) -> float:
-    """Recompute a RateResult value from its terms; exact by construction."""
-    t = result.terms
-    fid = result.formula_id
-    if fid == "thm1":
-        return t["prefactor"] * min(t["branch_raw"], t["branch_logm"], t["branch_budget"])
-    if fid in ("thm2", "cor1_lower", "cor2_lower"):
-        return t["prefactor"] * min(t["branch_raw"], t["branch_budget"])
-    if fid == "prop2":
-        return t["prefactor"] * min(t["branch_m"], t["branch_budget"])
-    if fid == "prop3_lower":
-        return t["c1"] * max(t["exp_term"], t["centralized_term"])
-    if fid == "prop3_budget":
-        return t["ln_reading"]
-    if fid == "prop1":
-        return t["prefactor"] * t["separation"] ** 2
-    if fid in ("cor1_upper", "cor2_upper"):
-        return t["c_over_lambda_min2"] * t["centralized"]
-    if fid == "packing_entropy":
-        return t["log2_bits"]
-    raise InvalidArgumentError(f"cannot recombine formula {fid!r}")

@@ -3,30 +3,33 @@
 PROTOCOLS maps each protocol id to its transcript kind, the spec types it
 runs on, its run rules and its steps: a local step that reduces one
 machine's block of a chunk of trials to the values it sends, and a fusion
-step that turns the chunk's values from all machines into the estimates,
-bit counts and flags. Every protocol but centralized, which sends its raw
-data, also has an encode, which puts one trial's (m, ...) values on the wire
-as a Transcript, and a decode, which computes the estimate from that
-Transcript and the run's public parameters alone, since the fusion center
-sees only the messages. There are three message kinds: fixed-width fields
-on the protocol's grid (single_mean, gauss_qavg, regress_avg, probit_avg),
-one bit per coordinate (onebit) and improvement lists (uniform_min).
-run_trial runs one trial on the array families.sample returns, (m, d, n)
-for the mean families and (m, n) responses for the design families: the
-local step per machine, then encode, then decode; tests hold the fusion to
-it trial by trial. estimate_risk measures mean-squared error and bit
-statistics over many seeded trials through run_chunks, which streams the
-machines, so a chunk never holds more than one machine's raw block, and
-builds no transcript. There is one probit solver, probit_mle_batched, a
-damped Newton on a stack of problems that share one (n, d) design, its only
-problem form; the probit local step solves all trials of a chunk on the
-machine's design with it at once, and probit_mle is that solver on a stack
-of one. It takes 0/1 responses only, raises InvalidArgumentError on any
-other value, and makes one log_ndtr call per response at each likelihood
-evaluation. Two exit rules bound its work and its flags: a Newton decrement
-under TAU ulps of the log-likelihood stops a problem without a line search,
-and a problem whose iterate at exit has every s_j > 0 on the design's
-nonzero rows is strictly separated, so it is flagged and clipped.
+step that turns the chunk's values from all machines into the estimates, bit
+counts and flags. Each entry names its wire grid once, a function of the
+run's public (spec, m, n, budget_bits) that run_trial and run_chunks resolve
+once per run, before the first draw, and hand to every step; it gives None
+for centralized, which sends its raw data. Every other protocol also has an
+encode, which puts one trial's (m, ...) values on the wire as a Transcript,
+and a decode, which computes the estimate from that Transcript, spec.d and
+the run's grid alone, since the fusion center sees only the messages. There
+are two message kinds: fixed-width fields on the grid (single_mean,
+gauss_qavg, onebit, regress_avg, probit_avg; a one-bit message is d 1-bit
+fields) and improvement lists (uniform_min). run_trial runs one trial on the
+array families.sample returns, (m, d, n) for the mean families and (m, n)
+responses for the design families: the local step per machine, then encode,
+then decode; tests hold the fusion to it trial by trial. estimate_risk
+measures mean-squared error and bit statistics over many seeded trials
+through run_chunks, which streams the machines, so a chunk never holds more
+than one machine's raw block, and builds no transcript. There is one probit
+solver, probit_mle_batched, a damped Newton on a stack of problems that
+share one (n, d) design, its only problem form; the probit local step solves
+all trials of a chunk on the machine's design with it at once, and
+probit_mle is that solver on a stack of one. It takes 0/1 responses only,
+raises InvalidArgumentError on any other value, and makes one log_ndtr call
+per response at each likelihood evaluation. Two exit rules bound its work
+and its flags: a Newton decrement under TAU ulps of the log-likelihood stops
+a problem without a line search, and a problem whose iterate at exit has
+every s_j > 0 on the design's nonzero rows is strictly separated, so it is
+flagged and clipped.
 """
 
 from __future__ import annotations
@@ -94,11 +97,6 @@ def _local_average_grid(m: int, n: int) -> QuantizerSpec:
     """Cell width 1/(mn) on [-1, 1], rounding to nearest: the regression
     and probit averaging schemes."""
     return QuantizerSpec(-1.0, 1.0, bits_for_accuracy(-1.0, 1.0, 1.0 / (m * n)))
-
-
-def _uniform_min_grid(m: int, n: int) -> QuantizerSpec:
-    """The interactive minimum's grid on [-2, 2], rounding down."""
-    return QuantizerSpec(-2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN)
 
 
 def gauss_qavg_message_bits(d: int, sigma: float, m: int, n: int) -> int:
@@ -269,11 +267,11 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
 # the machine's (k, d) TAG_PROTOCOL uniforms with it (None otherwise). A
 # protocol's local step reduces the row to what the machine puts on the wire,
 # (k, ...), which fills machine i's column of the chunk's (k, m, ...) message
-# buffer. Its fusion step turns the buffer into theta_hat (k, d), bits (k,)
-# and flagged (k,), equal trial by trial to what run_trial gives for that
-# trial, and builds no transcript. The buffer is C-contiguous in the
-# (machine, coordinate) order of a trial's values, so a float reduction over
-# machines adds in their order.
+# buffer. Its fusion step turns the buffer and the run's grid into theta_hat
+# (k, d), bits (k,) and flagged (k,), equal trial by trial to what run_trial
+# gives for that trial, and builds no transcript. The buffer is C-contiguous
+# in the (machine, coordinate) order of a trial's values, so a float
+# reduction over machines adds in their order.
 
 def _single_mean_local(spec, i, row, uniforms):
     # the mean of the [0, 1] image (1 + x) / 2; the row is scratch that the
@@ -283,17 +281,17 @@ def _single_mean_local(spec, i, row, uniforms):
     return row.mean(axis=2)
 
 
-def _onebit_fuse(spec, messages, n, budget_bits):
+def _onebit_fuse(spec, qspec, messages):
     k, m, d = messages.shape
-    # the sum of m values of +/-1 is an exact integer, so this equals
-    # mean(2 z - 1) bit for bit
+    # the sum of m values of +/-1 is an exact integer, so this equals the
+    # mean of the decoded cells 2 z - 1 bit for bit; summing the bools keeps
+    # the buffer at one byte per value
     ones = messages.sum(axis=1)
     return (2.0 * ones - m) / m, np.full(k, m * d, dtype=np.int64), np.zeros(k, dtype=bool)
 
 
-def _uniform_min_fuse(spec, local_min, n, budget_bits):
+def _uniform_min_fuse(spec, qspec, local_min):
     k, m, d = local_min.shape
-    qspec = _uniform_min_grid(m, n)
     # Round-down quantization is monotone, so the fusion state after machine
     # i is q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
     # coordinates where local_min_i < state_{i-1}.
@@ -309,13 +307,12 @@ def _regress_local(spec, i, row, uniforms):
     return (_local_solver(spec.designs[i]) @ row[..., None])[..., 0]
 
 
-def _average_fuse(grid, spec, sent, n, budget_bits):
+def _average_fuse(spec, qspec, sent):
     """Fusion of the averaging schemes: quantize the (k, m, d) local values
-    on the protocol's grid, average. A probit message carries the solver's
-    flag as one more value after them."""
+    on the run's grid, average. A probit message carries the solver's flag
+    as one more value after them."""
     local = sent[..., :spec.d]
     k, m, d = local.shape
-    qspec = grid(spec, m, n, budget_bits)
     # quantize clamps to the grid first: that clamp is the truncation
     idx = quantize(local, qspec)
     return (dequantize(idx, qspec).mean(axis=1), np.full(k, m * d * qspec.bits, dtype=np.int64),
@@ -328,47 +325,32 @@ def _probit_local(spec, i, row, uniforms):
     return np.column_stack((theta, flagged))
 
 
-def _centralized_fuse(spec, pooled, n, budget_bits):
+def _centralized_fuse(spec, qspec, pooled):
     theta_hat, flagged = spec.pooled(pooled)
     return theta_hat, np.zeros(len(pooled), dtype=np.int64), flagged
 
 
 # ---------------------------------------------------------------------------
-# the three message kinds: encode takes one trial's (m, ...) values, what the
+# the two message kinds: encode takes one trial's (m, ...) values, what the
 # local steps send, and returns its Transcript; decode returns theta_hat from
-# the Transcript and the public spec.d, spec.sigma, n and budget_bits alone
+# the Transcript, spec.d and the run's grid alone
 
-def _encode_fields(grid, spec, sent, n, budget_bits):
-    qspec = grid(spec, len(sent), n, budget_bits)
+def _encode_fields(spec, qspec, sent):
     idx = quantize(sent[:, :spec.d], qspec)
     return Transcript([Message(i + 1, 1, pack_fields(row, qspec.bits))
                        for i, row in enumerate(idx.tolist())], INDEPENDENT)
 
 
-def _decode_fields(grid, spec, transcript, n, budget_bits):
-    qspec = grid(spec, len(transcript.messages), n, budget_bits)
+def _decode_fields(spec, qspec, transcript):
     idx = np.array([unpack_fields(msg.payload, qspec.bits, spec.d)
                     for msg in transcript.messages])
     return dequantize(idx, qspec).mean(axis=0)
 
 
-def _encode_bits(spec, z, n, budget_bits):
-    return Transcript([Message(i + 1, 1, pack_fields(row, 1))
-                       for i, row in enumerate(z.tolist())], INDEPENDENT)
-
-
-def _decode_bits(spec, transcript, n, budget_bits):
-    m = len(transcript.messages)
-    ones = np.sum([unpack_fields(msg.payload, 1, spec.d) for msg in transcript.messages],
-                  axis=0)
-    return (2.0 * ones - m) / m
-
-
-def _encode_improvements(spec, local_min, n, budget_bits):
+def _encode_improvements(spec, qspec, local_min):
     # machine 1 sends all d minima, and each later machine, in index order,
     # the coordinates that strictly improve the broadcast state
     m, d = local_min.shape
-    qspec = _uniform_min_grid(m, n)
     idx = quantize(local_min, qspec)
     cells = dequantize(idx, qspec)
     state = cells[0].copy()
@@ -381,10 +363,9 @@ def _encode_improvements(spec, local_min, n, budget_bits):
     return Transcript(messages, INTERACTIVE)
 
 
-def _decode_improvements(spec, transcript, n, budget_bits):
+def _decode_improvements(spec, qspec, transcript):
     # a coordinate's state is the cell its last sender sent
     first, *rest = transcript.messages
-    qspec = _uniform_min_grid(len(transcript.messages), n)
     idx = np.array(unpack_fields(first.payload, qspec.bits, spec.d))
     for msg in rest:
         better, sent = decode_improvement_message(msg.payload, spec.d, qspec.bits)
@@ -420,45 +401,45 @@ class Protocol:
     kind: str                 # transcript kind reported in the RiskReport
     accepts: tuple            # spec types the protocol runs on
     local: Callable           # (spec, i, row, uniforms) -> machine i's (k, ...) messages
-    fuse: Callable            # (spec, messages, n, budget_bits) -> (theta_hat, bits, flagged)
-    encode: Callable = None   # (spec, sent, n, budget_bits) -> one trial's Transcript
-    decode: Callable = None   # (spec, transcript, n, budget_bits) -> theta_hat
+    grid: Callable            # (spec, m, n, budget_bits) -> the run's QuantizerSpec or None
+    # the steps, each given the run's grid; by default the averaging schemes'
+    fuse: Callable = _average_fuse      # (spec, qspec, messages) -> (theta_hat, bits, flagged)
+    encode: Callable = _encode_fields   # (spec, qspec, sent) -> one trial's Transcript
+    decode: Callable = _decode_fields   # (spec, qspec, transcript) -> theta_hat
     bound: str = None         # lower-bound formula id replacing the family's
     randomized: bool = False  # the local step reads (k, d) TAG_PROTOCOL uniforms
     check: Callable = lambda spec, m, n, budget_bits: None  # raises on a run it refuses
     target: Callable = lambda theta: theta    # theta -> what the estimate is scored against
 
 
-def _averaging(accepts, local, grid, **rules):
-    """An averaging protocol: each machine sends its d local values as fields
-    on grid(spec, m, n, budget_bits), and the fusion center averages them."""
-    return Protocol(INDEPENDENT, accepts, local, partial(_average_fuse, grid),
-                    partial(_encode_fields, grid), partial(_decode_fields, grid), **rules)
-
-
 PROTOCOLS = {
     # single_mean works on [0, 1]; the bounded family maps to it affinely
-    "single_mean": _averaging((BoundedProductSpec,), _single_mean_local,
-                              lambda spec, m, n, budget_bits: QuantizerSpec(0.0, 1.0, budget_bits),
-                              bound="prop1", check=_single_mean_check,
-                              target=lambda theta: (1.0 + theta) / 2.0),
+    "single_mean": Protocol(INDEPENDENT, (BoundedProductSpec,), _single_mean_local,
+                            lambda spec, m, n, budget_bits: QuantizerSpec(0.0, 1.0, budget_bits),
+                            bound="prop1", check=_single_mean_check,
+                            target=lambda theta: (1.0 + theta) / 2.0),
     # each machine's local means, truncated to the grid's interval
-    "gauss_qavg": _averaging((GaussianLocationSpec,), lambda spec, i, row, u: row.mean(axis=2),
-                             lambda spec, m, n, budget_bits: _gauss_qavg_grid(spec.sigma, m, n)),
-    # Proposition 2's scheme is for data in [-1, 1]^d: the bounded family only
+    "gauss_qavg": Protocol(INDEPENDENT, (GaussianLocationSpec,),
+                           lambda spec, i, row, u: row.mean(axis=2),
+                           lambda spec, m, n, budget_bits: _gauss_qavg_grid(spec.sigma, m, n)),
+    # Proposition 2's scheme is for data in [-1, 1]^d: the bounded family
+    # only. Bit z is cell z of a two-cell round-down grid, which decodes to
+    # exactly 2 z - 1.
     "onebit": Protocol(INDEPENDENT, (BoundedProductSpec,),
-                       lambda spec, i, row, u: u < (1.0 + row[..., 0]) / 2.0, _onebit_fuse,
-                       _encode_bits, _decode_bits, bound="prop2", randomized=True,
-                       check=_onebit_check),
+                       lambda spec, i, row, u: u < (1.0 + row[..., 0]) / 2.0,
+                       lambda *run: QuantizerSpec(-1.0, 3.0, 1, codec.ROUND_DOWN),
+                       _onebit_fuse, bound="prop2", randomized=True, check=_onebit_check),
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
+                            lambda spec, m, n, budget_bits: QuantizerSpec(
+                                -2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN),
                             _uniform_min_fuse, _encode_improvements, _decode_improvements),
-    "regress_avg": _averaging((DesignSpec,), _regress_local,
-                              lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
-    "probit_avg": _averaging((ProbitSpec,), _probit_local,
-                             lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
+    "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local,
+                            lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
+    "probit_avg": Protocol(INDEPENDENT, (ProbitSpec,), _probit_local,
+                           lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
     # the centralized estimator sees all the data: each machine sends its row
     "centralized": Protocol("centralized", (MeanSpec, DesignSpec), lambda spec, i, row, u: row,
-                            _centralized_fuse),
+                            lambda *run: None, _centralized_fuse, None, None),
 }
 
 
@@ -499,11 +480,12 @@ def run_trial(protocol: str, spec, block, uniforms=None, budget_bits: int = None
             f"protocol uniforms have shape {np.shape(uniforms)}; expected {(m, spec.d)}")
     if isinstance(spec, BoundedProductSpec) and np.any(np.abs(block) > 1 + 1e-12):
         raise InvalidArgumentError("bounded-family data must lie in [-1, 1]")
+    qspec = rec.grid(spec, m, n, budget_bits)
     u = np.asarray(uniforms, dtype=float) if rec.randomized else None
     sent = np.stack([rec.local(spec, i, block[i:i + 1], None if u is None else u[i:i + 1])[0]
                      for i in range(m)])
-    transcript = rec.encode(spec, sent, n, budget_bits)
-    return rec.decode(spec, transcript, n, budget_bits), transcript, bool(sent[:, spec.d:].any())
+    transcript = rec.encode(spec, qspec, sent)
+    return rec.decode(spec, qspec, transcript), transcript, bool(sent[:, spec.d:].any())
 
 
 # The names bench/spans.py looks up, each one protocol on run_trial.
@@ -533,12 +515,14 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
                budget_bits: int = None):
     """Yield (theta_hat, bits, flagged) of each chunk of sizes[c] trials.
 
-    Machine by machine, spec.fill fills one reused row from data_gens[i] (and
-    a randomized protocol's uniforms from proto_gens[i]), and the protocol's
+    The run's grid is resolved first, before any draw. Then, machine by
+    machine, spec.fill fills one reused row from data_gens[i] (and a
+    randomized protocol's uniforms from proto_gens[i]), and the protocol's
     local step writes what the machine sends into the chunk's message buffer;
     the fusion step then runs on the buffer. sizes[0] is the largest chunk.
     """
     rec = PROTOCOLS[protocol]
+    qspec = rec.grid(spec, len(data_gens), n, budget_bits)
     row = np.empty((sizes[0], *row_shape(spec, n)))
     uniforms = np.empty((sizes[0], spec.d)) if rec.randomized else None
     messages = None
@@ -551,7 +535,7 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
             if messages is None:
                 messages = np.empty((sizes[0], len(data_gens), *sent.shape[1:]), sent.dtype)
             messages[:k, i] = sent
-        yield rec.fuse(spec, messages[:k], n, budget_bits)
+        yield rec.fuse(spec, qspec, messages[:k])
 
 
 def estimate_risk(protocol: str, spec, trials: int, seed: int,

@@ -24,8 +24,8 @@ from distest.families import (BoundedProductSpec, GaussianLocationSpec,
                               design_eigenbounds, draw_trials, machine_streams,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit)
-from distest.protocols import (estimate_risk, gauss_qavg_message_bits, run_trial,
-                               uniform_min_value_bits)
+from distest.protocols import (estimate_risk, gauss_qavg_message_bits, run_chunks,
+                               run_trial, uniform_min_value_bits)
 
 
 def report(criterion: int, message: str):
@@ -80,12 +80,8 @@ def test_criterion_3_onebit_scheme():
     theta = np.array([-0.8, -0.4, -0.1, 0.0, 0.2, 0.5, 0.7, 0.9])
     gspec = BoundedProductSpec(theta, "two_point")
     grid_trials = 2500
-    blocks = draw_trials(gspec, machine_streams(304, m), 1, grid_trials)
-    proto = machine_streams(304, m, families.TAG_PROTOCOL)
-    uniforms = np.stack([g.random((grid_trials, d)) for g in proto], axis=1)
-    hats = np.empty((grid_trials, d))
-    for t in range(grid_trials):
-        hats[t] = run_trial("onebit", gspec, blocks[t], uniforms[t])[0]
+    hats = next(run_chunks("onebit", gspec, 1, [grid_trials], machine_streams(304, m),
+                           machine_streams(304, m, families.TAG_PROTOCOL)))[0]
     stderr = hats.std(axis=0, ddof=1) / math.sqrt(grid_trials)
     assert np.all(np.abs(hats.mean(axis=0) - theta) <= 4 * stderr)
     elapsed = time.perf_counter() - start

@@ -3,13 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from distest.bounds import (RateQuery, centralized_rate,
+from distest.bounds import (RateQuery, RateResult, centralized_rate,
                             cor1_rates, cor2_rates,
                             packing_entropy_hypercube_lower, prop1_lower,
-                            prop2_lower, prop3_budget, prop3_lower, recombine,
+                            prop2_lower, prop3_budget, prop3_lower,
                             tail_pstar, theorem1_lower, theorem2_lower,
                             unit_interval_entropy_inverse)
 from distest.errors import InvalidArgumentError
+
+
+def recombine(result: RateResult) -> float:
+    """Recompute a RateResult value from its terms, by the min/max each
+    calculator takes over its branches."""
+    t = result.terms
+    fid = result.formula_id
+    if fid == "thm1":
+        return t["prefactor"] * min(t["branch_raw"], t["branch_logm"], t["branch_budget"])
+    if fid in ("thm2", "cor1_lower", "cor2_lower"):
+        return t["prefactor"] * min(t["branch_raw"], t["branch_budget"])
+    if fid == "prop2":
+        return t["prefactor"] * min(t["branch_m"], t["branch_budget"])
+    if fid == "prop3_lower":
+        return t["c1"] * max(t["exp_term"], t["centralized_term"])
+    if fid == "prop3_budget":
+        return t["ln_reading"]
+    if fid == "prop1":
+        return t["prefactor"] * t["separation"] ** 2
+    if fid in ("cor1_upper", "cor2_upper"):
+        return t["c_over_lambda_min2"] * t["centralized"]
+    if fid == "packing_entropy":
+        return t["log2_bits"]
+    raise InvalidArgumentError(f"cannot recombine formula {fid!r}")
 
 
 def grid_queries():

@@ -4,8 +4,8 @@ The files under tests/golden/ pin what the code produces. A change that
 moves any of them must say why in CHANGES.md. To regenerate them, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout;
 it also prints the digests that ``WIDE_VERIFY_SHA256``,
-``BENCH_VERIFY_SHA256``, ``WIDE_SIMULATE_SHA256``, ``DEMO_06_SHA256`` and
-``SOLVER_EVALUATIONS`` hold.
+``BENCH_VERIFY_SHA256``, ``WIDE_SIMULATE_SHA256``, ``DEMO_06_SHA256``,
+``SOLVER_EVALUATIONS`` and ``TRANSCRIPT_SHA256`` hold.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import pytest
 from distest import cli, protocols, sweeps
 from distest.designs import build_designs
 from distest.families import ProbitSpec
+from test_kernels import CASES, chunk, make_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,6 +55,10 @@ DEMO_06_SHA256 = "af6add117e1b7c6d9dc80a2a447055ed0e457a88c4c8003aed4f2a21833039
 # spec: a change to the Newton loop that moves any evaluation moves it.
 SOLVER_EVALUATIONS = (411, 309030,
                       "d456fa128ecda311fe60acb7d82e9c3b4da725f4ef0c4681e1624417b9204c9a")
+# sha256 of every transcript run_trial gives on the test_kernels CASES draws
+# at budget_bits = 7: its kind, then each message's machine, round, payload
+# length and payload value, so a change to what goes on the wire moves it.
+TRANSCRIPT_SHA256 = "b288c5b116dd23368e0b32f95cd8c180596620c60fb27d3706a15ca24ec53257"
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")
@@ -156,6 +161,23 @@ def _solver_evaluations():
     return (*seen, sha.hexdigest())
 
 
+def _transcript_digest() -> str:
+    sha = hashlib.sha256()
+    for protocol, family, m, n, d in CASES:
+        if protocol == "centralized":
+            continue
+        spec = make_spec(family, m, n, d)
+        blocks, uniforms = chunk(protocol, spec, m, n)
+        for t, block in enumerate(blocks):
+            u = None if uniforms is None else uniforms[t]
+            transcript = protocols.run_trial(protocol, spec, block, u, 7)[1]
+            sha.update(f"{transcript.protocol_kind}\n".encode("utf-8"))
+            for msg in transcript.messages:
+                sha.update(f"{msg.machine},{msg.round},{msg.payload.length},"
+                           f"{msg.payload.value}\n".encode("utf-8"))
+    return sha.hexdigest()
+
+
 def _demo_06_digest() -> str:
     src = str(Path(cli.__file__).resolve().parents[1])
     res = subprocess.run([sys.executable, str(DEMO_06)], capture_output=True,
@@ -204,6 +226,10 @@ def test_probit_solver_evaluation_digest():
     assert _solver_evaluations() == SOLVER_EVALUATIONS
 
 
+def test_transcript_digest():
+    assert _transcript_digest() == TRANSCRIPT_SHA256
+
+
 def test_golden_suites_are_every_suite():
     assert SUITES == ",".join(sweeps.SUITE_NAMES)
 
@@ -225,3 +251,4 @@ if __name__ == "__main__":
         print(f"WIDE_SIMULATE_SHA256 = {_wide_simulate_digest()!r}")
         print(f"DEMO_06_SHA256 = {_demo_06_digest()!r}")
         print(f"SOLVER_EVALUATIONS = {_solver_evaluations()!r}")
+        print(f"TRANSCRIPT_SHA256 = {_transcript_digest()!r}")

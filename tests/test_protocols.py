@@ -113,13 +113,8 @@ class TestOnebit:
         theta = np.array([-0.6, 0.0, 0.3, 0.8])
         spec = BoundedProductSpec(theta, "two_point")
         m, trials = 40, 3000
-        gens = machine_streams(31, m)
-        blocks = draw_trials(spec, gens, 1, trials)
-        proto = machine_streams(31, m, families.TAG_PROTOCOL)
-        uniforms = np.stack([g.random((trials, 4)) for g in proto], axis=1)
-        hats = np.empty((trials, 4))
-        for t in range(trials):
-            hats[t] = run_trial("onebit", spec, blocks[t], uniforms[t])[0]
+        hats = next(protocols.run_chunks("onebit", spec, 1, [trials], machine_streams(31, m),
+                                         machine_streams(31, m, families.TAG_PROTOCOL)))[0]
         stderr = hats.std(axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(hats.mean(axis=0) - theta) <= 4 * stderr)
 
@@ -393,6 +388,25 @@ class TestRunTrial:
         before = block.copy()
         run_trial("single_mean", spec, block, budget_bits=6)
         assert np.array_equal(block, before)
+
+
+def test_a_bad_grid_fails_before_any_draw(monkeypatch):
+    """The run's grid is resolved before the first draw, so a budget that no
+    grid can hold is refused with no machine drawn."""
+    fills = []
+    fill = BoundedProductSpec.fill
+
+    def counting(self, *args):
+        fills.append(args[0])
+        return fill(self, *args)
+
+    monkeypatch.setattr(BoundedProductSpec, "fill", counting)
+    spec = BoundedProductSpec(np.array([0.2]), "two_point")
+    with pytest.raises(InvalidArgumentError, match="^bit count must be <= 62$"):
+        estimate_risk("single_mean", spec, trials=4, seed=0, m=1, n=8, budget_bits=63)
+    assert fills == []
+    estimate_risk("single_mean", spec, trials=4, seed=0, m=1, n=8, budget_bits=62)
+    assert fills == [0]
 
 
 @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
