@@ -176,25 +176,36 @@ def quantize(value, spec: QuantizerSpec):
     """Cell index of value on the grid; out-of-range values clamp first.
 
     Accepts a scalar or ndarray; returns an int or int64 ndarray to match.
+    The index is floor((clip(value) - lo) / (hi - lo) * cells), its steps
+    applied in that order to one float array, so value is never written.
     """
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("cannot quantize non-finite values")
-    clamped = np.clip(arr, spec.lo, spec.hi)
-    idx = np.floor((clamped - spec.lo) / (spec.hi - spec.lo) * spec.cells).astype(np.int64)
-    idx = np.clip(idx, 0, spec.cells - 1)
+    frac = np.clip(arr, spec.lo, spec.hi, out=np.empty_like(arr))
+    frac -= spec.lo
+    frac /= spec.hi - spec.lo
+    frac *= spec.cells
+    np.floor(frac, out=frac)
+    idx = frac.astype(np.int64)
+    np.clip(idx, 0, spec.cells - 1, out=idx)
     if np.isscalar(value) or arr.ndim == 0:
         return int(idx)
     return idx
 
 
 def dequantize(index, spec: QuantizerSpec):
-    """Representative value of a cell: left edge (round_down) or midpoint."""
+    """Representative value of a cell: left edge (round_down) or midpoint.
+    The value is lo + (hi - lo) * (index + offset) / cells, its steps applied
+    in that order to one float array, so index is never written."""
     idx = np.asarray(index)
     if np.any(idx < 0) or np.any(idx >= spec.cells):
         raise InvalidArgumentError(f"cell index out of range [0, {spec.cells})")
     offset = 0.0 if spec.mode == ROUND_DOWN else 0.5
-    val = spec.lo + (spec.hi - spec.lo) * (idx + offset) / spec.cells
+    val = idx + offset
+    val *= spec.hi - spec.lo
+    val /= spec.cells
+    val += spec.lo
     if np.isscalar(index) or idx.ndim == 0:
         return float(val)
     return val

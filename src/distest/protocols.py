@@ -19,7 +19,9 @@ responses for the design families: the local step per machine, then encode,
 then decode; tests hold the fusion to it trial by trial. estimate_risk
 measures mean-squared error and bit statistics over many seeded trials
 through run_chunks, which streams the machines, so a chunk never holds more
-than one machine's raw block, and builds no transcript. There is one probit
+than one machine's raw block, and builds no transcript: machine i writes
+what it sends into plane i of the chunk's machine-major (m, k, ...) message
+buffer, and the fusion step reads the whole buffer. There is one probit
 solver, probit_mle_batched, a damped Newton on a stack of problems that
 share one (n, d) design, its only problem form; the probit local step solves
 all trials of a chunk on the machine's design with it at once, and
@@ -266,12 +268,15 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
 # families and (k, n) for the design families, and a randomized protocol gets
 # the machine's (k, d) TAG_PROTOCOL uniforms with it (None otherwise). A
 # protocol's local step reduces the row to what the machine puts on the wire,
-# (k, ...), which fills machine i's column of the chunk's (k, m, ...) message
-# buffer. Its fusion step turns the buffer and the run's grid into theta_hat
-# (k, d), bits (k,) and flagged (k,), equal trial by trial to what run_trial
-# gives for that trial, and builds no transcript. The buffer is C-contiguous
-# in the (machine, coordinate) order of a trial's values, so a float
-# reduction over machines adds in their order.
+# (k, ...), which fills plane i, machine i's contiguous block, of the chunk's
+# machine-major (m, k, ...) message buffer; messages[:, t] is trial t's
+# (m, ...) values, what run_trial hands encode. Its fusion step turns the
+# buffer and the run's grid into theta_hat (k, d), bits (k,) and flagged
+# (k,), equal trial by trial to what run_trial gives for that trial, and
+# builds no transcript. An exact fusion (an integer count, a minimum) reduces
+# whole planes. A float reduction over machines rounds by memory layout, so
+# a float fusion reduces one C-ordered trial-major (k, m, ...) copy, which
+# adds in the machines' order as a trial's (m, ...) values do.
 
 def _single_mean_local(spec, i, row, uniforms):
     # the mean of the [0, 1] image (1 + x) / 2; the row is scratch that the
@@ -281,24 +286,32 @@ def _single_mean_local(spec, i, row, uniforms):
     return row.mean(axis=2)
 
 
+def _onebit_local(spec, i, row, uniforms):
+    # the bits u < (1 + x) / 2, the scratch row mapped in place
+    x = row[..., 0]
+    x += 1.0
+    x /= 2.0
+    return uniforms < x
+
+
 def _onebit_fuse(spec, qspec, messages):
-    k, m, d = messages.shape
+    m, k, d = messages.shape
     # the sum of m values of +/-1 is an exact integer, so this equals the
     # mean of the decoded cells 2 z - 1 bit for bit; summing the bools keeps
     # the buffer at one byte per value
-    ones = messages.sum(axis=1)
+    ones = messages.sum(axis=0)
     return (2.0 * ones - m) / m, np.full(k, m * d, dtype=np.int64), np.zeros(k, dtype=bool)
 
 
 def _uniform_min_fuse(spec, qspec, local_min):
-    k, m, d = local_min.shape
+    m, k, d = local_min.shape
     # Round-down quantization is monotone, so the fusion state after machine
     # i is q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
     # coordinates where local_min_i < state_{i-1}.
-    state = dequantize(quantize(np.minimum.accumulate(local_min, axis=1), qspec), qspec)
-    improvements = np.count_nonzero(local_min[:, 1:] < state[:, :-1], axis=(1, 2))
+    state = dequantize(quantize(np.minimum.accumulate(local_min, axis=0), qspec), qspec)
+    improvements = np.count_nonzero(local_min[1:] < state[:-1], axis=(0, 2))
     bits = d * qspec.bits + improvements * (ceil_log2(d) + qspec.bits)
-    return state[:, -1] + 1.0, bits, np.zeros(k, dtype=bool)
+    return state[-1] + 1.0, bits, np.zeros(k, dtype=bool)
 
 
 def _regress_local(spec, i, row, uniforms):
@@ -308,15 +321,16 @@ def _regress_local(spec, i, row, uniforms):
 
 
 def _average_fuse(spec, qspec, sent):
-    """Fusion of the averaging schemes: quantize the (k, m, d) local values
-    on the run's grid, average. A probit message carries the solver's flag
-    as one more value after them."""
+    """Fusion of the averaging schemes: quantize the (m, k, d) local values
+    on the run's grid, average over machines. A probit message carries the
+    solver's flag as one more value after them."""
     local = sent[..., :spec.d]
-    k, m, d = local.shape
-    # quantize clamps to the grid first: that clamp is the truncation
-    idx = quantize(local, qspec)
-    return (dequantize(idx, qspec).mean(axis=1), np.full(k, m * d * qspec.bits, dtype=np.int64),
-            sent[..., d:].any(axis=(1, 2)))
+    m, k, d = local.shape
+    # quantize clamps to the grid first: that clamp is the truncation; both
+    # steps are elementwise, and the mean takes the trial-major copy
+    cells = dequantize(quantize(local, qspec), qspec)
+    return (np.ascontiguousarray(cells.swapaxes(0, 1)).mean(axis=1),
+            np.full(k, m * d * qspec.bits, dtype=np.int64), sent[..., d:].any(axis=(0, 2)))
 
 
 def _probit_local(spec, i, row, uniforms):
@@ -326,8 +340,9 @@ def _probit_local(spec, i, row, uniforms):
 
 
 def _centralized_fuse(spec, qspec, pooled):
-    theta_hat, flagged = spec.pooled(pooled)
-    return theta_hat, np.zeros(len(pooled), dtype=np.int64), flagged
+    # spec.pooled takes (k, m, *row) samples: the trial-major copy
+    theta_hat, flagged = spec.pooled(np.ascontiguousarray(pooled.swapaxes(0, 1)))
+    return theta_hat, np.zeros(pooled.shape[1], dtype=np.int64), flagged
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +417,8 @@ class Protocol:
     accepts: tuple            # spec types the protocol runs on
     local: Callable           # (spec, i, row, uniforms) -> machine i's (k, ...) messages
     grid: Callable            # (spec, m, n, budget_bits) -> the run's QuantizerSpec or None
-    # the steps, each given the run's grid; by default the averaging schemes'
+    # the steps, each given the run's grid; by default the averaging schemes';
+    # fuse takes the chunk's machine-major (m, k, ...) message buffer
     fuse: Callable = _average_fuse      # (spec, qspec, messages) -> (theta_hat, bits, flagged)
     encode: Callable = _encode_fields   # (spec, qspec, sent) -> one trial's Transcript
     decode: Callable = _decode_fields   # (spec, qspec, transcript) -> theta_hat
@@ -425,8 +441,7 @@ PROTOCOLS = {
     # Proposition 2's scheme is for data in [-1, 1]^d: the bounded family
     # only. Bit z is cell z of a two-cell round-down grid, which decodes to
     # exactly 2 z - 1.
-    "onebit": Protocol(INDEPENDENT, (BoundedProductSpec,),
-                       lambda spec, i, row, u: u < (1.0 + row[..., 0]) / 2.0,
+    "onebit": Protocol(INDEPENDENT, (BoundedProductSpec,), _onebit_local,
                        lambda *run: QuantizerSpec(-1.0, 3.0, 1, codec.ROUND_DOWN),
                        _onebit_fuse, bound="prop2", randomized=True, check=_onebit_check),
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
@@ -502,7 +517,9 @@ CHUNK_VALUES = 4_000_000
 # where a single trial is larger. One machine's row, and the (k, n, d)
 # stack its local solver works on, are at most 1/m of that. A machine sends
 # at most d * n values per trial, so the message buffer fits too, except
-# probit's d + 1 at d = n = 1.
+# probit's d + 1 at d = n = 1. The float fusions reduce one trial-major copy
+# of the buffer; centralized sends its raw rows, so its fusion holds one
+# trial-major copy of its chunk beside the buffer: 2 x 32 MB at the budget.
 WORKING_VALUES = 4_000_000
 
 
@@ -518,8 +535,9 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
     The run's grid is resolved first, before any draw. Then, machine by
     machine, spec.fill fills one reused row from data_gens[i] (and a
     randomized protocol's uniforms from proto_gens[i]), and the protocol's
-    local step writes what the machine sends into the chunk's message buffer;
-    the fusion step then runs on the buffer. sizes[0] is the largest chunk.
+    local step writes what the machine sends into plane i of the chunk's
+    machine-major (m, k, ...) message buffer; the fusion step then runs on
+    the buffer. sizes[0] is the largest chunk.
     """
     rec = PROTOCOLS[protocol]
     qspec = rec.grid(spec, len(data_gens), n, budget_bits)
@@ -533,9 +551,9 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
                 proto_gens[i].random(out=uniforms[:k])
             sent = rec.local(spec, i, row[:k], uniforms[:k] if rec.randomized else None)
             if messages is None:
-                messages = np.empty((sizes[0], len(data_gens), *sent.shape[1:]), sent.dtype)
-            messages[:k, i] = sent
-        yield rec.fuse(spec, qspec, messages[:k])
+                messages = np.empty((len(data_gens), sizes[0], *sent.shape[1:]), sent.dtype)
+            messages[i, :k] = sent
+        yield rec.fuse(spec, qspec, messages[:, :k])
 
 
 def estimate_risk(protocol: str, spec, trials: int, seed: int,

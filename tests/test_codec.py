@@ -88,6 +88,30 @@ class TestQuantizer:
             assert np.all(np.abs(back_down - values) <= down.cell_width + 1e-12)
             assert np.all(np.abs(back_near - values) <= near.cell_width / 2 + 1e-12)
 
+    @pytest.mark.parametrize("mode", [codec.ROUND_DOWN, codec.ROUND_NEAREST])
+    def test_in_place_steps_give_the_formula_bytes(self, mode):
+        """quantize and dequantize apply the formula's steps in one buffer,
+        in its order, so each value gets the bytes of the formula written as
+        one expression; a read-only input is read, never written."""
+        spec = QuantizerSpec(-2.0, 2.0, 11, mode)
+        values = np.random.default_rng(3).uniform(-3.0, 3.0, (4, 50, 3))
+        before = values.copy()
+        values.flags.writeable = False
+        lo, hi, cells = spec.lo, spec.hi, spec.cells
+        want_idx = np.clip(np.floor((np.clip(values, lo, hi) - lo) / (hi - lo) * cells)
+                           .astype(np.int64), 0, cells - 1)
+        idx = quantize(values, spec)
+        assert idx.dtype == np.int64 and idx.tobytes() == want_idx.tobytes()
+        idx.flags.writeable = False
+        offset = 0.0 if mode == codec.ROUND_DOWN else 0.5
+        want = lo + (hi - lo) * (want_idx + offset) / cells
+        assert dequantize(idx, spec).tobytes() == want.tobytes()
+        assert values.tobytes() == before.tobytes() and idx.tobytes() == want_idx.tobytes()
+        for scalar in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(quantize(scalar, spec)) is int
+        for cell in (5, np.int64(5), np.array(5)):
+            assert type(dequantize(cell, spec)) is float
+
     def test_invalid_spec(self):
         with pytest.raises(InvalidArgumentError):
             QuantizerSpec(1.0, 1.0, 3)

@@ -13,7 +13,9 @@ np.array_equal, never a tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +164,7 @@ CASES = [
     ("probit_avg", "probit", 4, 12, 2),
     ("probit_avg", "probit", 1, 3, 1),
     ("centralized", "gaussian", 5, 4, 3),
+    ("centralized", "gaussian", 12, 5, 1),
     ("centralized", "bounded_two_point", 3, 1, 1),
     ("centralized", "bounded_uniform", 1, 6, 2),
     ("centralized", "uniform", 7, 5, 2),
@@ -221,6 +224,64 @@ def test_pooled_on_a_stack_of_one_is_the_kernel(protocol, family, m, n, d):
         got_theta, got_flagged = spec.pooled(blocks[t][None])
         assert np.array_equal(got_theta[0], theta_hat[t]), f"trial {t}"
         assert got_flagged[0] == flagged[t], f"trial {t}"
+
+
+@pytest.mark.parametrize("protocol,family,m,n,d", [
+    ("onebit", "bounded_two_point", 12, 1, 5),
+    ("uniform_min", "uniform", 8, 16, 3),
+    ("gauss_qavg", "gaussian", 40, 3, 1),
+    ("probit_avg", "probit", 4, 12, 2),
+    ("centralized", "regression", 4, 6, 2),
+])
+def test_run_chunks_hands_fuse_one_plane_per_machine(monkeypatch, protocol, family, m, n, d):
+    """run_chunks hands fuse a machine-major (m, k, ...) buffer: plane i, one
+    contiguous block, holds what machine i's local step sends for the
+    chunk's k trials. The run's 60 trials go in chunks of 25, 25 and 10, so
+    the last chunk reads the first 10 trials of each reused plane."""
+    spec = make_spec(family, m, n, d)
+    rec = PROTOCOLS[protocol]
+    seen = []
+
+    def recording(spec, qspec, messages):
+        seen.append((messages.copy(), all(plane.flags.c_contiguous for plane in messages)))
+        return rec.fuse(spec, qspec, messages)
+
+    monkeypatch.setitem(PROTOCOLS, protocol, dataclasses.replace(rec, fuse=recording))
+    sizes = [25, 25, 10]
+    blocks, uniforms = chunk(protocol, spec, m, n)
+    proto_gens = machine_streams(5, m, TAG_PROTOCOL) if rec.randomized else None
+    list(run_chunks(protocol, spec, n, sizes, machine_streams(5, m), proto_gens))
+    assert len(seen) == len(sizes)
+    start = 0
+    for k, (messages, contiguous) in zip(sizes, seen):
+        assert contiguous
+        for i in range(m):
+            u = None if uniforms is None else uniforms[start:start + k, i]
+            sent = rec.local(spec, i, np.array(blocks[start:start + k, i]), u)
+            assert messages.shape == (m, *sent.shape) and messages.dtype == sent.dtype
+            assert np.array_equal(messages[i], sent), f"machine {i}"
+        start += k
+
+
+@pytest.mark.parametrize("protocol,buffers", [("uniform_min", 3), ("gauss_qavg", 2)])
+def test_a_fusion_holds_a_few_message_buffers(protocol, buffers):
+    """On a (32, 5000, 3) float64 message buffer the interactive minimum's
+    fusion allocates at most three buffers at once (the running minimum,
+    its cell fractions and their indices), and the averaging fusion two
+    (the cells and their trial-major copy); 5 % of one buffer covers their
+    (k, d) outputs."""
+    m, k, d = 32, 5000, 3
+    spec = make_spec("gaussian", m, 16, d)
+    rec = PROTOCOLS[protocol]
+    qspec = rec.grid(spec, m, 16, None)
+    messages = np.random.default_rng(0).uniform(-1.5, 1.5, (m, k, d))
+    tracemalloc.start()
+    try:
+        rec.fuse(spec, qspec, messages)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (buffers + 0.05) * messages.nbytes
 
 
 def test_uniform_kernel_covers_a_machine_that_improves_nothing():

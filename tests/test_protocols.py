@@ -288,7 +288,7 @@ class TestEstimateRisk:
 
     def test_working_set_is_the_messages_and_a_few_machine_rows(self):
         """2500 trials of m * d = 3200 one-bit inputs are 8e6 values. The run
-        holds one chunk's (k, m, d) bool messages and a few (k, d) float64
+        holds one chunk's (m, k, d) bool messages and a few (k, d) float64
         machine rows; the 1 MiB covers the 800 generators and the per-trial
         error and bit arrays. A small run first makes the one-time imports
         and caches, which are not part of the working set."""
