@@ -21,11 +21,13 @@ measures mean-squared error and bit statistics over many seeded trials
 through run_chunks, which streams the machines, so a chunk never holds more
 than one machine's raw block, and builds no transcript: machine i writes
 what it sends into plane i of the chunk's machine-major (m, k, ...) message
-buffer, and the fusion step reads the whole buffer. There is one probit
-solver, probit_mle_batched, a damped Newton on a stack of problems that
-share one (n, d) design, its only problem form; the probit local step solves
-all trials of a chunk on the machine's design with it at once, and
-probit_mle is that solver on a stack of one. It takes 0/1 responses only,
+buffer, and the fusion step reads the whole buffer. A protocol draws
+uniforms only where they can change a message: the one-bit scheme on a law
+whose data can lie inside (-1, 1); on two-point data the bit is x > 0.
+There is one probit solver, probit_mle_batched, a damped Newton on a stack
+of problems that share one (n, d) design, its only problem form; the probit
+local step solves all trials of a chunk on the machine's design with it at
+once, and probit_mle is that solver on a stack of one. It takes 0/1 responses only,
 raises InvalidArgumentError on any other value, and makes one log_ndtr call
 per response at each likelihood evaluation. Two exit rules bound its work
 and its flags: a Newton decrement under TAU ulps of the log-likelihood stops
@@ -55,7 +57,7 @@ from .errors import DegenerateDesignError, InvalidArgumentError
 # draw_trials is not called here either: run_chunks draws machine by machine
 # with spec.fill. It stays importable because bench/spans.py patches it, so
 # that tracer's draw counters read 0 on simulate workloads (ROADMAP item 1).
-from .families import (TAG_DATA, TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
+from .families import (TAG_DATA, TAG_PROTOCOL, TWO_POINT, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
                        draw_trials, machine_streams, row_shape,  # noqa: F401
                        run_shape)
@@ -265,18 +267,19 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
 #
 # estimate_risk runs a chunk of k trials machine by machine, the way the
 # protocols run: machine i's data is one reused row, (k, d, n) for the mean
-# families and (k, n) for the design families, and a randomized protocol gets
-# the machine's (k, d) TAG_PROTOCOL uniforms with it (None otherwise). A
-# protocol's local step reduces the row to what the machine puts on the wire,
-# (k, ...), which fills plane i, machine i's contiguous block, of the chunk's
-# machine-major (m, k, ...) message buffer; messages[:, t] is trial t's
-# (m, ...) values, what run_trial hands encode. Its fusion step turns the
-# buffer and the run's grid into theta_hat (k, d), bits (k,) and flagged
-# (k,), equal trial by trial to what run_trial gives for that trial, and
-# builds no transcript. An exact fusion (an integer count, a minimum) reduces
-# whole planes. A float reduction over machines rounds by memory layout, so
-# a float fusion reduces one C-ordered trial-major (k, m, ...) copy, which
-# adds in the machines' order as a trial's (m, ...) values do.
+# families and (k, n) for the design families, and a protocol randomized on
+# the spec gets the machine's (k, d) TAG_PROTOCOL uniforms with it (None
+# otherwise): the one-bit scheme, only on a law whose data can lie inside
+# (-1, 1). A protocol's local step reduces the row to what the machine puts
+# on the wire, (k, ...), which fills plane i, machine i's contiguous block,
+# of the chunk's machine-major (m, k, ...) message buffer; messages[:, t] is
+# trial t's (m, ...) values, what run_trial hands encode. Its fusion step
+# turns the buffer and the run's grid into theta_hat (k, d), bits (k,) and
+# flagged (k,), equal trial by trial to what run_trial gives for that trial,
+# and builds no transcript. An exact fusion (an integer count, a minimum)
+# reduces whole planes. A float reduction over machines rounds by memory
+# layout, so a float fusion reduces one C-ordered trial-major (k, m, ...)
+# copy, which adds in the machines' order as a trial's (m, ...) values do.
 
 def _single_mean_local(spec, i, row, uniforms):
     # the mean of the [0, 1] image (1 + x) / 2; the row is scratch that the
@@ -287,7 +290,11 @@ def _single_mean_local(spec, i, row, uniforms):
 
 
 def _onebit_local(spec, i, row, uniforms):
-    # the bits u < (1 + x) / 2, the scratch row mapped in place
+    # the bits u < (1 + x) / 2, the scratch row mapped in place; with no
+    # uniforms the data is +/-1, where (1 + x) / 2 is exactly 0 or 1 and
+    # every u in [0, 1) gives the bit x > 0
+    if uniforms is None:
+        return row[..., 0] > 0.0
     x = row[..., 0]
     x += 1.0
     x /= 2.0
@@ -423,7 +430,8 @@ class Protocol:
     encode: Callable = _encode_fields   # (spec, qspec, sent) -> one trial's Transcript
     decode: Callable = _decode_fields   # (spec, qspec, transcript) -> theta_hat
     bound: str = None         # lower-bound formula id replacing the family's
-    randomized: bool = False  # the local step reads (k, d) TAG_PROTOCOL uniforms
+    # spec -> whether the local step reads (k, d) TAG_PROTOCOL uniforms
+    randomized: Callable = lambda spec: False
     check: Callable = lambda spec, m, n, budget_bits: None  # raises on a run it refuses
     target: Callable = lambda theta: theta    # theta -> what the estimate is scored against
 
@@ -443,7 +451,8 @@ PROTOCOLS = {
     # exactly 2 z - 1.
     "onebit": Protocol(INDEPENDENT, (BoundedProductSpec,), _onebit_local,
                        lambda *run: QuantizerSpec(-1.0, 3.0, 1, codec.ROUND_DOWN),
-                       _onebit_fuse, bound="prop2", randomized=True, check=_onebit_check),
+                       _onebit_fuse, bound="prop2", check=_onebit_check,
+                       randomized=lambda spec: spec.law != TWO_POINT),
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
                             lambda spec, m, n, budget_bits: QuantizerSpec(
                                 -2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN),
@@ -476,10 +485,13 @@ def run_trial(protocol: str, spec, block, uniforms=None, budget_bits: int = None
     """(theta_hat, transcript, flagged) of one trial on block, the array
     families.sample returns. Each machine's local step runs on a stack of
     one, encode puts what the machines send on the wire, and theta_hat is
-    decoded from that transcript alone. uniforms is a randomized protocol's
-    (m, d) array, machine i's TAG_PROTOCOL uniforms in row i, as estimate_risk
-    draws them. flagged, side information outside the transcript, is whether
-    a machine's probit solver flagged its problem. centralized, which sends
+    decoded from that transcript alone. uniforms, when given, must be an
+    (m, d) array in [0, 1), machine i's TAG_PROTOCOL uniforms in row i, as
+    estimate_risk draws them. A protocol randomized on the spec needs them:
+    the one-bit protocol on a law whose data can lie inside (-1, 1). On
+    two-point data it may be None, and given uniforms cannot change a bit.
+    flagged, side information outside the transcript, is whether a
+    machine's probit solver flagged its problem. centralized, which sends
     raw data, has no transcript and is refused.
     """
     block = np.array(block, dtype=float)   # a copy: a local step may map its row in place
@@ -490,14 +502,21 @@ def run_trial(protocol: str, spec, block, uniforms=None, budget_bits: int = None
     rec, m, n = _runnable(protocol, spec, len(block), block.shape[-1], budget_bits)
     if rec.encode is None:
         raise InvalidArgumentError(f"protocol {protocol!r} sends no transcript")
-    if rec.randomized and np.shape(uniforms) != (m, spec.d):
-        raise InvalidArgumentError(
-            f"protocol uniforms have shape {np.shape(uniforms)}; expected {(m, spec.d)}")
+    if uniforms is not None or rec.randomized(spec):
+        if np.shape(uniforms) != (m, spec.d):
+            raise InvalidArgumentError(
+                f"protocol uniforms have shape {np.shape(uniforms)}; expected {(m, spec.d)}")
+        uniforms = np.asarray(uniforms, dtype=float)
+        if not np.all((uniforms >= 0.0) & (uniforms < 1.0)):
+            raise InvalidArgumentError("protocol uniforms must lie in [0, 1)")
     if isinstance(spec, BoundedProductSpec) and np.any(np.abs(block) > 1 + 1e-12):
         raise InvalidArgumentError("bounded-family data must lie in [-1, 1]")
+    if uniforms is None and rec.local is _onebit_local and not np.all(np.abs(block) == 1.0):
+        # with no uniforms the local step sends x > 0, the bit only on +/-1 data
+        raise InvalidArgumentError("one-bit data without uniforms must be -1 or +1")
     qspec = rec.grid(spec, m, n, budget_bits)
-    u = np.asarray(uniforms, dtype=float) if rec.randomized else None
-    sent = np.stack([rec.local(spec, i, block[i:i + 1], None if u is None else u[i:i + 1])[0]
+    sent = np.stack([rec.local(spec, i, block[i:i + 1],
+                               None if uniforms is None else uniforms[i:i + 1])[0]
                      for i in range(m)])
     transcript = rec.encode(spec, qspec, sent)
     return rec.decode(spec, qspec, transcript), transcript, bool(sent[:, spec.d:].any())
@@ -533,8 +552,9 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
     """Yield (theta_hat, bits, flagged) of each chunk of sizes[c] trials.
 
     The run's grid is resolved first, before any draw. Then, machine by
-    machine, spec.fill fills one reused row from data_gens[i] (and a
-    randomized protocol's uniforms from proto_gens[i]), and the protocol's
+    machine, spec.fill fills one reused row from data_gens[i] (and, for a
+    protocol randomized on the spec, the uniforms from proto_gens[i], which
+    is not read otherwise and may be None), and the protocol's
     local step writes what the machine sends into plane i of the chunk's
     machine-major (m, k, ...) message buffer; the fusion step then runs on
     the buffer. sizes[0] is the largest chunk.
@@ -542,14 +562,15 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
     rec = PROTOCOLS[protocol]
     qspec = rec.grid(spec, len(data_gens), n, budget_bits)
     row = np.empty((sizes[0], *row_shape(spec, n)))
-    uniforms = np.empty((sizes[0], spec.d)) if rec.randomized else None
+    randomized = rec.randomized(spec)
+    uniforms = np.empty((sizes[0], spec.d)) if randomized else None
     messages = None
     for k in sizes:
         for i, gen in enumerate(data_gens):
             spec.fill(i, gen, row[:k])
-            if rec.randomized:
+            if randomized:
                 proto_gens[i].random(out=uniforms[:k])
-            sent = rec.local(spec, i, row[:k], uniforms[:k] if rec.randomized else None)
+            sent = rec.local(spec, i, row[:k], uniforms[:k] if randomized else None)
             if messages is None:
                 messages = np.empty((len(data_gens), sizes[0], *sent.shape[1:]), sent.dtype)
             messages[i, :k] = sent
@@ -562,7 +583,10 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
 
     Deterministic given (protocol, spec, trials, seed): data for machine i
     comes from its TAG_DATA stream, protocol randomness from its TAG_PROTOCOL
-    stream, trials consuming consecutive blocks. Trials run in chunks through
+    stream, trials consuming consecutive blocks. The TAG_PROTOCOL streams are
+    built only for a protocol randomized on the spec: the one-bit scheme on
+    a law whose data can lie inside (-1, 1), not on two-point data, whose
+    bits need no uniforms. Trials run in chunks through
     run_chunks, machine by machine; the results equal run_trial's, trial by
     trial.
     """
@@ -573,7 +597,7 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     theta_true = rec.target(spec.theta)
     sizes = _chunk_sizes(trials, m * spec.d * n)
     chunks = run_chunks(protocol, spec, n, sizes, machine_streams(seed, m, TAG_DATA),
-                        machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized else None,
+                        machine_streams(seed, m, TAG_PROTOCOL) if rec.randomized(spec) else None,
                         budget_bits)
 
     sqerr = np.empty(trials)

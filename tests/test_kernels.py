@@ -107,9 +107,12 @@ def reference(protocol, spec, block, u, budget_bits):
 
 
 def chunk(protocol, spec, m, n, seed=5, trials=TRIALS):
+    """A chunk's blocks and, for the one-bit scheme on every law, its (trials,
+    m, d) uniforms: on two-point data the kernel draws none, so a reference
+    run on these checks that the bits do not depend on them."""
     blocks = draw_trials(spec, machine_streams(seed, m), n, trials)
     uniforms = None
-    if PROTOCOLS[protocol].randomized:
+    if protocol == "onebit":
         gens = machine_streams(seed, m, TAG_PROTOCOL)
         uniforms = np.stack([g.random((trials, spec.d)) for g in gens], axis=1)
     return blocks, uniforms
@@ -119,7 +122,7 @@ def kernel(protocol, spec, m, n, seed=5, trials=TRIALS, budget_bits=None):
     """(theta_hat, bits, flagged) of one chunk of trials, streamed machine by
     machine from the streams chunk() draws from."""
     proto_gens = (machine_streams(seed, m, TAG_PROTOCOL)
-                  if PROTOCOLS[protocol].randomized else None)
+                  if PROTOCOLS[protocol].randomized(spec) else None)
     return next(run_chunks(protocol, spec, n, [trials], machine_streams(seed, m),
                            proto_gens, budget_bits))
 
@@ -249,7 +252,7 @@ def test_run_chunks_hands_fuse_one_plane_per_machine(monkeypatch, protocol, fami
     monkeypatch.setitem(PROTOCOLS, protocol, dataclasses.replace(rec, fuse=recording))
     sizes = [25, 25, 10]
     blocks, uniforms = chunk(protocol, spec, m, n)
-    proto_gens = machine_streams(5, m, TAG_PROTOCOL) if rec.randomized else None
+    proto_gens = machine_streams(5, m, TAG_PROTOCOL) if rec.randomized(spec) else None
     list(run_chunks(protocol, spec, n, sizes, machine_streams(5, m), proto_gens))
     assert len(seen) == len(sizes)
     start = 0

@@ -195,7 +195,7 @@ def test_kernel_bits_match_transcripts_and_formulas(d, m, n, seed):
 
     def kernel_bits(protocol, spec, n):
         proto_gens = (machine_streams(seed, m, TAG_PROTOCOL)
-                      if PROTOCOLS[protocol].randomized else None)
+                      if PROTOCOLS[protocol].randomized(spec) else None)
         _, bits, _ = next(run_chunks(protocol, spec, n, [trials],
                                      machine_streams(seed, m), proto_gens))
         return bits, draw_trials(spec, machine_streams(seed, m), n, trials)

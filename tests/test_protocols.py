@@ -135,6 +135,56 @@ class TestOnebit:
             run_trial("onebit", spec, x, np.full(shape, 0.5))
         assert transcript_total_bits(run_trial("onebit", spec, x, np.full((4, 3), 0.5))[1]) == 12
 
+    @pytest.mark.parametrize("law", ["two_point", "uniform_interval"])
+    @pytest.mark.parametrize("u", [1.0, math.nan, -1e-300, math.inf])
+    def test_refuses_uniforms_outside_the_unit_interval(self, law, u):
+        # u = 1 would make every two-point machine send 0 whatever it saw
+        spec = BoundedProductSpec(np.ones(2), law)
+        uniforms = np.full((3, 2), 0.5)
+        uniforms[1, 0] = u
+        with pytest.raises(InvalidArgumentError, match=r"^protocol uniforms must lie in \[0, 1\)$"):
+            run_trial("onebit", spec, np.ones((3, 2, 1)), uniforms)
+
+    def test_uniforms_are_needed_only_off_two_point_data(self):
+        spec = BoundedProductSpec(np.array([-0.5, 0.2, 0.9]), "two_point")
+        x = mean_sample(spec, 6, 1, seed=4)
+        theta_hat, transcript, _ = run_trial("onebit", spec, x)
+        want_theta, want = run_trial("onebit", spec, x, onebit_uniforms(4, 6, 3))[:2]
+        assert np.array_equal(theta_hat, want_theta)
+        assert [m.payload for m in transcript.messages] == [m.payload for m in want.messages]
+        # x > 0 is the bit only on +/-1 data
+        with pytest.raises(InvalidArgumentError, match="^one-bit data without uniforms"):
+            run_trial("onebit", spec, np.zeros((6, 3, 1)))
+        spec = BoundedProductSpec(spec.theta, "uniform_interval")
+        with pytest.raises(InvalidArgumentError, match="shape"):
+            run_trial("onebit", spec, mean_sample(spec, 6, 1, seed=4))
+
+    def test_two_point_bits_are_the_sign_for_every_u(self):
+        # theta = +/-1 puts all mass on one point
+        spec = BoundedProductSpec(np.array([-1.0, -0.4, 0.0, 0.7, 1.0]), "two_point")
+        row = np.empty((50, 5, 1))
+        spec.fill(0, np.random.default_rng(9), row)
+        bits = protocols._onebit_local(spec, 0, row.copy(), None)
+        assert not bits[:, 0].any() and bits[:, 4].all()
+        for u in (0.0, np.nextafter(1.0, 0.0)):
+            assert np.array_equal(
+                protocols._onebit_local(spec, 0, row.copy(), np.full((50, 5), u)), bits)
+
+    @pytest.mark.parametrize("law,protocol_streams", [("two_point", 0), ("uniform_interval", 7)])
+    def test_protocol_streams_are_built_only_where_read(self, monkeypatch, law,
+                                                        protocol_streams):
+        built = []
+
+        def recording(seed, m, tag=families.TAG_DATA):
+            gens = machine_streams(seed, m, tag)
+            built.extend([tag] * len(gens))
+            return gens
+
+        monkeypatch.setattr(protocols, "machine_streams", recording)
+        estimate_risk("onebit", BoundedProductSpec(np.zeros(2), law), trials=5, seed=3, m=7, n=1)
+        assert built.count(families.TAG_PROTOCOL) == protocol_streams
+        assert built.count(families.TAG_DATA) == 7
+
 
 class TestUniformInteractiveMin:
     def test_single_machine_transcript(self):
