@@ -103,8 +103,19 @@ def entropy(p) -> float:
 
 def _mi_from_table(joints: np.ndarray) -> np.ndarray:
     """I(A; B) of each (A, B) table of the stack `joints`."""
-    prod = joints.sum(axis=2)[:, :, None] * joints.sum(axis=1)[:, None, :]
-    return _masked_sums(joints > 0, lambda j, p: j * np.log(j / p), joints, prod)
+    a, b = joints.sum(axis=2)[:, :, None], joints.sum(axis=1)[:, None, :]
+    prod = a * b
+    live = joints > 0
+    if not (live & (prod == 0)).any():
+        return _masked_sums(live, lambda j, p: j * np.log(j / p), joints, prod)
+    # a * b underflowed to 0 beside a live cell: there, and only there, take
+    # the log of each factor
+    def term(j, p, pa, pb):
+        tiny = p == 0
+        out = j * np.log(j / np.where(tiny, 1.0, p))
+        out[tiny] = j[tiny] * (np.log(j[tiny]) - np.log(pa[tiny]) - np.log(pb[tiny]))
+        return out
+    return _masked_sums(live, term, joints, prod, *np.broadcast_arrays(a, b))
 
 
 def mutual_information(joint, axis_a: int, axis_b: int) -> float:

@@ -3,17 +3,18 @@
 Each suite draws seeded random finite instances, runs the matching
 enumeration check from infotheory, and gives one row per instance:
 (suite, instance_seed, lhs, rhs, slack, holds) with slack = rhs - lhs.
-run_suite draws every instance from its own generator, then checks together
-the instances that share their params and table shapes: each infotheory body
-takes a stack of tables along axis 0, which a public `check_*` (and
-`exact_min_hamming_test_error` here) builds as a stack of one, and a suite
-as the stack of every instance of one shape. A row's bytes do not depend on
-which instances share its stack.
-Constructors return plain arrays, the tables the checks take; a quantizer is
-its (k_in, n_out) table P(y | x). Every table is strictly positive but a
-deterministic quantizer's 0/1 table, so preconditions (normalization,
-measured likelihood-ratio bounds, factorizations) hold exactly rather than
-by rejection.
+An instance's draw makes only its rng calls, on its own generator, and keeps
+each table raw; `_finish` then does all the arithmetic (normalization, tilts,
+one-hot rows, products) once per stack of a block's raw tables of one kind.
+A public constructor is its raw draw finished as a stack of one.
+run_suite checks the instances of a block that share their params and table
+shapes as one stack: each infotheory body takes a stack of tables along axis
+0, which a public `check_*` (and `exact_min_hamming_test_error` here) builds
+as a stack of one. No table's or row's bytes depend on which instances share
+a stack. A quantizer is its (k_in, n_out) table P(y | x). Every table is
+strictly positive but a deterministic quantizer's 0/1 table, so
+preconditions (normalization, measured likelihood-ratio bounds,
+factorizations) hold exactly rather than by rejection.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -48,10 +50,37 @@ class SuiteRow:
 SUITE_CSV_HEADER = "suite,seed,lhs,rhs,slack,holds"
 
 
-def _stochastic(rng, shape) -> np.ndarray:
-    """Strictly positive row-stochastic table over the last axis."""
-    raw = rng.uniform(0.1, 1.0, size=shape)
+def _finish(instances):
+    """Each instance's list of tables, raw tables finished. A raw table is a
+    tuple (finish, key, *parts) of its rng draws: finish takes each part
+    stacked over the raw tables of one (finish, key), across the instances,
+    and gives the stack of their tables."""
+    tables = [list(t) for t in instances]
+    groups = {}
+    for row in tables:
+        for j, raw in enumerate(row):
+            if isinstance(raw, tuple):
+                groups.setdefault(raw[:2], []).append((row, j))
+    for (finish, _), members in groups.items():
+        stack = finish(*map(np.array, zip(*(row[j][2:] for row, j in members))))
+        for (row, j), table in zip(members, stack):
+            row[j] = table
+    return tables
+
+
+def _table(raw: tuple) -> np.ndarray:
+    """One raw table finished as a stack of one."""
+    return _finish([[raw]])[0][0]
+
+
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    """Row-stochastic over the last axis, and strictly positive: raw entries
+    are uniform on [0.1, 1)."""
     return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _uniforms(rng, shape) -> np.ndarray:
+    return rng.uniform(0.1, 1.0, size=shape)
 
 
 def two_point_channel(delta: float) -> np.ndarray:
@@ -60,28 +89,55 @@ def two_point_channel(delta: float) -> np.ndarray:
                      [(1 - delta) / 2, (1 + delta) / 2]])
 
 
+def _tilted(base, delta, tilt) -> np.ndarray:
+    rows = _normalized(base)[:, None] * (1.0 + delta[:, None, None] * tilt)
+    return _normalized(rows)
+
+
+def _raw_channel(rng, k_out: int, delta: float) -> tuple:
+    base = _uniforms(rng, k_out)
+    return _tilted, (k_out,), base, delta, rng.uniform(-1.0, 1.0, size=(2, k_out))
+
+
 def random_bounded_channel(rng, k_out: int, delta: float) -> np.ndarray:
     """Binary-input channel built as bounded multiplicative tilts of a base
     row, so the max likelihood ratio stays below (1 + delta) / (1 - delta)."""
-    base = _stochastic(rng, k_out)
-    tilt = rng.uniform(-1.0, 1.0, size=(2, k_out))
-    rows = base * (1.0 + delta * tilt)
-    return rows / rows.sum(axis=1, keepdims=True)
+    return _table(_raw_channel(rng, k_out, delta))
+
+
+def _one_hot(maps) -> np.ndarray:
+    """0/1 tables of the maps x -> y; each map reaches its last output."""
+    return np.eye(int(maps.max()) + 1)[maps]
+
+
+def _raw_quantizer(rng, k_in: int, n_out: int, stochastic: bool) -> tuple:
+    if stochastic:
+        return _normalized, (k_in, n_out), _uniforms(rng, (k_in, n_out))
+    det = rng.integers(0, n_out, size=k_in)
+    det[rng.integers(0, k_in)] = n_out - 1  # keep the full output range live
+    return _one_hot, (k_in, n_out), det
 
 
 def random_quantizer(rng, k_in: int, n_out: int, stochastic: bool) -> np.ndarray:
     """(k_in, n_out) quantizer table P(y | x): strictly positive rows, or
     the 0/1 table of a deterministic map."""
-    if stochastic:
-        return _stochastic(rng, (k_in, n_out))
-    det = rng.integers(0, n_out, size=k_in)
-    det[rng.integers(0, k_in)] = n_out - 1  # keep the full output range live
-    return np.eye(n_out)[det]
+    return _table(_raw_quantizer(rng, k_in, n_out, stochastic))
+
+
+def _pinsker_joints(raw) -> np.ndarray:
+    return 0.5 * _normalized(raw)
 
 
 def random_pinsker_joint(rng) -> np.ndarray:
     """(V, Y) joint table with V uniform on two values."""
-    return 0.5 * _stochastic(rng, (2, int(rng.integers(2, 5))))
+    return _table(_draw_pinsker(rng)[1][0])
+
+
+def _chain_models(pa, base, delta, tilt, p_c1_b, p_c2_ac1, p_d_bc) -> np.ndarray:
+    table = np.einsum("na,nab,nbx,naxy,nbxyd->nabxyd", _normalized(pa),
+                      _tilted(base, delta, tilt), _normalized(p_c1_b),
+                      _normalized(p_c2_ac1), _normalized(p_d_bc))
+    return table.reshape(len(pa), 2, 2, 4, 2)
 
 
 def random_chain_model(rng) -> np.ndarray:
@@ -91,45 +147,35 @@ def random_chain_model(rng) -> np.ndarray:
     yields the exact factorization P(C | A, B) = phi1(A, C) phi2(B, C). D then
     depends on (B, C) only.
     """
-    ka, kb, kc1, kc2, kd = 2, 2, 2, 2, 2
-    pa = _stochastic(rng, ka)
-    delta = float(rng.uniform(0.05, 0.5))
-    p_b_a = random_bounded_channel(rng, kb, delta)
-    p_c1_b = _stochastic(rng, (kb, kc1))
-    p_c2_ac1 = _stochastic(rng, (ka, kc1, kc2))
-    p_d_bc = _stochastic(rng, (kb, kc1, kc2, kd))
-    table = np.einsum("a,ab,bx,axy,bxyd->abxyd", pa, p_b_a, p_c1_b,
-                      p_c2_ac1, p_d_bc)
-    return table.reshape(ka, kb, kc1 * kc2, kd)
+    return _table(_draw_chain(rng)[1][0])
 
 
-def _sequential_message_kernel(rng, k: int, machines: int):
+def _message_kernels(*kernels) -> np.ndarray:
     """Interactive quantizer: message t is a stochastic function of machine
-    t's symbol and all previous messages, flattened to one kernel (k^m, ny)."""
-    sizes = [int(rng.integers(2, 4)) for _ in range(machines)]
-    kernels = [_stochastic(rng, (k,) + tuple(sizes[:t]) + (sizes[t],))
-               for t in range(machines)]
-    digits = it.base_k_digits(k, machines)
-    probs = np.ones((len(digits), 1))        # (x, previous messages)
-    for t in range(machines):
-        kern = kernels[t][digits[:, t]].reshape(probs.shape + (sizes[t],))
-        probs = (probs[:, :, None] * kern).reshape(len(digits), -1)
+    t's symbol and all previous messages, flattened to one kernel (k^m, ny).
+    kernels[t] stacks the raw (k, sizes[0], ..., sizes[t]) tables of message t."""
+    n, k = kernels[0].shape[:2]
+    digits = it.base_k_digits(k, len(kernels))
+    probs = np.ones((n, len(digits), 1))        # (x, previous messages)
+    for t, kern in enumerate(kernels):
+        kern = _normalized(kern)[:, digits[:, t]].reshape(probs.shape + kern.shape[-1:])
+        probs = (probs[..., None] * kern).reshape(n, len(digits), -1)
     return probs
 
 
-# A suite is a draw and a check. draw(rng) takes one instance from its own
-# generator and gives its params, the scalars its check needs, and its
-# tables; check(params, *stacks) takes the tables of every instance with those
-# params and table shapes, each stacked along axis 0, and gives one
-# (lhs, rhs, holds) per instance, in stack order.
+# A suite is a draw and a check. draw(rng) makes one instance's rng calls on
+# its own generator and gives its params, the scalars its check needs, and its
+# tables, raw or final; check(params, *stacks) takes the finished tables of
+# every instance with those params and table shapes, each stacked along axis
+# 0, and gives one (lhs, rhs, holds) per instance, in stack order.
 
 def _draw_dpi3(rng):
     v_dim = int(rng.integers(1, 3))
     delta = (0.1, 0.2)[rng.integers(0, 2)]
-    channel = random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
+    k = int(rng.integers(2, 4))
+    channel = _raw_channel(rng, k, delta)
     n_out = int(rng.integers(1, 5))
-    quantizer = random_quantizer(rng, channel.shape[1] ** v_dim, n_out,
-                                 stochastic=bool(rng.integers(0, 2)))
+    quantizer = _raw_quantizer(rng, k ** v_dim, n_out, stochastic=bool(rng.integers(0, 2)))
     return (v_dim,), (channel, quantizer)
 
 
@@ -139,28 +185,29 @@ def _check_dpi3(params, channels, quantizers):
             for r in reps]
 
 
-def _draw_dpi5(rng):
-    k = 3
-    delta = (0.1, 0.2)[rng.integers(0, 2)]
-    channel = random_bounded_channel(rng, k, delta)
+def _channel_and_keep(rng, k: int):
+    """A truncated instance's channel and the inputs it keeps."""
+    channel = _raw_channel(rng, k, (0.1, 0.2)[rng.integers(0, 2)])
     keep = np.ones(k, dtype=bool)
-    if rng.integers(0, 2):
+    if k > 2 and rng.integers(0, 2):
         keep[rng.integers(0, k)] = False
+    return channel, keep
+
+
+def _draw_dpi5(rng):
+    channel, keep = _channel_and_keep(rng, 3)
     n_out = int(rng.integers(1, 5))
-    quantizer = random_quantizer(rng, k, n_out, stochastic=bool(rng.integers(0, 2)))
+    quantizer = _raw_quantizer(rng, 3, n_out, stochastic=bool(rng.integers(0, 2)))
     return (1,), (channel, quantizer, keep)
 
 
 def _draw_dpi7(rng):
     machines = int(rng.integers(2, 4))
     k = int(rng.integers(2, 4))
-    delta = (0.1, 0.2)[rng.integers(0, 2)]
-    channel = random_bounded_channel(rng, k, delta)
-    keep = np.ones(k, dtype=bool)
-    if k > 2 and rng.integers(0, 2):
-        keep[rng.integers(0, k)] = False
-    quantizer = _sequential_message_kernel(rng, k, machines)
-    return (machines,), (channel, quantizer, keep)
+    channel, keep = _channel_and_keep(rng, k)
+    sizes = tuple(int(rng.integers(2, 4)) for _ in range(machines))
+    kernels = tuple(_uniforms(rng, (k,) + sizes[:t + 1]) for t in range(machines))
+    return (machines,), (channel, (_message_kernels, (k,) + sizes, *kernels), keep)
 
 
 def _check_truncated(params, channels, quantizers, keeps):
@@ -170,7 +217,10 @@ def _check_truncated(params, channels, quantizers, keeps):
 
 
 def _draw_chain(rng):
-    return (), (random_chain_model(rng),)
+    pa = _uniforms(rng, 2)
+    p_b_a = _raw_channel(rng, 2, float(rng.uniform(0.05, 0.5)))[2:]
+    return (), ((_chain_models, (), pa, *p_b_a, _uniforms(rng, (2, 2)),
+                 _uniforms(rng, (2, 2, 2)), _uniforms(rng, (2, 2, 2, 2))),)
 
 
 def _check_chain(params, models):
@@ -184,10 +234,9 @@ def _check_chain(params, models):
 def _draw_tensor(rng):
     v_dim = int(rng.integers(1, 3))
     m = int(rng.integers(2, 4))
-    channels = [random_bounded_channel(rng, 2, (0.1, 0.2)[rng.integers(0, 2)])
-                for _ in range(m)]
-    quantizers = [random_quantizer(rng, 2 ** v_dim, int(rng.integers(1, 3)),
-                                   stochastic=bool(rng.integers(0, 2)))
+    channels = [_raw_channel(rng, 2, (0.1, 0.2)[rng.integers(0, 2)]) for _ in range(m)]
+    quantizers = [_raw_quantizer(rng, 2 ** v_dim, int(rng.integers(1, 3)),
+                                 stochastic=bool(rng.integers(0, 2)))
                   for _ in range(m)]
     return (v_dim,), (*channels, *quantizers)
 
@@ -199,7 +248,8 @@ def _check_tensor(params, *stacks):
 
 
 def _draw_pinsker(rng):
-    return (), (random_pinsker_joint(rng),)
+    k = int(rng.integers(2, 5))
+    return (), ((_pinsker_joints, (k,), _uniforms(rng, (2, k))),)
 
 
 def _check_pinsker(params, pairs):
@@ -248,7 +298,7 @@ def _draw_fano(rng):
     d = int(rng.integers(2, 4))
     t = int(rng.integers(0, 2))
     delta = float(rng.uniform(0.05, 0.6))
-    channel = random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
+    channel = _raw_channel(rng, int(rng.integers(2, 4)), delta)
     return (d, t), (channel,)
 
 
@@ -273,12 +323,12 @@ _SUITES = {"dpi3": (_draw_dpi3, _check_dpi3),
            "fano": (_draw_fano, _check_fano)}
 SUITE_NAMES = tuple(_SUITES)
 
-# Instances are drawn BLOCK at a time; the instances of one block that share
-# their params and table shapes are checked as one stack. A row's bytes
-# depend on neither. The block bounds the tables and stacks held at once: on
-# the benchmark's verify_suites workload a block of 128 raised peak RSS by
-# about 1 MB over checking one instance at a time and 256 by about 3 MB, and
-# 128 took about 20 % more time than 1024.
+# Instances are drawn and finished BLOCK at a time; the instances of one block
+# that share their params and table shapes are checked as one stack. A row's
+# bytes depend on neither. The block bounds the raw draws, tables and stacks
+# held at once: on all seven suites at count 3000, a block of 128 peaked about
+# 1.5 MB of RSS above a block of one and 256 about 2.5 MB, and 128 took about
+# 15 % more time than 1024 and a block of one about four times as long.
 BLOCK = 128
 # run_suite returns every row of a suite, and `verify` holds every suite's
 # rows before it writes any, about 0.5 KB per instance: at this count one
@@ -292,6 +342,9 @@ def run_suite(name: str, count: int, seed: int):
     (base + 977 i) mod 2**63."""
     if name not in _SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; choices: {SUITE_NAMES}")
+    for what, arg in (("instance count", count), ("seed", seed)):
+        if not isinstance(arg, Integral) or isinstance(arg, bool):
+            raise InvalidArgumentError(f"{what} must be an integer, not {arg!r}")
     if not 1 <= count <= MAX_COUNT:
         raise InvalidArgumentError(f"instance count must be in [1, {MAX_COUNT}]")
     if seed < 0:
@@ -301,9 +354,9 @@ def run_suite(name: str, count: int, seed: int):
     rows = []
     for start in range(0, count, BLOCK):
         block = [(base + 977 * i) % 2**63 for i in range(start, min(start + BLOCK, count))]
+        drawn = [draw(np.random.default_rng(instance_seed)) for instance_seed in block]
         buckets = {}
-        for i, instance_seed in enumerate(block):
-            params, tables = draw(np.random.default_rng(instance_seed))
+        for i, ((params, _), tables) in enumerate(zip(drawn, _finish([t for _, t in drawn]))):
             key = (params, tuple(t.shape for t in tables))
             buckets.setdefault(key, []).append((i, tables))
         results = [None] * len(block)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,24 @@ class TestBasicQuantities:
         assert mutual_information(table, 2, 0) == mutual_information(bsc_joint(0.4), 1, 0)
         assert mutual_information(table, 0, 1) == pytest.approx(0.0, abs=1e-15)
         assert mutual_information(table, 1, 2) == pytest.approx(0.0, abs=1e-15)
+
+    def test_mutual_information_on_tiny_cells(self):
+        # a * b of the first cell's marginals underflows to 0: that cell's
+        # term is j (log j - log a - log b), so I(A; A) = H(A), not inf; a
+        # stack of tables that never underflows keeps its bytes
+        joint = np.array([[1e-170, 0.0], [0.0, 1.0 - 1e-170]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mutual_information(joint, 0, 1)
+            assert mutual_information(joint.T, 1, 0) == got
+        assert got == entropy(joint.sum(axis=1))
+        assert got == pytest.approx(170 * math.log(10) * 1e-170, rel=1e-12)
+        wide = np.array([[1e-200, 1e-170], [1e-170, 1.0 - 2e-170 - 1e-200]])
+        assert mutual_information(wide, 0, 1) == pytest.approx(
+            140 * math.log(10) * 1e-200, rel=1e-12)
+        tables = np.stack([bsc_joint(0.4), joint, bsc_joint(0.1)])
+        assert it._mi_from_table(tables)[[0, 2]].tolist() == [
+            mutual_information(bsc_joint(0.4), 0, 1), mutual_information(bsc_joint(0.1), 0, 1)]
 
     def test_mutual_information_entry_check(self):
         with pytest.raises(InvalidArgumentError):
@@ -699,6 +718,91 @@ REFERENCES = {"dpi3": _dpi3_reference, "dpi5": _truncated_reference,
               "tensor": _tensor_reference, "pinsker": _pinsker_reference,
               "fano": _fano_reference}
 
+# Each suite's draw as one instance's tables from the public constructors:
+# the reference for the suites' raw draws, which make the same rng calls in
+# the same order and finish their tables a stack at a time.
+def _reference_dpi3(rng):
+    v_dim = int(rng.integers(1, 3))
+    delta = (0.1, 0.2)[rng.integers(0, 2)]
+    channel = sweeps.random_bounded_channel(rng, int(rng.integers(2, 4)), delta)
+    n_out = int(rng.integers(1, 5))
+    quantizer = sweeps.random_quantizer(rng, channel.shape[1] ** v_dim, n_out,
+                                        stochastic=bool(rng.integers(0, 2)))
+    return (v_dim,), (channel, quantizer)
+
+
+def _reference_dpi5(rng):
+    k = 3
+    delta = (0.1, 0.2)[rng.integers(0, 2)]
+    channel = sweeps.random_bounded_channel(rng, k, delta)
+    keep = np.ones(k, dtype=bool)
+    if rng.integers(0, 2):
+        keep[rng.integers(0, k)] = False
+    n_out = int(rng.integers(1, 5))
+    quantizer = sweeps.random_quantizer(rng, k, n_out, stochastic=bool(rng.integers(0, 2)))
+    return (1,), (channel, quantizer, keep)
+
+
+def _sequential_message_kernel(rng, k, machines):
+    """Interactive quantizer, one instance at a time: message t is a
+    stochastic function of machine t's symbol and all previous messages,
+    flattened to one kernel (k^m, ny)."""
+    sizes = [int(rng.integers(2, 4)) for _ in range(machines)]
+    kernels = []
+    for t in range(machines):
+        raw = rng.uniform(0.1, 1.0, size=(k,) + tuple(sizes[:t]) + (sizes[t],))
+        kernels.append(raw / raw.sum(axis=-1, keepdims=True))
+    digits = it.base_k_digits(k, machines)
+    probs = np.ones((len(digits), 1))        # (x, previous messages)
+    for t in range(machines):
+        kern = kernels[t][digits[:, t]].reshape(probs.shape + (sizes[t],))
+        probs = (probs[:, :, None] * kern).reshape(len(digits), -1)
+    return probs
+
+
+def _reference_dpi7(rng):
+    machines = int(rng.integers(2, 4))
+    k = int(rng.integers(2, 4))
+    delta = (0.1, 0.2)[rng.integers(0, 2)]
+    channel = sweeps.random_bounded_channel(rng, k, delta)
+    keep = np.ones(k, dtype=bool)
+    if k > 2 and rng.integers(0, 2):
+        keep[rng.integers(0, k)] = False
+    return (machines,), (channel, _sequential_message_kernel(rng, k, machines), keep)
+
+
+def _reference_tensor(rng):
+    v_dim = int(rng.integers(1, 3))
+    m = int(rng.integers(2, 4))
+    channels = [sweeps.random_bounded_channel(rng, 2, (0.1, 0.2)[rng.integers(0, 2)])
+                for _ in range(m)]
+    quantizers = [sweeps.random_quantizer(rng, 2 ** v_dim, int(rng.integers(1, 3)),
+                                          stochastic=bool(rng.integers(0, 2)))
+                  for _ in range(m)]
+    return (v_dim,), (*channels, *quantizers)
+
+
+def _reference_fano(rng):
+    d = int(rng.integers(2, 4))
+    t = int(rng.integers(0, 2))
+    delta = float(rng.uniform(0.05, 0.6))
+    return (d, t), (sweeps.random_bounded_channel(rng, int(rng.integers(2, 4)), delta),)
+
+
+REFERENCE_DRAWS = {"dpi3": _reference_dpi3, "dpi5": _reference_dpi5,
+                   "dpi7": _reference_dpi7,
+                   "chain": lambda rng: ((), (sweeps.random_chain_model(rng),)),
+                   "tensor": _reference_tensor,
+                   "pinsker": lambda rng: ((), (sweeps.random_pinsker_joint(rng),)),
+                   "fano": _reference_fano}
+
+
+def instance_seeds(count, seed):
+    """The generator seeds of run_suite's first `count` instances."""
+    base = int(np.random.SeedSequence(seed).generate_state(1)[0])
+    return [(base + 977 * i) % 2**63 for i in range(count)]
+
+
 # Every bucket key each suite draws, (params, table shapes): params are
 # (v_dim,) for dpi3 and tensor, (machines,) for dpi5 and dpi7, (d, t) for
 # fano and () for chain and pinsker; a deterministic and a stochastic
@@ -724,11 +828,10 @@ class TestStackedSuites:
 
     @pytest.mark.parametrize("name", sweeps.SUITE_NAMES)
     def test_stacked_rows_equal_the_scalar_checks(self, name):
-        draw, _ = sweeps._SUITES[name]
         rows = sweeps.run_suite(name, max(300, 2 * sweeps.BLOCK) + 77, seed=13)
         keys, ref = set(), []
         for row in rows:
-            params, tables = draw(np.random.default_rng(row.seed))
+            params, tables = REFERENCE_DRAWS[name](np.random.default_rng(row.seed))
             keys.add((params, tuple(t.shape for t in tables)))
             ref.append(REFERENCES[name](params, *tables))
         assert keys == BUCKET_KEYS[name]
@@ -736,6 +839,26 @@ class TestStackedSuites:
         assert np.array_equal([row.lhs for row in rows], lhs)
         assert np.array_equal([row.rhs for row in rows], rhs)
         assert np.array_equal([row.holds for row in rows], holds)
+
+    @pytest.mark.parametrize("name", sweeps.SUITE_NAMES)
+    def test_stacked_finish_equals_the_constructors(self, name):
+        # the raw draws of the same instances as above, which reach every
+        # bucket key, finished in stacks of 1, of 2 and of a block
+        draw, _ = sweeps._SUITES[name]
+        seeds = instance_seeds(max(300, 2 * sweeps.BLOCK) + 77, 13)
+        ref = [REFERENCE_DRAWS[name](np.random.default_rng(s)) for s in seeds]
+        assert {(p, tuple(t.shape for t in tables)) for p, tables in ref} == BUCKET_KEYS[name]
+        drawn = [draw(np.random.default_rng(s)) for s in seeds]
+        for size in (1, 2, sweeps.BLOCK):
+            for start in range(0, len(seeds), size):
+                chunk = drawn[start:start + size]
+                finished = sweeps._finish([tables for _, tables in chunk])
+                for (params, _), tables, (want_params, want) in zip(
+                        chunk, finished, ref[start:start + size], strict=True):
+                    assert params == want_params and len(tables) == len(want)
+                    for table, table_ref in zip(tables, want):
+                        assert table.dtype == table_ref.dtype
+                        assert np.array_equal(table, table_ref)
 
     @pytest.mark.parametrize("name", sweeps.SUITE_NAMES)
     def test_rows_do_not_depend_on_count_or_block(self, name):
@@ -746,6 +869,16 @@ class TestStackedSuites:
         long = sweeps.run_suite(name, count, seed=3)
         assert len(long) == count
         assert [row.csv_row() for row in short] == [row.csv_row() for row in long[:300]]
+
+    @pytest.mark.parametrize("count, seed", [(3, 1.7), (2.5, 1), (True, 1), (3, True),
+                                             (3, np.float64(1.0)), ("3", 1)])
+    def test_count_and_seed_must_be_integers(self, count, seed):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            sweeps.run_suite("dpi3", count, seed)
+
+    def test_numpy_integers_are_integers(self):
+        rows = sweeps.run_suite("dpi3", np.int64(3), np.uint8(1))
+        assert [r.csv_row() for r in rows] == [r.csv_row() for r in sweeps.run_suite("dpi3", 3, 1)]
 
     def test_cached_tables_are_read_only(self):
         digits = it.base_k_digits(3, 2)
