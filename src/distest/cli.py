@@ -389,12 +389,10 @@ def main(argv=None) -> int:
         suites = [s.strip() for s in args.suites.split(",") if s.strip()]
         for name in suites:
             if name not in SUITE_NAMES:
-                print(f"unknown suite {name!r}; choices: {', '.join(SUITE_NAMES)}",
-                      file=sys.stderr)
-                return 2
+                raise InvalidArgumentError(
+                    f"unknown suite {name!r}; choices: {', '.join(SUITE_NAMES)}")
         if not suites:
-            print("no suites named", file=sys.stderr)
-            return 2
+            raise InvalidArgumentError("no suites named")
         rows, violations = run_verify(suites, args.count, args.seed)
         _emit(rows, args.out)
         return 1 if violations else 0

@@ -59,7 +59,7 @@ from .errors import DegenerateDesignError, InvalidArgumentError
 # that tracer's draw counters read 0 on simulate workloads (ROADMAP item 1).
 from .families import (TAG_DATA, TAG_PROTOCOL, TWO_POINT, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
-                       draw_trials, machine_streams, row_shape,  # noqa: F401
+                       draw_trials, machine_streams, min_last_axis, row_shape,  # noqa: F401
                        run_shape)
 
 
@@ -280,6 +280,10 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
 # reduces whole planes. A float reduction over machines rounds by memory
 # layout, so a float fusion reduces one C-ordered trial-major (k, m, ...)
 # copy, which adds in the machines' order as a trial's (m, ...) values do.
+# The interactive minimum is exact in any order, and numpy's reduce over a
+# short axis pays per row, so its local step takes families.min_last_axis
+# (pairwise folds and column passes over the flat row) and its fusion the
+# running minimum one plane at a time.
 
 def _single_mean_local(spec, i, row, uniforms):
     # the mean of the [0, 1] image (1 + x) / 2; the row is scratch that the
@@ -315,8 +319,14 @@ def _uniform_min_fuse(spec, qspec, local_min):
     # Round-down quantization is monotone, so the fusion state after machine
     # i is q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
     # coordinates where local_min_i < state_{i-1}.
-    state = dequantize(quantize(np.minimum.accumulate(local_min, axis=0), qspec), qspec)
-    improvements = np.count_nonzero(local_min[1:] < state[:-1], axis=(0, 2))
+    # numpy's accumulate and count_nonzero over these axes pay per (k, d)
+    # row, so the running minimum and the count go plane by plane.
+    running = np.empty_like(local_min)
+    running[0] = local_min[0]
+    for i in range(1, m):
+        np.minimum(running[i - 1], local_min[i], out=running[i])
+    state = dequantize(quantize(running, qspec), qspec)
+    improvements = (local_min[1:] < state[:-1]).sum(axis=0).sum(axis=1)
     bits = d * qspec.bits + improvements * (ceil_log2(d) + qspec.bits)
     return state[-1] + 1.0, bits, np.zeros(k, dtype=bool)
 
@@ -453,7 +463,7 @@ PROTOCOLS = {
                        lambda *run: QuantizerSpec(-1.0, 3.0, 1, codec.ROUND_DOWN),
                        _onebit_fuse, bound="prop2", check=_onebit_check,
                        randomized=lambda spec: spec.law != TWO_POINT),
-    "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: row.min(axis=2),
+    "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: min_last_axis(row),
                             lambda spec, m, n, budget_bits: QuantizerSpec(
                                 -2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN),
                             _uniform_min_fuse, _encode_improvements, _decode_improvements),
@@ -539,6 +549,13 @@ CHUNK_VALUES = 4_000_000
 # probit's d + 1 at d = n = 1. The float fusions reduce one trial-major copy
 # of the buffer; centralized sends its raw rows, so its fusion holds one
 # trial-major copy of its chunk beside the buffer: 2 x 32 MB at the budget.
+# The minima (uniform_min's local step, the centralized uniform estimator)
+# fold families.MIN_BLOCK values at a time, so their temporaries are at most
+# 3/4 of a block, 768 KB, where a fold over the whole row would allocate 3/4
+# of it (24 MB at m = 1). Folding in place would write the caller's array
+# and, like an allocating first level followed by in-place levels, touches
+# the whole row at each level: on a 32 MB row both took 1.7-2.2 times as
+# long as the allocating fold, and the blocks 0.8 times.
 WORKING_VALUES = 4_000_000
 
 

@@ -244,9 +244,14 @@ class TestEndToEnd:
     def test_verify_exit_codes(self, tmp_path):
         ok = run_cli(["verify", "pinsker", "--count", "20", "--seed", "1"])
         assert ok.returncode == 0
+        # verify's own refusals are one-line errors, as every other one is
         bad = run_cli(["verify", "nosuch", "--count", "5", "--seed", "1"])
-        assert bad.returncode == 2
-        assert "unknown suite" in bad.stderr
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert bad.stderr == (f"error: unknown suite 'nosuch'; choices: "
+                              f"{', '.join(sweeps.SUITE_NAMES)}\n")
+        empty = run_cli(["verify", " , "])
+        assert empty.returncode == 2 and empty.stdout == ""
+        assert empty.stderr == "error: no suites named\n"
         # a count over the ceiling is refused before any instance is drawn
         for count in (sweeps.MAX_COUNT + 1, 10 ** 29):
             big = run_cli(["verify", "fano", "--count", str(count)])

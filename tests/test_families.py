@@ -8,10 +8,11 @@ from scipy.stats import norm
 
 from distest.errors import (DegenerateDesignError, InvalidArgumentError,
                             ReductionInfeasibleError)
+from distest import families
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
                               GaussianLocationSpec, ProbitSpec, RegressionSpec,
                               UniformLocationSpec, design_eigenbounds,
-                              draw_trials, machine_streams,
+                              draw_trials, machine_streams, min_last_axis,
                               reduce_mean_to_regression,
                               reduce_regression_to_probit, sample)
 from distest.protocols import run_trial
@@ -339,3 +340,67 @@ class TestProbitSampling:
         gens = machine_streams(0, 1)
         draw_trials(spec, gens, 4, 3)       # draws no noise from the stream
         assert gens[0].random() == machine_streams(0, 1)[0].random()
+
+
+# Row lengths of the exact-minimum tests: n = 1, the fold alone (2, 4, 8, 16),
+# odd remainders alone (3, 5, 7), folds then a remainder (12, 24) and a row
+# long enough for numpy's own reduce (100).
+MIN_ROW_LENGTHS = (1, 2, 3, 4, 5, 7, 8, 12, 16, 24, 100)
+
+
+def min_test_rows(shape, values):
+    """Uniform draws on [-1, 1]; "inf" puts +inf and -inf at one value in 7
+    and makes one row all +inf and one all -inf, "nan" puts NaN at one value
+    in 11 (so every position of a row gets one, the last included) beside
+    the infinities."""
+    x = np.random.default_rng(sum(shape)).uniform(-1.0, 1.0, shape)
+    flat = x.reshape(-1, shape[-1])
+    if values != "plain":
+        flat.flat[::7] = np.inf
+        flat.flat[3::7] = -np.inf
+        flat[0] = np.inf
+        flat[-1] = -np.inf
+    if values == "nan":
+        flat.flat[5::11] = np.nan
+    return x
+
+
+def assert_same_minima(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # equal_nan: a NaN in the same places, and every other value equal
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestMinLastAxis:
+    """min_last_axis folds and column passes against ndarray.min, byte for
+    byte: the kernel tests hold run_chunks to run_trial, and both reduce
+    with it, so only this test can catch a wrong fold."""
+
+    @pytest.mark.parametrize("values", ["plain", "inf", "nan"])
+    @pytest.mark.parametrize("n", MIN_ROW_LENGTHS)
+    def test_local_minima_equal_numpy(self, monkeypatch, n, values):
+        # the (k, d) leading shapes of a local step's row; a block of 37
+        # values splits the rows into several blocks, the last one partial
+        for block in (families.MIN_BLOCK, 37):
+            monkeypatch.setattr(families, "MIN_BLOCK", block)
+            for lead in ((40, 3), (1, 3), (40, 1), (1, 1)):
+                x = min_test_rows((*lead, n), values)
+                keep = x.copy()
+                assert_same_minima(min_last_axis(x), x.min(axis=-1))
+                assert np.array_equal(x, keep, equal_nan=True)      # x is not written
+
+    @pytest.mark.parametrize("values", ["plain", "inf", "nan"])
+    @pytest.mark.parametrize("n", MIN_ROW_LENGTHS)
+    def test_pooled_minimum_equals_numpy(self, n, values):
+        # (k, m, d) leading shapes of the centralized estimator's stack
+        for lead in ((25, 4, 3), (1, 4, 3), (25, 3, 1), (25, 1, 2)):
+            x = min_test_rows((*lead, n), values)
+            theta_hat, flagged = UniformLocationSpec(np.zeros(lead[-1])).pooled(x)
+            assert_same_minima(min_last_axis(x).min(axis=1), x.min(axis=(1, 3)))
+            assert_same_minima(theta_hat, x.min(axis=(1, 3)) + 1.0)
+            assert flagged.shape == (lead[0],) and not flagged.any()
+
+    def test_empty_shapes(self):
+        assert min_last_axis(np.empty((0, 3, 4))).shape == (0, 3)
+        with pytest.raises(ValueError):
+            min_last_axis(np.empty((2, 3, 0)))

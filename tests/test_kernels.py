@@ -22,7 +22,7 @@ import pytest
 from scipy.special import log_ndtr
 
 from distest import protocols
-from distest.codec import transcript_total_bits
+from distest.codec import dequantize, quantize, transcript_total_bits
 from distest.designs import build_designs
 from distest.errors import InvalidArgumentError
 from distest.families import (TAG_PROTOCOL, BoundedProductSpec, DesignSpec,
@@ -178,6 +178,16 @@ CASES = [
 ]
 
 
+# The interactive minimum's local fold shapes beyond those in CASES: two
+# folds then a 3-column remainder (n = 12), and one fold (n = 2). They are
+# kept apart from CASES because TRANSCRIPT_SHA256 pins the transcripts of
+# exactly the CASES draws.
+FOLD_CASES = [
+    ("uniform_min", "uniform", 7, 12, 3),
+    ("uniform_min", "uniform", 3, 2, 2),
+]
+
+
 SPEC_TYPES = (GaussianLocationSpec, BoundedProductSpec, UniformLocationSpec,
               RegressionSpec, ProbitSpec)
 
@@ -192,7 +202,7 @@ def test_cases_cover_exactly_the_accepted_spec_types():
             if rec.encode is None or rec.decode is None] == ["centralized"]
 
 
-@pytest.mark.parametrize("protocol,family,m,n,d", CASES)
+@pytest.mark.parametrize("protocol,family,m,n,d", CASES + FOLD_CASES)
 def test_kernel_matches_reference(protocol, family, m, n, d):
     spec = make_spec(family, m, n, d)
     assert_kernel_matches_reference(protocol, spec, m, n, budget_bits=7)
@@ -295,6 +305,39 @@ def test_uniform_kernel_covers_a_machine_that_improves_nothing():
     silent = [t for t in range(TRIALS) if not all(
         msg.payload.length for msg in run_trial("uniform_min", spec, blocks[t])[1].messages[1:])]
     assert silent
+
+
+def test_uniform_fusion_on_grid_edges_equals_the_transcripts():
+    """Local minima that lie exactly on the grid's cell edges: a later
+    machine that ties the broadcast state sends nothing for that coordinate,
+    and machine 3 of trial 0 improves every coordinate. Each trial's fused
+    estimate and bit count equal run_trial's on data whose local minima
+    are those edges."""
+    m, k, d, n = 5, 40, 3, 12
+    spec = make_spec("uniform", m, n, d)
+    qspec = PROTOCOLS["uniform_min"].grid(spec, m, n, None)
+    rng = np.random.default_rng(8)
+    cells = rng.integers(100, 104, size=(m, k, d))     # four edges: many ties
+    cells[3, 0] = cells[:3, 0].min(axis=0) - 1
+    local_min = dequantize(cells, qspec)
+    assert np.array_equal(quantize(local_min, qspec), cells)   # exactly on edges
+    theta_hat, bits, flagged = protocols._uniform_min_fuse(spec, qspec, local_min)
+    assert not flagged.any()
+    # each machine's n samples: its local minimum, then values above it
+    above = rng.uniform(0.0, 0.5, size=(m, k, d, n))
+    above[..., 0] = 0.0
+    blocks = local_min[..., None] + rng.permuted(above, axis=-1)
+    ties = 0
+    for t in range(k):
+        ref_theta, transcript, _ = run_trial("uniform_min", spec, blocks[:, t])
+        assert np.array_equal(theta_hat[t], ref_theta), f"trial {t}"
+        assert bits[t] == transcript_total_bits(transcript), f"trial {t}"
+        state = np.minimum.accumulate(cells[:, t], axis=0)
+        ties += int(np.count_nonzero(cells[1:, t] == state[:-1]))
+    assert ties > k
+    # machine 3 of trial 0 sends an index and a value for every coordinate
+    sent = run_trial("uniform_min", spec, blocks[:, 0])[1].messages[3].payload.length
+    assert sent == d * (math.ceil(math.log2(d)) + qspec.bits)
 
 
 def test_probit_kernel_covers_flagged_trials():
@@ -661,6 +704,8 @@ def test_onebit_runs_on_bounded_data_only(family, spec_type):
     ("onebit", "bounded_two_point", 6, 1, 3),
     ("onebit", "bounded_two_point", 150, 1, 4),     # several chunks of a small budget
     ("uniform_min", "uniform", 5, 4, 2),
+    ("uniform_min", "uniform", 6, 12, 3),
+    ("uniform_min", "uniform", 4, 2, 1),
     ("regress_avg", "regression", 4, 6, 2),
     ("probit_avg", "probit_separable", 3, 4, 1),
     ("centralized", "gaussian", 4, 3, 2),
