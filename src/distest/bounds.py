@@ -1,16 +1,12 @@
 """Closed-form minimax rate calculators.
 
 Every calculator returns a RateResult whose terms dict holds each min/max
-branch of its value, so downstream consumers can audit it; the tests
-recombine each value from its terms exactly. Universal constants default to
-1 and are shape-only: nothing here claims them as ground truth. "log m"
-inside the rate formulas is the natural log; where the source expressions
-mix bases, both readings appear in terms.
-
-Conventions for total extensions:
-  * zero-budget branches that would divide by zero evaluate as +inf so the
-    remaining branches govern;
-  * at m = 1 the log-m branches collapse (the clamped branch becomes 1).
+branch of its value. Universal constants default to 1 and are shape-only:
+nothing here claims them as ground truth. "log m" in the rate formulas is
+the natural log; where the source expressions mix bases, both readings
+appear in terms. A zero-budget branch that would divide by zero is +inf, so
+the other branches govern, and at m = 1 the log-m branches collapse (the
+clamped branch becomes 1).
 """
 
 from __future__ import annotations
@@ -71,6 +67,9 @@ class RateQuery:
 
 @dataclass(eq=False)
 class RateResult:
+    """A rate: its value, formula id and the terms it is computed from.
+    Raises InvalidArgumentError unless value is finite and >= 0."""
+
     value: float
     formula_id: str
     terms: dict
@@ -81,11 +80,9 @@ class RateResult:
 
 
 def packing_entropy_hypercube_lower(d: int, delta: float) -> RateResult:
-    """Volume-argument packing entropy of [-1, 1]^d at separation 2*delta.
-
-    Value is the base-2 count d * log2(1/(2 delta)); the natural-log reading
-    sits in terms. Returns 0 once delta >= 1/2.
-    """
+    """Volume-argument packing entropy of [-1, 1]^d at separation 2*delta:
+    the base-2 count d * log2(1/(2 delta)), 0 once delta >= 1/2; the
+    natural-log reading is in terms."""
     if not 0 < delta:
         raise InvalidArgumentError("delta must be positive")
     if delta >= 0.5:
@@ -159,12 +156,10 @@ def prop3_lower(q: RateQuery) -> RateResult:
 
 
 def prop3_budget(d: int, m: int, n: int) -> RateResult:
-    """Budget sufficient for the interactive minimum protocol.
-
-    Value uses the natural-log reading of the machine count factor,
+    """Budget sufficient for the interactive minimum protocol, with the
+    natural-log reading of the machine count factor,
     d * [2 log2(2mn) + ln(m) (ceil(log2 d) + 2 log2(2mn))]; the all-log2
-    reading is in terms.
-    """
+    reading is in terms."""
     if min(d, m, n) < 1:
         raise InvalidArgumentError("d, m, n must be positive")
     base = 2.0 * math.log2(2 * m * n)
@@ -178,7 +173,6 @@ def prop3_budget(d: int, m: int, n: int) -> RateResult:
 
 def _interactive_lower(q: RateQuery, sigma2: float, lambda2, formula: str) -> RateResult:
     """sigma2 d/(lambda2 m n) * min{lambda2 m n/sigma2, max(m/((B/d + 1) log m), 1)}.
-
     Theorem 2 is the lambda2 = 1 case; Corollaries 1 and 2 carry the design's
     lambda_max2, and Corollary 2 is Corollary 1 at sigma2 = 1. Callers pass
     those units as the int 1, so products with m and n stay exact integers.
@@ -226,10 +220,8 @@ def cor2_rates(q: RateQuery):
 
 
 def centralized_rate(family: str, d: int, m: int, n: int, sigma2: float = 1.0) -> float:
-    """Classical (unconstrained) minimax rate for the named family.
-
-    bounded follows the single-observation (n = 1) convention d/m.
-    """
+    """Classical (unconstrained) minimax rate for the named family; bounded
+    follows the single-observation (n = 1) convention d/m."""
     if min(d, m, n) < 1:
         raise InvalidArgumentError("d, m, n must be positive")
     if not 0 < sigma2 < math.inf:

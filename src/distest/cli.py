@@ -1,32 +1,16 @@
-"""Command-line surface: experiment sweeps, bound tables, verification suites.
-
-Subcommands::
-
-    distest simulate <config> [--out PATH] [--gnuplot-hints]
-    distest bounds <queries.csv> [--out PATH]
-    distest verify <suite>[,<suite>...] --count N --seed S [--out PATH]
+"""Command-line surface: `distest simulate`, `bounds` and `verify`.
 
 Exit codes: 0 success, 1 inequality violation, 2 usage or config error.
 Output CSV is byte-deterministic given the inputs; distest reads no
 environment variable.
 
-Config files are flat ``key = value`` text; repeating one of the grid keys
-(theta, d, m, n, sigma, budget_bits) forms a sweep over the cartesian
-product. Rows come in the order (d, m, n, sigma, budget_bits, theta), with
-later keys varying fastest: d varies slowest and theta fastest.
-
-A simulate row is driven by two tables. ``protocols.PROTOCOLS`` says which
-spec types a protocol runs on (other pairs give a row error) and may name
-the lower bound it is compared with. ``FAMILIES`` below says how a family
-id becomes a spec, which centralized rate applies and which lower bound
-applies otherwise; the bound is evaluated at the measured bits.
-
-``FORMULAS`` maps each ``bounds.RateQuery`` formula id to its rate, and both
-subcommands look ids up there: ``simulate`` for the bound a row is compared
-with, ``bounds`` for every id except the scalar ``centralized`` and
-``pstar``, which read family, a and delta from the query row. Each entry
-calls through the ``bnd`` module alias when it runs, so wrapping the
-functions on that alias (as the benchmark's tracer does) sees every call.
+Config files are flat ``key = value`` text; repeating a grid key sweeps the
+cartesian product, in the row order (d, m, n, sigma, budget_bits, theta),
+theta fastest. ``protocols.PROTOCOLS`` says which spec types a protocol
+runs on and may name its lower bound; ``FAMILIES`` says how a family id
+becomes a spec and which rate and bound its rows report, the bound taken at
+the measured bits. ``FORMULAS`` maps each ``bounds.RateQuery`` formula id
+to its rate for both ``simulate`` and ``bounds``.
 """
 
 from __future__ import annotations
@@ -49,11 +33,8 @@ from .sweeps import SUITE_CSV_HEADER, SUITE_NAMES, run_suite
 
 GRID_KEYS = ("theta", "d", "m", "n", "sigma", "budget_bits")
 
-# Size ceilings of a simulate config, checked before any generator or array
-# is built: each machine gets its own generator (about 0.1 ms and 1 KB), and
-# one trial's m * d * n values, like the number of trials (whose errors and
-# bit counts are kept), must be at most protocols.CHUNK_VALUES. The memory of
-# a run is set apart from these, by protocols.WORKING_VALUES.
+# Machines in a simulate config, each with its own generator (about 0.1 ms
+# and 1 KB); checked, with protocols.CHUNK_VALUES, before anything is built.
 MAX_MACHINES = 10_000
 
 SIMULATE_HEADER = ("protocol,family,design,d,m,n,sigma,theta,budget_bits,"
@@ -135,7 +116,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# RateQuery formula id -> rate; entries look `bnd` up when they run (see above).
+# RateQuery formula id -> rate. Entries look `bnd` up when they run, so
+# wrapping the functions on that alias (as bench/spans.py does) sees every call.
 FORMULAS = {
     "prop1": lambda q: bnd.prop1_lower(q.need_total(), bnd.unit_interval_entropy_inverse),
     "thm1": lambda q: bnd.theorem1_lower(q),
@@ -217,6 +199,9 @@ def _simulate_point(protocol, family, design_kind, theta, d, m, n, sigma,
 
 
 def run_simulate(config: dict, gnuplot_hints: bool = False):
+    """The CSV lines of a simulate run on a parse_config dict: the header,
+    then one row per grid point. Raises ConfigError on a bad config; a grid
+    point that fails gets a row error."""
     protocol = _single(config, "protocol")
     if protocol not in proto.PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
@@ -310,6 +295,9 @@ def _parse_bounds_row(cells: dict) -> bnd.RateResult:
 
 
 def run_bounds(text: str):
+    """The CSV lines of a bounds run on a query file's text: the header,
+    then one row per query. Raises ConfigError on an empty file or a bad
+    header; a query that fails gets a row error."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError("empty query file")
@@ -336,6 +324,7 @@ def run_bounds(text: str):
 
 
 def run_verify(suites, count: int, seed: int):
+    """(CSV lines, violation count) of `count` instances of each named suite."""
     rows = [SUITE_CSV_HEADER]
     violations = 0
     for name in suites:
@@ -355,6 +344,8 @@ def _emit(lines, out_path):
 
 
 def main(argv=None) -> int:
+    """Run the command line argv (sys.argv[1:] when None); returns the exit
+    code, printing a usage or config error to stderr."""
     parser = argparse.ArgumentParser(prog="distest")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,11 +31,8 @@ def ceil_log2(k: int) -> int:
 
 @dataclass(frozen=True)
 class BitString:
-    """A fixed-length bit sequence.
-
-    Stored as (value, length) with the first bit most significant, so an
-    empty string is (0, 0) and concatenation is a shift-or.
-    """
+    """A fixed-length bit sequence as (value, length), the first bit most
+    significant: the empty string is (0, 0) and concatenation a shift-or."""
 
     value: int = 0
     length: int = 0
@@ -82,6 +79,8 @@ def unpack_fields(payload: BitString, width: int, count: int) -> tuple:
 
 @dataclass(frozen=True)
 class Message:
+    """One message: its 1-based sender and round, and its payload."""
+
     machine: int
     round: int
     payload: BitString
@@ -151,10 +150,8 @@ class QuantizerSpec:
 
 
 def bits_for_accuracy(lo: float, hi: float, eps: float) -> int:
-    """Bits needed so the cell width of a grid on [lo, hi] is <= eps.
-
-    Returns ceil(log2((hi - lo) / eps)) clamped below at 0.
-    """
+    """Bits needed so the cell width of a grid on [lo, hi] is <= eps:
+    ceil(log2((hi - lo) / eps)), clamped below at 0."""
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(eps)):
         raise InvalidArgumentError("bits_for_accuracy needs finite inputs")
     if not lo < hi:
@@ -173,12 +170,10 @@ def bits_for_accuracy(lo: float, hi: float, eps: float) -> int:
 
 
 def quantize(value, spec: QuantizerSpec):
-    """Cell index of value on the grid; out-of-range values clamp first.
-
-    Accepts a scalar or ndarray; returns an int or int64 ndarray to match.
-    The index is floor((clip(value) - lo) / (hi - lo) * cells), its steps
-    applied in that order to one float array, so value is never written.
-    """
+    """Cell index of value, a scalar or array, on the grid: an int or an
+    int64 array, floor((clip(value) - lo) / (hi - lo) * cells), its steps
+    applied in that order to one new float array. Raises
+    InvalidArgumentError on a non-finite value."""
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("cannot quantize non-finite values")
@@ -195,9 +190,9 @@ def quantize(value, spec: QuantizerSpec):
 
 
 def dequantize(index, spec: QuantizerSpec):
-    """Representative value of a cell: left edge (round_down) or midpoint.
-    The value is lo + (hi - lo) * (index + offset) / cells, its steps applied
-    in that order to one float array, so index is never written."""
+    """Representative value of a cell, (index + offset) * (hi - lo) / cells
+    + lo in that order, offset 0 (round_down, the left edge) or 1/2 (the
+    midpoint), on one new float array."""
     idx = np.asarray(index)
     if np.any(idx < 0) or np.any(idx >= spec.cells):
         raise InvalidArgumentError(f"cell index out of range [0, {spec.cells})")
@@ -212,11 +207,8 @@ def dequantize(index, spec: QuantizerSpec):
 
 
 def encode_improvement_message(indices, values, d: int, value_bits: int) -> BitString:
-    """Pack an improvement list: the index fields first, then the value fields.
-
-    The payload is exactly len(indices) * (ceil_log2(d) + value_bits) bits and
-    decodes losslessly with decode_improvement_message.
-    """
+    """Pack an improvement list, the index fields first, then the value
+    fields: len(indices) * (ceil_log2(d) + value_bits) bits."""
     indices = [int(j) for j in indices]
     values = [int(v) for v in values]
     if len(indices) != len(values):

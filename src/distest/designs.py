@@ -1,8 +1,5 @@
-"""Design-matrix builders for experiments and demos.
-
-The families module treats designs as inputs; these helpers exist so the CLI
-and tests can construct standard ones reproducibly.
-"""
+"""Reproducible standard design matrices, which the design families take as
+inputs."""
 
 from __future__ import annotations
 

@@ -1,16 +1,13 @@
 """Distribution families, deterministic seeded sampling, and the two
 mean-to-regression / regression-to-probit reductions.
 
-A sample is a plain array, the machines' local blocks: (m, d, n) for a mean
-family and (m, n) responses for a design family. sample() returns one, and
-draw_trials stacks one per trial, so blocks[t] of a draw is what
-protocols.run_trial takes. Each spec class holds its family's
-rules: fill(i, gen, row) fills machine i's block of a run of trials in place,
-in its formula's order of operations, and pooled(x) is the estimator on a
-(k, m, *row) stack of whole samples, giving theta_hat (k, d) and flagged
-(k,). draw_trials returns a transposed view of a machine-major buffer, not a
-C-contiguous array: a float reduction over machines on it must copy it to C
-order first, or its rounding depends on the layout.
+A sample is a plain array of the machines' blocks: (m, d, n) for a mean
+family and (m, n) responses for a design family. Each spec class holds its
+family's rules: fill(i, gen, row) fills machine i's row of a run of trials
+in place, in its formula's order of operations, and pooled(x) is the
+centralized estimator on a (k, m, *row) stack of whole samples, giving
+theta_hat (k, d) and flagged (k,). run_shape is the one rule for a run's
+(m, n).
 
 Seeding contract
 ----------------
@@ -41,7 +38,7 @@ _PSD_TOL = 1e-9
 
 
 def machine_streams(seed: int, m: int, tag: int = TAG_DATA):
-    """Derived generators of machines 0..m-1; see the module seeding contract."""
+    """Generators of machines 0..m-1 under tag; see the seeding contract."""
     return [np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(tag), i)))
             for i in range(m)]
 
@@ -99,12 +96,9 @@ UNIFORM_INTERVAL = "uniform_interval"
 
 @dataclass(frozen=True, eq=False)
 class BoundedProductSpec(MeanSpec):
-    """Product distribution on [-1, 1]^d with coordinate means theta.
-
-    two_point puts mass (1 +/- theta_j)/2 on +/-1; uniform_interval is uniform
-    on [theta_j - w_j, theta_j + w_j] with w_j = 1 - |theta_j|, so the mean is
-    theta_j and the support stays in [-1, 1].
-    """
+    """Product distribution on [-1, 1]^d with coordinate means theta:
+    two_point puts mass (1 +/- theta_j)/2 on +/-1, and uniform_interval is
+    uniform on [theta_j - w_j, theta_j + w_j] with w_j = 1 - |theta_j|."""
 
     law: str = TWO_POINT
 
@@ -144,20 +138,21 @@ class UniformLocationSpec(MeanSpec):
 
 # Values per block of min_last_axis: a block's fold temporaries are at most
 # 3/4 of it (768 KB of float64) however long the array, and its passes stay
-# in cache.
+# in cache. On a 32 MB row the blocks took 0.8 of the time of one allocating
+# fold over the row; an in-place fold, which would write the caller's array,
+# took 1.7-2.2 times as long as the allocating one.
 MIN_BLOCK = 1 << 17
 
 
 def min_last_axis(x):
-    """x.min(axis=-1), computed as long passes over a C-ordered copy or view
-    of x: a minimum is exact in any order (only the sign of a zero tie may
-    differ), and NaN propagates. numpy's reduce pays a fixed cost per row,
-    which dominates on short rows, so rows of 1 to 64 values are reduced
-    MIN_BLOCK values at a time: while the row length is even, adjacent pairs
-    of the flat block fold into one, then the odd remainder is taken column
-    by column. On a 2-vCPU x86-64 host that took 0.03-0.9 of numpy's time at
-    n <= 48 and at n = 64 (1.3 at worst, odd n in 49-63 on small arrays); on
-    the longer rows, which go to numpy's reduce, it took up to 9 times as long.
+    """x.min(axis=-1), up to the sign of a zero tie; NaN propagates. x is
+    not written. numpy's reduce pays a fixed cost per row, so rows of 1 to
+    64 values are reduced in long passes, MIN_BLOCK values at a time: while
+    the row length is even, adjacent pairs of the flat block fold into one,
+    then the odd remainder is taken column by column. On a 2-vCPU x86-64
+    host that took 0.03-0.9 of numpy's time at n <= 48 and at n = 64 (1.3
+    at worst, odd n in 49-63 on small arrays), and up to 9 times as long on
+    longer rows, which go to numpy's reduce.
     """
     n = x.shape[-1]
     if not 0 < n <= 64:
@@ -216,10 +211,8 @@ class DesignSpec:
 
 @dataclass(frozen=True, eq=False)
 class RegressionSpec(DesignSpec):
-    """Fixed-design linear model y = A theta + noise, noise ~ N(0, sigma^2 I).
-
-    sigma = 0 is allowed and gives the noiseless (deterministic) model.
-    """
+    """Fixed-design linear model y = A theta + noise, noise ~ N(0, sigma^2 I);
+    sigma = 0 gives the noiseless model."""
 
     sigma: float = 1.0
 
@@ -254,8 +247,7 @@ class ProbitSpec(DesignSpec):
         np.greater_equal(row, 0, out=row)
 
     def pooled(self, z):
-        # the pooled MLE, flagged as the solver flags it; protocols imports
-        # this module, so the solver is imported on first use
+        # imported on first use: protocols imports this module
         from .protocols import probit_mle_batched
         return probit_mle_batched(np.vstack(self.designs), z.reshape(len(z), -1))
 
@@ -271,14 +263,10 @@ def row_shape(spec, n: int) -> tuple:
 
 
 def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
-    """Batch of i.i.d. trials, one stream per machine.
-
-    Returns shape (trials, m, d, n) for mean families and (trials, m, n) for
-    regression / probit responses: the transposed view of one machine-major
-    buffer whose row i is machine i's spec.fill. Trial 0 reproduces sample()
-    bit for bit, and drawing in chunks from the same generators is equivalent
-    to drawing all trials at once.
-    """
+    """(trials, m, *row_shape) i.i.d. trials, machine i's rows from gens[i]:
+    trial 0 is sample()'s, and draws in chunks equal one draw. It is the
+    transposed view of a machine-major buffer, so a float reduction over
+    machines must copy it to C order first, or its rounding depends on it."""
     buf = np.empty((len(gens), trials, *row_shape(spec, n)))
     for i, (gen, row) in enumerate(zip(gens, buf)):
         spec.fill(i, gen, row)
@@ -333,12 +321,9 @@ def design_eigenbounds(designs):
 
 
 def reduce_mean_to_regression(x_mean, design, sigma: float, lambda_max2: float, rng):
-    """Responses y = A x_mean + z with z ~ N(0, sigma^2 I - sigma^2/(lmax^2 n) A A^T).
-
-    When x_mean ~ N(theta, sigma^2/(lambda_max2 * n) I) the output is
-    marginally N(A theta, sigma^2 I). x_mean may be a (d,) vector or a
-    (k, d) batch; the return shape follows. z is drawn from the Generator `rng`.
-    """
+    """Responses y = A x_mean + z, z ~ N(0, sigma^2 I - sigma^2/(lmax^2 n) A A^T)
+    drawn from the Generator rng, for a (d,) x_mean or a (k, d) batch. When
+    x_mean ~ N(theta, sigma^2/(lambda_max2 n) I), y is N(A theta, sigma^2 I)."""
     a = np.asarray(design, dtype=float)
     n = a.shape[0]
     x = np.asarray(x_mean, dtype=float)

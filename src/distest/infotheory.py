@@ -1,27 +1,19 @@
 """Exact finite-alphabet information quantities and enumeration-based
 verification of the quantitative data-processing inequalities.
 
-All joint distributions here are explicit tables, so every reported quantity
-is exact up to float rounding; checks therefore use a 1e-10 slack. Requests
-whose joint state space would exceed 2**20 cells raise instead of
-approximating (`_check_cells`).
+Every joint is an explicit table, so each quantity is exact up to float
+rounding and the checks allow SLACK; a joint over ENUMERATION_CEILING cells
+raises instead. Every pmf is a plain array: a channel is its rows P(x | v),
+a quantizer its (k_in, n_out) table P(y | x), a deterministic map q the 0/1
+table np.eye(q.max() + 1)[q], and the Pinsker and chaining joints are
+(V, Y) and (A, B, C, D) tables.
 
-Every pmf is a plain array: `entropy` takes a 1-d pmf, `mutual_information`
-a joint table and two of its axis indices, a channel is its table of rows
-P(x | v) and a quantizer its (k_in, n_out) table P(y | x), a deterministic
-one a 0/1 table; the Pinsker and chaining joints are (V, Y) and (A, B, C, D)
-tables in that axis order.
-
-Inside this module a table has one form: a stack of tables along axis 0.
-Every private body takes stacks, and so does `_check_pmf`, whose rules are
-stated for one table of the stack. Each public entry passes its tables as
-stacks of one (`np.asarray(x)[None]`) and returns element [0]; `sweeps`
-passes every drawn instance of one shape at once. `_check_pmf` checks each
-stack once, where it enters; every table built from it is a plain array and
-is not checked again. An instance gets the same floats in a stack as alone:
-elementwise operations and reductions over a table's own axes do not depend
-on the instances beside it, a masked sum compacts each instance's cells (see
-`_masked_sums`), and each instance's closing formula runs on Python floats.
+Inside this module a table is a stack of tables along axis 0: a public
+entry passes a stack of one, `sweeps` every drawn instance of one shape.
+`_check_pmf` checks a stack once, where it enters. An instance gets the
+same floats in a stack as alone: reductions run over a table's own axes, a
+masked sum compacts each instance's cells (`_masked_sums`), and each
+closing formula runs on Python floats.
 """
 
 from __future__ import annotations
@@ -67,14 +59,11 @@ def _check_cells(cells: int, what: str) -> None:
 
 
 def _masked_sums(mask: np.ndarray, term, *tables) -> np.ndarray:
-    """For each index r of the leading axis, term(*cells).sum(), where cells
-    are the entries of each table's row r at which mask[r] holds: bit for bit
-    the 1-d sum that row r alone gives.
-
-    Rows are grouped by their count of cells, and each group sums one
-    C-ordered (rows, count) block along its last axis. Padding the rows to a
-    common length with zeros instead would shift numpy's pairwise grouping.
-    """
+    """For each row r of the leading axis, term(*cells).sum() over the
+    entries of each table's row r where mask[r] holds, bit for bit the 1-d
+    sum of row r alone: rows are grouped by their count of cells, each group
+    one C-ordered (rows, count) block. Zero padding would shift numpy's
+    pairwise grouping."""
     n = len(mask)
     flat = mask.reshape(n, -1)
     tables = [t.reshape(n, -1) for t in tables]
@@ -232,13 +221,10 @@ def base_k_digits(k: int, width: int) -> np.ndarray:
 
 def _product_channel(rows: np.ndarray, v_dim: int, machines: int = 1):
     """P(x | v) over the product alphabet for each (2, k) table of the
-    checked stack `rows`, and the digits of the x alphabet.
-
-    v ranges over 2**v_dim sign patterns (bit b of the index = coordinate b,
-    bit 0 most significant, 0 -> row 0, 1 -> row 1); x ranges over
-    k**(machines * v_dim) tuples, machine-major. Machine i's coordinate j
-    depends on v_j only, conditionally independent across (i, j).
-    """
+    checked stack `rows`, and the digits of the x alphabet. v ranges over
+    2**v_dim sign patterns (bit b of the index is coordinate b, bit 0 most
+    significant, 0 -> row 0); x over k**(machines * v_dim) tuples,
+    machine-major, machine i's coordinate j depending on v_j alone."""
     if rows.shape[1] != 2:
         raise InvalidArgumentError("per-coordinate channels take the binary input {-1, +1}")
     if not all(isinstance(s, Integral) and s >= 1 for s in (v_dim, machines)):
@@ -285,8 +271,7 @@ def check_dpi_independent(v_dim: int, channel, quantizer) -> dict:
 
     V is uniform on {-1, 1}^v_dim, coordinate j of X depends on V_j through
     `channel`, and Y is drawn from row X of `quantizer`, the (k**v_dim, n_out)
-    table P(y | x); a deterministic map q is the table np.eye(q.max() + 1)[q].
-    """
+    table P(y | x)."""
     return _dpi_independent(v_dim, np.asarray(channel)[None], np.asarray(quantizer)[None])[0]
 
 
@@ -310,11 +295,9 @@ def _dpi_independent(v_dim: int, channels, quantizers) -> list:
 def check_dpi_truncated(v_dim: int, channel, quantizer, truncation,
                         machines: int = 1) -> dict:
     """Truncated-set variant: I(V; Y) <= 2 (e^{4a} - 1)^2 I(X; Y) + H(E) + P(E=0).
-
     `truncation` is one boolean mask over the per-coordinate X alphabet, the
-    retained set of every coordinate of every machine; the likelihood-ratio
-    bound alpha is measured on the retained symbols only, and E indicates
-    that every coordinate of every machine landed inside the retained set.
+    retained set of every coordinate of every machine; alpha is measured on
+    the retained symbols, and E is that every coordinate landed in the set.
     """
     return _dpi_truncated(v_dim, np.asarray(channel)[None], np.asarray(quantizer)[None],
                           np.asarray(truncation)[None], machines)[0]
@@ -378,17 +361,13 @@ def _tensorization(v_dim: int, channels, quantizers) -> list:
 
 def check_information_chaining(model) -> dict:
     """Lemma-style conditional-probability contraction on the (A, B, C, D)
-    joint table `model`.
+    joint table `model`. Raises InvalidArgumentError unless D is independent
+    of A given (B, C) and each C slice of P(C | A, B) is rank one; alpha is
+    measured from P(B | A). Checks, on every (a, c, d) of positive
+    probability (the others are skipped and counted), that
 
-    Verifies the preconditions numerically (D independent of A given (B, C);
-    each C slice of P(C | A, B) rank-1; alpha measured from P(B | A)), then
-    checks for every (a, c, d) slice with positive probability that
-
-        |P(a | c, d) - P(a | c)| <=
-            2 (e^{2 alpha} - 1) min{P(a | c), P(a | c, d)}
-                                 TV(P_B(. | c, d), P_B(. | c)) + slack.
-
-    Zero-probability conditioning slices are skipped and counted.
+        |P(a | c, d) - P(a | c)| <= 2 (e^{2 alpha} - 1)
+            min{P(a | c), P(a | c, d)} TV(P_B(. | c, d), P_B(. | c)) + SLACK.
     """
     return _information_chaining(np.asarray(model)[None])[0]
 

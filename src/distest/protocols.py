@@ -1,39 +1,23 @@
 """Executable estimation protocols with bit-accounted transcripts.
 
-PROTOCOLS maps each protocol id to its transcript kind, the spec types it
-runs on, its run rules and its steps: a local step that reduces one
-machine's block of a chunk of trials to the values it sends, and a fusion
-step that turns the chunk's values from all machines into the estimates, bit
-counts and flags. Each entry names its wire grid once, a function of the
-run's public (spec, m, n, budget_bits) that run_trial and run_chunks resolve
-once per run, before the first draw, and hand to every step; it gives None
-for centralized, which sends its raw data. Every other protocol also has an
-encode, which puts one trial's (m, ...) values on the wire as a Transcript,
-and a decode, which computes the estimate from that Transcript, spec.d and
-the run's grid alone, since the fusion center sees only the messages. There
-are two message kinds: fixed-width fields on the grid (single_mean,
-gauss_qavg, onebit, regress_avg, probit_avg; a one-bit message is d 1-bit
-fields) and improvement lists (uniform_min). run_trial runs one trial on the
-array families.sample returns, (m, d, n) for the mean families and (m, n)
-responses for the design families: the local step per machine, then encode,
-then decode; tests hold the fusion to it trial by trial. estimate_risk
-measures mean-squared error and bit statistics over many seeded trials
-through run_chunks, which streams the machines, so a chunk never holds more
-than one machine's raw block, and builds no transcript: machine i writes
-what it sends into plane i of the chunk's machine-major (m, k, ...) message
-buffer, and the fusion step reads the whole buffer. A protocol draws
-uniforms only where they can change a message: the one-bit scheme on a law
-whose data can lie inside (-1, 1); on two-point data the bit is x > 0.
-There is one probit solver, probit_mle_batched, a damped Newton on a stack
-of problems that share one (n, d) design, its only problem form; the probit
-local step solves all trials of a chunk on the machine's design with it at
-once, and probit_mle is that solver on a stack of one. It takes 0/1 responses only,
-raises InvalidArgumentError on any other value, and makes one log_ndtr call
-per response at each likelihood evaluation. Two exit rules bound its work
-and its flags: a Newton decrement under TAU ulps of the log-likelihood stops
-a problem without a line search, and a problem whose iterate at exit has
-every s_j > 0 on the design's nonzero rows is strictly separated, so it is
-flagged and clipped.
+PROTOCOLS maps each protocol id to a Protocol: the spec types it runs on,
+its run rules, its wire grid and its steps. The local step reduces one
+machine's block of a chunk of trials to what that machine sends, and the
+fusion step turns all machines' messages into estimates, bit counts and
+flags. Every entry but centralized, which sends raw data, also has an encode
+(one trial's messages to a Transcript) and a decode (the estimate from that
+Transcript, spec.d and the grid alone). There are two message kinds:
+fixed-width fields on the grid, a one-bit message being d 1-bit fields, and
+improvement lists (uniform_min).
+
+run_trial runs one trial through encode and decode; estimate_risk runs many
+through run_chunks, which builds no transcript. Machine i writes what it
+sends into plane i of a chunk's machine-major (m, k, ...) message buffer.
+The exact fusions (a count, a minimum) reduce whole planes; a float sum over
+machines rounds by memory layout, so the float fusions reduce one C-ordered
+trial-major copy, adding in the machines' order as run_trial does. Only the
+one-bit scheme draws uniforms, and only off two-point data: on +/-1 data its
+bit u < (1 + x) / 2 is x > 0 for every u in [0, 1).
 """
 
 from __future__ import annotations
@@ -47,16 +31,13 @@ from typing import Callable
 import numpy as np
 
 from . import codec
-# transcript_total_bits is not called here; it stays importable from this
-# module because instrumentation patches the codec names protocols imports.
+# transcript_total_bits and draw_trials are not called here: bench/spans.py
+# patches them by name (ROADMAP item 1).
 from .codec import (INDEPENDENT, INTERACTIVE, Message, QuantizerSpec, Transcript,
                     bits_for_accuracy, ceil_log2, decode_improvement_message,
                     encode_improvement_message, pack_fields, quantize, dequantize,
                     transcript_total_bits, unpack_fields)  # noqa: F401
 from .errors import DegenerateDesignError, InvalidArgumentError
-# draw_trials is not called here either: run_chunks draws machine by machine
-# with spec.fill. It stays importable because bench/spans.py patches it, so
-# that tracer's draw counters read 0 on simulate workloads (ROADMAP item 1).
 from .families import (TAG_DATA, TAG_PROTOCOL, TWO_POINT, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
                        draw_trials, machine_streams, min_last_axis, row_shape,  # noqa: F401
@@ -64,9 +45,8 @@ from .families import (TAG_DATA, TAG_PROTOCOL, TWO_POINT, BoundedProductSpec, De
 
 
 def __getattr__(name):
-    # scipy.special is most of the package's import time and only the probit
-    # solver needs it, so log_ndtr is imported on first use. It stays
-    # reachable as protocols.log_ndtr, where instrumentation can wrap it.
+    # scipy.special is most of the import time and only the probit solver
+    # needs it, so log_ndtr is imported on first use, as protocols.log_ndtr.
     if name == "log_ndtr":
         from scipy.special import log_ndtr
         globals()[name] = log_ndtr
@@ -88,7 +68,7 @@ class RiskReport:
 
 
 # ---------------------------------------------------------------------------
-# bit accounting formulas (shared by the protocols and the budget tests)
+# wire grids and bit accounting
 
 def _gauss_qavg_grid(sigma: float, m: int, n: int) -> QuantizerSpec:
     """Cell width sigma^2/(mn) on the truncation interval
@@ -139,28 +119,26 @@ TAU = 1.0
 
 def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                        diverge_norm: float = 1e3):
-    """Damped Newton ascent of the concave probit log-likelihood on P
+    """Damped Newton ascent of the concave probit log-likelihood for P
     problems that share one (n, d) design, z (P, n) holding their 0/1
-    responses. Any other shape, a non-finite design entry, a response other
-    than 0 or 1, or a setting outside max_iter >= 0 (an int), grad_tol >= 0
-    and diverge_norm > 0 raises InvalidArgumentError.
+    responses. Returns theta (P, d) and flagged (P,). Raises
+    InvalidArgumentError on any other shape, a non-finite design entry, a
+    response other than 0 or 1, or a setting outside max_iter >= 0 (an int),
+    grad_tol >= 0 and diverge_norm > 0.
 
-    With sign = 2 z - 1 and s = sign * (design @ theta), response j has
-    likelihood Phi(s_j), so each evaluation makes one log_ndtr call. A
-    problem stops when its gradient norm is below grad_tol, after max_iter
-    iterations, when its Newton step fails every halving, or when its Newton
-    decrement grad @ step is below TAU * spacing(|ll|): the quadratic model
-    then predicts a rise under half an ulp of ll, which only rounding could
-    give, so the step is not searched. Returns theta (P, d) and flagged (P,);
-    flagged marks separation, in which case the iterate clipped to [-1, 1]
-    is returned. Separation is detected by a singular Newton system, by the
-    iterate norm exceeding diverge_norm, or, at exit, by an iterate with
-    every s_j > 0 on the design's nonzero rows, which strictly separates the
-    data so that no MLE exists.
-    Each product is a stack of the one-problem product, which numpy sends to
-    the same BLAS call (the design is broadcast, never copied), so a problem
-    gets the same bytes alone as in any stack.
-    """
+    With s = (2 z - 1) * (design @ theta), response j has likelihood
+    Phi(s_j), so an evaluation makes one log_ndtr call. A problem stops on a
+    gradient norm under grad_tol, after max_iter iterations, on a Newton step
+    that fails all 30 halvings, or on a Newton decrement grad @ step under
+    TAU ulps of |ll|: the quadratic model then predicts a rise under half an
+    ulp, which only rounding could give, so the step is not searched. It is
+    flagged, and its iterate clipped to [-1, 1], on a singular Newton system,
+    an iterate norm over diverge_norm, or an exit iterate with every s_j > 0
+    on the design's nonzero rows, which separates the data so that no MLE
+    exists. A zero row has s_j = 0 at every theta and carries no information,
+    so every local problem on the identity design is flagged. A problem gets
+    the same bytes alone as in any stack: each product is a stack of the
+    one-problem product, sent to the same BLAS call."""
     log_ndtr = sys.modules[__name__].log_ndtr
     design = np.asarray(design, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -182,9 +160,8 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     stopped = np.zeros(len(z), dtype=bool)   # by a step that cannot raise ll
 
     def loglik(zs, sg, th):
-        # summed per side, each dot product with exact zeros in the other
-        # side's places, so it rounds as z @ log Phi(u) + (1 - z) @ log Phi(-u)
-        # does and the golden outputs hold; s and log_ndtr(s) are reused
+        # summed per side, with exact zeros in the other side's places, so it
+        # rounds as z @ log Phi(u) + (1 - z) @ log Phi(-u); s and ls are reused
         s = sg * (design @ th[..., None])[..., 0]
         ls = log_ndtr(s)
         return _row_dots(zs, ls) + _row_dots(1.0 - zs, ls), s, ls
@@ -220,8 +197,7 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
                     solved[j] = False
             separated(live[~solved])
             live, grad, step = live[solved], grad[solved], step[solved]
-        # a decrement under TAU ulps of ll stops the problem as an exhausted
-        # search would, without evaluating its halvings
+        # stopped as an exhausted search would be, without its halvings
         flat = _row_dots(grad, step) < TAU * np.spacing(np.abs(ll[live]))
         stopped[live[flat]] = True
         # one step size, halved, for the ids still searching; zs, sg, ths,
@@ -246,7 +222,6 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         diverged = np.sqrt(_row_dots(th, th)) > diverge_norm
         separated(live[diverged])
         live = live[~diverged]
-    # a zero design row has s_j = 0 at every theta and carries no information
     informative = design.any(axis=1)
     separated(np.flatnonzero(~flagged & (s[:, informative] > 0).all(axis=1)
                              & informative.any()))
@@ -263,40 +238,19 @@ def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
 
 
 # ---------------------------------------------------------------------------
-# streaming kernels
-#
-# estimate_risk runs a chunk of k trials machine by machine, the way the
-# protocols run: machine i's data is one reused row, (k, d, n) for the mean
-# families and (k, n) for the design families, and a protocol randomized on
-# the spec gets the machine's (k, d) TAG_PROTOCOL uniforms with it (None
-# otherwise): the one-bit scheme, only on a law whose data can lie inside
-# (-1, 1). A protocol's local step reduces the row to what the machine puts
-# on the wire, (k, ...), which fills plane i, machine i's contiguous block,
-# of the chunk's machine-major (m, k, ...) message buffer; messages[:, t] is
-# trial t's (m, ...) values, what run_trial hands encode. Its fusion step
-# turns the buffer and the run's grid into theta_hat (k, d), bits (k,) and
-# flagged (k,), equal trial by trial to what run_trial gives for that trial,
-# and builds no transcript. An exact fusion (an integer count, a minimum)
-# reduces whole planes. A float reduction over machines rounds by memory
-# layout, so a float fusion reduces one C-ordered trial-major (k, m, ...)
-# copy, which adds in the machines' order as a trial's (m, ...) values do.
-# The interactive minimum is exact in any order, and numpy's reduce over a
-# short axis pays per row, so its local step takes families.min_last_axis
-# (pairwise folds and column passes over the flat row) and its fusion the
-# running minimum one plane at a time.
+# local and fusion steps: a local step maps machine i's (k, ...) row, and its
+# (k, d) uniforms or None, to its (k, ...) messages; a fusion step maps the
+# (m, k, ...) message buffer to theta_hat (k, d), bits (k,) and flagged (k,)
 
 def _single_mean_local(spec, i, row, uniforms):
-    # the mean of the [0, 1] image (1 + x) / 2; the row is scratch that the
-    # next draw refills, so it is mapped in place
+    # the mean of (1 + x) / 2, mapped in place: the next draw refills the row
     row += 1.0
     row /= 2.0
     return row.mean(axis=2)
 
 
 def _onebit_local(spec, i, row, uniforms):
-    # the bits u < (1 + x) / 2, the scratch row mapped in place; with no
-    # uniforms the data is +/-1, where (1 + x) / 2 is exactly 0 or 1 and
-    # every u in [0, 1) gives the bit x > 0
+    # the bits u < (1 + x) / 2, mapped in place; with no uniforms, x > 0
     if uniforms is None:
         return row[..., 0] > 0.0
     x = row[..., 0]
@@ -307,20 +261,18 @@ def _onebit_local(spec, i, row, uniforms):
 
 def _onebit_fuse(spec, qspec, messages):
     m, k, d = messages.shape
-    # the sum of m values of +/-1 is an exact integer, so this equals the
-    # mean of the decoded cells 2 z - 1 bit for bit; summing the bools keeps
-    # the buffer at one byte per value
+    # an exact integer sum, so this is the mean of the decoded cells 2 z - 1
+    # bit for bit; the buffer stays bools, one byte per value
     ones = messages.sum(axis=0)
     return (2.0 * ones - m) / m, np.full(k, m * d, dtype=np.int64), np.zeros(k, dtype=bool)
 
 
 def _uniform_min_fuse(spec, qspec, local_min):
     m, k, d = local_min.shape
-    # Round-down quantization is monotone, so the fusion state after machine
-    # i is q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
-    # coordinates where local_min_i < state_{i-1}.
-    # numpy's accumulate and count_nonzero over these axes pay per (k, d)
-    # row, so the running minimum and the count go plane by plane.
+    # Round-down quantization is monotone, so the state after machine i is
+    # q(min_{j <= i} local_min_j), and machine i > 0 sends exactly the
+    # coordinates where local_min_i < state_{i-1}. The running minimum goes
+    # plane by plane: numpy's accumulate over axis 0 pays per (k, d) row.
     running = np.empty_like(local_min)
     running[0] = local_min[0]
     for i in range(1, m):
@@ -332,19 +284,17 @@ def _uniform_min_fuse(spec, qspec, local_min):
 
 
 def _regress_local(spec, i, row, uniforms):
-    # a stack of matrix-vector products: one gemv per trial, the same BLAS
-    # call (and rounding) as the solver applied to one trial's responses
+    # one gemv per trial: the rounding of the solver on one trial's responses
     return (_local_solver(spec.designs[i]) @ row[..., None])[..., 0]
 
 
 def _average_fuse(spec, qspec, sent):
-    """Fusion of the averaging schemes: quantize the (m, k, d) local values
-    on the run's grid, average over machines. A probit message carries the
-    solver's flag as one more value after them."""
+    """Fusion of the averaging schemes: the machines' mean of the (m, k, d)
+    local values quantized on the grid. A probit message carries the
+    solver's flag as one more value."""
     local = sent[..., :spec.d]
     m, k, d = local.shape
-    # quantize clamps to the grid first: that clamp is the truncation; both
-    # steps are elementwise, and the mean takes the trial-major copy
+    # quantize's clamp to the grid is the truncation
     cells = dequantize(quantize(local, qspec), qspec)
     return (np.ascontiguousarray(cells.swapaxes(0, 1)).mean(axis=1),
             np.full(k, m * d * qspec.bits, dtype=np.int64), sent[..., d:].any(axis=(0, 2)))
@@ -363,9 +313,8 @@ def _centralized_fuse(spec, qspec, pooled):
 
 
 # ---------------------------------------------------------------------------
-# the two message kinds: encode takes one trial's (m, ...) values, what the
-# local steps send, and returns its Transcript; decode returns theta_hat from
-# the Transcript, spec.d and the run's grid alone
+# the two message kinds: encode maps one trial's (m, ...) messages to its
+# Transcript, and decode maps the Transcript to theta_hat
 
 def _encode_fields(spec, qspec, sent):
     idx = quantize(sent[:, :spec.d], qspec)
@@ -428,14 +377,13 @@ def _single_mean_check(spec, m, n, budget_bits):
 
 @dataclass(frozen=True)
 class Protocol:
-    """One protocol id: what estimate_risk and run_trial need to run it."""
+    """One protocol id: the rules and steps run_trial and estimate_risk use."""
 
     kind: str                 # transcript kind reported in the RiskReport
     accepts: tuple            # spec types the protocol runs on
     local: Callable           # (spec, i, row, uniforms) -> machine i's (k, ...) messages
     grid: Callable            # (spec, m, n, budget_bits) -> the run's QuantizerSpec or None
-    # the steps, each given the run's grid; by default the averaging schemes';
-    # fuse takes the chunk's machine-major (m, k, ...) message buffer
+    # the steps take the run's grid; the defaults are the averaging schemes'
     fuse: Callable = _average_fuse      # (spec, qspec, messages) -> (theta_hat, bits, flagged)
     encode: Callable = _encode_fields   # (spec, qspec, sent) -> one trial's Transcript
     decode: Callable = _decode_fields   # (spec, qspec, transcript) -> theta_hat
@@ -493,17 +441,13 @@ def _runnable(protocol: str, spec, m: int, n: int, budget_bits):
 
 def run_trial(protocol: str, spec, block, uniforms=None, budget_bits: int = None):
     """(theta_hat, transcript, flagged) of one trial on block, the array
-    families.sample returns. Each machine's local step runs on a stack of
-    one, encode puts what the machines send on the wire, and theta_hat is
-    decoded from that transcript alone. uniforms, when given, must be an
-    (m, d) array in [0, 1), machine i's TAG_PROTOCOL uniforms in row i, as
-    estimate_risk draws them. A protocol randomized on the spec needs them:
-    the one-bit protocol on a law whose data can lie inside (-1, 1). On
-    two-point data it may be None, and given uniforms cannot change a bit.
-    flagged, side information outside the transcript, is whether a
-    machine's probit solver flagged its problem. centralized, which sends
-    raw data, has no transcript and is refused.
-    """
+    families.sample returns, theta_hat decoded from the transcript alone.
+    uniforms is an (m, d) array in [0, 1), row i machine i's TAG_PROTOCOL
+    uniforms, which a randomized protocol needs. flagged is whether a
+    machine's probit solver flagged its problem. Raises InvalidArgumentError
+    on a wrong shape, a run the protocol refuses, bounded data outside
+    [-1, 1], one-bit data without uniforms that is not +/-1, or centralized,
+    which has no transcript."""
     block = np.array(block, dtype=float)   # a copy: a local step may map its row in place
     row = row_shape(spec, block.shape[-1] if block.ndim else 0)
     if block.shape[1:] != row:
@@ -522,7 +466,6 @@ def run_trial(protocol: str, spec, block, uniforms=None, budget_bits: int = None
     if isinstance(spec, BoundedProductSpec) and np.any(np.abs(block) > 1 + 1e-12):
         raise InvalidArgumentError("bounded-family data must lie in [-1, 1]")
     if uniforms is None and rec.local is _onebit_local and not np.all(np.abs(block) == 1.0):
-        # with no uniforms the local step sends x > 0, the bit only on +/-1 data
         raise InvalidArgumentError("one-bit data without uniforms must be -1 or +1")
     qspec = rec.grid(spec, m, n, budget_bits)
     sent = np.stack([rec.local(spec, i, block[i:i + 1],
@@ -542,20 +485,10 @@ probit_local_average = partial(run_trial, "probit_avg")
 CHUNK_VALUES = 4_000_000
 
 # Working-set budget of estimate_risk: a chunk's trials draw at most this
-# many values, m * d * n per trial (32 MB of float64), or one trial's worth
-# where a single trial is larger. One machine's row, and the (k, n, d)
-# stack its local solver works on, are at most 1/m of that. A machine sends
-# at most d * n values per trial, so the message buffer fits too, except
-# probit's d + 1 at d = n = 1. The float fusions reduce one trial-major copy
-# of the buffer; centralized sends its raw rows, so its fusion holds one
-# trial-major copy of its chunk beside the buffer: 2 x 32 MB at the budget.
-# The minima (uniform_min's local step, the centralized uniform estimator)
-# fold families.MIN_BLOCK values at a time, so their temporaries are at most
-# 3/4 of a block, 768 KB, where a fold over the whole row would allocate 3/4
-# of it (24 MB at m = 1). Folding in place would write the caller's array
-# and, like an allocating first level followed by in-place levels, touches
-# the whole row at each level: on a 32 MB row both took 1.7-2.2 times as
-# long as the allocating fold, and the blocks 0.8 times.
+# many values (32 MB of float64), or one trial's where a trial is larger. A
+# run holds one machine's row, 1/m of them, beside the message buffer, which
+# fits the budget too (but for probit's d + 1 values at d = n = 1). The
+# centralized fusion copies its raw rows trial-major, so it holds 2 x 32 MB.
 WORKING_VALUES = 4_000_000
 
 
@@ -566,16 +499,11 @@ def _chunk_sizes(trials: int, per_trial_values: int):
 
 def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
                budget_bits: int = None):
-    """Yield (theta_hat, bits, flagged) of each chunk of sizes[c] trials.
-
-    The run's grid is resolved first, before any draw. Then, machine by
-    machine, spec.fill fills one reused row from data_gens[i] (and, for a
-    protocol randomized on the spec, the uniforms from proto_gens[i], which
-    is not read otherwise and may be None), and the protocol's
-    local step writes what the machine sends into plane i of the chunk's
-    machine-major (m, k, ...) message buffer; the fusion step then runs on
-    the buffer. sizes[0] is the largest chunk.
-    """
+    """Yield (theta_hat, bits, flagged) of each chunk of sizes[c] trials,
+    sizes[0] the largest. data_gens[i] feeds machine i's spec.fill, and
+    proto_gens[i] its uniforms where the protocol is randomized on the spec
+    (proto_gens is not read otherwise and may be None). The grid is resolved
+    before the first draw."""
     rec = PROTOCOLS[protocol]
     qspec = rec.grid(spec, len(data_gens), n, budget_bits)
     row = np.empty((sizes[0], *row_shape(spec, n)))
@@ -596,17 +524,12 @@ def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
 
 def estimate_risk(protocol: str, spec, trials: int, seed: int,
                   m: int = None, n: int = None, budget_bits: int = None) -> RiskReport:
-    """Run `trials` seeded protocol executions and report risk + bit stats.
-
-    Deterministic given (protocol, spec, trials, seed): data for machine i
-    comes from its TAG_DATA stream, protocol randomness from its TAG_PROTOCOL
-    stream, trials consuming consecutive blocks. The TAG_PROTOCOL streams are
-    built only for a protocol randomized on the spec: the one-bit scheme on
-    a law whose data can lie inside (-1, 1), not on two-point data, whose
-    bits need no uniforms. Trials run in chunks through
-    run_chunks, machine by machine; the results equal run_trial's, trial by
-    trial.
-    """
+    """RiskReport of `trials` >= 2 seeded runs of protocol on spec, each
+    trial's values equal to run_trial's. Deterministic given the arguments:
+    machine i draws its data from its TAG_DATA stream and, for a randomized
+    protocol, its uniforms from its TAG_PROTOCOL stream, trial after trial.
+    m and n follow families.run_shape. Raises InvalidArgumentError on a run
+    the protocol refuses."""
     if trials < 2:
         raise InvalidArgumentError("need at least 2 trials for a standard error")
     rec, m, n = _runnable(protocol, spec, m, n, budget_bits)
@@ -623,8 +546,7 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     pos = 0
     for k, (theta_hat, chunk_bits, chunk_flagged) in zip(sizes, chunks):
         diff = theta_hat - theta_true
-        # a stack of (1, d) @ (d, 1) products is one ddot per trial, the same
-        # rounding as diff @ diff on a single trial
+        # one ddot per trial: the rounding of diff @ diff on one trial
         sqerr[pos:pos + k] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
         bits[pos:pos + k] = chunk_bits
         flagged += int(np.count_nonzero(chunk_flagged))

@@ -1,20 +1,13 @@
 """Randomized instance constructors and named verification suites.
 
-Each suite draws seeded random finite instances, runs the matching
-enumeration check from infotheory, and gives one row per instance:
-(suite, instance_seed, lhs, rhs, slack, holds) with slack = rhs - lhs.
-An instance's draw makes only its rng calls, on its own generator, and keeps
-each table raw; `_finish` then does all the arithmetic (normalization, tilts,
-one-hot rows, products) once per stack of a block's raw tables of one kind.
-A public constructor is its raw draw finished as a stack of one.
-run_suite checks the instances of a block that share their params and table
-shapes as one stack: each infotheory body takes a stack of tables along axis
-0, which a public `check_*` (and `exact_min_hamming_test_error` here) builds
-as a stack of one. No table's or row's bytes depend on which instances share
-a stack. A quantizer is its (k_in, n_out) table P(y | x). Every table is
-strictly positive but a deterministic quantizer's 0/1 table, so
-preconditions (normalization, measured likelihood-ratio bounds,
-factorizations) hold exactly rather than by rejection.
+Each suite draws seeded random finite instances, checks each with the
+matching infotheory enumeration, and gives one SuiteRow per instance. A draw
+makes only its rng calls and keeps its tables raw; `_finish` does the
+arithmetic once per stack of a block's raw tables of one kind, and run_suite
+checks a block's instances of one params and table shape as one stack. No
+byte depends on which instances share a stack. Every table is strictly
+positive but a deterministic quantizer's, so the checks' preconditions hold
+exactly rather than by rejection.
 """
 
 from __future__ import annotations
@@ -32,6 +25,9 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class SuiteRow:
+    """One checked instance: its suite, instance seed, lhs, rhs and whether
+    lhs <= rhs held; slack is rhs - lhs."""
+
     suite: str
     seed: int
     lhs: float
@@ -52,9 +48,8 @@ SUITE_CSV_HEADER = "suite,seed,lhs,rhs,slack,holds"
 
 def _finish(instances):
     """Each instance's list of tables, raw tables finished. A raw table is a
-    tuple (finish, key, *parts) of its rng draws: finish takes each part
-    stacked over the raw tables of one (finish, key), across the instances,
-    and gives the stack of their tables."""
+    tuple (finish, key, *parts): finish takes each part stacked over the raw
+    tables of one (finish, key), across instances, and gives their tables."""
     tables = [list(t) for t in instances]
     groups = {}
     for row in tables:
@@ -141,12 +136,9 @@ def _chain_models(pa, base, delta, tilt, p_c1_b, p_c2_ac1, p_d_bc) -> np.ndarray
 
 
 def random_chain_model(rng) -> np.ndarray:
-    """(A, B, C, D) joint table satisfying the chain preconditions by construction.
-
-    C = (C1, C2) is produced sequentially: C1 from B, C2 from (A, C1); this
-    yields the exact factorization P(C | A, B) = phi1(A, C) phi2(B, C). D then
-    depends on (B, C) only.
-    """
+    """(A, B, C, D) joint table meeting the chain preconditions by
+    construction: C = (C1, C2) with C1 drawn from B and C2 from (A, C1), so
+    P(C | A, B) = phi1(A, C) phi2(B, C) exactly, and D depends on (B, C)."""
     return _table(_draw_chain(rng)[1][0])
 
 
@@ -163,11 +155,10 @@ def _message_kernels(*kernels) -> np.ndarray:
     return probs
 
 
-# A suite is a draw and a check. draw(rng) makes one instance's rng calls on
-# its own generator and gives its params, the scalars its check needs, and its
-# tables, raw or final; check(params, *stacks) takes the finished tables of
-# every instance with those params and table shapes, each stacked along axis
-# 0, and gives one (lhs, rhs, holds) per instance, in stack order.
+# A suite is a draw and a check. draw(rng) makes one instance's rng calls and
+# gives its params, the scalars its check needs, and its tables, raw or final;
+# check(params, *stacks) takes the finished tables of the instances with those
+# params and table shapes, stacked, and gives each one's (lhs, rhs, holds).
 
 def _draw_dpi3(rng):
     v_dim = int(rng.integers(1, 3))
@@ -282,11 +273,9 @@ def _hamming_test_errors(p_vx: np.ndarray, d: int, t: float) -> np.ndarray:
 
 
 def exact_min_hamming_test_error(p_vx: np.ndarray, d: int, t: float) -> float:
-    """Bayes-optimal error of locating V within Hamming radius t from X.
-
-    p_vx is the exact joint over (2**d sign patterns, X alphabet); the optimal
-    rule picks the center whose radius-t ball has maximal posterior mass.
-    """
+    """Bayes-optimal error of locating V within Hamming radius t from X,
+    p_vx the joint over (2**d sign patterns, X alphabet): the optimal rule
+    picks the center whose radius-t ball has maximal posterior mass."""
     it._check_hamming(d, t)
     p_vx = it._check_pmf(np.asarray(p_vx)[None], "(V, X) joint", 2)
     if p_vx.shape[1] != 2 ** d:
@@ -323,16 +312,13 @@ _SUITES = {"dpi3": (_draw_dpi3, _check_dpi3),
            "fano": (_draw_fano, _check_fano)}
 SUITE_NAMES = tuple(_SUITES)
 
-# Instances are drawn and finished BLOCK at a time; the instances of one block
-# that share their params and table shapes are checked as one stack. A row's
-# bytes depend on neither. The block bounds the raw draws, tables and stacks
-# held at once: on all seven suites at count 3000, a block of 128 peaked about
-# 1.5 MB of RSS above a block of one and 256 about 2.5 MB, and 128 took about
-# 15 % more time than 1024 and a block of one about four times as long.
+# Instances drawn, finished and checked at a time. It bounds what is held at
+# once: on all seven suites at count 3000, a block of 128 peaked about 1.5 MB
+# of RSS above a block of one and 256 about 2.5 MB, and 128 took about 15 %
+# more time than 1024 and a block of one about four times as long.
 BLOCK = 128
-# run_suite returns every row of a suite, and `verify` holds every suite's
-# rows before it writes any, about 0.5 KB per instance: at this count one
-# suite peaks near 90 MB of RSS.
+# `verify` holds every suite's rows before it writes any, about 0.5 KB per
+# instance: at this count one suite peaks near 90 MB of RSS.
 MAX_COUNT = 100_000
 
 
