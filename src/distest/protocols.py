@@ -113,32 +113,33 @@ def _row_dots(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-# The Newton decrement, in ulps of |ll|, under which a step is not searched.
+# The probit solver's exit settings. TAU is the Newton decrement, in ulps of
+# |ll|, under which a step is not searched.
 TAU = 1.0
+MAX_ITER = 100
+GRAD_TOL = 1e-9
+DIVERGE_NORM = 1e3
 
 
-def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
-                       diverge_norm: float = 1e3):
+def probit_mle_batched(design, z):
     """Damped Newton ascent of the concave probit log-likelihood for P
     problems that share one (n, d) design, z (P, n) holding their 0/1
     responses. Returns theta (P, d) and flagged (P,). Raises
-    InvalidArgumentError on any other shape, a non-finite design entry, a
-    response other than 0 or 1, or a setting outside max_iter >= 0 (an int),
-    grad_tol >= 0 and diverge_norm > 0.
+    InvalidArgumentError on any other shape, a non-finite design entry or a
+    response other than 0 or 1.
 
     With s = (2 z - 1) * (design @ theta), response j has likelihood
     Phi(s_j), so an evaluation makes one log_ndtr call. A problem stops on a
-    gradient norm under grad_tol, after max_iter iterations, on a Newton step
+    gradient norm under GRAD_TOL, after MAX_ITER iterations, on a Newton step
     that fails all 30 halvings, or on a Newton decrement grad @ step under
-    TAU ulps of |ll|: the quadratic model then predicts a rise under half an
-    ulp, which only rounding could give, so the step is not searched. It is
-    flagged, and its iterate clipped to [-1, 1], on a singular Newton system,
-    an iterate norm over diverge_norm, or an exit iterate with every s_j > 0
-    on the design's nonzero rows, which separates the data so that no MLE
-    exists. A zero row has s_j = 0 at every theta and carries no information,
-    so every local problem on the identity design is flagged. A problem gets
-    the same bytes alone as in any stack: each product is a stack of the
-    one-problem product, sent to the same BLAS call."""
+    TAU ulps of |ll|, where the quadratic model predicts a rise under half an
+    ulp, which only rounding could give. It is flagged, and its iterate
+    clipped to [-1, 1], on a singular Newton system, an iterate norm over
+    DIVERGE_NORM, or an exit iterate with every s_j > 0 on the design's
+    nonzero rows, which separates the data so that no MLE exists; a zero row
+    has s_j = 0 at every theta, so every local problem on the identity
+    design is flagged. A problem gets the same bytes alone as in any stack:
+    each product is a stack of the one-problem product, the same BLAS call."""
     log_ndtr = sys.modules[__name__].log_ndtr
     design = np.asarray(design, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -149,11 +150,6 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         raise InvalidArgumentError("probit design entries must be finite")
     if not np.all((z == 0.0) | (z == 1.0)):
         raise InvalidArgumentError("probit responses must be 0 or 1")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0
-            and grad_tol >= 0 and diverge_norm > 0):
-        raise InvalidArgumentError(f"probit solver needs an int max_iter >= 0, grad_tol >= 0 "
-                                   f"and diverge_norm > 0; got {max_iter!r}, {grad_tol!r} "
-                                   f"and {diverge_norm!r}")
     sign = 2.0 * z - 1.0
     theta = np.zeros((len(z), design.shape[1]))
     flagged = np.zeros(len(z), dtype=bool)
@@ -174,14 +170,14 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     ll, s, ls = loglik(z, sign, theta)  # at theta, by problem id as theta is
     s = s.copy()                        # its rows are written; log_ndtr saw it
     live = np.arange(len(z))  # ids of the problems still iterating
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not live.size:
             break
         sl = s[live]
         # lam = phi(s) / Phi(s), the inverse Mills ratio
         lam = np.exp(-sl * sl / 2.0 - 0.5 * math.log(2 * math.pi) - ls[live])
         grad = (design.T @ (sign[live] * lam)[..., None])[..., 0]
-        going = ~(np.sqrt(_row_dots(grad, grad)) < grad_tol)
+        going = ~(np.sqrt(_row_dots(grad, grad)) < GRAD_TOL)
         live, sl, lam, grad = (x[going] for x in (live, sl, lam, grad))
         hess = design.T @ ((lam * (lam + sl))[..., None] * design)
         try:
@@ -219,7 +215,7 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
         stopped[searching] = True
         live = live[~stopped[live]]
         th = theta[live]
-        diverged = np.sqrt(_row_dots(th, th)) > diverge_norm
+        diverged = np.sqrt(_row_dots(th, th)) > DIVERGE_NORM
         separated(live[diverged])
         live = live[~diverged]
     informative = design.any(axis=1)
@@ -228,12 +224,10 @@ def probit_mle_batched(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
     return theta, flagged
 
 
-def probit_mle(design, z, max_iter: int = 100, grad_tol: float = 1e-9,
-               diverge_norm: float = 1e3):
+def probit_mle(design, z):
     """probit_mle_batched on one problem: design (n, d) and n responses z.
     Returns theta (d,) and flagged as a bool."""
-    theta, flagged = probit_mle_batched(design, np.asarray(z)[None], max_iter, grad_tol,
-                                        diverge_norm)
+    theta, flagged = probit_mle_batched(design, np.asarray(z)[None])
     return theta[0], bool(flagged[0])
 
 

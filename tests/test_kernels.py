@@ -388,13 +388,13 @@ def test_singular_probit_hessian_is_flagged_by_kernel_and_reference(monkeypatch)
 # batch invariance of the damped Newton: a problem gets the same bytes solved
 # alone (probit_mle, the solver on a stack of one) as in a stack of many
 
-def assert_batch_invariant(a, z, **kw):
+def assert_batch_invariant(a, z):
     """probit_mle_batched on the problems z that share the design a gives
     each problem the theta bytes and flag that probit_mle gives it alone."""
-    theta, flagged = probit_mle_batched(a, z, **kw)
+    theta, flagged = probit_mle_batched(a, z)
     assert theta.shape == (len(z), a.shape[1]) and flagged.shape == (len(z),)
     for p in range(len(z)):
-        ref_theta, ref_flagged = probit_mle(a, z[p], **kw)
+        ref_theta, ref_flagged = probit_mle(a, z[p])
         assert np.array_equal(theta[p], ref_theta), f"problem {p}"
         assert flagged[p] == ref_flagged, f"problem {p}"
     return theta, flagged
@@ -434,7 +434,7 @@ def every_way_out_problems():
 
 
 def test_batched_newton_covers_every_way_out():
-    """One batch holds a problem that stops at grad_tol on iteration 0, one
+    """One batch holds a problem that stops at GRAD_TOL on iteration 0, one
     that separates (flagged) and random ones that converge, so the active
     set loses problems for different reasons in the same iterations."""
     a, z = every_way_out_problems()
@@ -443,16 +443,18 @@ def test_batched_newton_covers_every_way_out():
     assert flagged[17] and not flagged.all()
 
 
-def test_batched_newton_covers_exhausted_halvings():
-    """With grad_tol = 0 a problem stops only by separating (flagged), at
-    max_iter, or at a Newton step that cannot raise the log-likelihood: its
+def test_batched_newton_covers_exhausted_halvings(monkeypatch):
+    """With GRAD_TOL = 0 a problem stops only by separating (flagged), at
+    MAX_ITER, or at a Newton step that cannot raise the log-likelihood: its
     decrement is under TAU ulps of |ll|, or it fails all 30 halvings. An
-    unflagged problem whose result with max_iter = 50 equals its result with
+    unflagged problem whose result with MAX_ITER = 50 equals its result with
     100 stopped before iteration 50, so it stopped on such a step."""
+    monkeypatch.setattr(protocols, "GRAD_TOL", 0.0)
     a, z = random_probit_problems(30, 3, 40, seed=8)
-    theta, flagged = assert_batch_invariant(a, z, grad_tol=0.0)
+    theta, flagged = assert_batch_invariant(a, z)
+    monkeypatch.setattr(protocols, "MAX_ITER", 50)
     exhausted = [p for p in range(len(z)) if not flagged[p] and np.array_equal(
-        probit_mle(a, z[p], max_iter=50, grad_tol=0.0)[0], theta[p])]
+        probit_mle(a, z[p])[0], theta[p])]
     assert exhausted
 
 
@@ -526,14 +528,15 @@ def two_sided_probit_mle(design, z, max_iter=100, grad_tol=1e-9, diverge_norm=1e
     return theta, False
 
 
-def assert_matches_two_sided(a, z, **kw):
+def assert_matches_two_sided(a, z):
     """probit_mle, and probit_mle_batched on the problems z that share the
-    design a, give the two-sided solver's theta bytes and flag. Returns the
-    batch's flags."""
-    theta, flagged = probit_mle_batched(a, z, **kw)
+    design a, give the theta bytes and flag of the two-sided solver run with
+    the solver's settings. Returns the batch's flags."""
+    theta, flagged = probit_mle_batched(a, z)
+    settings = (protocols.MAX_ITER, protocols.GRAD_TOL, protocols.DIVERGE_NORM)
     for p in range(len(z)):
-        want_theta, want_flagged = two_sided_probit_mle(a, z[p], **kw)
-        got_theta, got_flagged = probit_mle(a, z[p], **kw)
+        want_theta, want_flagged = two_sided_probit_mle(a, z[p], *settings)
+        got_theta, got_flagged = probit_mle(a, z[p])
         assert got_theta.tobytes() == want_theta.tobytes(), f"problem {p}"
         assert theta[p].tobytes() == want_theta.tobytes(), f"problem {p}"
         assert got_flagged == flagged[p] == want_flagged, f"problem {p}"
@@ -547,6 +550,7 @@ def test_newton_evaluates_what_the_two_sided_form_evaluates(monkeypatch, grad_to
     the same order: every iteration and every halving, down to the last of
     the 30 halvings of an exhausted step."""
     scipy_log_ndtr = log_ndtr
+    monkeypatch.setattr(protocols, "GRAD_TOL", grad_tol)
     a, z = random_probit_problems(30, 3, 6, seed=8)
     for p in range(len(z)):
         oracle, solver = [], []
@@ -555,7 +559,7 @@ def test_newton_evaluates_what_the_two_sided_form_evaluates(monkeypatch, grad_to
         monkeypatch.setattr(protocols, "log_ndtr",
                             lambda s: solver.append(np.ravel(s)) or scipy_log_ndtr(s))
         two_sided_probit_mle(a, z[p], grad_tol=grad_tol)
-        probit_mle(a, z[p], grad_tol=grad_tol)
+        probit_mle(a, z[p])
         sign = 2.0 * z[p] - 1.0
         assert len(oracle) == 2 * len(solver), f"problem {p}"
         for got, u in zip(solver, oracle[::2]):
@@ -578,9 +582,10 @@ def test_signed_solvers_match_the_two_sided_form_on_every_way_out():
     assert_matches_two_sided(*every_way_out_problems())
 
 
-def test_signed_solvers_match_the_two_sided_form_on_exhausted_halvings():
+def test_signed_solvers_match_the_two_sided_form_on_exhausted_halvings(monkeypatch):
+    monkeypatch.setattr(protocols, "GRAD_TOL", 0.0)
     a, z = random_probit_problems(30, 3, 40, seed=8)
-    assert_matches_two_sided(a, z, grad_tol=0.0)
+    assert_matches_two_sided(a, z)
 
 
 def test_signed_solvers_read_a_negative_zero_response_as_zero():
@@ -608,19 +613,13 @@ def test_probit_solvers_take_only_finite_designs(bad):
             solve()
 
 
-@pytest.mark.parametrize("name,value", [
-    ("max_iter", -1), ("max_iter", 2.0), ("grad_tol", -1e-9), ("grad_tol", np.nan),
-    ("diverge_norm", 0.0), ("diverge_norm", -1.0), ("diverge_norm", np.nan)])
-def test_probit_solver_settings_are_checked(name, value):
-    """max_iter is an int >= 0, grad_tol >= 0 and diverge_norm > 0; NaN
-    fails each comparison, so it cannot turn a test off. The bounds
-    themselves are accepted: no iteration returns theta = 0 unflagged."""
+def test_probit_solver_with_no_iterations_returns_theta_zero(monkeypatch):
+    """MAX_ITER = 0 and GRAD_TOL = 0 are accepted: no iteration returns
+    theta = 0 unflagged."""
+    monkeypatch.setattr(protocols, "MAX_ITER", 0)
+    monkeypatch.setattr(protocols, "GRAD_TOL", 0.0)
     a, z = random_probit_problems(6, 2, 3, seed=4)
-    for solve in (lambda: probit_mle(a, z[1], **{name: value}),
-                  lambda: probit_mle_batched(a, z, **{name: value})):
-        with pytest.raises(InvalidArgumentError, match="^probit solver needs an int max_iter"):
-            solve()
-    theta, flagged = probit_mle(a, z[1], max_iter=0, grad_tol=0.0)
+    theta, flagged = probit_mle(a, z[1])
     assert theta.tolist() == [0.0, 0.0] and flagged is False
 
 
@@ -632,7 +631,7 @@ def test_a_separated_problem_that_leaves_on_the_gradient_test_is_flagged(monkeyp
     """One response of 1 on the design [[1.0]] is separated by every theta >
     0. Each evaluation raises the log-likelihood, so each is an accepted
     iterate; at the last one the gradient, the inverse Mills ratio, is under
-    grad_tol = 1e-9, so the solver left on the gradient test. It flags the
+    GRAD_TOL = 1e-9, so the solver left on the gradient test. It flags the
     problem and returns the iterate clipped to 1."""
     seen = []
     monkeypatch.setattr(protocols, "log_ndtr",
@@ -666,7 +665,7 @@ def test_separated_centralized_probit_trials_are_flagged_and_clipped():
     """The grid point of the singular-Hessian test with protocol =
     centralized: the pooled responses of trials 1, 18, 34 and 38 are
     strictly separated by their iterates, which stop far inside
-    diverge_norm. The kernel flags exactly these, clips them to [-1, 1],
+    DIVERGE_NORM. The kernel flags exactly these, clips them to [-1, 1],
     and agrees with the oracle on every trial."""
     m, n, d, seed = 3, 4, 2, 11
     spec = ProbitSpec(build_designs("orthogonal", m, n, d, seed), np.full(d, 0.9))
