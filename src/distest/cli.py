@@ -29,7 +29,7 @@ from .designs import DESIGN_KINDS, build_designs
 from .errors import ConfigError, DegenerateDesignError, InvalidArgumentError
 from .families import (BoundedProductSpec, GaussianLocationSpec, ProbitSpec,
                        RegressionSpec, UniformLocationSpec, design_eigenbounds)
-from .sweeps import SUITE_CSV_HEADER, SUITE_NAMES, run_suite
+from .sweeps import SUITE_CSV_HEADER, check_suite, run_suite
 
 GRID_KEYS = ("theta", "d", "m", "n", "sigma", "budget_bits")
 
@@ -379,9 +379,7 @@ def main(argv=None) -> int:
             return 0
         suites = [s.strip() for s in args.suites.split(",") if s.strip()]
         for name in suites:
-            if name not in SUITE_NAMES:
-                raise InvalidArgumentError(
-                    f"unknown suite {name!r}; choices: {', '.join(SUITE_NAMES)}")
+            check_suite(name)
         if not suites:
             raise InvalidArgumentError("no suites named")
         rows, violations = run_verify(suites, args.count, args.seed)

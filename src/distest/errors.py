@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule."""
+
+from numbers import Integral
 
 
 class InvalidArgumentError(ValueError):
@@ -19,3 +21,10 @@ class EnumerationTooLargeError(ValueError):
 
 class ConfigError(ValueError):
     """A config or query file failed to parse or validate."""
+
+
+def check_integer(value, what: str) -> None:
+    """Raise InvalidArgumentError unless value is an integer: a
+    numbers.Integral, numpy's included, that is not a bool."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise InvalidArgumentError(f"{what} must be an integer, not {value!r}")

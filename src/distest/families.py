@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDesignError, InvalidArgumentError,
-                     ReductionInfeasibleError)
+                     ReductionInfeasibleError, check_integer)
 
 TAG_DATA = 0
 TAG_PROTOCOL = 1
@@ -39,6 +39,7 @@ _PSD_TOL = 1e-9
 
 def machine_streams(seed: int, m: int, tag: int = TAG_DATA):
     """Generators of machines 0..m-1 under tag; see the seeding contract."""
+    check_integer(seed, "seed")
     return [np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(tag), i)))
             for i in range(m)]
 
@@ -275,7 +276,11 @@ def draw_trials(spec, gens, n: int, trials: int) -> np.ndarray:
 
 def run_shape(spec, m: int = None, n: int = None):
     """(m, n) of a run on spec. A design family fixes its own, and a given m
-    or n must match it; a mean family needs both, each at least 1."""
+    or n must match it; a mean family needs both, each at least 1. A given m
+    or n must be an integer."""
+    for what, value in (("m", m), ("n", n)):
+        if value is not None:
+            check_integer(value, what)
     if isinstance(spec, DesignSpec):
         if m is not None and m != spec.m:
             raise InvalidArgumentError("m must match the number of designs")

@@ -37,7 +37,7 @@ from .codec import (INDEPENDENT, INTERACTIVE, Message, QuantizerSpec, Transcript
                     bits_for_accuracy, ceil_log2, decode_improvement_message,
                     encode_improvement_message, pack_fields, quantize, dequantize,
                     transcript_total_bits, unpack_fields)  # noqa: F401
-from .errors import DegenerateDesignError, InvalidArgumentError
+from .errors import DegenerateDesignError, InvalidArgumentError, check_integer
 from .families import (TAG_DATA, TAG_PROTOCOL, TWO_POINT, BoundedProductSpec, DesignSpec,
                        GaussianLocationSpec, MeanSpec, ProbitSpec,
                        draw_trials, machine_streams, min_last_axis, row_shape,  # noqa: F401
@@ -422,6 +422,8 @@ PROTOCOLS = {
 def _runnable(protocol: str, spec, m: int, n: int, budget_bits):
     """The PROTOCOLS entry of protocol and the run's (m, n), once its rules
     accept the run; raises InvalidArgumentError where they do not."""
+    if budget_bits is not None:
+        check_integer(budget_bits, "budget_bits")
     rec = PROTOCOLS.get(protocol)
     if rec is None:
         raise InvalidArgumentError(f"unknown protocol id {protocol!r}")
@@ -524,6 +526,7 @@ def estimate_risk(protocol: str, spec, trials: int, seed: int,
     protocol, its uniforms from its TAG_PROTOCOL stream, trial after trial.
     m and n follow families.run_shape. Raises InvalidArgumentError on a run
     the protocol refuses."""
+    check_integer(trials, "trials")
     if trials < 2:
         raise InvalidArgumentError("need at least 2 trials for a standard error")
     rec, m, n = _runnable(protocol, spec, m, n, budget_bits)

@@ -16,12 +16,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
 from . import infotheory as it
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 
 @dataclass(frozen=True)
 class SuiteRow:
@@ -322,15 +321,19 @@ BLOCK = 128
 MAX_COUNT = 100_000
 
 
+def check_suite(name: str) -> None:
+    """Raise InvalidArgumentError unless name is one of SUITE_NAMES."""
+    if name not in _SUITES:
+        raise InvalidArgumentError(f"unknown suite {name!r}; choices: {', '.join(SUITE_NAMES)}")
+
+
 def run_suite(name: str, count: int, seed: int):
     """Run `count` seeded instances of a named suite; returns their SuiteRows
     in instance order. Instance i is drawn from its own generator, seeded
     (base + 977 i) mod 2**63."""
-    if name not in _SUITES:
-        raise InvalidArgumentError(f"unknown suite {name!r}; choices: {SUITE_NAMES}")
-    for what, arg in (("instance count", count), ("seed", seed)):
-        if not isinstance(arg, Integral) or isinstance(arg, bool):
-            raise InvalidArgumentError(f"{what} must be an integer, not {arg!r}")
+    check_suite(name)
+    check_integer(count, "instance count")
+    check_integer(seed, "seed")
     if not 1 <= count <= MAX_COUNT:
         raise InvalidArgumentError(f"instance count must be in [1, {MAX_COUNT}]")
     if seed < 0:

@@ -876,6 +876,12 @@ class TestStackedSuites:
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             sweeps.run_suite("dpi3", count, seed)
 
+    def test_an_unknown_suite_is_refused_with_the_cli_text(self):
+        text = f"unknown suite 'nosuch'; choices: {', '.join(sweeps.SUITE_NAMES)}"
+        with pytest.raises(InvalidArgumentError) as err:
+            sweeps.run_suite("nosuch", 1, 0)
+        assert str(err.value) == text
+
     def test_numpy_integers_are_integers(self):
         rows = sweeps.run_suite("dpi3", np.int64(3), np.uint8(1))
         assert [r.csv_row() for r in rows] == [r.csv_row() for r in sweeps.run_suite("dpi3", 3, 1)]

@@ -481,6 +481,43 @@ def test_design_family_rejects_a_mismatched_m_or_n(m, n):
     assert estimate_risk("regress_avg", spec, trials=4, seed=0, m=3, n=10).trials == 4
 
 
+ONEBIT_SPEC = BoundedProductSpec(np.zeros(2))
+QMEAN_SPEC = BoundedProductSpec(np.zeros(1))
+
+
+def onebit_risk(trials=50, seed=1, m=4, n=1):
+    return estimate_risk("onebit", ONEBIT_SPEC, trials, seed, m=m, n=n)
+
+
+@pytest.mark.parametrize("run,text", [
+    (lambda: onebit_risk(seed=1.7), "seed must be an integer, not 1.7"),
+    (lambda: onebit_risk(seed=True), "seed must be an integer, not True"),
+    (lambda: sample(ONEBIT_SPEC, 4, 1, seed=2.9), "seed must be an integer, not 2.9"),
+    (lambda: machine_streams(np.float64(3.0), 2), "seed must be an integer, not "),
+    (lambda: onebit_risk(trials=50.0), "trials must be an integer, not 50.0"),
+    (lambda: onebit_risk(m=4.0), "m must be an integer, not 4.0"),
+    (lambda: onebit_risk(n=True), "n must be an integer, not True"),
+    (lambda: sample(ONEBIT_SPEC, 4, 1.0), "n must be an integer, not 1.0"),
+    (lambda: estimate_risk("single_mean", QMEAN_SPEC, 50, 1, m=1, n=1, budget_bits=6.5),
+     "budget_bits must be an integer, not 6.5"),
+    (lambda: run_trial("single_mean", QMEAN_SPEC, np.zeros((1, 1, 1)), budget_bits=6.5),
+     "budget_bits must be an integer, not 6.5"),
+], ids=["seed", "seed-bool", "sample-seed", "streams-seed", "trials", "m", "n-bool",
+        "sample-n", "budget_bits", "run_trial-budget_bits"])
+def test_counts_and_seed_must_be_integers(run, text):
+    """A seed, trial count, m, n or budget that is not an integer is refused
+    where it enters, not truncated or left to fail inside numpy."""
+    with pytest.raises(InvalidArgumentError, match=f"^{text}"):
+        run()
+
+
+def test_numpy_integers_are_integers():
+    got = onebit_risk(np.int64(50), np.uint8(1), np.int32(4), np.int64(1))
+    assert got == onebit_risk()
+    assert np.array_equal(sample(ONEBIT_SPEC, np.int64(4), 1, seed=np.int16(2)),
+                          sample(ONEBIT_SPEC, 4, 1, seed=2))
+
+
 @pytest.mark.parametrize("run", [lambda: sample(object(), 2, 1),
                                  lambda: estimate_risk("onebit", object(), 10, 1, m=2, n=1),
                                  lambda: run_trial("onebit", object(), np.zeros((2, 1, 1)))],
