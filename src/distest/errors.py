@@ -23,8 +23,13 @@ class ConfigError(ValueError):
     """A config or query file failed to parse or validate."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer: a numbers.Integral, numpy's included,
+    that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def check_integer(value, what: str) -> None:
-    """Raise InvalidArgumentError unless value is an integer: a
-    numbers.Integral, numpy's included, that is not a bool."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
+    """Raise InvalidArgumentError unless is_integer(value)."""
+    if not is_integer(value):
         raise InvalidArgumentError(f"{what} must be an integer, not {value!r}")

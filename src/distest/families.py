@@ -6,8 +6,9 @@ family and (m, n) responses for a design family. Each spec class holds its
 family's rules: fill(i, gen, row) fills machine i's row of a run of trials
 in place, in its formula's order of operations, and pooled(x) is the
 centralized estimator on a (k, m, *row) stack of whole samples, giving
-theta_hat (k, d) and flagged (k,). run_shape is the one rule for a run's
-(m, n).
+theta_hat (k, d) and flagged (k,). A mean family's fill is draw(gen, row),
+its one rng call, then finish(row), its in-place map of the draw onto the
+law. run_shape is the one rule for a run's (m, n).
 
 Seeding contract
 ----------------
@@ -38,8 +39,11 @@ _PSD_TOL = 1e-9
 
 
 def machine_streams(seed: int, m: int, tag: int = TAG_DATA):
-    """Generators of machines 0..m-1 under tag; see the seeding contract."""
+    """Generators of machines 0..m-1 under tag; see the seeding contract.
+    Raises InvalidArgumentError unless seed is an integer >= 0."""
     check_integer(seed, "seed")
+    if seed < 0:
+        raise InvalidArgumentError("seed must be >= 0")
     return [np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(tag), i)))
             for i in range(m)]
 
@@ -69,6 +73,13 @@ class MeanSpec:
     def d(self) -> int:
         return self.theta.size
 
+    def fill(self, i: int, gen, row) -> None:
+        self.draw(gen, row)
+        self.finish(row)
+
+    def draw(self, gen, row) -> None:
+        gen.random(out=row)
+
     def pooled(self, x):
         return x.mean(axis=(1, 3)), np.zeros(len(x), dtype=bool)
 
@@ -84,9 +95,11 @@ class GaussianLocationSpec(MeanSpec):
         if not 0 < self.sigma < math.inf:
             raise InvalidArgumentError("sigma must be positive and finite")
 
-    def fill(self, i: int, gen, row) -> None:
-        # theta + sigma * z as row *= sigma; row += theta: the same bytes in IEEE
+    def draw(self, gen, row) -> None:
         gen.standard_normal(out=row)
+
+    def finish(self, row) -> None:
+        # theta + sigma * z as row *= sigma; row += theta: the same bytes in IEEE
         row *= self.sigma
         row += self.theta[:, None]
 
@@ -108,9 +121,8 @@ class BoundedProductSpec(MeanSpec):
         if self.law not in (TWO_POINT, UNIFORM_INTERVAL):
             raise InvalidArgumentError(f"unknown bounded law {self.law!r}")
 
-    def fill(self, i: int, gen, row) -> None:
+    def finish(self, row) -> None:
         theta = self.theta[:, None]
-        gen.random(out=row)
         if self.law == TWO_POINT:
             # [u < p] as 1.0 / 0.0, then 2 z - 1: the +/-1 of np.where
             np.less(row, (1.0 + theta) / 2.0, out=row)
@@ -127,8 +139,7 @@ class BoundedProductSpec(MeanSpec):
 class UniformLocationSpec(MeanSpec):
     """Coordinate j uniform on [theta_j - 1, theta_j + 1]."""
 
-    def fill(self, i: int, gen, row) -> None:
-        gen.random(out=row)
+    def finish(self, row) -> None:
         row *= 2.0
         row -= 1.0
         row += self.theta[:, None]

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
-from .errors import EnumerationTooLargeError, InvalidArgumentError
+from .errors import EnumerationTooLargeError, InvalidArgumentError, is_integer
 
 ENUMERATION_CEILING = 1 << 20
 SLACK = 1e-10
@@ -123,7 +122,7 @@ def mutual_information(joint, axis_a: int, axis_b: int) -> float:
 
 def _check_hamming(d: int, t: float) -> None:
     """Raise unless d is an integer >= 1 and the radius t is finite and >= 0."""
-    if not (isinstance(d, Integral) and d >= 1 and 0 <= t < math.inf):
+    if not (is_integer(d) and d >= 1 and 0 <= t < math.inf):
         raise InvalidArgumentError("need an integer d >= 1 and a finite t >= 0")
 
 
@@ -227,7 +226,7 @@ def _product_channel(rows: np.ndarray, v_dim: int, machines: int = 1):
     machine-major, machine i's coordinate j depending on v_j alone."""
     if rows.shape[1] != 2:
         raise InvalidArgumentError("per-coordinate channels take the binary input {-1, +1}")
-    if not all(isinstance(s, Integral) and s >= 1 for s in (v_dim, machines)):
+    if not all(is_integer(s) and s >= 1 for s in (v_dim, machines)):
         raise InvalidArgumentError("need integers v_dim >= 1 and machines >= 1")
     k = rows.shape[2]
     n_coords = int(machines) * int(v_dim)

@@ -18,6 +18,13 @@ machines rounds by memory layout, so the float fusions reduce one C-ordered
 trial-major copy, adding in the machines' order as run_trial does. Only the
 one-bit scheme draws uniforms, and only off two-point data: on +/-1 data its
 bit u < (1 + x) / 2 is x > 0 for every u in [0, 1).
+
+Where a message depends on the raw draw alone, a Protocol's raw step reads
+spec.draw's row and skips the family's map spec.finish: the one-bit bit on
+two-point data is fill's own comparison u < (1 + theta_j) / 2, and the
+interactive minimum maps each machine's raw minimum, where the map does not
+decrease. The steps on the finished row stay, as run_trial's path and the
+oracle the raw steps are tested against.
 """
 
 from __future__ import annotations
@@ -253,12 +260,44 @@ def _onebit_local(spec, i, row, uniforms):
     return uniforms < x
 
 
+def _onebit_raw(spec, k):
+    # two-point x is +1 exactly where fill's uniform u < (1 + theta_j) / 2,
+    # so the bit x > 0 is that comparison on the raw row, made against a
+    # contiguous threshold block of at most THRESHOLD_VALUES values
+    if spec.law != TWO_POINT:
+        return None
+    block = min(k, max(1, THRESHOLD_VALUES // spec.d))
+    threshold = np.tile((1.0 + spec.theta) / 2.0, (block, 1))
+
+    def local(raw):
+        u = raw[..., 0]
+        bits = np.empty(u.shape, dtype=bool)
+        for s in range(0, len(u), block):
+            np.less(u[s:s + block], threshold[:len(u) - s], out=bits[s:s + block])
+        return bits
+    return local
+
+
 def _onebit_fuse(spec, qspec, messages):
     m, k, d = messages.shape
-    # an exact integer sum, so this is the mean of the decoded cells 2 z - 1
-    # bit for bit; the buffer stays bools, one byte per value
-    ones = messages.sum(axis=0)
+    # an exact integer sum (m < 2^31), so this is the mean of the decoded
+    # cells 2 z - 1 bit for bit; the buffer stays bools, one byte per value
+    ones = messages.sum(axis=0, dtype=np.int32)
     return (2.0 * ones - m) / m, np.full(k, m * d, dtype=np.int64), np.zeros(k, dtype=bool)
+
+
+def _uniform_min_raw(spec, k):
+    # every mean family's map but two-point's is nondecreasing and rounds
+    # monotonically, so the map of the raw minimum is the minimum of the
+    # mapped row, up to the sign of a zero tie as min_last_axis
+    if isinstance(spec, BoundedProductSpec) and spec.law == TWO_POINT:
+        return None
+
+    def local(raw):
+        low = min_last_axis(raw)[..., None]
+        spec.finish(low)
+        return low[..., 0]
+    return local
 
 
 def _uniform_min_fuse(spec, qspec, local_min):
@@ -384,6 +423,9 @@ class Protocol:
     bound: str = None         # lower-bound formula id replacing the family's
     # spec -> whether the local step reads (k, d) TAG_PROTOCOL uniforms
     randomized: Callable = lambda spec: False
+    # (spec, k) -> a local step on a mean family's raw draw of up to k trials,
+    # raw -> the same messages as local on the filled row; or None
+    raw: Callable = lambda spec, k: None
     check: Callable = lambda spec, m, n, budget_bits: None  # raises on a run it refuses
     target: Callable = lambda theta: theta    # theta -> what the estimate is scored against
 
@@ -404,11 +446,12 @@ PROTOCOLS = {
     "onebit": Protocol(INDEPENDENT, (BoundedProductSpec,), _onebit_local,
                        lambda *run: QuantizerSpec(-1.0, 3.0, 1, codec.ROUND_DOWN),
                        _onebit_fuse, bound="prop2", check=_onebit_check,
-                       randomized=lambda spec: spec.law != TWO_POINT),
+                       randomized=lambda spec: spec.law != TWO_POINT, raw=_onebit_raw),
     "uniform_min": Protocol(INTERACTIVE, (MeanSpec,), lambda spec, i, row, u: min_last_axis(row),
                             lambda spec, m, n, budget_bits: QuantizerSpec(
                                 -2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN),
-                            _uniform_min_fuse, _encode_improvements, _decode_improvements),
+                            _uniform_min_fuse, _encode_improvements, _decode_improvements,
+                            raw=_uniform_min_raw),
     "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local,
                             lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
     "probit_avg": Protocol(INDEPENDENT, (ProbitSpec,), _probit_local,
@@ -485,7 +528,13 @@ CHUNK_VALUES = 4_000_000
 # run holds one machine's row, 1/m of them, beside the message buffer, which
 # fits the budget too (but for probit's d + 1 values at d = n = 1). The
 # centralized fusion copies its raw rows trial-major, so it holds 2 x 32 MB.
+# The one-bit scheme on two-point data adds one threshold block, built once
+# per run, of at most THRESHOLD_VALUES (256 KB). Against the broadcast (d,)
+# thresholds numpy's inner loop ran d values at a time, 3 times as long; on
+# a 2-vCPU x86-64 host, blocks of 2^14 values took 1.2 times as long as
+# blocks of 2^15 or 2^16, and one block for a 160000-value row 1.7 times.
 WORKING_VALUES = 4_000_000
+THRESHOLD_VALUES = 1 << 15
 
 
 def _chunk_sizes(trials: int, per_trial_values: int):
@@ -496,22 +545,28 @@ def _chunk_sizes(trials: int, per_trial_values: int):
 def run_chunks(protocol: str, spec, n: int, sizes, data_gens, proto_gens=None,
                budget_bits: int = None):
     """Yield (theta_hat, bits, flagged) of each chunk of sizes[c] trials,
-    sizes[0] the largest. data_gens[i] feeds machine i's spec.fill, and
+    sizes[0] the largest. data_gens[i] feeds machine i's spec.fill, or its
+    spec.draw where rec.raw gives a local step on the raw draw, and
     proto_gens[i] its uniforms where the protocol is randomized on the spec
-    (proto_gens is not read otherwise and may be None). The grid is resolved
-    before the first draw."""
+    (proto_gens is not read otherwise and may be None). The grid and the
+    raw step are resolved before the first draw."""
     rec = PROTOCOLS[protocol]
     qspec = rec.grid(spec, len(data_gens), n, budget_bits)
     row = np.empty((sizes[0], *row_shape(spec, n)))
     randomized = rec.randomized(spec)
     uniforms = np.empty((sizes[0], spec.d)) if randomized else None
+    raw = rec.raw(spec, sizes[0])
     messages = None
     for k in sizes:
         for i, gen in enumerate(data_gens):
-            spec.fill(i, gen, row[:k])
-            if randomized:
-                proto_gens[i].random(out=uniforms[:k])
-            sent = rec.local(spec, i, row[:k], uniforms[:k] if randomized else None)
+            if raw is not None:
+                spec.draw(gen, row[:k])
+                sent = raw(row[:k])
+            else:
+                spec.fill(i, gen, row[:k])
+                if randomized:
+                    proto_gens[i].random(out=uniforms[:k])
+                sent = rec.local(spec, i, row[:k], uniforms[:k] if randomized else None)
             if messages is None:
                 messages = np.empty((len(data_gens), sizes[0], *sent.shape[1:]), sent.dtype)
             messages[i, :k] = sent

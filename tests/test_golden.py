@@ -4,8 +4,8 @@ The files under tests/golden/ pin what the code produces. A change that
 moves any of them must say why in CHANGES.md. To regenerate them, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the root of a checkout;
 it also prints the digests that ``WIDE_VERIFY_SHA256``,
-``BENCH_VERIFY_SHA256``, ``WIDE_SIMULATE_SHA256``, ``DEMO_06_SHA256``,
-``SOLVER_EVALUATIONS`` and ``TRANSCRIPT_SHA256`` hold.
+``BENCH_VERIFY_SHA256``, ``BENCH_SIMULATE_SHA256``, ``WIDE_SIMULATE_SHA256``,
+``DEMO_06_SHA256``, ``SOLVER_EVALUATIONS`` and ``TRANSCRIPT_SHA256`` hold.
 """
 
 from __future__ import annotations
@@ -59,6 +59,15 @@ SOLVER_EVALUATIONS = (411, 309030,
 # at budget_bits = 7: its kind, then each message's machine, round, payload
 # length and payload value, so a change to what goes on the wire moves it.
 TRANSCRIPT_SHA256 = "b288c5b116dd23368e0b32f95cd8c180596620c60fb27d3706a15ca24ec53257"
+
+# sha256 of `simulate` on each simulate workload of the benchmark, read
+# from its config under bench/configs/ at the seed it holds.
+BENCH_CONFIGS = ROOT / "bench" / "configs"
+BENCH_SIMULATE_SHA256 = {
+    "onebit_sweep": "6d70dc8ed70b7e0870fff145f2ef40ac7b034772acc109a41a88d959db7fa25b",
+    "uniform_interactive": "bdfcd7c7f83053729804c510de56e77be77c9eaffa61d013e855c7df6887107e",
+    "probit_avg": "d2c5e5d78d0aaca8d4d037a2921d05db0f90f44a7ea305bf3ebe68752622de86",
+}
 
 MATRIX_PROTOCOLS = ("single_mean", "gauss_qavg", "onebit", "uniform_min",
                     "regress_avg", "probit_avg", "centralized")
@@ -141,6 +150,11 @@ def _wide_simulate_digest() -> str:
     return hashlib.sha256(_every_pair(WIDE_SIMULATE_GRID).encode("utf-8")).hexdigest()
 
 
+def _bench_simulate_digest(workload: str, tmp: Path) -> str:
+    text = _cli(["simulate", str(BENCH_CONFIGS / f"{workload}.conf")], tmp)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _solver_evaluations():
     log_ndtr = protocols.log_ndtr
     sha, seen = hashlib.sha256(), [0, 0]
@@ -214,6 +228,11 @@ def test_bench_verify_digest(tmp_path):
     assert hashlib.sha256(got).hexdigest() == BENCH_VERIFY_SHA256
 
 
+@pytest.mark.parametrize("workload", sorted(BENCH_SIMULATE_SHA256))
+def test_bench_simulate_digest(workload, tmp_path):
+    assert _bench_simulate_digest(workload, tmp_path) == BENCH_SIMULATE_SHA256[workload]
+
+
 def test_wide_simulate_digest():
     assert _wide_simulate_digest() == WIDE_SIMULATE_SHA256
 
@@ -248,6 +267,8 @@ if __name__ == "__main__":
         for name, args in (("WIDE", WIDE_VERIFY_ARGS), ("BENCH", BENCH_VERIFY_ARGS)):
             text = _cli(args, Path(tmp)).encode("utf-8")
             print(f"{name}_VERIFY_SHA256 = {hashlib.sha256(text).hexdigest()!r}")
+        print(f"BENCH_SIMULATE_SHA256 = "
+              f"{ {w: _bench_simulate_digest(w, Path(tmp)) for w in BENCH_SIMULATE_SHA256}!r}")
         print(f"WIDE_SIMULATE_SHA256 = {_wide_simulate_digest()!r}")
         print(f"DEMO_06_SHA256 = {_demo_06_digest()!r}")
         print(f"SOLVER_EVALUATIONS = {_solver_evaluations()!r}")

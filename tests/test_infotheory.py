@@ -274,8 +274,13 @@ class TestRejections:
                                     machines=1.5),
         lambda: check_tensorization(1.0, [TWO_POINT], [np.eye(2)]),
         lambda: it.product_channel(TWO_POINT, 2.0),
+        lambda: hamming_neighborhood_size(True, 0.5),
+        lambda: it.product_channel(TWO_POINT, True),
+        lambda: check_dpi_truncated(1, TWO_POINT, np.eye(2), np.array([True, True]),
+                                    machines=True),
     ], ids=["neighborhood", "fano", "exact_test", "dpi_independent", "dpi_truncated",
-            "tensorization", "product_channel"])
+            "tensorization", "product_channel", "neighborhood-bool", "product_channel-bool",
+            "dpi_truncated-bool"])
     def test_non_integer_sizes(self, call):
         with pytest.raises(InvalidArgumentError, match="integer"):
             call()

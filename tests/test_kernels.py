@@ -34,8 +34,8 @@ from distest.protocols import (PROTOCOLS, probit_mle, probit_mle_batched,
 TRIALS = 60
 
 
-def make_spec(family, m, n, d, seed=3):
-    theta = np.linspace(-0.4, 0.3, d)
+def make_spec(family, m, n, d, seed=3, theta=None):
+    theta = np.linspace(-0.4, 0.3, d) if theta is None else np.asarray(theta)
     if family == "gaussian":
         return GaussianLocationSpec(theta, 0.7)
     if family == "bounded_two_point":
@@ -239,20 +239,40 @@ def test_pooled_on_a_stack_of_one_is_the_kernel(protocol, family, m, n, d):
         assert got_flagged[0] == flagged[t], f"trial {t}"
 
 
-@pytest.mark.parametrize("protocol,family,m,n,d", [
-    ("onebit", "bounded_two_point", 12, 1, 5),
-    ("uniform_min", "uniform", 8, 16, 3),
-    ("gauss_qavg", "gaussian", 40, 3, 1),
-    ("probit_avg", "probit", 4, 12, 2),
-    ("centralized", "regression", 4, 6, 2),
-])
-def test_run_chunks_hands_fuse_one_plane_per_machine(monkeypatch, protocol, family, m, n, d):
+# theta at both ends of [-1, 1], where a two-point coordinate is constant
+# and a uniform_interval one has zero width
+EDGE_THETA = (-1.0, -0.4, 0.0, 0.3, 1.0)
+
+
+PLANE_CASES = [
+    ("onebit", "bounded_two_point", 12, 1, 5, None, True),
+    ("onebit", "bounded_two_point", 6, 1, 5, EDGE_THETA, True),
+    ("uniform_min", "uniform", 8, 16, 3, None, True),
+    ("uniform_min", "uniform", 5, 4, 5, EDGE_THETA, True),
+    ("uniform_min", "gaussian", 5, 4, 5, EDGE_THETA, True),
+    ("uniform_min", "bounded_uniform", 5, 4, 5, EDGE_THETA, True),
+    ("uniform_min", "bounded_two_point", 5, 4, 5, EDGE_THETA, False),
+    ("gauss_qavg", "gaussian", 40, 3, 1, None, False),
+    ("probit_avg", "probit", 4, 12, 2, None, False),
+    ("centralized", "regression", 4, 6, 2, None, False),
+]
+
+
+@pytest.mark.parametrize("protocol,family,m,n,d,theta,raw", PLANE_CASES, ids=[
+    "-".join(map(str, case[:5])) + ("" if case[5] is None else "-edge") for case in PLANE_CASES])
+def test_run_chunks_hands_fuse_one_plane_per_machine(monkeypatch, protocol, family, m, n, d,
+                                                     theta, raw):
     """run_chunks hands fuse a machine-major (m, k, ...) buffer: plane i, one
     contiguous block, holds what machine i's local step sends for the
     chunk's k trials. The run's 60 trials go in chunks of 25, 25 and 10, so
-    the last chunk reads the first 10 trials of each reused plane."""
-    spec = make_spec(family, m, n, d)
+    the last chunk reads the first 10 trials of each reused plane. Where
+    the protocol reads the raw draw, its step must send what the local step
+    sends on the filled row; the one-bit threshold block is cut to 8
+    trials, so each chunk ends in a partial block."""
+    spec = make_spec(family, m, n, d, theta=theta)
     rec = PROTOCOLS[protocol]
+    monkeypatch.setattr(protocols, "THRESHOLD_VALUES", 8 * d)
+    assert (rec.raw(spec, 25) is not None) == raw
     seen = []
 
     def recording(spec, qspec, messages):

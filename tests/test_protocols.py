@@ -494,6 +494,8 @@ def onebit_risk(trials=50, seed=1, m=4, n=1):
     (lambda: onebit_risk(seed=True), "seed must be an integer, not True"),
     (lambda: sample(ONEBIT_SPEC, 4, 1, seed=2.9), "seed must be an integer, not 2.9"),
     (lambda: machine_streams(np.float64(3.0), 2), "seed must be an integer, not "),
+    (lambda: onebit_risk(seed=-1), "seed must be >= 0$"),
+    (lambda: sample(ONEBIT_SPEC, 4, 1, seed=-1), "seed must be >= 0$"),
     (lambda: onebit_risk(trials=50.0), "trials must be an integer, not 50.0"),
     (lambda: onebit_risk(m=4.0), "m must be an integer, not 4.0"),
     (lambda: onebit_risk(n=True), "n must be an integer, not True"),
@@ -502,11 +504,13 @@ def onebit_risk(trials=50, seed=1, m=4, n=1):
      "budget_bits must be an integer, not 6.5"),
     (lambda: run_trial("single_mean", QMEAN_SPEC, np.zeros((1, 1, 1)), budget_bits=6.5),
      "budget_bits must be an integer, not 6.5"),
-], ids=["seed", "seed-bool", "sample-seed", "streams-seed", "trials", "m", "n-bool",
+], ids=["seed", "seed-bool", "sample-seed", "streams-seed", "seed-negative",
+        "sample-seed-negative", "trials", "m", "n-bool",
         "sample-n", "budget_bits", "run_trial-budget_bits"])
 def test_counts_and_seed_must_be_integers(run, text):
-    """A seed, trial count, m, n or budget that is not an integer is refused
-    where it enters, not truncated or left to fail inside numpy."""
+    """A seed, trial count, m, n or budget that is not an integer, or a
+    negative seed, is refused where it enters, not truncated or left to
+    fail inside numpy."""
     with pytest.raises(InvalidArgumentError, match=f"^{text}"):
         run()
 
