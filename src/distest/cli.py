@@ -34,7 +34,7 @@ from .sweeps import SUITE_CSV_HEADER, check_suite, run_suite
 GRID_KEYS = ("theta", "d", "m", "n", "sigma", "budget_bits")
 
 # Machines in a simulate config, each with its own generator (about 0.1 ms
-# and 1 KB); checked, with protocols.CHUNK_VALUES, before anything is built.
+# and 1 KB); checked, with protocols.WORKING_VALUES, before anything is built.
 MAX_MACHINES = 10_000
 
 SIMULATE_HEADER = ("protocol,family,design,d,m,n,sigma,theta,budget_bits,"
@@ -139,20 +139,18 @@ class Family:
     spec: Callable              # (theta, sigma, designs or None) -> spec
     rate: str                   # bounds.centralized_rate family id
     bound: str                  # FORMULAS id, unless the protocol overrides it
-    uses_sigma: bool = False    # the rates take sigma^2; otherwise sigma^2 = 1
     uses_designs: bool = False  # the spec is built on build_designs(...)
 
 
 FAMILIES = {
-    "gaussian": Family(lambda t, s, a: GaussianLocationSpec(t, s), "gaussian", "thm2",
-                       uses_sigma=True),
+    "gaussian": Family(lambda t, s, a: GaussianLocationSpec(t, s), "gaussian", "thm2"),
     "bounded_two_point": Family(lambda t, s, a: BoundedProductSpec(t, "two_point"),
                                 "bounded", "prop2"),
     "bounded_uniform": Family(lambda t, s, a: BoundedProductSpec(t, "uniform_interval"),
                               "bounded", "prop2"),
     "uniform": Family(lambda t, s, a: UniformLocationSpec(t), "uniform", "prop3_lower"),
     "regression": Family(lambda t, s, a: RegressionSpec(a, t, s), "regression", "cor1_lower",
-                         uses_sigma=True, uses_designs=True),
+                         uses_designs=True),
     "probit": Family(lambda t, s, a: ProbitSpec(a, t), "regression", "cor2_lower",
                      uses_designs=True),
 }
@@ -179,7 +177,7 @@ def _simulate_point(protocol, family, design_kind, theta, d, m, n, sigma,
         with np.errstate(all="raise", under="ignore"):  # an overflow raises, not warns
             report = proto.estimate_risk(protocol, spec, trials, seed, m=m, n=n,
                                          budget_bits=budget_bits)
-        s2 = sigma_or_1 ** 2 if fam.uses_sigma else 1.0
+        s2 = getattr(spec, "sigma", 1.0) ** 2    # the rates take sigma^2, 1 without one
         central = bnd.centralized_rate(fam.rate, d, m, n, s2)
         lmax2, lmin2 = design_eigenbounds(designs) if designs else (None, None)
         bits = report.bits_mean
@@ -214,8 +212,8 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
     trials = _single(config, "trials", cast=int)
     if trials < 2:
         raise ConfigError("trials must be >= 2")
-    if trials > proto.CHUNK_VALUES:
-        raise ConfigError(f"trials = {trials} is above the ceiling of {proto.CHUNK_VALUES}")
+    if trials > proto.WORKING_VALUES:
+        raise ConfigError(f"trials = {trials} is above the ceiling of {proto.WORKING_VALUES}")
     seed = _single(config, "seed", default=0, cast=int)
     if seed < 0:
         raise ConfigError("seed must be >= 0")
@@ -237,9 +235,9 @@ def run_simulate(config: dict, gnuplot_hints: bool = False):
         raise ConfigError("d, m and n must be >= 1")
     if max(ms) > MAX_MACHINES:
         raise ConfigError(f"m = {max(ms)} is above the ceiling of {MAX_MACHINES} machines")
-    if max(ms) * max(ds) * max(ns) > proto.CHUNK_VALUES:
+    if max(ms) * max(ds) * max(ns) > proto.WORKING_VALUES:
         raise ConfigError(f"m * d * n = {max(ms) * max(ds) * max(ns)} values per trial "
-                          f"is above the ceiling of {proto.CHUNK_VALUES}")
+                          f"is above the ceiling of {proto.WORKING_VALUES}")
 
     rows = [_simulate_point(protocol, family, design_kind, theta, d, m, n, sigma,
                             budget_bits, trials, seed)

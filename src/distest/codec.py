@@ -43,9 +43,6 @@ class BitString:
         if not 0 <= self.value < (1 << self.length):
             raise InvalidArgumentError("BitString value does not fit in length bits")
 
-    def __len__(self) -> int:
-        return self.length
-
     def __add__(self, other: "BitString") -> "BitString":
         return BitString((self.value << other.length) | other.value,
                          self.length + other.length)
@@ -143,10 +140,6 @@ class QuantizerSpec:
     @property
     def cells(self) -> int:
         return 1 << self.bits
-
-    @property
-    def cell_width(self) -> float:
-        return (self.hi - self.lo) / self.cells
 
 
 def bits_for_accuracy(lo: float, hi: float, eps: float) -> int:

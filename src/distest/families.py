@@ -80,6 +80,14 @@ class MeanSpec:
     def draw(self, gen, row) -> None:
         gen.random(out=row)
 
+    def finished_min(self, raw):
+        """min_last_axis of the finished row, from raw, a (..., n) row of
+        draw's values, which it may write: the map of the raw minima, as
+        each family's map is nondecreasing and rounds monotonically."""
+        low = min_last_axis(raw)[..., None]
+        self.finish(low)
+        return low[..., 0]
+
     def pooled(self, x):
         return x.mean(axis=(1, 3)), np.zeros(len(x), dtype=bool)
 
@@ -134,6 +142,13 @@ class BoundedProductSpec(MeanSpec):
             row *= 1.0 - np.abs(theta)
             row += theta
 
+    def finished_min(self, raw):
+        if self.law != TWO_POINT:
+            return super().finished_min(raw)
+        # two-point's map decreases: the row is finished, then reduced
+        self.finish(raw)
+        return min_last_axis(raw)
+
 
 @dataclass(frozen=True, eq=False)
 class UniformLocationSpec(MeanSpec):
@@ -148,18 +163,22 @@ class UniformLocationSpec(MeanSpec):
         return min_last_axis(x).min(axis=1) + 1.0, np.zeros(len(x), dtype=bool)
 
 
-# Values per block of min_last_axis: a block's fold temporaries are at most
-# 3/4 of it (768 KB of float64) however long the array, and its passes stay
-# in cache. On a 32 MB row the blocks took 0.8 of the time of one allocating
-# fold over the row; an in-place fold, which would write the caller's array,
-# took 1.7-2.2 times as long as the allocating one.
-MIN_BLOCK = 1 << 17
+# Values per block of the blocked passes over a row: min_last_axis and the
+# one-bit threshold comparison of protocols. A block's fold temporaries are
+# at most 3/4 of it (384 KB of float64) however long the array, and a pass
+# stays in cache. On a 2-vCPU x86-64 host, against 2^17: the fold of a
+# (20000, 3, 16) row took 0.6 of the time, a (5000, 3, 16) row the same, and
+# a 32 MB row 0.74 of one allocating fold over the row at either size (an
+# in-place fold, which would write the caller's array, took 1.7-2.2 times
+# as long as the allocating one); the comparison on a 20000 x 8 row took as
+# long as at 2^15, and 0.6 of its time at 2^17.
+BLOCK_VALUES = 1 << 16
 
 
 def min_last_axis(x):
     """x.min(axis=-1), up to the sign of a zero tie; NaN propagates. x is
     not written. numpy's reduce pays a fixed cost per row, so rows of 1 to
-    64 values are reduced in long passes, MIN_BLOCK values at a time: while
+    64 values are reduced in long passes, BLOCK_VALUES at a time: while
     the row length is even, adjacent pairs of the flat block fold into one,
     then the odd remainder is taken column by column. On a 2-vCPU x86-64
     host that took 0.03-0.9 of numpy's time at n <= 48 and at n = 64 (1.3
@@ -171,7 +190,7 @@ def min_last_axis(x):
         return x.min(axis=-1)
     flat = x.reshape(-1, n)
     out = np.empty(len(flat), x.dtype)
-    step = max(1, MIN_BLOCK // n)
+    step = max(1, BLOCK_VALUES // n)
     for s in range(0, len(flat), step):
         a, h = flat[s:s + step].reshape(-1), n
         while h % 2 == 0:

@@ -22,8 +22,7 @@ bit u < (1 + x) / 2 is x > 0 for every u in [0, 1).
 Where a message depends on the raw draw alone, a Protocol's raw step reads
 spec.draw's row and skips the family's map spec.finish: the one-bit bit on
 two-point data is fill's own comparison u < (1 + theta_j) / 2, and the
-interactive minimum maps each machine's raw minimum, where the map does not
-decrease. The steps on the finished row stay, as run_trial's path and the
+interactive minimum is the family's finished_min of the raw row. The steps on the finished row stay, as run_trial's path and the
 oracle the raw steps are tested against.
 """
 
@@ -37,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import codec
+from . import codec, families
 # transcript_total_bits and draw_trials are not called here: bench/spans.py
 # patches them by name (ROADMAP item 1).
 from .codec import (INDEPENDENT, INTERACTIVE, Message, QuantizerSpec, Transcript,
@@ -253,6 +252,8 @@ def _single_mean_local(spec, i, row, uniforms):
 def _onebit_local(spec, i, row, uniforms):
     # the bits u < (1 + x) / 2, mapped in place; with no uniforms, x > 0
     if uniforms is None:
+        if not np.all(np.abs(row) == 1.0):
+            raise InvalidArgumentError("one-bit data without uniforms must be -1 or +1")
         return row[..., 0] > 0.0
     x = row[..., 0]
     x += 1.0
@@ -263,10 +264,12 @@ def _onebit_local(spec, i, row, uniforms):
 def _onebit_raw(spec, k):
     # two-point x is +1 exactly where fill's uniform u < (1 + theta_j) / 2,
     # so the bit x > 0 is that comparison on the raw row, made against a
-    # contiguous threshold block of at most THRESHOLD_VALUES values
+    # contiguous threshold block of at most families.BLOCK_VALUES values:
+    # against the broadcast (d,) thresholds numpy's inner loop ran d values
+    # at a time, 3 times as long
     if spec.law != TWO_POINT:
         return None
-    block = min(k, max(1, THRESHOLD_VALUES // spec.d))
+    block = min(k, max(1, families.BLOCK_VALUES // spec.d))
     threshold = np.tile((1.0 + spec.theta) / 2.0, (block, 1))
 
     def local(raw):
@@ -284,20 +287,6 @@ def _onebit_fuse(spec, qspec, messages):
     # cells 2 z - 1 bit for bit; the buffer stays bools, one byte per value
     ones = messages.sum(axis=0, dtype=np.int32)
     return (2.0 * ones - m) / m, np.full(k, m * d, dtype=np.int64), np.zeros(k, dtype=bool)
-
-
-def _uniform_min_raw(spec, k):
-    # every mean family's map but two-point's is nondecreasing and rounds
-    # monotonically, so the map of the raw minimum is the minimum of the
-    # mapped row, up to the sign of a zero tie as min_last_axis
-    if isinstance(spec, BoundedProductSpec) and spec.law == TWO_POINT:
-        return None
-
-    def local(raw):
-        low = min_last_axis(raw)[..., None]
-        spec.finish(low)
-        return low[..., 0]
-    return local
 
 
 def _uniform_min_fuse(spec, qspec, local_min):
@@ -451,7 +440,7 @@ PROTOCOLS = {
                             lambda spec, m, n, budget_bits: QuantizerSpec(
                                 -2.0, 2.0, uniform_min_value_bits(m, n), codec.ROUND_DOWN),
                             _uniform_min_fuse, _encode_improvements, _decode_improvements,
-                            raw=_uniform_min_raw),
+                            raw=lambda spec, k: spec.finished_min),
     "regress_avg": Protocol(INDEPENDENT, (DesignSpec,), _regress_local,
                             lambda spec, m, n, budget_bits: _local_average_grid(m, n)),
     "probit_avg": Protocol(INDEPENDENT, (ProbitSpec,), _probit_local,
@@ -504,8 +493,6 @@ def run_trial(protocol: str, spec, block, uniforms=None, budget_bits: int = None
             raise InvalidArgumentError("protocol uniforms must lie in [0, 1)")
     if isinstance(spec, BoundedProductSpec) and np.any(np.abs(block) > 1 + 1e-12):
         raise InvalidArgumentError("bounded-family data must lie in [-1, 1]")
-    if uniforms is None and rec.local is _onebit_local and not np.all(np.abs(block) == 1.0):
-        raise InvalidArgumentError("one-bit data without uniforms must be -1 or +1")
     qspec = rec.grid(spec, m, n, budget_bits)
     sent = np.stack([rec.local(spec, i, block[i:i + 1],
                                None if uniforms is None else uniforms[i:i + 1])[0]
@@ -520,21 +507,16 @@ uniform_interactive_min = partial(run_trial, "uniform_min")
 probit_local_average = partial(run_trial, "probit_avg")
 
 
-# Ceiling of a simulate config: values in one trial's m * d * n, and trials.
-CHUNK_VALUES = 4_000_000
-
-# Working-set budget of estimate_risk: a chunk's trials draw at most this
-# many values (32 MB of float64), or one trial's where a trial is larger. A
-# run holds one machine's row, 1/m of them, beside the message buffer, which
-# fits the budget too (but for probit's d + 1 values at d = n = 1). The
-# centralized fusion copies its raw rows trial-major, so it holds 2 x 32 MB.
-# The one-bit scheme on two-point data adds one threshold block, built once
-# per run, of at most THRESHOLD_VALUES (256 KB). Against the broadcast (d,)
-# thresholds numpy's inner loop ran d values at a time, 3 times as long; on
-# a 2-vCPU x86-64 host, blocks of 2^14 values took 1.2 times as long as
-# blocks of 2^15 or 2^16, and one block for a 160000-value row 1.7 times.
+# Working-set budget of estimate_risk, in values: a chunk's trials draw at
+# most this many (32 MB of float64), or one trial's where a trial is larger.
+# cli refuses a config with more values in one trial, or more trials, so a
+# one-trial chunk keeps to it. A run holds one machine's row, 1/m of them,
+# beside the message buffer, which fits the budget too (but for probit's
+# d + 1 values at d = n = 1). The centralized fusion copies its raw rows
+# trial-major, so it holds 2 x 32 MB. The one-bit scheme on two-point data
+# adds one threshold block, built once per run, of at most
+# families.BLOCK_VALUES (512 KB).
 WORKING_VALUES = 4_000_000
-THRESHOLD_VALUES = 1 << 15
 
 
 def _chunk_sizes(trials: int, per_trial_values: int):

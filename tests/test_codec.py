@@ -61,7 +61,7 @@ class TestQuantizer:
         spec = QuantizerSpec(-1.0, 1.0, 3, codec.ROUND_DOWN)
         assert dequantize(5, spec) == 0.25
         near = QuantizerSpec(-1.0, 1.0, 3, codec.ROUND_NEAREST)
-        assert dequantize(0, near) == -1.0 + near.cell_width / 2
+        assert dequantize(0, near) == -1.0 + (near.hi - near.lo) / near.cells / 2
 
     def test_dequantize_range_check(self):
         spec = QuantizerSpec(0.0, 1.0, 2)
@@ -85,8 +85,9 @@ class TestQuantizer:
             back_down = dequantize(quantize(values, down), down)
             back_near = dequantize(quantize(values, near), near)
             assert np.all(back_down <= values + 1e-12)
-            assert np.all(np.abs(back_down - values) <= down.cell_width + 1e-12)
-            assert np.all(np.abs(back_near - values) <= near.cell_width / 2 + 1e-12)
+            width = (down.hi - down.lo) / down.cells
+            assert np.all(np.abs(back_down - values) <= width + 1e-12)
+            assert np.all(np.abs(back_near - values) <= width / 2 + 1e-12)
 
     @pytest.mark.parametrize("mode", [codec.ROUND_DOWN, codec.ROUND_NEAREST])
     def test_in_place_steps_give_the_formula_bytes(self, mode):
@@ -133,7 +134,7 @@ class TestQuantizer:
 
 class TestBitString:
     def test_empty(self):
-        assert len(BitString()) == 0
+        assert BitString().length == 0
 
     def test_concat(self):
         assert BitString(0b10, 2) + BitString(0b111, 3) == BitString(0b10111, 5)

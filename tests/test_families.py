@@ -347,6 +347,10 @@ class TestProbitSampling:
 # long enough for numpy's own reduce (100).
 MIN_ROW_LENGTHS = (1, 2, 3, 4, 5, 7, 8, 12, 16, 24, 100)
 
+# theta at both ends of [-1, 1], where a two-point coordinate is constant
+# and a uniform_interval one has zero width
+EDGE_THETA = (-1.0, -0.4, 0.0, 0.3, 1.0)
+
 
 def min_test_rows(shape, values):
     """Uniform draws on [-1, 1]; "inf" puts +inf and -inf at one value in 7
@@ -381,8 +385,8 @@ class TestMinLastAxis:
     def test_local_minima_equal_numpy(self, monkeypatch, n, values):
         # the (k, d) leading shapes of a local step's row; a block of 37
         # values splits the rows into several blocks, the last one partial
-        for block in (families.MIN_BLOCK, 37):
-            monkeypatch.setattr(families, "MIN_BLOCK", block)
+        for block in (families.BLOCK_VALUES, 37):
+            monkeypatch.setattr(families, "BLOCK_VALUES", block)
             for lead in ((40, 3), (1, 3), (40, 1), (1, 1)):
                 x = min_test_rows((*lead, n), values)
                 keep = x.copy()
@@ -399,6 +403,23 @@ class TestMinLastAxis:
             assert_same_minima(min_last_axis(x).min(axis=1), x.min(axis=(1, 3)))
             assert_same_minima(theta_hat, x.min(axis=(1, 3)) + 1.0)
             assert flagged.shape == (lead[0],) and not flagged.any()
+
+    @pytest.mark.parametrize("spec", [
+        GaussianLocationSpec(EDGE_THETA, 0.7), GaussianLocationSpec(EDGE_THETA, 1.0),
+        BoundedProductSpec(EDGE_THETA, "two_point"),
+        BoundedProductSpec(EDGE_THETA, "uniform_interval"), UniformLocationSpec(EDGE_THETA),
+    ], ids=["gaussian-0.7", "gaussian-1", "two_point", "uniform_interval", "uniform"])
+    @pytest.mark.parametrize("n", (1, 4, 5, 16))
+    def test_finished_min_is_the_minimum_of_the_finished_row(self, spec, n):
+        # the raw minimum step of uniform_min against its definition, byte
+        # for byte, so a zero's sign counts
+        raw = np.empty((40, spec.d, n))
+        spec.draw(np.random.default_rng(n), raw)
+        row = raw.copy()
+        spec.finish(row)
+        got, want = spec.finished_min(raw.copy()), min_last_axis(row)
+        assert got.shape == want.shape == (40, spec.d)
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_shapes(self):
         assert min_last_axis(np.empty((0, 3, 4))).shape == (0, 3)

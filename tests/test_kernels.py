@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
-from distest import protocols
+from distest import families, protocols
 from distest.codec import dequantize, quantize, transcript_total_bits
 from distest.designs import build_designs
 from distest.errors import InvalidArgumentError
@@ -251,7 +251,7 @@ PLANE_CASES = [
     ("uniform_min", "uniform", 5, 4, 5, EDGE_THETA, True),
     ("uniform_min", "gaussian", 5, 4, 5, EDGE_THETA, True),
     ("uniform_min", "bounded_uniform", 5, 4, 5, EDGE_THETA, True),
-    ("uniform_min", "bounded_two_point", 5, 4, 5, EDGE_THETA, False),
+    ("uniform_min", "bounded_two_point", 5, 4, 5, EDGE_THETA, True),
     ("gauss_qavg", "gaussian", 40, 3, 1, None, False),
     ("probit_avg", "probit", 4, 12, 2, None, False),
     ("centralized", "regression", 4, 6, 2, None, False),
@@ -267,11 +267,12 @@ def test_run_chunks_hands_fuse_one_plane_per_machine(monkeypatch, protocol, fami
     chunk's k trials. The run's 60 trials go in chunks of 25, 25 and 10, so
     the last chunk reads the first 10 trials of each reused plane. Where
     the protocol reads the raw draw, its step must send what the local step
-    sends on the filled row; the one-bit threshold block is cut to 8
-    trials, so each chunk ends in a partial block."""
+    sends on the filled row. families.BLOCK_VALUES is cut to 7 trials'
+    values, so each chunk ends in a partial block of the one-bit threshold
+    comparison and of the minimum's fold."""
     spec = make_spec(family, m, n, d, theta=theta)
     rec = PROTOCOLS[protocol]
-    monkeypatch.setattr(protocols, "THRESHOLD_VALUES", 8 * d)
+    monkeypatch.setattr(families, "BLOCK_VALUES", 7 * d * n)
     assert (rec.raw(spec, 25) is not None) == raw
     seen = []
 

@@ -184,7 +184,8 @@ def test_interactive_grid_cells_quantize_back_to_themselves(m, n, data):
 def test_bits_for_accuracy_delivers_eps(lo, width, eps):
     hi = lo + width
     b = bits_for_accuracy(lo, hi, eps)
-    assert QuantizerSpec(lo, hi, b).cell_width <= eps
+    spec = QuantizerSpec(lo, hi, b)
+    assert (spec.hi - spec.lo) / spec.cells <= eps
 
 
 @settings(PROPERTY, max_examples=40)
