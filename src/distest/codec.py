@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 
 ROUND_DOWN = "round_down"
 ROUND_NEAREST = "round_nearest"
@@ -23,7 +23,9 @@ INTERACTIVE = "interactive"
 
 
 def ceil_log2(k: int) -> int:
-    """Smallest b >= 0 with 2**b >= k, by exact integer arithmetic (k >= 1)."""
+    """Smallest b >= 0 with 2**b >= k, by exact integer arithmetic (an
+    integer k >= 1)."""
+    check_integer(k, "ceil_log2's k")
     if k < 1:
         raise InvalidArgumentError(f"ceil_log2 needs k >= 1, got {k}")
     return (int(k) - 1).bit_length()
@@ -38,6 +40,8 @@ class BitString:
     length: int = 0
 
     def __post_init__(self):
+        check_integer(self.value, "BitString value")
+        check_integer(self.length, "BitString length")
         if self.length < 0:
             raise InvalidArgumentError("negative BitString length")
         if not 0 <= self.value < (1 << self.length):
@@ -50,6 +54,7 @@ class BitString:
 
 def pack_fields(values, width: int) -> BitString:
     """Concatenate fixed-width unsigned fields into one BitString."""
+    check_integer(width, "field width")
     if width < 0:
         raise InvalidArgumentError("field width must be >= 0")
     acc = 0
@@ -67,6 +72,8 @@ def pack_fields(values, width: int) -> BitString:
 def unpack_fields(payload: BitString, width: int, count: int) -> tuple:
     """Inverse of pack_fields: the count width-bit fields of payload, which
     must be exactly count * width bits long. Zero-width fields are zeros."""
+    check_integer(width, "field width")
+    check_integer(count, "field count")
     if width < 0 or count < 0 or payload.length != width * count:
         raise InvalidArgumentError(f"a {payload.length}-bit payload is not {count} "
                                    f"fields of {width} bits")
@@ -83,6 +90,8 @@ class Message:
     payload: BitString
 
     def __post_init__(self):
+        check_integer(self.machine, "machine index")
+        check_integer(self.round, "round")
         if self.machine < 1:
             raise InvalidArgumentError("machine index is 1-based")
         if self.round < 1:
@@ -130,6 +139,7 @@ class QuantizerSpec:
             raise InvalidArgumentError("quantizer endpoints must be finite")
         if not self.lo < self.hi:
             raise InvalidArgumentError("quantizer needs lo < hi")
+        check_integer(self.bits, "bit count")
         if self.bits < 0:
             raise InvalidArgumentError("bit count must be >= 0")
         if self.bits > 62:  # quantize's floor(frac * 2**bits) must fit in int64

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer, check_seed
 
 DESIGN_KINDS = ("identity", "orthogonal")
 
@@ -26,7 +26,12 @@ def orthogonal_columns_design(n: int, d: int, gen: np.random.Generator) -> np.nd
 
 
 def build_designs(kind: str, m: int, n: int, d: int, seed: int):
-    """m design matrices of a named kind, one of DESIGN_KINDS."""
+    """m design matrices of a named kind, one of DESIGN_KINDS. Raises
+    InvalidArgumentError unless m, n and d are integers and seed is an
+    integer >= 0."""
+    for what, value in (("m", m), ("n", n), ("d", d)):
+        check_integer(value, what)
+    check_seed(seed)
     if kind == "identity":
         return tuple(scaled_identity_design(n, d) for _ in range(m))
     if kind == "orthogonal":

@@ -33,3 +33,10 @@ def check_integer(value, what: str) -> None:
     """Raise InvalidArgumentError unless is_integer(value)."""
     if not is_integer(value):
         raise InvalidArgumentError(f"{what} must be an integer, not {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Raise InvalidArgumentError unless seed is an integer >= 0."""
+    check_integer(seed, "seed")
+    if seed < 0:
+        raise InvalidArgumentError("seed must be >= 0")

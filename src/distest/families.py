@@ -8,7 +8,9 @@ in place, in its formula's order of operations, and pooled(x) is the
 centralized estimator on a (k, m, *row) stack of whole samples, giving
 theta_hat (k, d) and flagged (k,). A mean family's fill is draw(gen, row),
 its one rng call, then finish(row), its in-place map of the draw onto the
-law. run_shape is the one rule for a run's (m, n).
+law, and finished_min(raw) the minima of the finished row, taken from the
+draw. BLOCK_VALUES is the block size of the blocked passes over a row.
+run_shape is the one rule for a run's (m, n).
 
 Seeding contract
 ----------------
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateDesignError, InvalidArgumentError,
-                     ReductionInfeasibleError, check_integer)
+                     ReductionInfeasibleError, check_integer, check_seed)
 
 TAG_DATA = 0
 TAG_PROTOCOL = 1
@@ -41,9 +43,7 @@ _PSD_TOL = 1e-9
 def machine_streams(seed: int, m: int, tag: int = TAG_DATA):
     """Generators of machines 0..m-1 under tag; see the seeding contract.
     Raises InvalidArgumentError unless seed is an integer >= 0."""
-    check_integer(seed, "seed")
-    if seed < 0:
-        raise InvalidArgumentError("seed must be >= 0")
+    check_seed(seed)
     return [np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(tag), i)))
             for i in range(m)]
 
@@ -56,7 +56,8 @@ def _as_theta(theta, d=None) -> np.ndarray:
         arr = np.full(d, arr[0])
     if not np.all(np.abs(arr) <= 1 + 1e-12):     # NaN fails this too
         raise InvalidArgumentError("every |theta_j| must be <= 1")
-    return arr
+    # on [-1, 1] exactly: a uniform_interval width 1 - |theta_j| is never negative
+    return np.clip(arr, -1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

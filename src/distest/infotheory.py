@@ -107,13 +107,14 @@ def _mi_from_table(joints: np.ndarray) -> np.ndarray:
 
 
 def mutual_information(joint, axis_a: int, axis_b: int) -> float:
-    """I(A; B) in nats between the distinct axes `axis_a` and `axis_b` of the
-    joint table `joint`, after summing out every other axis."""
+    """I(A; B) in nats between the distinct integer axes `axis_a` and
+    `axis_b` of the joint table `joint`, after summing out every other axis."""
     tables = np.asarray(joint)[None]
     _check_cells(tables.size, "joint")
     tables = _check_pmf(tables, "joint")
     ndim = tables.ndim - 1
-    if axis_a == axis_b or not {axis_a, axis_b} <= set(range(ndim)):
+    if not (is_integer(axis_a) and is_integer(axis_b)
+            and axis_a != axis_b and {axis_a, axis_b} <= set(range(ndim))):
         raise InvalidArgumentError(f"need two distinct axes of a {ndim}-d joint")
     reduced = tables.sum(
         axis=tuple(i + 1 for i in range(ndim) if i not in (axis_a, axis_b)))

@@ -22,8 +22,9 @@ bit u < (1 + x) / 2 is x > 0 for every u in [0, 1).
 Where a message depends on the raw draw alone, a Protocol's raw step reads
 spec.draw's row and skips the family's map spec.finish: the one-bit bit on
 two-point data is fill's own comparison u < (1 + theta_j) / 2, and the
-interactive minimum is the family's finished_min of the raw row. The steps on the finished row stay, as run_trial's path and the
-oracle the raw steps are tested against.
+interactive minimum is the family's finished_min of the raw row. The steps
+on the finished row stay, as run_trial's path and the oracle the raw steps
+are tested against.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import infotheory as it
-from .errors import InvalidArgumentError, check_integer
+from .errors import InvalidArgumentError, check_integer, check_seed
 
 @dataclass(frozen=True)
 class SuiteRow:
@@ -333,11 +333,9 @@ def run_suite(name: str, count: int, seed: int):
     (base + 977 i) mod 2**63."""
     check_suite(name)
     check_integer(count, "instance count")
-    check_integer(seed, "seed")
     if not 1 <= count <= MAX_COUNT:
         raise InvalidArgumentError(f"instance count must be in [1, {MAX_COUNT}]")
-    if seed < 0:
-        raise InvalidArgumentError("seed must be >= 0")
+    check_seed(seed)
     draw, check = _SUITES[name]
     base = int(np.random.SeedSequence(int(seed)).generate_state(1)[0])
     rows = []

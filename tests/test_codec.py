@@ -132,6 +132,34 @@ class TestQuantizer:
             QuantizerSpec(0.0, 1.0, 63)
 
 
+@pytest.mark.parametrize("run,text", [
+    (lambda: ceil_log2(2.5), "ceil_log2's k must be an integer, not 2.5"),
+    (lambda: QuantizerSpec(0.0, 1.0, 2.5), "bit count must be an integer, not 2.5"),
+    (lambda: QuantizerSpec(0.0, 1.0, True), "bit count must be an integer, not True"),
+    (lambda: BitString(1.5, 2), "BitString value must be an integer, not 1.5"),
+    (lambda: BitString(1, 2.0), "BitString length must be an integer, not 2.0"),
+    (lambda: Message(1.5, 1, BitString()), "machine index must be an integer, not 1.5"),
+    (lambda: Message(1, np.float64(1.0), BitString()), "round must be an integer, not "),
+    (lambda: pack_fields([1], 2.0), "field width must be an integer, not 2.0"),
+    (lambda: unpack_fields(BitString(0, 4), 2.0, 2), "field width must be an integer, not 2.0"),
+    (lambda: unpack_fields(BitString(0, 4), 2, 2.0), "field count must be an integer, not 2.0"),
+], ids=["ceil_log2", "bits", "bits-bool", "bitstring-value", "bitstring-length", "machine",
+        "round", "pack-width", "unpack-width", "unpack-count"])
+def test_codec_integers_must_be_integers(run, text):
+    """A count, width, index or bit value that is not an integer is refused
+    where it enters, not truncated or left to fail later."""
+    with pytest.raises(InvalidArgumentError, match=f"^{text}"):
+        run()
+
+
+def test_codec_takes_numpy_integers():
+    spec = QuantizerSpec(0.0, 1.0, np.int64(3))
+    assert quantize(0.5, spec) == 4 and ceil_log2(np.int32(5)) == 3
+    assert pack_fields([3, 0], np.int64(2)) == BitString(np.int64(12), np.uint8(4))
+    assert unpack_fields(BitString(12, 4), np.int64(2), np.int16(2)) == (3, 0)
+    assert Message(np.int64(2), np.int8(1), BitString()).machine == 2
+
+
 class TestBitString:
     def test_empty(self):
         assert BitString().length == 0

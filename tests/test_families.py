@@ -194,6 +194,16 @@ class TestSampling:
             draw_trials(object(), machine_streams(0, 2), 1, 3)
 
 
+def test_theta_within_the_tolerance_is_held_on_the_interval():
+    # every other theta keeps its bytes, -0.0 included
+    theta = (1.0 + 1e-13, -1.0 - 1e-13, -0.0, 0.3)
+    want = np.array([1.0, -1.0, -0.0, 0.3]).tobytes()
+    for spec in (BoundedProductSpec(theta, "uniform_interval"), UniformLocationSpec(theta),
+                 GaussianLocationSpec(theta)):
+        assert spec.theta.tobytes() == want
+    assert ProbitSpec(CHUNK_DESIGNS, theta[:2]).theta.tolist() == [1.0, -1.0]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_theta_and_sigma_rejected(value):
     designs = [np.eye(2)]

@@ -115,6 +115,15 @@ class TestBasicQuantities:
         assert mutual_information(table, 0, 1) == pytest.approx(0.0, abs=1e-15)
         assert mutual_information(table, 1, 2) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("axes", [(True, False), (1.0, 0), (0, np.float64(1.0))],
+                             ids=["bool", "float", "numpy-float"])
+    def test_mutual_information_takes_integer_axes(self, axes):
+        # the axes of a 2-d joint are 0 and 1, and True, 1.0 are not axes
+        with pytest.raises(InvalidArgumentError, match="^need two distinct axes of a 2-d joint$"):
+            mutual_information(bsc_joint(0.4), *axes)
+        assert (mutual_information(bsc_joint(0.4), np.int64(1), np.int32(0))
+                == mutual_information(bsc_joint(0.4), 1, 0))
+
     def test_mutual_information_on_tiny_cells(self):
         # a * b of the first cell's marginals underflows to 0: that cell's
         # term is j (log j - log a - log b), so I(A; A) = H(A), not inf; a

@@ -242,6 +242,9 @@ def test_pooled_on_a_stack_of_one_is_the_kernel(protocol, family, m, n, d):
 # theta at both ends of [-1, 1], where a two-point coordinate is constant
 # and a uniform_interval one has zero width
 EDGE_THETA = (-1.0, -0.4, 0.0, 0.3, 1.0)
+# just outside [-1, 1], within the theta tolerance of the specs, which hold
+# +/-1: a negative uniform_interval width would make its map decrease
+OUTSIDE_THETA = (1.0 + 1e-13, -1.0 - 1e-13)
 
 
 PLANE_CASES = [
@@ -252,6 +255,7 @@ PLANE_CASES = [
     ("uniform_min", "gaussian", 5, 4, 5, EDGE_THETA, True),
     ("uniform_min", "bounded_uniform", 5, 4, 5, EDGE_THETA, True),
     ("uniform_min", "bounded_two_point", 5, 4, 5, EDGE_THETA, True),
+    ("uniform_min", "bounded_uniform", 5, 4, 2, OUTSIDE_THETA, True),
     ("gauss_qavg", "gaussian", 40, 3, 1, None, False),
     ("probit_avg", "probit", 4, 12, 2, None, False),
     ("centralized", "regression", 4, 6, 2, None, False),

@@ -515,11 +515,29 @@ def test_counts_and_seed_must_be_integers(run, text):
         run()
 
 
+@pytest.mark.parametrize("args,text", [
+    (("orthogonal", 2, 4, 2, 1.7), "seed must be an integer, not 1.7"),
+    (("orthogonal", 2, 4, 2, True), "seed must be an integer, not True"),
+    (("orthogonal", 2, 4, 2, -1), "seed must be >= 0$"),
+    (("identity", 2, 4, 2, -1), "seed must be >= 0$"),
+    (("identity", 2.0, 4, 2, 0), "m must be an integer, not 2.0"),
+    (("orthogonal", 2, 4.5, 2, 0), "n must be an integer, not 4.5"),
+    (("orthogonal", 2, 4, True, 0), "d must be an integer, not True"),
+], ids=["seed", "seed-bool", "seed-negative", "identity-seed-negative", "m", "n", "d-bool"])
+def test_build_designs_takes_integer_sizes_and_seed(args, text):
+    # the seed rule of machine_streams and run_suite, not numpy's bare ValueError
+    with pytest.raises(InvalidArgumentError, match=f"^{text}"):
+        build_designs(*args)
+
+
 def test_numpy_integers_are_integers():
     got = onebit_risk(np.int64(50), np.uint8(1), np.int32(4), np.int64(1))
     assert got == onebit_risk()
     assert np.array_equal(sample(ONEBIT_SPEC, np.int64(4), 1, seed=np.int16(2)),
                           sample(ONEBIT_SPEC, 4, 1, seed=2))
+    assert np.array_equal(build_designs("orthogonal", np.int64(2), np.int32(4), np.int8(2),
+                                        np.uint16(3)),
+                          build_designs("orthogonal", 2, 4, 2, 3))
 
 
 @pytest.mark.parametrize("run", [lambda: sample(object(), 2, 1),
