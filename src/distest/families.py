@@ -171,8 +171,8 @@ class UniformLocationSpec(MeanSpec):
 # (20000, 3, 16) row took 0.6 of the time, a (5000, 3, 16) row the same, and
 # a 32 MB row 0.74 of one allocating fold over the row at either size (an
 # in-place fold, which would write the caller's array, took 1.7-2.2 times
-# as long as the allocating one); the comparison on a 20000 x 8 row took as
-# long as at 2^15, and 0.6 of its time at 2^17.
+# as long as the allocating one); the comparison on a 20000 x 8 row took
+# 0.6-0.7 of its time, and as long as at 2^15.
 BLOCK_VALUES = 1 << 16
 
 

@@ -504,30 +504,24 @@ def onebit_risk(trials=50, seed=1, m=4, n=1):
      "budget_bits must be an integer, not 6.5"),
     (lambda: run_trial("single_mean", QMEAN_SPEC, np.zeros((1, 1, 1)), budget_bits=6.5),
      "budget_bits must be an integer, not 6.5"),
+    (lambda: build_designs("orthogonal", 2, 4, 2, 1.7), "seed must be an integer, not 1.7"),
+    (lambda: build_designs("orthogonal", 2, 4, 2, True), "seed must be an integer, not True"),
+    (lambda: build_designs("orthogonal", 2, 4, 2, -1), "seed must be >= 0$"),
+    (lambda: build_designs("identity", 2, 4, 2, -1), "seed must be >= 0$"),
+    (lambda: build_designs("identity", 2.0, 4, 2, 0), "m must be an integer, not 2.0"),
+    (lambda: build_designs("orthogonal", 2, 4.5, 2, 0), "n must be an integer, not 4.5"),
+    (lambda: build_designs("orthogonal", 2, 4, True, 0), "d must be an integer, not True"),
 ], ids=["seed", "seed-bool", "sample-seed", "streams-seed", "seed-negative",
         "sample-seed-negative", "trials", "m", "n-bool",
-        "sample-n", "budget_bits", "run_trial-budget_bits"])
+        "sample-n", "budget_bits", "run_trial-budget_bits", "designs-seed",
+        "designs-seed-bool", "designs-seed-negative", "identity-designs-seed-negative",
+        "designs-m", "designs-n", "designs-d-bool"])
 def test_counts_and_seed_must_be_integers(run, text):
-    """A seed, trial count, m, n or budget that is not an integer, or a
+    """A seed, trial count, m, n, d or budget that is not an integer, or a
     negative seed, is refused where it enters, not truncated or left to
     fail inside numpy."""
     with pytest.raises(InvalidArgumentError, match=f"^{text}"):
         run()
-
-
-@pytest.mark.parametrize("args,text", [
-    (("orthogonal", 2, 4, 2, 1.7), "seed must be an integer, not 1.7"),
-    (("orthogonal", 2, 4, 2, True), "seed must be an integer, not True"),
-    (("orthogonal", 2, 4, 2, -1), "seed must be >= 0$"),
-    (("identity", 2, 4, 2, -1), "seed must be >= 0$"),
-    (("identity", 2.0, 4, 2, 0), "m must be an integer, not 2.0"),
-    (("orthogonal", 2, 4.5, 2, 0), "n must be an integer, not 4.5"),
-    (("orthogonal", 2, 4, True, 0), "d must be an integer, not True"),
-], ids=["seed", "seed-bool", "seed-negative", "identity-seed-negative", "m", "n", "d-bool"])
-def test_build_designs_takes_integer_sizes_and_seed(args, text):
-    # the seed rule of machine_streams and run_suite, not numpy's bare ValueError
-    with pytest.raises(InvalidArgumentError, match=f"^{text}"):
-        build_designs(*args)
 
 
 def test_numpy_integers_are_integers():
